@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,8 +42,6 @@ from .stats import (
     pairwise_comparison,
 )
 
-WORKERS_ENV = "MCMATRIX_WORKERS"
-
 
 class _UsageError(Exception):
     pass
@@ -55,16 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # errors, so usage problems are rethrown and mapped to exit code 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _names(text: str) -> list[str]:
@@ -156,8 +143,7 @@ def build_parser() -> _Parser:
         ),
         epilog=(
             "Defaults: alpha 0.05, rope 0.01, mc-samples 100000, seed 0, "
-            f"tie-epsilon 0, exact-threshold {DEFAULT_EXACT_THRESHOLD}; "
-            f"worker count from ${WORKERS_ENV} (default 1)."
+            f"tie-epsilon 0, exact-threshold {DEFAULT_EXACT_THRESHOLD}."
         ),
     )
     parser.add_argument("--version", action="version", version=f"mcmatrix {__version__}")
@@ -265,7 +251,6 @@ def _load(args: argparse.Namespace) -> tuple:
 
 def _cmd_mcm(args: argparse.Namespace) -> int:
     matrix, payload = _load(args)
-    workers = _default_workers()
     config = MCMConfig(
         alpha=args.alpha,
         row_comparates=tuple(args.rows) if args.rows else None,
@@ -273,9 +258,8 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         include_bayes=args.include_bayes,
         tie_epsilon=args.tie_epsilon,
     )
-    report = build_mcm(matrix, config, bayes_config=_bayes_config(args),
-                       workers=workers)
-    meta = _metadata(args, payload, workers=workers)
+    report = build_mcm(matrix, config, bayes_config=_bayes_config(args))
+    meta = _metadata(args, payload, workers=1)
     if args.format == "json":
         out = dict(metadata=meta, **mcm_report_to_dict(report))
         _write_output(args.output, _json_bytes(out))
@@ -340,12 +324,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         c for c in matrix.comparates if c not in set(core)
     )
     mode = Sampled(args.sample, args.seed) if args.sample else Exhaustive()
-    workers = _default_workers()
     enumeration = enumerate_patterns(
         matrix, core, pool, args.k_extra, args.alpha,
-        mode=mode, example_seed=args.seed, workers=workers,
+        mode=mode, example_seed=args.seed,
     )
-    meta = _metadata(args, payload, pool=list(pool), workers=workers)
+    meta = _metadata(args, payload, pool=list(pool), workers=1)
     out = dict(metadata=meta, **enumeration.to_dict())
     _write_output(args.output, _json_bytes(out))
 

@@ -2,7 +2,7 @@
 
 The central type is :class:`ResultsMatrix`, a dense m x n table of scores
 for m comparates (the methods being compared) on n tasks.  All values are
-immutable after construction and safe to share across workers.
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -254,6 +254,9 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
                 f"{direction.value!r} was requested"
             )
 
+    for key in ("comparates", "tasks"):
+        if not isinstance(obj[key], list):
+            raise ValidationError(f"JSON {key!r} must be an array of names")
     comparates = [str(c) for c in obj["comparates"]]
     tasks = [str(t) for t in obj["tasks"]]
     rows = obj["scores"]

@@ -11,7 +11,6 @@ designed to remove, so none is offered here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,14 +96,13 @@ def build_mcm(
     matrix: ResultsMatrix,
     config: MCMConfig = MCMConfig(),
     bayes_config: BayesConfig | None = None,
-    workers: int = 1,
 ) -> MCMReport:
     """Build the comparison grid for a matrix under the given configuration.
 
     When ``config.include_bayes`` is set, each cell also gets a Bayesian
     signed-rank posterior computed with ``bayes_config`` (defaults apply
-    when omitted).  ``workers`` > 1 computes cells in a thread pool; the
-    result is identical regardless of worker count.
+    when omitted).  Each unordered pair is evaluated once; its reverse
+    cell, when the grid shows it, is the mirror of the evaluated one.
     """
     alpha = float(config.alpha)
     if not (0.0 < alpha < 1.0):
@@ -125,17 +123,13 @@ def build_mcm(
         count = len(rows) * len(cols) - len(set(rows) & set(cols))
 
     pairs = [(r, c) for r in row_order for c in column_order if r != c]
-
-    def make_cell(pair: tuple[str, str]) -> PairwiseComparison:
-        return pairwise_comparison(matrix, pair[0], pair[1], config.tie_epsilon)
-
-    workers = max(1, int(workers))
-    if workers == 1 or len(pairs) < 2:
-        computed = [make_cell(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(make_cell, pairs))
-    cells = dict(zip(pairs, computed))
+    cells: dict[tuple[str, str], PairwiseComparison] = {}
+    for r, c in pairs:
+        reverse = cells.get((c, r))
+        cells[(r, c)] = (
+            reverse.mirrored() if reverse is not None
+            else pairwise_comparison(matrix, r, c, config.tie_epsilon)
+        )
     significance = {p: cells[p].p_value < alpha for p in pairs}
 
     bayes = None

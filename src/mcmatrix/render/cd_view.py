@@ -21,7 +21,7 @@ from ..stats import (
     nemenyi_critical_difference,
     pair_id,
 )
-from .core import SvgDoc, fval
+from .core import SvgDoc, fnum
 from .style import RenderStyle
 
 __all__ = [
@@ -149,9 +149,9 @@ def render_cd_diagram(
     doc.rect(0, 0, width, height, fill="#ffffff")
 
     title = (
-        f"alpha = {fval(layout.alpha, 2)}, "
+        f"alpha = {fnum(layout.alpha, 2)}, "
         + (
-            f"critical difference = {fval(layout.critical_difference, 4)}"
+            f"critical difference = {fnum(layout.critical_difference, 4)}"
             if layout.critical_difference is not None
             else "Wilcoxon signed-rank with Holm correction"
         )
@@ -202,7 +202,7 @@ def render_cd_diagram(
         doc.text(
             x_label,
             y + 0.35 * fs,
-            f"{name} ({fval(layout.average_ranks[idx], 4)})",
+            f"{name} ({fnum(layout.average_ranks[idx], 4)})",
             fs,
             anchor=anchor,
             family=style.font_family,

@@ -9,20 +9,15 @@ from __future__ import annotations
 import json
 from xml.sax.saxutils import escape, quoteattr
 
-__all__ = ["fnum", "fval", "SvgDoc", "wrap_html"]
+__all__ = ["fnum", "SvgDoc", "wrap_html"]
 
 
 def fnum(x: float, places: int = 2) -> str:
-    """Fixed-point coordinate formatting; negative zero is normalized."""
+    """Fixed-point coordinates and value labels; negative zero is normalized."""
     s = f"{float(x):.{places}f}"
     if float(s) == 0.0:
         s = f"{0.0:.{places}f}"
     return s
-
-
-def fval(x: float, places: int) -> str:
-    """Fixed-point value label with ASCII minus and no negative zero."""
-    return fnum(x, places)
 
 
 class SvgDoc:

@@ -6,7 +6,7 @@ from xml.sax.saxutils import escape
 
 from ..errors import EmptyReport, ValidationError
 from ..mcm import MCMReport
-from .core import SvgDoc, fval, wrap_html
+from .core import SvgDoc, fnum, wrap_html
 from .style import RenderStyle, diverging_color
 
 __all__ = ["render_mcm", "resolve_scale_limit"]
@@ -21,9 +21,9 @@ def resolve_scale_limit(report: MCMReport, style: RenderStyle) -> float:
 
 def _cell_lines(cell, places: int) -> tuple[str, str, str]:
     return (
-        fval(cell.mean_difference, places),
+        fnum(cell.mean_difference, places),
         f"{cell.wins} / {cell.ties} / {cell.losses}",
-        f"p = {fval(cell.p_value, places)}",
+        f"p = {fnum(cell.p_value, places)}",
     )
 
 
@@ -67,7 +67,7 @@ def render_mcm(
         doc.text(
             cx,
             style.padding + 2.4 * fs,
-            f"({fval(report.mean_performance[name], places)})",
+            f"({fnum(report.mean_performance[name], places)})",
             fs * 0.9,
             family=style.font_family,
         )
@@ -81,7 +81,7 @@ def render_mcm(
         doc.text(
             rx,
             cy + 1.05 * fs,
-            f"({fval(report.mean_performance[name], places)})",
+            f"({fnum(report.mean_performance[name], places)})",
             fs * 0.9,
             anchor="end",
             family=style.font_family,
@@ -129,9 +129,9 @@ def _data_table(report: MCMReport, places: int) -> str:
             body.append(
                 "<tr>"
                 f"<td>{escape(r)}</td><td>{escape(c)}</td>"
-                f"<td>{fval(cell.mean_difference, places)}</td>"
+                f"<td>{fnum(cell.mean_difference, places)}</td>"
                 f"<td>{cell.wins} / {cell.ties} / {cell.losses}</td>"
-                f"<td>{fval(cell.p_value, places)}</td>"
+                f"<td>{fnum(cell.p_value, places)}</td>"
                 f"<td>{'yes' if report.significance[(r, c)] else 'no'}</td>"
                 "</tr>"
             )

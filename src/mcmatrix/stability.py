@@ -12,7 +12,6 @@ grid is immune to by construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -253,7 +252,6 @@ def enumerate_patterns(
     example_limit: int = 5,
     example_seed: int = 0,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    workers: int = 1,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> PatternEnumeration:
     """Pattern counts over every (or a sampled set of) k-extra subsets.
@@ -261,8 +259,8 @@ def enumerate_patterns(
     Per-pair p-values are computed once up front: they depend only on the
     two comparates involved, so each subset evaluation reduces to one
     step-down correction over cached values.  Example subsets are retained
-    by reservoir sampling keyed by (seed, subset index), making parallel
-    and serial runs identical.
+    by reservoir sampling keyed by (seed, subset index), so a seed always
+    selects the same examples.
     """
     if not (0.0 < float(alpha) < 1.0):
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -321,45 +319,29 @@ def enumerate_patterns(
     else:
         raise ValidationError(f"unknown enumeration mode {mode!r}")
 
-    # Subsets are unranked on demand (lexicographic order over the pool) so
-    # exhaustive sweeps near the limit do not hold a million tuples at once.
-    def evaluate(span: range) -> list[tuple[int, tuple[str, ...], int]]:
-        out = []
-        for g in span:
-            subset = _subset_by_rank(pool, k_extra, ranks[g])
-            out.append((g, subset, _holm_mask(core, core + subset, pvalues, alpha)))
-        return out
-
-    total = len(ranks)
-    workers = max(1, int(workers))
-    chunk = 2048
-    spans = [range(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if workers == 1 or len(spans) <= 1:
-        chunks = [evaluate(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            chunks = list(pool_exec.map(evaluate, spans))
-
     counts: dict[int, int] = {}
     examples: dict[int, list[tuple[str, ...]]] = {}
     example_limit = max(0, int(example_limit))
-    for block in chunks:  # merged in subset-index order
-        for g, subset, mask in block:
-            n_seen = counts.get(mask, 0) + 1
-            counts[mask] = n_seen
-            bucket = examples.setdefault(mask, [])
-            if n_seen <= example_limit:
-                bucket.append(subset)
-            elif example_limit > 0:
-                slot = _reservoir_draw(example_seed, g, n_seen)
-                if slot < example_limit:
-                    bucket[slot] = subset
+    # Subsets are unranked on demand (lexicographic order over the pool) so
+    # exhaustive sweeps near the limit do not hold a million tuples at once.
+    for g, rank in enumerate(ranks):
+        subset = _subset_by_rank(pool, k_extra, rank)
+        mask = _holm_mask(core, core + subset, pvalues, alpha)
+        n_seen = counts.get(mask, 0) + 1
+        counts[mask] = n_seen
+        bucket = examples.setdefault(mask, [])
+        if n_seen <= example_limit:
+            bucket.append(subset)
+        elif example_limit > 0:
+            slot = _reservoir_draw(example_seed, g, n_seen)
+            if slot < example_limit:
+                bucket[slot] = subset
 
     return PatternEnumeration(
         core=core,
         pattern_counts=counts,
         examples_per_pattern={m: tuple(v) for m, v in examples.items()},
-        total_subsets=total,
+        total_subsets=len(ranks),
     )
 
 

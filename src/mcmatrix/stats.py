@@ -107,6 +107,25 @@ class PairwiseComparison:
             "p_method": self.p_method.value,
         }
 
+    def mirrored(self) -> PairwiseComparison:
+        """The same cell from the column comparate's perspective.
+
+        Bit-identical to evaluating the reversed pair: the differences only
+        change sign, so the p-value is shared and wins and losses swap.
+        ``0.0 - x`` rather than ``-x`` keeps a zero mean difference at +0.0,
+        as direct evaluation gives it.
+        """
+        return PairwiseComparison(
+            row=self.column,
+            column=self.row,
+            mean_difference=0.0 - self.mean_difference,
+            wins=self.losses,
+            ties=self.ties,
+            losses=self.wins,
+            p_value=self.p_value,
+            p_method=self.p_method,
+        )
+
 
 @dataclass(frozen=True)
 class HolmDecision:
@@ -420,27 +439,10 @@ def holm_significance(
     names: Sequence[str],
     alpha: float,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    pvalues: dict[tuple[str, str], float] | None = None,
 ) -> dict[tuple[str, str], bool]:
-    """Holm-corrected significance of every pair among ``names``.
-
-    ``pvalues`` may supply precomputed per-pair p-values (keyed by
-    canonical pair id) to avoid recomputation; only the pairs among
-    ``names`` are consumed.
-    """
+    """Holm-corrected significance of every pair among ``names``."""
     members = list(names)
     if len(members) < 2:
         raise TooFewComparates("need at least two comparates for pairwise tests")
-    family: list[tuple[tuple[str, str], float]] = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            pid = pair_id(members[i], members[j])
-            if pvalues is not None:
-                p = pvalues[pid]
-            else:
-                p, _ = wilcoxon_signed_rank(
-                    oriented_differences(matrix, pid[0], pid[1]),
-                    exact_threshold=exact_threshold,
-                )
-            family.append((pid, p))
-    return {d.pair: d.significant for d in holm_correction(family, alpha)}
+    pvalues = all_pairs_pvalues(matrix, members, exact_threshold)
+    return {d.pair: d.significant for d in holm_correction(pvalues.items(), alpha)}

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,15 @@ def random_matrix(rng, m=None, n=None, tie_prob=0.0, direction=Direction.HIGHER_
         tuple(f"t{j}" for j in range(n)),
         scores,
         direction,
+    )
+
+
+def cell_bits(cell) -> tuple:
+    """A comparison cell with its floats as IEEE bytes, so -0.0 != 0.0."""
+    return (
+        cell.row, cell.column, struct.pack("<d", cell.mean_difference),
+        cell.wins, cell.ties, cell.losses, struct.pack("<d", cell.p_value),
+        cell.p_method,
     )
 
 

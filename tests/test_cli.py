@@ -54,6 +54,14 @@ class TestExitCodes:
         )
         assert code == 2 and "error" in err
 
+    def test_non_array_json_names_are_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"comparates": "AB", "tasks": ["t1"], "scores": [[1], [2]]}')
+        code, out, err = run(
+            ["mcm", "--input", str(bad), "--direction", "higher"], capsys
+        )
+        assert code == 2 and "'comparates'" in err and out == ""
+
     def test_unknown_comparate_is_data_error(self, results_csv, capsys):
         code, _, _ = run(
             [
@@ -128,17 +136,28 @@ class TestMcmCommand:
 
     def test_worker_env_does_not_change_bytes(self, results_csv, tmp_path, capsys,
                                               monkeypatch):
-        out1 = tmp_path / "w1.svg"
-        monkeypatch.setenv("MCMATRIX_WORKERS", "1")
-        run(["mcm", "--input", str(results_csv), "--direction", "higher",
-             "--format", "svg", "--output", str(out1)], capsys)
-        out4 = tmp_path / "w4.svg"
-        monkeypatch.setenv("MCMATRIX_WORKERS", "4")
-        run(["mcm", "--input", str(results_csv), "--direction", "higher",
-             "--format", "svg", "--output", str(out4)], capsys)
-        svg1, svg4 = out1.read_bytes(), out4.read_bytes()
-        # Worker count lands in the metadata echo; geometry must agree.
-        assert svg1.split(b"</metadata>")[1] == svg4.split(b"</metadata>")[1]
+        # MCMATRIX_WORKERS is no longer read; stale settings change nothing.
+        argvs = [
+            ["mcm", "--format", "svg"],
+            ["mcm", "--format", "json"],
+            ["mcm", "--format", "html"],
+            ["stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1"],
+        ]
+        outputs = []
+        for value in (None, "1", "4", "abc"):
+            if value is None:
+                monkeypatch.delenv("MCMATRIX_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("MCMATRIX_WORKERS", value)
+            files = []
+            for i, argv in enumerate(argvs):
+                path = tmp_path / f"{value}-{i}.out"
+                code, _, _ = run(argv + ["--input", str(results_csv), "--direction",
+                                         "higher", "--output", str(path)], capsys)
+                assert code == 0
+                files.append(path.read_bytes())
+            outputs.append(files)
+        assert all(files == outputs[0] for files in outputs)
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestLoadJson:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             load_results(b"{nope", "json", "higher")
+
+    @pytest.mark.parametrize("key", ["comparates", "tasks"])
+    @pytest.mark.parametrize("value", ["AB", 5, None, {"A": 1}])
+    def test_names_must_be_arrays(self, key, value):
+        obj = {"comparates": ["A", "B"], "tasks": ["t1", "t2"], "scores": [[1, 2], [3, 4]]}
+        obj[key] = value
+        with pytest.raises(ValidationError, match=repr(key)):
+            load_results(json.dumps(obj).encode(), "json", "higher")
 
     def test_ragged_scores(self):
         data = (

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import mcmatrix.mcm
 from mcmatrix import (
     BayesConfig,
     Direction,
@@ -13,7 +16,7 @@ from mcmatrix import (
 from mcmatrix.errors import InvalidAlpha, PairNotInSubset, UnknownComparate
 from mcmatrix.stability import significance_pattern
 
-from conftest import fixture_matrix, load_fixture, random_matrix
+from conftest import cell_bits, fixture_matrix, load_fixture, random_matrix
 
 
 def _matrix(scores, names=None, direction=Direction.HIGHER_IS_BETTER):
@@ -99,13 +102,35 @@ class TestBuildMcm:
         small = build_mcm(matrix.select_comparates((b, a)))
         assert small.row_order == (a, b)
 
-    def test_workers_do_not_change_the_report(self):
+    def test_each_unordered_pair_is_evaluated_once(self, monkeypatch):
+        evaluate = mcmatrix.mcm.pairwise_comparison
+        calls = []
+
+        def counting(matrix, row, column, *args, **kwargs):
+            calls.append(frozenset((row, column)))
+            return evaluate(matrix, row, column, *args, **kwargs)
+
+        monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting)
         rng = np.random.default_rng(6)
-        matrix = random_matrix(rng, m=5, n=8)
-        serial = build_mcm(matrix, workers=1)
-        threaded = build_mcm(matrix, workers=4)
-        assert serial.cells == threaded.cells
-        assert serial.row_order == threaded.row_order
+        matrix = random_matrix(rng, m=6, n=8, tie_prob=0.5)
+        names = matrix.comparates
+        scores = matrix.scores.copy()
+        scores[3] = scores[1]  # an all-zero pair, whose mean difference is +0.0
+        matrix = ResultsMatrix(names, matrix.tasks, scores, matrix.direction)
+        for rows, cols, expected in (
+            (None, None, math.comb(6, 2)),
+            (names[:2], names[2:], 8),  # disjoint: every cell is its own pair
+            (names[:3], names[1:5], 9),  # (c1, c2) and (c2, c1) share a pair
+        ):
+            calls.clear()
+            report = build_mcm(
+                matrix,
+                MCMConfig(row_comparates=rows, column_comparates=cols, tie_epsilon=0.05),
+            )
+            assert len(calls) == len(set(calls)) == expected
+            assert set(calls) == {frozenset(pair) for pair in report.cells}
+            for (r, c), cell in report.cells.items():
+                assert cell_bits(cell) == cell_bits(evaluate(matrix, r, c, 0.05))
 
     def test_include_bayes_attaches_posteriors(self):
         rng = np.random.default_rng(7)

@@ -170,15 +170,6 @@ class TestEnumeratePatterns:
         assert sampled == exhaustive
         assert sampled.total_subsets == math.comb(4, 2)
 
-    def test_workers_do_not_change_result(self):
-        rng = np.random.default_rng(47)
-        matrix = random_matrix(rng, m=9, n=9)
-        core = matrix.comparates[:3]
-        pool = matrix.comparates[3:]
-        serial = enumerate_patterns(matrix, core, pool, 3, 0.05, workers=1)
-        threaded = enumerate_patterns(matrix, core, pool, 3, 0.05, workers=4)
-        assert serial == threaded
-
     def test_example_seed_reproducible(self):
         rng = np.random.default_rng(49)
         matrix = random_matrix(rng, m=10, n=8, tie_prob=0.3)

@@ -29,7 +29,7 @@ from mcmatrix.errors import (
     UnsupportedAlpha,
 )
 
-from conftest import random_matrix
+from conftest import cell_bits, random_matrix
 from oracles import friedman_tie_free, wilcoxon_enumeration_p
 
 
@@ -183,15 +183,24 @@ class TestPairwiseComparison:
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
-        for _ in range(100):
-            matrix = random_matrix(rng, tie_prob=0.5)
+        for trial in range(200):
+            direction = list(Direction)[trial % 2]
+            n = int(rng.choice([1, 3, 8, 20, 30]))
+            matrix = random_matrix(rng, n=n, tie_prob=0.5, direction=direction)
+            if trial % 4 == 0:  # duplicated rows: every difference is zero
+                scores = matrix.scores.copy()
+                scores[-1] = scores[0]
+                matrix = ResultsMatrix(matrix.comparates, matrix.tasks, scores, direction)
+            eps = float(rng.choice([0.0, 0.05]))
             a, b = matrix.comparates[0], matrix.comparates[-1]
-            fwd = pairwise_comparison(matrix, a, b)
-            rev = pairwise_comparison(matrix, b, a)
+            fwd = pairwise_comparison(matrix, a, b, tie_epsilon=eps)
+            rev = pairwise_comparison(matrix, b, a, tie_epsilon=eps)
             assert rev.mean_difference == -fwd.mean_difference
             assert (rev.wins, rev.losses) == (fwd.losses, fwd.wins)
             assert rev.ties == fwd.ties
             assert rev.p_value == fwd.p_value
+            assert cell_bits(rev) == cell_bits(fwd.mirrored())
+            assert cell_bits(fwd) == cell_bits(rev.mirrored())
 
     def test_tie_epsilon_widens_ties(self):
         matrix = _matrix([[0.50, 0.52], [0.49, 0.60]])
