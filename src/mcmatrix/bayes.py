@@ -1,12 +1,18 @@
 """Bayesian signed-rank test via Monte Carlo over Dirichlet-process weights.
 
-Given paired score differences ``z_1..z_q`` and a pseudo-observation
-``z_0`` (the prior), draw weight vectors ``w ~ Dirichlet(s, 1, ..., 1)``
-over the q+1 entries and measure the probability mass of all ordered index
-pairs (i, j) whose sum ``z_i + z_j`` falls left of the rope, inside it, or
-right of it.  The rope is the closed interval [-2r, 2r]: sums on the
-boundary count as "no meaningful difference" so the three probabilities
-always partition the unit mass.
+Given paired score differences ``z_1..z_q`` and the prior's
+pseudo-observation ``z_0 = 0``, draw weight vectors
+``w ~ Dirichlet(s, 1, ..., 1)`` over the q+1 entries and measure the
+probability mass of all ordered index pairs (i, j) whose sum ``z_i + z_j``
+falls left of the rope, inside it, or right of it.  The rope is the closed
+interval [-2r, 2r]: sums on the boundary count as "no meaningful
+difference" so the three probabilities always partition the unit mass.
+
+The pseudo-observation is fixed at 0 (Benavoli et al., "Time for a
+change", JMLR 2017).  That makes the test mirror-symmetric: negating the
+differences negates every pair sum exactly, so the left and right regions
+swap under the same Dirichlet draws and the posterior of a reversed pair
+is ``BayesPosterior.mirrored()`` bit for bit.
 
 Sampling is chunked through counter-keyed Philox streams: chunk c uses the
 substream ``Philox(key=seed, counter=c << 128)``, so results are
@@ -43,12 +49,12 @@ class BayesConfig:
 
     ``rope`` is the half-width r of the region of practical equivalence:
     a pair sum with ``|z_i + z_j| <= 2 r`` counts as no meaningful
-    difference.  ``prior_pseudo_observation`` (z_0) and ``prior_strength``
-    (s) parameterize the Dirichlet-process prior.
+    difference.  ``prior_strength`` (s) is the Dirichlet-process prior's
+    weight on its pseudo-observation, which sits at 0 so that reversing a
+    pair only mirrors its posterior.
     """
 
     rope: float = 0.01
-    prior_pseudo_observation: float = 0.0
     prior_strength: float = 1.0
     mc_samples: int = 100_000
     seed: int = 0
@@ -56,8 +62,6 @@ class BayesConfig:
     def validate(self) -> None:
         if not (self.rope >= 0.0 and math.isfinite(self.rope)):
             raise InvalidConfig(f"rope must be finite and >= 0, got {self.rope!r}")
-        if not math.isfinite(self.prior_pseudo_observation):
-            raise InvalidConfig("prior pseudo-observation must be finite")
         if not (self.prior_strength > 0.0 and math.isfinite(self.prior_strength)):
             raise InvalidConfig(
                 f"prior strength must be finite and > 0, got {self.prior_strength!r}"
@@ -91,6 +95,20 @@ class BayesPosterior:
             "mc_samples": self.mc_samples_used,
         }
 
+    def mirrored(self) -> BayesPosterior:
+        """The posterior of the reversed pair, whose differences are negated.
+
+        Bit-identical to evaluating the negated differences: every pair sum
+        only changes sign, so ``theta_left`` and ``theta_right`` swap and
+        ``theta_rope`` (computed as ``1 - (l + r)``) stays.
+        """
+        return BayesPosterior(
+            theta_left=self.theta_right,
+            theta_rope=self.theta_rope,
+            theta_right=self.theta_left,
+            mc_samples_used=self.mc_samples_used,
+        )
+
 
 def _prepare(diffs, config: BayesConfig):
     config.validate()
@@ -99,7 +117,7 @@ def _prepare(diffs, config: BayesConfig):
         raise EmptyInput("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    z = np.concatenate(([float(config.prior_pseudo_observation)], d))
+    z = np.concatenate(([0.0], d))
     sums = z[:, None] + z[None, :]
     bound = 2.0 * float(config.rope)
     left = (sums < -bound).astype(np.float64)

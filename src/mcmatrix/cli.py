@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bayes import BayesConfig, bayesian_signed_rank
+from .bayes import BayesConfig
+from .bayes import bayesian_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 from .data import Direction, load_results
 from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
-from .mcm import MCMConfig, build_mcm, mcm_report_to_dict
+from .mcm import MCMConfig, build_mcm, compare_pairs, mcm_report_to_dict
 from .render import RenderStyle, render_cd_diagram, render_mcm, render_pattern_graph
 from .selftest import run_selftest
 from .stability import (
@@ -36,11 +38,11 @@ from .stability import (
 )
 from .stats import (
     DEFAULT_EXACT_THRESHOLD,
+    check_alpha,
     compute_ranks,
     friedman_test,
-    oriented_differences,
-    pairwise_comparison,
 )
+from .stats import pairwise_comparison  # noqa: F401 -- perfbench/spans.py times it here
 
 
 class _UsageError(Exception):
@@ -281,6 +283,7 @@ def _cmd_cd(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     matrix, payload = _load(args)
+    alpha = check_alpha(args.alpha)
     table = compute_ranks(matrix)
     try:
         stat, p = friedman_test(matrix)
@@ -288,18 +291,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     except (TooFewComparates, TooFewTasks) as exc:
         friedman = {"skipped": str(exc)}
 
-    bayes_cfg = _bayes_config(args) if args.include_bayes else None
-    cells = []
-    for i, a in enumerate(matrix.comparates):
-        for b in matrix.comparates[i + 1:]:
-            cell = pairwise_comparison(matrix, a, b, args.tie_epsilon)
-            entry = cell.to_dict()
-            entry["significant"] = cell.p_value < args.alpha
-            if bayes_cfg is not None:
-                entry["bayes"] = bayesian_signed_rank(
-                    oriented_differences(matrix, a, b), bayes_cfg
-                ).to_dict()
-            cells.append(entry)
+    pairs = list(itertools.combinations(matrix.comparates, 2))
+    cells, bayes = compare_pairs(
+        matrix, pairs, args.tie_epsilon,
+        _bayes_config(args) if args.include_bayes else None,
+    )
+    entries = []
+    for pair in pairs:
+        entry = cells[pair].to_dict()
+        entry["significant"] = cells[pair].p_value < alpha
+        if bayes is not None:
+            entry["bayes"] = bayes[pair].to_dict()
+        entries.append(entry)
 
     out = {
         "metadata": _metadata(args, payload),
@@ -311,7 +314,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             c: float(table.average_ranks[i]) for i, c in enumerate(matrix.comparates)
         },
         "friedman": friedman,
-        "pairwise": cells,
+        "pairwise": entries,
     }
     _write_output(args.output, _json_bytes(out))
     return 0

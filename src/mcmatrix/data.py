@@ -118,6 +118,20 @@ class ResultsMatrix:
         except ValueError:
             raise UnknownComparate(f"unknown comparate {name!r}") from None
 
+    def check_names(self, names: Iterable[str], what: str) -> tuple[str, ...]:
+        """The given comparates as a tuple, each known and listed once.
+
+        ``what`` names the list in the duplicate-name message.
+        """
+        names = tuple(names)
+        seen = set()
+        for name in names:
+            self.index_of(name)
+            if name in seen:
+                raise ValidationError(f"duplicate comparate {name!r} in {what}")
+            seen.add(name)
+        return names
+
     def row(self, name: str) -> np.ndarray:
         """Score vector of one comparate over all tasks."""
         return self.scores[self.index_of(name)]

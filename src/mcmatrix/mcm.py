@@ -18,15 +18,16 @@ import numpy as np
 
 from .bayes import BayesConfig, BayesPosterior, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
-from .errors import InvalidAlpha, PairNotInSubset, ValidationError
+from .errors import PairNotInSubset
 from .stats import (
     PairwiseComparison,
+    check_alpha,
     oriented_differences,
     pairwise_comparison,
 )
 
-__all__ = ["MCMConfig", "MCMReport", "build_mcm", "mcm_cell_invariance_check",
-           "mcm_report_to_dict"]
+__all__ = ["MCMConfig", "MCMReport", "build_mcm", "compare_pairs",
+           "mcm_cell_invariance_check", "mcm_report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,35 @@ def _order_by_mean(names: Sequence[str], means: dict[str, float],
     return tuple(sorted(names, key=lambda c: (means[c], c)))
 
 
-def _validate_selection(matrix: ResultsMatrix, names, what: str) -> tuple[str, ...]:
-    names = tuple(names)
-    if not names:
-        raise ValidationError(f"{what} selection must not be empty")
-    seen = set()
-    for name in names:
-        matrix.index_of(name)
-        if name in seen:
-            raise ValidationError(f"duplicate comparate {name!r} in {what} selection")
-        seen.add(name)
-    return names
+def compare_pairs(
+    matrix: ResultsMatrix,
+    pairs: Sequence[tuple[str, str]],
+    tie_epsilon: float = 0.0,
+    bayes_config: BayesConfig | None = None,
+) -> tuple[dict[tuple[str, str], PairwiseComparison],
+           dict[tuple[str, str], BayesPosterior] | None]:
+    """Cells, and with a Bayes config posteriors, for ordered (row, column) pairs.
+
+    Each unordered pair is evaluated once, in the orientation that comes
+    first in ``pairs``; the reverse orientation, when also asked for, is
+    the mirror of that result, bit-identical to evaluating it directly.
+    """
+    cells: dict[tuple[str, str], PairwiseComparison] = {}
+    bayes: dict[tuple[str, str], BayesPosterior] | None = (
+        None if bayes_config is None else {}
+    )
+    for r, c in pairs:
+        if (c, r) in cells:
+            cells[(r, c)] = cells[(c, r)].mirrored()
+            if bayes is not None:
+                bayes[(r, c)] = bayes[(c, r)].mirrored()
+            continue
+        cells[(r, c)] = pairwise_comparison(matrix, r, c, tie_epsilon)
+        if bayes is not None:
+            bayes[(r, c)] = bayesian_signed_rank(
+                oriented_differences(matrix, r, c), bayes_config
+            )
+    return cells, bayes
 
 
 def build_mcm(
@@ -101,16 +120,14 @@ def build_mcm(
 
     When ``config.include_bayes`` is set, each cell also gets a Bayesian
     signed-rank posterior computed with ``bayes_config`` (defaults apply
-    when omitted).  Each unordered pair is evaluated once; its reverse
-    cell, when the grid shows it, is the mirror of the evaluated one.
+    when omitted).  Each unordered pair is evaluated once (see
+    ``compare_pairs``).
     """
-    alpha = float(config.alpha)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
-    rows = _validate_selection(matrix, config.row_comparates or matrix.comparates, "row")
-    cols = _validate_selection(
-        matrix, config.column_comparates or matrix.comparates, "column"
-    )
+    alpha = check_alpha(config.alpha)
+    rows = matrix.check_names(config.row_comparates or matrix.comparates,
+                              "row selection")
+    cols = matrix.check_names(config.column_comparates or matrix.comparates,
+                              "column selection")
 
     involved = sorted(set(rows) | set(cols))
     means = {c: float(np.mean(matrix.row(c))) for c in involved}
@@ -123,22 +140,11 @@ def build_mcm(
         count = len(rows) * len(cols) - len(set(rows) & set(cols))
 
     pairs = [(r, c) for r in row_order for c in column_order if r != c]
-    cells: dict[tuple[str, str], PairwiseComparison] = {}
-    for r, c in pairs:
-        reverse = cells.get((c, r))
-        cells[(r, c)] = (
-            reverse.mirrored() if reverse is not None
-            else pairwise_comparison(matrix, r, c, config.tie_epsilon)
-        )
-    significance = {p: cells[p].p_value < alpha for p in pairs}
-
-    bayes = None
+    bcfg = None
     if config.include_bayes:
         bcfg = bayes_config if bayes_config is not None else BayesConfig()
-        bayes = {
-            p: bayesian_signed_rank(oriented_differences(matrix, p[0], p[1]), bcfg)
-            for p in pairs
-        }
+    cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bcfg)
+    significance = {p: cells[p].p_value < alpha for p in pairs}
 
     return MCMReport(
         row_order=row_order,

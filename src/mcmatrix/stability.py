@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import ResultsMatrix, weaken_comparate
 from .errors import (
     EnumerationTooLarge,
-    InvalidAlpha,
     OverlappingSets,
     PairNotInBothSets,
     PoolTooSmall,
@@ -28,13 +27,14 @@ from .errors import (
 )
 from .stats import (
     DEFAULT_EXACT_THRESHOLD,
+    all_pairs_pvalues,
+    check_alpha,
     compute_ranks,
     holm_correction,
     holm_significance,
     pair_id,
-    wilcoxon_signed_rank,
-    oriented_differences,
 )
+from .stats import wilcoxon_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 
 __all__ = [
     "SignificancePattern",
@@ -148,17 +148,6 @@ class PatternEnumeration:
         }
 
 
-def _validate_names(matrix: ResultsMatrix, names: Iterable[str], what: str) -> tuple[str, ...]:
-    names = tuple(names)
-    seen = set()
-    for name in names:
-        matrix.index_of(name)
-        if name in seen:
-            raise ValidationError(f"duplicate comparate {name!r} in {what}")
-        seen.add(name)
-    return names
-
-
 def significance_pattern(
     matrix: ResultsMatrix,
     core: Sequence[str],
@@ -172,8 +161,8 @@ def significance_pattern(
     step-down correction is applied to that full family; the returned
     pattern records which core-core pairs came out non-significant.
     """
-    core = _validate_names(matrix, core, "core")
-    extra = _validate_names(matrix, extra, "extra")
+    core = matrix.check_names(core, "core")
+    extra = matrix.check_names(extra, "extra")
     overlap = set(core) & set(extra)
     if overlap:
         raise OverlappingSets(f"core and extra sets overlap: {sorted(overlap)!r}")
@@ -262,10 +251,9 @@ def enumerate_patterns(
     by reservoir sampling keyed by (seed, subset index), so a seed always
     selects the same examples.
     """
-    if not (0.0 < float(alpha) < 1.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
-    core = _validate_names(matrix, core, "core")
-    pool = _validate_names(matrix, pool, "pool")
+    alpha = check_alpha(alpha)
+    core = matrix.check_names(core, "core")
+    pool = matrix.check_names(pool, "pool")
     overlap = set(core) & set(pool)
     if overlap:
         raise OverlappingSets(f"core and pool overlap: {sorted(overlap)!r}")
@@ -280,16 +268,7 @@ def enumerate_patterns(
     total_space = math.comb(len(pool), k_extra)
 
     # One p-value per pair over core + pool covers every family.
-    members = core + pool
-    pvalues: dict[tuple[str, str], float] = {}
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            pid = pair_id(members[i], members[j])
-            p, _ = wilcoxon_signed_rank(
-                oriented_differences(matrix, pid[0], pid[1]),
-                exact_threshold=exact_threshold,
-            )
-            pvalues[pid] = p
+    pvalues = all_pairs_pvalues(matrix, core + pool, exact_threshold)
 
     if isinstance(mode, Sampled):
         count = int(mode.count)
@@ -403,8 +382,8 @@ def detect_rank_swap(
     """Compare the pair's average-rank order (and corrected significance)
     between two comparate sets that both contain it."""
     x, y = pair
-    a = _validate_names(matrix, set_a, "set_a")
-    b = _validate_names(matrix, set_b, "set_b")
+    a = matrix.check_names(set_a, "set_a")
+    b = matrix.check_names(set_b, "set_b")
     for name in (x, y):
         if name not in a or name not in b:
             raise PairNotInBothSets(f"comparate {name!r} missing from a set")
@@ -491,7 +470,7 @@ def weakened_variant_attack(
     patterns are recorded over the context pairs so outcomes are directly
     comparable with the unaugmented baseline.
     """
-    context = _validate_names(matrix, context, "context")
+    context = matrix.check_names(context, "context")
     if target not in context:
         raise ValidationError(f"target {target!r} must be part of the context")
     matrix.index_of(reference)

@@ -45,6 +45,7 @@ __all__ = [
     "oriented_differences",
     "friedman_test",
     "nemenyi_critical_difference",
+    "check_alpha",
     "holm_correction",
     "pair_id",
     "all_pairs_pvalues",
@@ -278,7 +279,9 @@ def pairwise_comparison(
     return PairwiseComparison(
         row=row,
         column=column,
-        mean_difference=float(np.mean(diffs)),
+        # "+ 0.0" turns a mean that underflows to -0.0 into +0.0, the value
+        # the mirror of the reversed pair gives.
+        mean_difference=float(np.mean(diffs)) + 0.0,
         wins=wins,
         ties=ties,
         losses=losses,
@@ -359,6 +362,14 @@ def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
     return table[m - 2] * math.sqrt(m * (m + 1) / (6.0 * n))
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; ``InvalidAlpha`` unless it lies in (0, 1)."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def holm_correction(
     pairs: Iterable[tuple[object, float]],
     alpha: float,
@@ -371,9 +382,7 @@ def holm_correction(
     larger ones non-significant.  Equal p-values always receive the same
     decision.  Results are returned in the sorted order.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = check_alpha(alpha)
     items = [(pid, float(p)) for pid, p in pairs]
     for pid, p in items:
         if not (0.0 <= p <= 1.0) or not math.isfinite(p):

@@ -35,6 +35,12 @@ def cell_bits(cell) -> tuple:
     )
 
 
+def posterior_bits(posterior) -> tuple:
+    """A Bayesian posterior with its thetas as IEEE bytes."""
+    thetas = (posterior.theta_left, posterior.theta_rope, posterior.theta_right)
+    return tuple(struct.pack("<d", t) for t in thetas) + (posterior.mc_samples_used,)
+
+
 def load_fixture(name: str) -> dict:
     return json.loads((FIXTURES / f"{name}.json").read_text())
 

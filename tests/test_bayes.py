@@ -4,6 +4,8 @@ import pytest
 from mcmatrix import BayesConfig, bayesian_signed_rank, posterior_samples
 from mcmatrix.errors import EmptyInput, InvalidConfig, ValidationError
 
+from conftest import posterior_bits
+
 
 def test_config_validation():
     with pytest.raises(InvalidConfig):
@@ -125,3 +127,26 @@ def test_samples_match_posterior_means():
     assert posterior.theta_left == pytest.approx(means[0], abs=1e-12)
     assert posterior.theta_rope == pytest.approx(means[1], abs=1e-12)
     assert posterior.theta_right == pytest.approx(means[2], abs=1e-12)
+
+
+@pytest.mark.parametrize("rope", [0.0, 0.01, 0.5])
+def test_mirror_equals_negated_differences_bit_for_bit(rope):
+    rng = np.random.default_rng(21)
+    config = BayesConfig(rope=rope, mc_samples=9_000, seed=4)
+    cases = [
+        np.round(rng.normal(0.0, 0.3, size=20), 1),  # tied |d|, sums on the rope edge
+        np.array([0.0, 0.0, 0.4, -0.2, 0.0, 0.0]),    # half the differences are zero
+        np.array([0.0]),
+        np.array([0.7]),
+        rng.normal(0.0, 0.2, size=108),
+    ]
+    for d in cases:
+        mirror = bayesian_signed_rank(d, config).mirrored()
+        assert posterior_bits(mirror) == posterior_bits(bayesian_signed_rank(-d, config))
+
+
+def test_prior_pseudo_observation_is_not_configurable():
+    # A nonzero pseudo-observation would make a reversed pair's posterior
+    # differ from the mirror of the pair's posterior.
+    with pytest.raises(TypeError):
+        BayesConfig(prior_pseudo_observation=0.3)

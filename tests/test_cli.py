@@ -76,6 +76,16 @@ class TestExitCodes:
         code, _, _ = run(["mcm", "--input", str(results_csv)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "-1", "nan"])
+    def test_stats_alpha_outside_unit_interval_is_data_error(self, results_csv, capsys,
+                                                             alpha):
+        code, out, err = run(
+            ["stats", "--input", str(results_csv), "--direction", "higher",
+             f"--alpha={alpha}"],
+            capsys,
+        )
+        assert code == 2 and "alpha must lie in (0, 1)" in err and out == ""
+
 
 class TestMcmCommand:
     def test_json_output_schema_and_metadata(self, results_csv, tmp_path, capsys):
@@ -196,6 +206,37 @@ class TestOtherCommands:
         assert "statistic" in doc["friedman"]
         assert len(doc["pairwise"]) == 6
         assert {c["p_method"] for c in doc["pairwise"]} == {"exact"}
+
+    def test_stats_and_mcm_agree_on_every_pair(self, tmp_path, capsys):
+        # Zulu comes before Echo in the table but after it in the grid (equal
+        # means order by name), and their mean difference underflows to zero.
+        path = tmp_path / "results.csv"
+        path.write_text(CSV + "Zulu," + ",".join(["0"] * 10) + "\n"
+                        + "Echo,5e-324," + ",".join(["0"] * 9) + "\n")
+        common = ["--input", str(path), "--direction", "higher", "--include-bayes",
+                  "--mc-samples", "2000", "--seed", "3"]
+        code, out, _ = run(["stats"] + common, capsys)
+        assert code == 0
+        pairwise = json.loads(out)["pairwise"]
+        code, out, _ = run(["mcm", "--format", "json"] + common, capsys)
+        assert code == 0
+        grid = {(c["row"], c["col"]): c for c in json.loads(out)["cells"]}
+        assert len(pairwise) == 15 and len(grid) == 30
+
+        def text(entry):  # JSON text keeps the sign of a zero
+            return json.dumps(entry, sort_keys=True)
+
+        for entry in pairwise:
+            a, b = entry["row"], entry["col"]
+            bayes = entry["bayes"]
+            mirrored = dict(
+                entry, row=b, col=a, mean_diff=0.0 - entry["mean_diff"],
+                wins=entry["losses"], losses=entry["wins"],
+                bayes=dict(bayes, theta_left=bayes["theta_right"],
+                           theta_right=bayes["theta_left"]),
+            )
+            assert text(grid[(a, b)]) == text(entry)
+            assert text(grid[(b, a)]) == text(mirrored)
 
     def test_stability_enumerate(self, results_csv, capsys):
         code, out, _ = run(

@@ -15,8 +15,9 @@ from mcmatrix import (
 )
 from mcmatrix.errors import InvalidAlpha, PairNotInSubset, UnknownComparate
 from mcmatrix.stability import significance_pattern
+from mcmatrix.stats import oriented_differences
 
-from conftest import cell_bits, fixture_matrix, load_fixture, random_matrix
+from conftest import cell_bits, fixture_matrix, load_fixture, posterior_bits, random_matrix
 
 
 def _matrix(scores, names=None, direction=Direction.HIGHER_IS_BETTER):
@@ -104,13 +105,21 @@ class TestBuildMcm:
 
     def test_each_unordered_pair_is_evaluated_once(self, monkeypatch):
         evaluate = mcmatrix.mcm.pairwise_comparison
+        posterior = mcmatrix.mcm.bayesian_signed_rank
         calls = []
+        bayes_calls = []
 
         def counting(matrix, row, column, *args, **kwargs):
             calls.append(frozenset((row, column)))
             return evaluate(matrix, row, column, *args, **kwargs)
 
+        def counting_bayes(*args, **kwargs):
+            bayes_calls.append(None)
+            return posterior(*args, **kwargs)
+
         monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting)
+        monkeypatch.setattr(mcmatrix.mcm, "bayesian_signed_rank", counting_bayes)
+        bayes_config = BayesConfig(mc_samples=300, seed=2)
         rng = np.random.default_rng(6)
         matrix = random_matrix(rng, m=6, n=8, tie_prob=0.5)
         names = matrix.comparates
@@ -123,14 +132,20 @@ class TestBuildMcm:
             (names[:3], names[1:5], 9),  # (c1, c2) and (c2, c1) share a pair
         ):
             calls.clear()
+            bayes_calls.clear()
             report = build_mcm(
                 matrix,
-                MCMConfig(row_comparates=rows, column_comparates=cols, tie_epsilon=0.05),
+                MCMConfig(row_comparates=rows, column_comparates=cols, tie_epsilon=0.05,
+                          include_bayes=True),
+                bayes_config,
             )
             assert len(calls) == len(set(calls)) == expected
+            assert len(bayes_calls) == expected
             assert set(calls) == {frozenset(pair) for pair in report.cells}
             for (r, c), cell in report.cells.items():
                 assert cell_bits(cell) == cell_bits(evaluate(matrix, r, c, 0.05))
+                direct = posterior(oriented_differences(matrix, r, c), bayes_config)
+                assert posterior_bits(report.bayes[(r, c)]) == posterior_bits(direct)
 
     def test_include_bayes_attaches_posteriors(self):
         rng = np.random.default_rng(7)

@@ -201,6 +201,12 @@ class TestPairwiseComparison:
             assert rev.p_value == fwd.p_value
             assert cell_bits(rev) == cell_bits(fwd.mirrored())
             assert cell_bits(fwd) == cell_bits(rev.mirrored())
+        # A mean difference that underflows to zero is +0.0 in both directions.
+        matrix = _matrix([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        fwd = pairwise_comparison(matrix, "c0", "c1")
+        rev = pairwise_comparison(matrix, "c1", "c0")
+        assert cell_bits(rev) == cell_bits(fwd.mirrored())
+        assert cell_bits(fwd) == cell_bits(rev.mirrored())
 
     def test_tie_epsilon_widens_ties(self):
         matrix = _matrix([[0.50, 0.52], [0.49, 0.60]])
