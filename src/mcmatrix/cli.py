@@ -326,7 +326,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     pool = tuple(args.pool) if args.pool else tuple(
         c for c in matrix.comparates if c not in set(core)
     )
-    mode = Sampled(args.sample, args.seed) if args.sample else Exhaustive()
+    mode = Sampled(args.sample, args.seed) if args.sample is not None else Exhaustive()
     enumeration = enumerate_patterns(
         matrix, core, pool, args.k_extra, args.alpha,
         mode=mode, example_seed=args.seed,

@@ -12,7 +12,6 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Direction, ResultsMatrix
 from .stats import compute_ranks, holm_correction, wilcoxon_signed_rank
@@ -26,6 +25,8 @@ def enumeration_pvalue(diffs: np.ndarray) -> float:
     Independent route: ranks come from scipy and the distribution from
     explicit enumeration rather than subset-sum counting.
     """
+    from scipy.stats import rankdata  # imported here: scipy.stats costs ~1 s to load
+
     nz = diffs[diffs != 0.0]
     k = nz.size
     if k == 0:

@@ -11,15 +11,17 @@ grid is immune to by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import ResultsMatrix, weaken_comparate
 from .errors import (
     EnumerationTooLarge,
+    InternalError,
     OverlappingSets,
     PairNotInBothSets,
     PoolTooSmall,
@@ -50,10 +52,18 @@ __all__ = [
     "WeakenedVariantReport",
     "weakened_variant_attack",
     "DEFAULT_EXHAUSTIVE_LIMIT",
+    "SAMPLED_SPACE_LIMIT",
 ]
 
 #: Exhaustive enumeration refuses above this many subsets; use Sampled mode.
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
+
+#: Sampled mode refuses a subset space larger than this: ranks are drawn
+#: with numpy's ``Generator.integers``, whose int64 range ends here.
+SAMPLED_SPACE_LIMIT = 1 << 63
+
+# Subsets per vectorized step-down: bounds the subsets x family-pairs block.
+_CHUNK = 256
 
 _MASK64 = (1 << 64) - 1
 
@@ -180,20 +190,23 @@ def significance_pattern(
     return SignificancePattern(core=core, non_significant_pairs=pairs)
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    # uint64 arithmetic wraps modulo 2**64, as SplitMix64 requires.
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _reservoir_draw(seed: int, index: int, n: int) -> int:
-    """Deterministic integer in [0, n) keyed by (seed, subset index)."""
-    return _splitmix64((seed & _MASK64) ^ _splitmix64(index)) % n
+def _reservoir_keys(seed: int, start: int, count: int) -> list[int]:
+    """Deterministic keys of subset indices start .. start + count - 1,
+    keyed by (seed, subset index): the n-th subset of a pattern takes
+    reservoir slot key % n."""
+    index = np.arange(start, start + count, dtype=np.uint64)
+    return _splitmix64(np.uint64(seed & _MASK64) ^ _splitmix64(index)).tolist()
 
 
-def _subset_by_rank(pool: Sequence[str], k: int, rank: int) -> tuple[str, ...]:
+def _subset_by_rank(pool: Sequence, k: int, rank: int) -> tuple:
     """Combination unranking in lexicographic order (combinatorial number
     system): maps rank in [0, C(len(pool), k)) to a k-subset."""
     n = len(pool)
@@ -208,6 +221,20 @@ def _subset_by_rank(pool: Sequence[str], k: int, rank: int) -> tuple[str, ...]:
                 break
             rank -= block
     return tuple(out)
+
+
+def _sample_ranks(total_space: int, count: int, seed: int) -> list[int]:
+    """``count`` distinct ranks in [0, total_space), ascending, from Philox(seed)."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    chosen: set[int] = set()
+    while len(chosen) < count:
+        need = count - len(chosen)
+        draw = rng.integers(0, total_space, size=max(need * 2, 16))
+        for r in draw.tolist():
+            if len(chosen) >= count:
+                break
+            chosen.add(int(r))
+    return sorted(chosen)
 
 
 def _holm_mask(
@@ -231,6 +258,57 @@ def _holm_mask(
     return mask
 
 
+def _step_down(
+    names: tuple[str, ...],
+    n_core: int,
+    k_extra: int,
+    pvalues: dict[tuple[str, str], float],
+    alpha: float,
+) -> Callable[[np.ndarray], list[int]]:
+    """Vectorized ``_holm_mask`` over many families core + extras.
+
+    ``names`` is core + pool.  The returned function maps an S x k_extra
+    array of pool indices to the S pattern bitmasks.  Each row's family
+    p-values are sorted and compared with alpha / (F - i); the rejections
+    are the leading run of passes.  A pair is significant iff at least one
+    p was rejected and its p is <= the last rejected p, which is the stop
+    rule together with the equal-p unification of ``holm_correction``.
+    Core p-values do not depend on the extras, so the significant core
+    pairs are always the first few in ascending core p, and a row's mask
+    is one of C(n_core, 2) + 1 precomputed suffix masks.
+    """
+    n = len(names)
+    pmat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pmat[i, j] = pmat[j, i] = pvalues[pair_id(names[i], names[j])]
+    left, right = np.triu_indices(n_core + k_extra, 1)
+    thresholds = alpha / (len(left) - np.arange(len(left)))
+    core_pairs = sorted(
+        (pmat[i, j], _pair_bit(n_core, i, j))
+        for i in range(n_core)
+        for j in range(i + 1, n_core)
+    )
+    core_p = np.array([p for p, _ in core_pairs])
+    suffix_masks = [0] * (len(core_pairs) + 1)
+    for t in range(len(core_pairs) - 1, -1, -1):
+        suffix_masks[t] = suffix_masks[t + 1] | 1 << core_pairs[t][1]
+    core_idx = np.arange(n_core)
+
+    def masks(extras: np.ndarray) -> list[int]:
+        s = len(extras)
+        family = np.concatenate(
+            [np.broadcast_to(core_idx, (s, n_core)), extras + n_core], axis=1
+        )
+        ps = np.sort(pmat[family[:, left], family[:, right]], axis=1)
+        rejected = np.logical_and.accumulate(ps <= thresholds, axis=1).sum(axis=1)
+        last = np.where(rejected > 0, ps[np.arange(s), rejected - 1], -1.0)
+        significant = np.searchsorted(core_p, last, side="right")
+        return [suffix_masks[t] for t in significant.tolist()]
+
+    return masks
+
+
 def enumerate_patterns(
     matrix: ResultsMatrix,
     core: Sequence[str],
@@ -247,9 +325,17 @@ def enumerate_patterns(
 
     Per-pair p-values are computed once up front: they depend only on the
     two comparates involved, so each subset evaluation reduces to one
-    step-down correction over cached values.  Example subsets are retained
-    by reservoir sampling keyed by (seed, subset index), so a seed always
-    selects the same examples.
+    step-down correction over cached values.  Subsets are taken in index
+    order (lexicographic over the pool; ascending rank in Sampled mode) and
+    corrected with numpy in chunks of at most 256, so memory stays bounded
+    by one chunk's subsets x family pairs.  The first subset of each newly
+    seen pattern is also corrected by ``holm_correction``, and a mismatch
+    raises ``InternalError``.  Example subsets are retained by reservoir
+    sampling keyed by (seed, subset index), so a seed always selects the
+    same examples.
+
+    Sampled mode refuses a space of more than ``SAMPLED_SPACE_LIMIT``
+    (2**63) subsets with ``ValidationError``.
     """
     alpha = check_alpha(alpha)
     core = matrix.check_names(core, "core")
@@ -266,10 +352,6 @@ def enumerate_patterns(
         raise ValidationError("core must contain at least two comparates")
 
     total_space = math.comb(len(pool), k_extra)
-
-    # One p-value per pair over core + pool covers every family.
-    pvalues = all_pairs_pvalues(matrix, core + pool, exact_threshold)
-
     if isinstance(mode, Sampled):
         count = int(mode.count)
         if count < 1:
@@ -283,44 +365,55 @@ def enumerate_patterns(
                 f"{total_space} subsets exceed the exhaustive limit "
                 f"{exhaustive_limit}; use Sampled mode"
             )
-        ranks: list[int] | range = range(total_space)
+        rows = itertools.combinations(range(len(pool)), k_extra)
     elif isinstance(mode, Sampled):
-        rng = np.random.Generator(np.random.Philox(key=int(mode.seed) & _MASK64))
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            need = count - len(chosen)
-            draw = rng.integers(0, total_space, size=max(need * 2, 16))
-            for r in draw.tolist():
-                if len(chosen) >= count:
-                    break
-                chosen.add(int(r))
-        ranks = sorted(chosen)
+        if total_space > SAMPLED_SPACE_LIMIT:
+            raise ValidationError(
+                f"k_extra={k_extra} over a pool of {len(pool)} gives {total_space} "
+                f"subsets, more than Sampled mode can draw from (2**63)"
+            )
+        rows = (_subset_by_rank(range(len(pool)), k_extra, r)
+                for r in _sample_ranks(total_space, count, mode.seed))
     else:
         raise ValidationError(f"unknown enumeration mode {mode!r}")
 
+    # One p-value per pair over core + pool covers every family.
+    pvalues = all_pairs_pvalues(matrix, core + pool, exact_threshold)
+    masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
     counts: dict[int, int] = {}
     examples: dict[int, list[tuple[str, ...]]] = {}
     example_limit = max(0, int(example_limit))
-    # Subsets are unranked on demand (lexicographic order over the pool) so
-    # exhaustive sweeps near the limit do not hold a million tuples at once.
-    for g, rank in enumerate(ranks):
-        subset = _subset_by_rank(pool, k_extra, rank)
-        mask = _holm_mask(core, core + subset, pvalues, alpha)
-        n_seen = counts.get(mask, 0) + 1
-        counts[mask] = n_seen
-        bucket = examples.setdefault(mask, [])
-        if n_seen <= example_limit:
-            bucket.append(subset)
-        elif example_limit > 0:
-            slot = _reservoir_draw(example_seed, g, n_seen)
-            if slot < example_limit:
-                bucket[slot] = subset
+    start = 0
+    # Pool-index rows come lazily, one chunk at a time, so exhaustive sweeps
+    # near the limit never hold a million subsets at once.
+    for chunk in iter(lambda: list(itertools.islice(rows, _CHUNK)), []):
+        extras = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_extra)
+        keys = _reservoir_keys(example_seed, start, len(chunk))
+        for row, mask, key in zip(chunk, masks(extras), keys):
+            n_seen = counts.get(mask, 0) + 1
+            counts[mask] = n_seen
+            if n_seen == 1:
+                subset = tuple(pool[i] for i in row)
+                expected = _holm_mask(core, core + subset, pvalues, alpha)
+                if expected != mask:
+                    raise InternalError(
+                        f"vectorized step-down gave pattern {mask:#x} for extras "
+                        f"{subset!r}; holm_correction gives {expected:#x}"
+                    )
+                examples[mask] = [subset] if example_limit else []
+            elif n_seen <= example_limit:
+                examples[mask].append(tuple(pool[i] for i in row))
+            elif example_limit > 0:
+                slot = key % n_seen
+                if slot < example_limit:
+                    examples[mask][slot] = tuple(pool[i] for i in row)
+        start += len(chunk)
 
     return PatternEnumeration(
         core=core,
         pattern_counts=counts,
         examples_per_pattern={m: tuple(v) for m, v in examples.items()},
-        total_subsets=len(ranks),
+        total_subsets=start,
     )
 
 

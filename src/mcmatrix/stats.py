@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .data import Direction, ResultsMatrix
 from .errors import (
@@ -315,6 +314,8 @@ def friedman_test(matrix: ResultsMatrix) -> tuple[float, float]:
         # Every task is a full tie: no rank variation at all.
         return 0.0, 1.0
     statistic = max(raw / correction, 0.0)
+    from scipy.stats import chi2  # imported here: scipy.stats costs ~1 s to load
+
     p = float(chi2.sf(statistic, m - 1))
     return statistic, p
 

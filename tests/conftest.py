@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcmatrix import Direction, ResultsMatrix
+from mcmatrix.stats import holm_correction
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,3 +92,9 @@ def demo_matrix() -> ResultsMatrix:
         scores,
         Direction.HIGHER_IS_BETTER,
     )
+
+
+def inverted_holm(pairs, alpha):
+    """``holm_correction`` with every decision flipped: a deliberately wrong oracle."""
+    return [dataclasses.replace(d, significant=not d.significant)
+            for d in holm_correction(pairs, alpha)]

@@ -3,7 +3,9 @@
 These deliberately take different computational routes: ranks via scipy,
 the signed-rank null distribution via explicit enumeration of sign
 assignments (not subset-sum counting), and the groupwise rank statistic
-via the textbook tie-free formula.
+via the textbook tie-free formula, and the reservoir draw of pattern
+enumeration with Python integers masked to 64 bits (the package uses
+wrapping numpy uint64 arrays).
 """
 
 from __future__ import annotations
@@ -40,3 +42,18 @@ def friedman_tie_free(ranks: np.ndarray) -> float:
     return float(
         12.0 / (n * m * (m + 1)) * (rank_sums**2).sum() - 3.0 * n * (m + 1)
     )
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def reservoir_draw(seed: int, index: int, n: int) -> int:
+    """Reservoir slot in [0, n) of the subset with this index, for this seed."""
+    return splitmix64((seed & _MASK64) ^ splitmix64(index)) % n

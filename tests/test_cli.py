@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mcmatrix
 from mcmatrix.cli import main
+
+from conftest import inverted_holm
 
 CSV = (
     "comparate,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10\n"
@@ -85,6 +91,50 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2 and "alpha must lie in (0, 1)" in err and out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_enumerate_sample_below_one_is_data_error(self, results_csv, capsys, count):
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(results_csv), "--direction",
+             "higher", "--core", "Alpha,Bravo", "--k-extra", "1", "--sample", count],
+            capsys,
+        )
+        assert code == 2 and "sample count must be >= 1" in err and out == ""
+
+    def test_enumerate_sample_space_beyond_int64_is_data_error(self, tmp_path, capsys):
+        # C(70, 35) > 2**63: numpy cannot draw a subset rank from that range.
+        rows = [f"c{i}," + ",".join(str((i * 7 + j) % 10) for j in range(5))
+                for i in range(72)]
+        table = tmp_path / "wide.csv"
+        table.write_text("comparate,t1,t2,t3,t4,t5\n" + "\n".join(rows) + "\n")
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(table), "--direction", "higher",
+             "--core", "c0,c1", "--k-extra", "35", "--sample", "5"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "k_extra=35 over a pool of 70" in err and "2**63" in err
+        assert "Traceback" not in err
+
+    def test_enumerate_step_down_mismatch_is_internal_error(self, results_csv, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr("mcmatrix.stability.holm_correction", inverted_holm)
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(results_csv), "--direction",
+             "higher", "--core", "Alpha,Bravo", "--k-extra", "1"],
+            capsys,
+        )
+        assert code == 3 and "vectorized step-down" in err and out == ""
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats takes about a second to import; only the Friedman
+        # p-value and the selftest oracle need it, and they import it late.
+        src = Path(mcmatrix.__file__).resolve().parent.parent
+        probe = "import sys, mcmatrix.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "False"
 
 
 class TestMcmCommand:

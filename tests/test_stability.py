@@ -1,30 +1,48 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from mcmatrix import (
     Direction,
+    Exhaustive,
     ResultsMatrix,
     Sampled,
     build_mcm,
     detect_rank_swap,
     enumerate_patterns,
     significance_pattern,
+    stability,
     weaken_comparate,
     weakened_variant_attack,
 )
 from mcmatrix.errors import (
     EnumerationTooLarge,
+    InternalError,
     OverlappingSets,
     PairNotInBothSets,
     PoolTooSmall,
     ValidationError,
 )
-from mcmatrix.stability import pattern_from_bitmask
-from mcmatrix.stats import compute_ranks, oriented_differences, wilcoxon_signed_rank
+from mcmatrix.stability import (
+    PatternEnumeration,
+    _holm_mask,
+    _reservoir_keys,
+    _sample_ranks,
+    _step_down,
+    _subset_by_rank,
+    pattern_from_bitmask,
+)
+from mcmatrix.stats import (
+    all_pairs_pvalues,
+    compute_ranks,
+    oriented_differences,
+    wilcoxon_signed_rank,
+)
 
-from conftest import fixture_matrix, load_fixture, random_matrix
+from conftest import fixture_matrix, inverted_holm, load_fixture, random_matrix
+from oracles import reservoir_draw
 
 
 class TestSignificancePattern:
@@ -179,6 +197,144 @@ class TestEnumeratePatterns:
         a = enumerate_patterns(matrix, core, pool, 3, 0.05, example_seed=7, **kwargs)
         b = enumerate_patterns(matrix, core, pool, 3, 0.05, example_seed=7, **kwargs)
         assert a == b
+
+
+def tied_matrix(rng, m, n):
+    """Small n and one-decimal scores give many equal exact p-values; the
+    skill spread makes some pairs reject."""
+    skill = rng.permutation(np.linspace(0.0, 1.0, m))
+    scores = np.round(skill[:, None] + rng.uniform(0.0, 0.6, size=(m, n)), 1)
+    return ResultsMatrix(
+        tuple(f"c{i}" for i in range(m)), tuple(f"t{j}" for j in range(n)), scores,
+        Direction.HIGHER_IS_BETTER,
+    )
+
+
+def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
+                           example_limit, example_seed):
+    """The one-``holm_correction``-per-subset loop the chunked kernel replaced."""
+    pvalues = all_pairs_pvalues(matrix, core + pool)
+    counts, examples = {}, {}
+    for g, rank in enumerate(ranks):
+        subset = _subset_by_rank(pool, k_extra, rank)
+        mask = _holm_mask(core, core + subset, pvalues, alpha)
+        n_seen = counts.get(mask, 0) + 1
+        counts[mask] = n_seen
+        bucket = examples.setdefault(mask, [])
+        if n_seen <= example_limit:
+            bucket.append(subset)
+        elif example_limit > 0:
+            slot = reservoir_draw(example_seed, g, n_seen)
+            if slot < example_limit:
+                bucket[slot] = subset
+    return PatternEnumeration(
+        core=core,
+        pattern_counts=counts,
+        examples_per_pattern={m: tuple(v) for m, v in examples.items()},
+        total_subsets=len(ranks),
+    )
+
+
+class TestStepDownKernel:
+    def kernel_and_oracle(self, core, pool, k_extra, pvalues, alpha):
+        rows = list(combinations(range(len(pool)), k_extra))
+        masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
+        got = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
+        expected = [
+            _holm_mask(core, core + tuple(pool[i] for i in row), pvalues, alpha)
+            for row in rows
+        ]
+        return got, expected
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_matches_holm_mask_on_tied_matrices(self, alpha):
+        rng = np.random.default_rng(int(alpha * 1000))
+        seen = set()
+        for n in (6, 8, 10, 12, 16):
+            matrix = tied_matrix(rng, m=11, n=n)
+            core, pool = matrix.comparates[:3], matrix.comparates[3:]
+            pvalues = all_pairs_pvalues(matrix, core + pool)
+            for k_extra in (0, 1, 2, 4, 8):
+                got, expected = self.kernel_and_oracle(core, pool, k_extra, pvalues, alpha)
+                assert got == expected
+                seen.update(got)
+        assert len(seen) >= 3  # the matrices exercise more than one pattern
+
+    def test_matches_holm_mask_on_equal_p_values(self):
+        # p-values from a handful of values, several on a Holm threshold.
+        rng = np.random.default_rng(11)
+        values = [0.0, 0.001, 0.0025, 0.005, 0.00625, 0.01, 0.0125, 0.025, 0.05, 1.0]
+        names = tuple(f"c{i}" for i in range(10))
+        core, pool = names[:4], names[4:]
+        seen = set()
+        for _ in range(40):
+            pvalues = {
+                (a, b): float(rng.choice(values))
+                for a, b in combinations(names, 2)
+            }
+            alpha = float(rng.choice([0.01, 0.05, 0.2]))
+            for k_extra in (0, 1, 3, 6):
+                got, expected = self.kernel_and_oracle(core, pool, k_extra, pvalues, alpha)
+                assert got == expected
+                seen.update(got)
+        assert len(seen) >= 10
+
+    @pytest.mark.parametrize("example_limit", [0, 1, 5])
+    @pytest.mark.parametrize("count", [None, 300, 512])
+    def test_chunked_run_matches_per_subset_loop(self, example_limit, count):
+        # None: 792 exhaustive subsets, the last of four chunks partial;
+        # 512 sampled subsets fill exactly two chunks.
+        rng = np.random.default_rng(50)
+        matrix = tied_matrix(rng, m=15, n=9)
+        core, pool = matrix.comparates[:3], matrix.comparates[3:]
+        mode = Exhaustive() if count is None else Sampled(count, seed=3)
+        got = enumerate_patterns(matrix, core, pool, 5, 0.2, mode=mode,
+                                 example_limit=example_limit, example_seed=5)
+        ranks = (range(math.comb(12, 5)) if count is None
+                 else _sample_ranks(math.comb(12, 5), count, 3))
+        expected = per_subset_enumeration(matrix, core, pool, 5, 0.2, ranks,
+                                          example_limit, 5)
+        assert got == expected
+        assert len(got.pattern_counts) >= 2
+
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        matrix = tied_matrix(rng, m=15, n=9)
+        core, pool = matrix.comparates[:3], matrix.comparates[3:]
+        results = []
+        for chunk in (1, 8, 256, 792, 4096):  # 792 = C(12, 5), 8 divides it
+            monkeypatch.setattr(stability, "_CHUNK", chunk)
+            results.append(enumerate_patterns(matrix, core, pool, 5, 0.2, example_limit=3))
+        assert all(r == results[0] for r in results)
+
+    def test_reservoir_keys_match_python_integer_route(self):
+        for seed in (0, 7, -1, 2**63 + 5, 2**70 + 3):
+            for start in (0, 1, 255, 2**32 - 3, 2**63):
+                assert _reservoir_keys(seed, start, 6) == [
+                    reservoir_draw(seed, start + i, 2**64) for i in range(6)
+                ]
+
+    def test_step_down_mismatch_raises_internal_error(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        matrix = tied_matrix(rng, m=8, n=9)
+        monkeypatch.setattr(stability, "holm_correction", inverted_holm)
+        with pytest.raises(InternalError, match="vectorized step-down"):
+            enumerate_patterns(matrix, matrix.comparates[:3], matrix.comparates[3:], 2, 0.2)
+
+    def test_sampled_space_beyond_int64_rejected(self):
+        rng = np.random.default_rng(53)
+        matrix = random_matrix(rng, m=72, n=3)
+        # C(70, 35) is above 2**64; C(67, 33) lies between 2**63 and 2**64.
+        for pool_end, k_extra in ((72, 35), (69, 33)):
+            with pytest.raises(ValidationError, match=r"2\*\*63"):
+                enumerate_patterns(matrix, matrix.comparates[:2],
+                                   matrix.comparates[2:pool_end], k_extra, 0.05,
+                                   mode=Sampled(5))
+        # C(64, 32) < 2**63 still samples.
+        enumeration = enumerate_patterns(matrix, matrix.comparates[:2],
+                                         matrix.comparates[2:66], 32, 0.05,
+                                         mode=Sampled(5), example_limit=0)
+        assert enumeration.total_subsets == 5
 
 
 class TestDetectRankSwap:
