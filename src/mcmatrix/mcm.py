@@ -18,11 +18,13 @@ import numpy as np
 
 from .bayes import BayesConfig, BayesPosterior, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
-from .errors import PairNotInSubset
+from .errors import InternalError, PairNotInSubset
 from .stats import (
+    MIN_BLOCK_PAIRS,
     PairwiseComparison,
     check_alpha,
     oriented_differences,
+    pair_statistics,
     pairwise_comparison,
 )
 
@@ -92,22 +94,45 @@ def compare_pairs(
     Each unordered pair is evaluated once, in the orientation that comes
     first in ``pairs``; the reverse orientation, when also asked for, is
     the mirror of that result, bit-identical to evaluating it directly.
+    With at least ``MIN_BLOCK_PAIRS`` unordered pairs the cells come from
+    ``pair_statistics`` in numpy blocks, and the first one is evaluated
+    again by ``pairwise_comparison``: a disagreement raises
+    ``InternalError``.  That compares a block with a one-row run of the
+    same kernel, not with an independent implementation.  Fewer pairs are
+    evaluated one at a time by ``pairwise_comparison``.  Posteriors are
+    computed pair by pair.
     """
+    first: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    for r, c in pairs:
+        if (r, c) not in seen and (c, r) not in seen:
+            seen.add((r, c))
+            first.append((r, c))
+    if len(first) < MIN_BLOCK_PAIRS:
+        evaluated = {pair: pairwise_comparison(matrix, *pair, tie_epsilon) for pair in first}
+    else:
+        evaluated = dict(zip(first, pair_statistics(matrix, first, tie_epsilon)))
+        alone = pairwise_comparison(matrix, *first[0], tie_epsilon)
+        if alone != evaluated[first[0]]:
+            raise InternalError(
+                f"batched pair statistics gave {evaluated[first[0]]!r}; "
+                f"pairwise_comparison gives {alone!r}"
+            )
     cells: dict[tuple[str, str], PairwiseComparison] = {}
     bayes: dict[tuple[str, str], BayesPosterior] | None = (
         None if bayes_config is None else {}
     )
     for r, c in pairs:
-        if (c, r) in cells:
-            cells[(r, c)] = cells[(c, r)].mirrored()
+        if (r, c) in evaluated:
+            cells[(r, c)] = evaluated[(r, c)]
+            if bayes is not None:
+                bayes[(r, c)] = bayesian_signed_rank(
+                    oriented_differences(matrix, r, c), bayes_config
+                )
+        else:
+            cells[(r, c)] = evaluated[(c, r)].mirrored()
             if bayes is not None:
                 bayes[(r, c)] = bayes[(c, r)].mirrored()
-            continue
-        cells[(r, c)] = pairwise_comparison(matrix, r, c, tie_epsilon)
-        if bayes is not None:
-            bayes[(r, c)] = bayesian_signed_rank(
-                oriented_differences(matrix, r, c), bayes_config
-            )
     return cells, bayes
 
 

@@ -335,7 +335,8 @@ def enumerate_patterns(
     same examples.
 
     Sampled mode refuses a space of more than ``SAMPLED_SPACE_LIMIT``
-    (2**63) subsets with ``ValidationError``.
+    (2**63) subsets, and a sample of more than ``exhaustive_limit``
+    subsets, with ``ValidationError``.
     """
     alpha = check_alpha(alpha)
     core = matrix.check_names(core, "core")
@@ -367,6 +368,10 @@ def enumerate_patterns(
             )
         rows = itertools.combinations(range(len(pool)), k_extra)
     elif isinstance(mode, Sampled):
+        if count > exhaustive_limit:
+            raise ValidationError(
+                f"sample count {count} exceeds the limit of {exhaustive_limit} subsets"
+            )
         if total_space > SAMPLED_SPACE_LIMIT:
             raise ValidationError(
                 f"k_extra={k_extra} over a pool of {len(pool)} gives {total_space} "

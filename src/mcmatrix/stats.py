@@ -2,8 +2,9 @@
 
 Per-task ranks and average ranks, the two-sided Wilcoxon signed-rank test
 (exact by dynamic programming, or a tie-corrected normal approximation),
-pairwise comparison cells, the Friedman test, the rank-based critical
-difference, and the Holm step-down correction.
+pairwise comparison cells for one pair or for numpy blocks of pairs, the
+Friedman test, the rank-based critical difference, and the Holm step-down
+correction.
 
 All functions here are pure and reentrant: no shared mutable state, no
 internal randomness.
@@ -41,6 +42,7 @@ __all__ = [
     "compute_ranks",
     "wilcoxon_signed_rank",
     "pairwise_comparison",
+    "pair_statistics",
     "oriented_differences",
     "friedman_test",
     "nemenyi_critical_difference",
@@ -55,6 +57,22 @@ __all__ = [
 #: distribution is computed by default; above this the normal
 #: approximation with tie and continuity corrections is used.
 DEFAULT_EXACT_THRESHOLD = 25
+
+#: Most nonzero differences whose 2^k sign assignments int64 can count.
+_MAX_EXACT = 62
+
+#: Differences per block of pairs, and counts per block of exact
+#: distributions: bounds the kernel's working memory whatever n is.
+_BLOCK = 1 << 19
+
+#: Fewest pairs that are evaluated as one block.  Below this the pair loops
+#: (``mcm.compare_pairs``, ``all_pairs_pvalues``) take each pair alone, and
+#: ``pair_statistics`` tests each row alone, through the single-pair
+#: functions ``pairwise_comparison`` and ``wilcoxon_signed_rank``.
+#: ``perfbench/spans.py`` times those per call, so its per-pair counters
+#: stay exact on small tables until it counts pairs at the pair loops.  On
+#: seven pairs row by row costs at most about 2 ms more than a block.
+MIN_BLOCK_PAIRS = 8
 
 
 class PMethod(Enum):
@@ -155,46 +173,132 @@ def compute_ranks(matrix: ResultsMatrix) -> RankTable:
     return RankTable(ranks=ranks, average_ranks=average)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ascending ranks (1 = smallest) with ties averaged."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.arange(1, values.size + 1, dtype=np.float64)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    sums = np.bincount(inverse, weights=ranks)
-    return (sums / counts)[inverse]
+def _signed_rank_rows(d: np.ndarray, exact_threshold: int) -> list[tuple[float, PMethod]]:
+    """Two-sided signed-rank ``(p, method)`` for each row of ``d``.
+
+    ``d`` is a rows x n array of finite differences; each row gets what
+    ``wilcoxon_signed_rank`` documents.  Zeros become +inf, so one stable
+    argsort per row puts them last.  A value's doubled averaged rank is
+    start + end + 2 over the 0-based sorted positions of its tie group, an
+    exact integer, so 2 W+ and the tie term are integer sums.  Rows with at
+    most ``exact_threshold`` nonzero differences get the exact distribution
+    (``_exact_pvalues``); the others get the normal approximation with tie
+    and continuity corrections, finished per row with the Python ``math``
+    functions.
+    """
+    rows, n = d.shape
+    # Each temporary is dropped once used: they are block-sized.
+    k = np.count_nonzero(d, axis=1)
+    a = np.where(d != 0.0, np.abs(d), np.inf)
+    order = np.argsort(a, axis=1, kind="stable")
+    a = np.take_along_axis(a, order, axis=1)
+    positive = np.take_along_axis(d > 0.0, order, axis=1)
+    del order
+    pos = np.arange(n)
+    # A tie group's first and last sorted positions, at every position.
+    first = np.empty((rows, n), dtype=bool)
+    first[:, 0] = True
+    np.not_equal(a[:, 1:], a[:, :-1], out=first[:, 1:])
+    del a
+    last = np.empty_like(first)
+    last[:, -1] = True
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    del first, last
+    ranked = pos < k[:, None]
+    doubled = np.where(ranked, start + end + 2, 0)
+    # Sum over ranked values of c^2 - 1, c their group size: sum of c^3 - c.
+    size = end - start + 1
+    ties = np.where(ranked, size * size - 1, 0).sum(axis=1, dtype=np.float64)
+    del start, end, size, ranked
+    w2 = np.where(positive, doubled, 0).sum(axis=1)
+    if (doubled.sum(axis=1) != k * (k + 1)).any():
+        raise InternalError("doubled ranks do not sum to k(k+1)")
+
+    exact = (k > 0) & (k <= exact_threshold)
+    too_many = k[exact] > _MAX_EXACT
+    if too_many.any():  # 2^k assignments must stay countable in int64
+        raise ValidationError(
+            f"exact distribution infeasible for {k[exact][too_many][0]} "
+            "nonzero differences"
+        )
+    exact_rows = np.flatnonzero(exact)
+    exact_p = dict(zip(exact_rows.tolist(),
+                       _exact_pvalues(doubled[exact_rows], w2[exact_rows], k[exact_rows])))
+
+    out: list[tuple[float, PMethod]] = []
+    for row, (kr, w2r, tie_term) in enumerate(zip(k.tolist(), w2.tolist(), ties.tolist())):
+        if kr == 0:
+            out.append((1.0, PMethod.DEGENERATE))
+        elif row in exact_p:
+            out.append((exact_p[row], PMethod.EXACT))
+        else:
+            mean = kr * (kr + 1) / 4.0
+            variance = kr * (kr + 1) * (2 * kr + 1) / 24.0 - tie_term / 48.0
+            if variance <= 0.0:
+                raise InternalError("non-positive signed-rank variance")
+            # Continuity correction of one half, applied toward the mean so
+            # the result is symmetric in the two one-sided statistics.
+            numerator = max(abs(w2r / 2.0 - mean) - 0.5, 0.0)
+            z = numerator / math.sqrt(variance)
+            out.append((min(1.0, math.erfc(z / math.sqrt(2.0))), PMethod.NORMAL_APPROXIMATION))
+    return out
 
 
-def _exact_two_sided(doubled_ranks: np.ndarray, doubled_w: int, k: int) -> float:
-    # Distribution of the doubled positive-rank sum over all 2^k sign
-    # assignments, by subset-sum counting.  Doubling makes averaged tie
-    # ranks integral; counts stay exact in int64 for k <= 25.
-    total = int(doubled_ranks.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for t in doubled_ranks:
-        t = int(t)
-        counts[t:] = counts[t:] + counts[:-t]
-    n_assignments = 1 << k
-    if int(counts.sum()) != n_assignments:
-        raise InternalError("signed-rank distribution lost mass")
-    le = int(counts[: doubled_w + 1].sum())
-    ge = int(counts[doubled_w:].sum())
-    return min(1.0, 2.0 * min(le, ge) / float(n_assignments))
+def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> list[float]:
+    """Exact two-sided p per row, from the rows' doubled ranks (zero-padded),
+    doubled positive-rank sums and nonzero counts.
 
-
-def _approx_two_sided(ranks: np.ndarray, w_plus: float, k: int) -> float:
-    mean = k * (k + 1) / 4.0
-    _, counts = np.unique(ranks, return_counts=True)
-    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-    variance = k * (k + 1) * (2 * k + 1) / 24.0 - tie_term / 48.0
-    if variance <= 0.0:
-        raise InternalError("non-positive signed-rank variance")
-    # Continuity correction of one half, applied toward the mean so the
-    # result is symmetric in the two one-sided statistics.
-    numerator = max(abs(w_plus - mean) - 0.5, 0.0)
-    z = numerator / math.sqrt(variance)
-    return min(1.0, math.erfc(z / math.sqrt(2.0)))
+    The distribution of the doubled positive-rank sum over all 2^k sign
+    assignments comes from subset-sum counting, on one int64 array of
+    ``k(k+1) + 1`` counts per row and at most about ``_BLOCK`` counts in
+    all.  Each doubled-rank value t is added as many times as a row holds
+    it, by shifting the rows that hold it with contiguous slices.
+    """
+    k_max = int(k.max(initial=0))
+    width = k_max * (k_max + 1) + 1
+    step = max(1, _BLOCK // width)
+    out: list[float] = []
+    for lo in range(0, len(k), step):
+        kb, w2b = k[lo:lo + step], w2[lo:lo + step]
+        rows = len(kb)
+        # held[r, t]: how many values of row r have doubled rank t.
+        held = np.bincount(
+            (np.arange(rows)[:, None] * (2 * k_max + 1) + doubled[lo:lo + step]).ravel(),
+            minlength=rows * (2 * k_max + 1),
+        ).reshape(rows, 2 * k_max + 1)
+        held[:, 0] = 0  # the zero padding
+        counts = np.zeros((rows, width), dtype=np.int64)
+        counts[:, 0] = 1
+        reach = np.zeros(rows, dtype=np.int64)  # largest sum with a nonzero count
+        top = 0  # reach.max()
+        values = np.flatnonzero(held.any(axis=0))
+        for t, most, least in zip(values.tolist(), held.max(axis=0)[values].tolist(),
+                                  held.min(axis=0)[values].tolist()):
+            for nth in range(1, most + 1):
+                if nth <= least:  # every row: contiguous views, overlap buffered
+                    counts[:, t:top + t + 1] += counts[:, :top + 1]
+                    reach += t
+                    top += t
+                else:
+                    sel = np.flatnonzero(held[:, t] >= nth)
+                    hi = int(reach[sel].max()) + t
+                    counts[sel, t:hi + 1] += counts[sel, :hi + 1 - t]
+                    reach[sel] += t
+                    top = max(top, hi)
+        np.cumsum(counts, axis=1, out=counts)
+        total = counts[:, -1]
+        if (total != np.left_shift(1, kb)).any():
+            raise InternalError("signed-rank distribution lost mass")
+        at = np.arange(rows)
+        le = counts[at, w2b]
+        ge = total - np.where(w2b > 0, counts[at, np.maximum(w2b - 1, 0)], 0)
+        out.extend(
+            min(1.0, 2.0 * min(lo_count, hi_count) / float(1 << kr))
+            for lo_count, hi_count, kr in zip(le.tolist(), ge.tolist(), kb.tolist())
+        )
+    return out
 
 
 def wilcoxon_signed_rank(
@@ -209,48 +313,65 @@ def wilcoxon_signed_rank(
     nonzero differences the p-value comes from the exact distribution over
     all sign assignments; beyond that a normal approximation with tie and
     continuity corrections is used.  ``method`` may force ``"exact"`` or
-    ``"approx"``.
+    ``"approx"``.  The exact distribution is refused above 62 nonzero
+    differences.
 
     Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
+    This is one row of the block kernel ``pair_statistics`` uses.
     """
-    d = np.asarray(diffs, dtype=np.float64)
+    d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
     if d.size == 0:
         raise EmptyInput("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
     if method not in ("auto", "exact", "approx"):
         raise ValidationError(f"unknown method {method!r}")
+    if method != "auto":
+        exact_threshold = d.size if method == "exact" else 0
+    return _signed_rank_rows(d, exact_threshold)[0]
 
-    nz = d[d != 0.0]
-    k = int(nz.size)
-    if k == 0:
-        return 1.0, PMethod.DEGENERATE
 
-    ranks = _average_ranks(np.abs(nz))
-    w_plus = float(ranks[nz > 0.0].sum())
+def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Oriented differences of ordered (row, column) pairs, one row per pair.
 
-    use_exact = method == "exact" or (method == "auto" and k <= exact_threshold)
-    if use_exact:
-        if k > 62:  # 2^k assignments must stay countable in int64
-            raise ValidationError(
-                f"exact distribution infeasible for {k} nonzero differences"
-            )
-        doubled = np.rint(2.0 * ranks).astype(np.int64)
-        if int(doubled.sum()) != k * (k + 1):
-            raise InternalError("doubled ranks do not sum to k(k+1)")
-        p = _exact_two_sided(doubled, int(round(2.0 * w_plus)), k)
-        return p, PMethod.EXACT
-    return _approx_two_sided(ranks, w_plus, k), PMethod.NORMAL_APPROXIMATION
+    A difference that overflows raises ``ValidationError`` naming the pair
+    and the first task where it does.
+    """
+    position = {name: i for i, name in enumerate(matrix.comparates)}
+    left, right = [], []
+    for row, column in pairs:
+        if row == column:
+            raise SameComparate(f"cannot compare {row!r} with itself")
+        for name in (row, column):
+            if name not in position:
+                matrix.index_of(name)  # raises UnknownComparate
+        left.append(position[row])
+        right.append(position[column])
+    with np.errstate(over="ignore"):
+        d = matrix.scores[left] - matrix.scores[right]
+    if matrix.direction is Direction.LOWER_IS_BETTER:
+        d = -d
+    bad = np.argwhere(~np.isfinite(d))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        row, column = pairs[i]
+        raise ValidationError(
+            f"the score difference of {row!r} and {column!r} overflows "
+            f"on task {matrix.tasks[j]!r}"
+        )
+    return d
 
 
 def oriented_differences(matrix: ResultsMatrix, row: str, column: str) -> np.ndarray:
     """Per-task score differences, positive when the row comparate is better."""
-    if row == column:
-        raise SameComparate(f"cannot compare {row!r} with itself")
-    raw = matrix.row(row) - matrix.row(column)
-    if matrix.direction is Direction.LOWER_IS_BETTER:
-        raw = -raw
-    return raw
+    return _differences(matrix, [(row, column)])[0]
+
+
+def _check_tie_epsilon(tie_epsilon: float) -> float:
+    tie_epsilon = float(tie_epsilon)
+    if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
+        raise ValidationError("tie_epsilon must be a finite value >= 0")
+    return tie_epsilon
 
 
 def pairwise_comparison(
@@ -265,28 +386,49 @@ def pairwise_comparison(
     A task counts as a tie when the absolute oriented difference is at most
     ``tie_epsilon`` (default: exact equality).  The p-value is computed on
     the raw oriented differences and depends only on the two comparates'
-    score vectors.
+    score vectors.  This is ``pair_statistics`` of the one pair.
     """
-    tie_epsilon = float(tie_epsilon)
-    if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
-        raise ValidationError("tie_epsilon must be a finite value >= 0")
-    diffs = oriented_differences(matrix, row, column)
-    wins = int((diffs > tie_epsilon).sum())
-    losses = int((diffs < -tie_epsilon).sum())
-    ties = matrix.n - wins - losses
-    p, p_method = wilcoxon_signed_rank(diffs, exact_threshold=exact_threshold)
-    return PairwiseComparison(
-        row=row,
-        column=column,
-        # "+ 0.0" turns a mean that underflows to -0.0 into +0.0, the value
-        # the mirror of the reversed pair gives.
-        mean_difference=float(np.mean(diffs)) + 0.0,
-        wins=wins,
-        ties=ties,
-        losses=losses,
-        p_value=p,
-        p_method=p_method,
-    )
+    return pair_statistics(matrix, [(row, column)], tie_epsilon, exact_threshold)[0]
+
+
+def pair_statistics(
+    matrix: ResultsMatrix,
+    pairs: Sequence[tuple[str, str]],
+    tie_epsilon: float = 0.0,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+) -> list[PairwiseComparison]:
+    """``pairwise_comparison`` of every ordered (row, column) pair, in order.
+
+    Pairs are evaluated together in numpy blocks of at most about 2**19
+    differences, so memory stays bounded whatever the number of tasks.  A
+    block of fewer than ``MIN_BLOCK_PAIRS`` pairs is tested row by row by
+    ``wilcoxon_signed_rank``, the same kernel on one row.  Each cell is
+    bit-identical to evaluating its pair alone.
+    """
+    tie_epsilon = _check_tie_epsilon(tie_epsilon)
+    pairs = list(pairs)
+    n = matrix.n
+    step = max(1, _BLOCK // n)
+    out: list[PairwiseComparison] = []
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo:lo + step]
+        d = _differences(matrix, block)
+        wins = (d > tie_epsilon).sum(axis=1).tolist()
+        losses = (d < -tie_epsilon).sum(axis=1).tolist()
+        # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
+        # underflows to -0.0 into +0.0, the value the mirror of the reversed
+        # pair gives.
+        means = (d.mean(axis=1) + 0.0).tolist()
+        if len(block) < MIN_BLOCK_PAIRS:
+            tests = [wilcoxon_signed_rank(x, exact_threshold) for x in d]
+        else:
+            tests = _signed_rank_rows(d, exact_threshold)
+        out.extend(
+            PairwiseComparison(row, column, mean, w, n - w - l, l, p, p_method)
+            for (row, column), mean, w, l, (p, p_method)
+            in zip(block, means, wins, losses, tests)
+        )
+    return out
 
 
 def friedman_test(matrix: ResultsMatrix) -> tuple[float, float]:
@@ -431,17 +573,28 @@ def all_pairs_pvalues(
     names: Sequence[str] | None = None,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> dict[tuple[str, str], float]:
-    """Two-sided Wilcoxon p for every unordered pair among ``names``."""
+    """Two-sided Wilcoxon p for every unordered pair among ``names``.
+
+    The p-values come from ``pair_statistics``.  With at least
+    ``MIN_BLOCK_PAIRS`` pairs, the first pair is tested again by
+    ``wilcoxon_signed_rank`` and a disagreement raises ``InternalError``.
+    That compares a block with a one-row run of the same kernel, not with
+    an independent implementation.
+    """
     members = tuple(names) if names is not None else matrix.comparates
-    out: dict[tuple[str, str], float] = {}
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            p, _ = wilcoxon_signed_rank(
-                oriented_differences(matrix, a, b), exact_threshold=exact_threshold
+    pairs = [(members[i], members[j])
+             for i in range(len(members)) for j in range(i + 1, len(members))]
+    cells = pair_statistics(matrix, pairs, exact_threshold=exact_threshold)
+    if len(pairs) >= MIN_BLOCK_PAIRS:
+        a, b = pairs[0]
+        alone = wilcoxon_signed_rank(oriented_differences(matrix, a, b),
+                                     exact_threshold=exact_threshold)
+        if alone != (cells[0].p_value, cells[0].p_method):
+            raise InternalError(
+                f"batched signed-rank test gave {(cells[0].p_value, cells[0].p_method)!r} "
+                f"for ({a!r}, {b!r}); wilcoxon_signed_rank gives {alone!r}"
             )
-            out[pair_id(a, b)] = p
-    return out
+    return {pair_id(a, b): cell.p_value for (a, b), cell in zip(pairs, cells)}
 
 
 def holm_significance(

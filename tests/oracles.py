@@ -6,12 +6,23 @@ assignments (not subset-sum counting), and the groupwise rank statistic
 via the textbook tie-free formula, and the reservoir draw of pattern
 enumeration with Python integers masked to 64 bits (the package uses
 wrapping numpy uint64 arrays).
+
+``wilcoxon_signed_rank_scalar`` and ``pairwise_comparison_scalar`` are
+the one-pair signed-rank test and cell the package computed before its
+block kernel, kept unchanged as the bit-for-bit oracles of that kernel.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 from scipy.stats import rankdata
+
+from mcmatrix.data import Direction, ResultsMatrix
+from mcmatrix.errors import EmptyInput, InternalError, ValidationError
+from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod
 
 
 def wilcoxon_enumeration_p(diffs) -> float:
@@ -57,3 +68,118 @@ def splitmix64(x: int) -> int:
 def reservoir_draw(seed: int, index: int, n: int) -> int:
     """Reservoir slot in [0, n) of the subset with this index, for this seed."""
     return splitmix64((seed & _MASK64) ^ splitmix64(index)) % n
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks (1 = smallest) with ties averaged."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.arange(1, values.size + 1, dtype=np.float64)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    sums = np.bincount(inverse, weights=ranks)
+    return (sums / counts)[inverse]
+
+
+def _exact_two_sided(doubled_ranks: np.ndarray, doubled_w: int, k: int) -> float:
+    # Distribution of the doubled positive-rank sum over all 2^k sign
+    # assignments, by subset-sum counting.  Doubling makes averaged tie
+    # ranks integral; counts stay exact in int64 for k <= 25.
+    total = int(doubled_ranks.sum())
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for t in doubled_ranks:
+        t = int(t)
+        counts[t:] = counts[t:] + counts[:-t]
+    n_assignments = 1 << k
+    if int(counts.sum()) != n_assignments:
+        raise InternalError("signed-rank distribution lost mass")
+    le = int(counts[: doubled_w + 1].sum())
+    ge = int(counts[doubled_w:].sum())
+    return min(1.0, 2.0 * min(le, ge) / float(n_assignments))
+
+
+def _approx_two_sided(ranks: np.ndarray, w_plus: float, k: int) -> float:
+    mean = k * (k + 1) / 4.0
+    _, counts = np.unique(ranks, return_counts=True)
+    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
+    variance = k * (k + 1) * (2 * k + 1) / 24.0 - tie_term / 48.0
+    if variance <= 0.0:
+        raise InternalError("non-positive signed-rank variance")
+    # Continuity correction of one half, applied toward the mean so the
+    # result is symmetric in the two one-sided statistics.
+    numerator = max(abs(w_plus - mean) - 0.5, 0.0)
+    z = numerator / math.sqrt(variance)
+    return min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+def wilcoxon_signed_rank_scalar(
+    diffs: Sequence[float],
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    method: str = "auto",
+) -> tuple[float, PMethod]:
+    """Two-sided signed-rank p-value for paired differences.
+
+    Zero differences are discarded before ranking; tied absolute
+    differences receive averaged ranks.  With at most ``exact_threshold``
+    nonzero differences the p-value comes from the exact distribution over
+    all sign assignments; beyond that a normal approximation with tie and
+    continuity corrections is used.  ``method`` may force ``"exact"`` or
+    ``"approx"``.
+
+    Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
+    """
+    d = np.asarray(diffs, dtype=np.float64)
+    if d.size == 0:
+        raise EmptyInput("need at least one difference")
+    if not np.isfinite(d).all():
+        raise ValidationError("differences must be finite")
+    if method not in ("auto", "exact", "approx"):
+        raise ValidationError(f"unknown method {method!r}")
+
+    nz = d[d != 0.0]
+    k = int(nz.size)
+    if k == 0:
+        return 1.0, PMethod.DEGENERATE
+
+    ranks = _average_ranks(np.abs(nz))
+    w_plus = float(ranks[nz > 0.0].sum())
+
+    use_exact = method == "exact" or (method == "auto" and k <= exact_threshold)
+    if use_exact:
+        if k > 62:  # 2^k assignments must stay countable in int64
+            raise ValidationError(
+                f"exact distribution infeasible for {k} nonzero differences"
+            )
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        if int(doubled.sum()) != k * (k + 1):
+            raise InternalError("doubled ranks do not sum to k(k+1)")
+        p = _exact_two_sided(doubled, int(round(2.0 * w_plus)), k)
+        return p, PMethod.EXACT
+    return _approx_two_sided(ranks, w_plus, k), PMethod.NORMAL_APPROXIMATION
+
+
+def pairwise_comparison_scalar(
+    matrix: ResultsMatrix,
+    row: str,
+    column: str,
+    tie_epsilon: float = 0.0,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+) -> PairwiseComparison:
+    """Mean difference, win/tie/loss counts, and Wilcoxon p for one pair,
+    computed on that pair's differences alone."""
+    diffs = matrix.scores[matrix.index_of(row)] - matrix.scores[matrix.index_of(column)]
+    if matrix.direction is Direction.LOWER_IS_BETTER:
+        diffs = -diffs
+    wins = int((diffs > tie_epsilon).sum())
+    losses = int((diffs < -tie_epsilon).sum())
+    p, p_method = wilcoxon_signed_rank_scalar(diffs, exact_threshold=exact_threshold)
+    return PairwiseComparison(
+        row=row,
+        column=column,
+        mean_difference=float(np.mean(diffs)) + 0.0,
+        wins=wins,
+        ties=matrix.n - wins - losses,
+        losses=losses,
+        p_value=p,
+        p_method=p_method,
+    )

@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,55 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3 and "vectorized step-down" in err and out == ""
+
+    def test_mcm_cell_mismatch_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # Five comparates: ten pairs, enough to be evaluated as a block.
+        table = tmp_path / "five.csv"
+        table.write_text(CSV + "Echo,0.6,0.62,0.58,0.64,0.6,0.61,0.59,0.63,0.58,0.62\n")
+        evaluate = mcmatrix.mcm.pairwise_comparison
+        monkeypatch.setattr(
+            "mcmatrix.mcm.pairwise_comparison",
+            lambda *args, **kwargs: dataclasses.replace(evaluate(*args, **kwargs), wins=-1),
+        )
+        code, out, err = run(
+            ["mcm", "--input", str(table), "--direction", "higher"], capsys
+        )
+        assert code == 3 and "batched pair statistics" in err and out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["mcm"],
+        ["stats"],
+        ["cd", "--pairwise", "wilcoxon-holm"],
+        ["stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1"],
+    ])
+    def test_overflowing_difference_is_located_data_error(self, tmp_path, capsys, command):
+        table = tmp_path / "overflow.csv"
+        table.write_text("comparate,t1,t2,t3\nAlpha,0.5,1e308,-1e308\n"
+                         "Bravo,0.4,-1e308,1e308\nCharlie,0.1,0.2,0.3\n")
+        code, out, err = run(
+            [*command, "--input", str(table), "--direction", "higher"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "difference of 'Alpha' and 'Bravo' overflows on task 't2'" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_enumerate_sample_above_exhaustive_limit_is_refused_at_once(self, tmp_path,
+                                                                       capsys):
+        # C(40, 20) subsets: drawing 2,000,000 distinct ranks would first fill
+        # a set of that many Python ints.
+        rows = [f"c{i}," + ",".join(str((i * 7 + j) % 10) for j in range(5))
+                for i in range(42)]
+        table = tmp_path / "wide.csv"
+        table.write_text("comparate,t1,t2,t3,t4,t5\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(table), "--direction", "higher",
+             "--core", "c0,c1", "--k-extra", "20", "--sample", "2000000"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert "sample count 2000000 exceeds the limit of 1000000 subsets" in err
 
     def test_cli_import_does_not_load_scipy_stats(self):
         # scipy.stats takes about a second to import; only the Friedman

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,17 @@ from mcmatrix import (
     mcm_cell_invariance_check,
     mcm_report_to_dict,
 )
-from mcmatrix.errors import InvalidAlpha, PairNotInSubset, UnknownComparate
+from mcmatrix.errors import (
+    InternalError,
+    InvalidAlpha,
+    PairNotInSubset,
+    UnknownComparate,
+)
 from mcmatrix.stability import significance_pattern
-from mcmatrix.stats import oriented_differences
+from mcmatrix.stats import MIN_BLOCK_PAIRS, oriented_differences
 
 from conftest import cell_bits, fixture_matrix, load_fixture, posterior_bits, random_matrix
+from oracles import pairwise_comparison_scalar
 
 
 def _matrix(scores, names=None, direction=Direction.HIGHER_IS_BETTER):
@@ -105,19 +112,26 @@ class TestBuildMcm:
 
     def test_each_unordered_pair_is_evaluated_once(self, monkeypatch):
         evaluate = mcmatrix.mcm.pairwise_comparison
+        batch = mcmatrix.mcm.pair_statistics
         posterior = mcmatrix.mcm.bayesian_signed_rank
-        calls = []
+        block_calls = []
+        single_calls = []
         bayes_calls = []
 
-        def counting(matrix, row, column, *args, **kwargs):
-            calls.append(frozenset((row, column)))
+        def counting_block(matrix, pairs, *args, **kwargs):
+            block_calls.extend(frozenset(pair) for pair in pairs)
+            return batch(matrix, pairs, *args, **kwargs)
+
+        def counting_single(matrix, row, column, *args, **kwargs):
+            single_calls.append(frozenset((row, column)))
             return evaluate(matrix, row, column, *args, **kwargs)
 
         def counting_bayes(*args, **kwargs):
             bayes_calls.append(None)
             return posterior(*args, **kwargs)
 
-        monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting)
+        monkeypatch.setattr(mcmatrix.mcm, "pair_statistics", counting_block)
+        monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting_single)
         monkeypatch.setattr(mcmatrix.mcm, "bayesian_signed_rank", counting_bayes)
         bayes_config = BayesConfig(mc_samples=300, seed=2)
         rng = np.random.default_rng(6)
@@ -130,8 +144,10 @@ class TestBuildMcm:
             (None, None, math.comb(6, 2)),
             (names[:2], names[2:], 8),  # disjoint: every cell is its own pair
             (names[:3], names[1:5], 9),  # (c1, c2) and (c2, c1) share a pair
+            (names[:2], names[:4], 5),  # fewer than MIN_BLOCK_PAIRS
         ):
-            calls.clear()
+            block_calls.clear()
+            single_calls.clear()
             bayes_calls.clear()
             report = build_mcm(
                 matrix,
@@ -139,13 +155,34 @@ class TestBuildMcm:
                           include_bayes=True),
                 bayes_config,
             )
-            assert len(calls) == len(set(calls)) == expected
+            if expected >= MIN_BLOCK_PAIRS:
+                evaluated = block_calls
+                assert single_calls == block_calls[:1]  # the cross-check
+            else:
+                evaluated = single_calls
+                assert block_calls == []
+            assert len(evaluated) == len(set(evaluated)) == expected
             assert len(bayes_calls) == expected
-            assert set(calls) == {frozenset(pair) for pair in report.cells}
+            assert set(evaluated) == {frozenset(pair) for pair in report.cells}
             for (r, c), cell in report.cells.items():
-                assert cell_bits(cell) == cell_bits(evaluate(matrix, r, c, 0.05))
+                assert cell_bits(cell) == cell_bits(pairwise_comparison_scalar(matrix, r, c, 0.05))
                 direct = posterior(oriented_differences(matrix, r, c), bayes_config)
                 assert posterior_bits(report.bayes[(r, c)]) == posterior_bits(direct)
+
+    def test_batched_cell_disagreeing_with_single_pair_is_internal_error(
+            self, monkeypatch):
+        evaluate = mcmatrix.mcm.pairwise_comparison
+
+        def perturbed(*args, **kwargs):
+            cell = evaluate(*args, **kwargs)
+            return dataclasses.replace(cell, p_value=math.nextafter(cell.p_value, 0.0))
+
+        monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", perturbed)
+        matrix = random_matrix(np.random.default_rng(12), m=5, n=9)
+        with pytest.raises(InternalError, match="batched pair statistics"):
+            build_mcm(matrix)
+        # Fewer pairs are evaluated one at a time, with nothing to compare.
+        build_mcm(matrix.select_comparates(matrix.comparates[:4]))
 
     def test_include_bayes_attaches_posteriors(self):
         rng = np.random.default_rng(7)

@@ -126,6 +126,19 @@ class TestEnumeratePatterns:
                 exhaustive_limit=10,
             )
 
+    def test_sample_above_exhaustive_limit_refused(self):
+        rng = np.random.default_rng(43)
+        matrix = random_matrix(rng, m=10, n=4)
+        with pytest.raises(ValidationError, match="sample count 11 exceeds the limit of 10"):
+            enumerate_patterns(
+                matrix, matrix.comparates[:2], matrix.comparates[2:], 4, 0.05,
+                mode=Sampled(11), exhaustive_limit=10,
+            )
+        # A sample that covers the whole space is an exhaustive sweep.
+        full = enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:], 1,
+                                  0.05, mode=Sampled(11), exhaustive_limit=10)
+        assert full.total_subsets == 8
+
     def test_sampled_mode_deterministic(self):
         rng = np.random.default_rng(44)
         matrix = random_matrix(rng, m=10, n=10)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import studentized_range
 
+from mcmatrix import stats
 from mcmatrix import (
     Direction,
     PMethod,
@@ -19,6 +22,7 @@ from mcmatrix import (
 )
 from mcmatrix.errors import (
     EmptyInput,
+    InternalError,
     InvalidAlpha,
     InvalidP,
     MOutOfTableRange,
@@ -27,10 +31,16 @@ from mcmatrix.errors import (
     TooFewTasks,
     UnknownComparate,
     UnsupportedAlpha,
+    ValidationError,
 )
 
 from conftest import cell_bits, random_matrix
-from oracles import friedman_tie_free, wilcoxon_enumeration_p
+from oracles import (
+    friedman_tie_free,
+    pairwise_comparison_scalar,
+    wilcoxon_enumeration_p,
+    wilcoxon_signed_rank_scalar,
+)
 
 
 def _matrix(scores, direction=Direction.HIGHER_IS_BETTER, names=None):
@@ -221,6 +231,126 @@ class TestPairwiseComparison:
             pairwise_comparison(matrix, "c0", "c0")
         with pytest.raises(UnknownComparate):
             pairwise_comparison(matrix, "c0", "zzz")
+
+
+@st.composite
+def _difference_blocks(draw):
+    """Rows x n differences with ties, zeros, -0.0 and all-zero rows, whose
+    rows' nonzero counts differ."""
+    n = draw(st.integers(1, 40))
+    values = st.one_of(
+        st.integers(-4, 4).map(lambda v: v / 4.0),
+        st.sampled_from([0.0, -0.0, 0.1 + 0.2, -0.3, 0.3]),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    rows = [draw(st.lists(values, min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [0.0] * n
+    return np.array(rows, dtype=np.float64)
+
+
+def _result_bits(result) -> tuple:
+    p, method = result
+    return struct.pack("<d", p), method
+
+
+class TestSignedRankKernel:
+    @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 40, 62]))
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_scalar_oracle_bit_for_bit(self, block, threshold):
+        got = stats._signed_rank_rows(block, threshold)
+        want = [wilcoxon_signed_rank_scalar(row, threshold) for row in block]
+        assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
+
+    @given(_difference_blocks(), st.sampled_from(["auto", "exact", "approx"]))
+    @settings(max_examples=150, deadline=None)
+    def test_forced_method_matches_scalar_oracle_bit_for_bit(self, block, method):
+        for row in block:
+            assert (_result_bits(wilcoxon_signed_rank(row, method=method))
+                    == _result_bits(wilcoxon_signed_rank_scalar(row, method=method)))
+
+    def test_exact_refused_above_62_nonzero_differences(self):
+        diffs = np.arange(1.0, 64.0)
+        for kwargs in ({"method": "exact"}, {"exact_threshold": 70}):
+            for test in (wilcoxon_signed_rank, wilcoxon_signed_rank_scalar):
+                with pytest.raises(ValidationError, match="infeasible for 63 nonzero"):
+                    test(diffs, **kwargs)
+        assert (_result_bits(wilcoxon_signed_rank(diffs[:62], method="exact"))
+                == _result_bits(wilcoxon_signed_rank_scalar(diffs[:62], method="exact")))
+
+
+class TestPairStatistics:
+    @pytest.mark.parametrize("block", [48, 400, stats._BLOCK])
+    def test_matches_the_scalar_oracle_bit_for_bit(self, monkeypatch, block):
+        # Small blocks split the pairs, and the exact distributions, into
+        # many blocks, some of them short enough to be tested row by row.
+        monkeypatch.setattr(stats, "_BLOCK", block)
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            direction = list(Direction)[trial % 2]
+            n = int(rng.choice([1, 3, 8, 20, 30, 70]))
+            matrix = random_matrix(rng, n=n, tie_prob=0.6, direction=direction)
+            if trial % 4 == 0:  # duplicated rows: every difference is zero
+                scores = matrix.scores.copy()
+                scores[-1] = scores[0]
+                matrix = ResultsMatrix(matrix.comparates, matrix.tasks, scores, direction)
+            eps = float(rng.choice([0.0, 0.05]))
+            pairs = list(itertools.permutations(matrix.comparates, 2))
+            expected = [cell_bits(pairwise_comparison_scalar(matrix, r, c, eps))
+                        for r, c in pairs]
+            got = stats.pair_statistics(matrix, pairs, eps)
+            assert [cell_bits(c) for c in got] == expected
+            assert [cell_bits(pairwise_comparison(matrix, r, c, eps))
+                    for r, c in pairs] == expected
+
+    def test_short_blocks_are_tested_row_by_row(self, monkeypatch):
+        test = stats.wilcoxon_signed_rank
+        rows = []
+
+        def counting(diffs, *args, **kwargs):
+            rows.append(None)
+            return test(diffs, *args, **kwargs)
+
+        monkeypatch.setattr(stats, "wilcoxon_signed_rank", counting)
+        matrix = random_matrix(np.random.default_rng(5), m=5, n=9)
+        pairs = list(itertools.combinations(matrix.comparates, 2))
+        for count in (1, stats.MIN_BLOCK_PAIRS - 1, stats.MIN_BLOCK_PAIRS, len(pairs)):
+            rows.clear()
+            stats.pair_statistics(matrix, pairs[:count])
+            assert len(rows) == (count if count < stats.MIN_BLOCK_PAIRS else 0)
+
+    def test_overflowing_difference_names_the_pair_and_task(self):
+        matrix = _matrix([[0.0, 1e308, -1e308], [0.0, -1e308, 1e308], [0.0, 0.0, 0.0]])
+        message = r"difference of 'c0' and 'c1' overflows on task 't1'"
+        with pytest.raises(ValidationError, match=message):
+            stats.pair_statistics(matrix, [("c0", "c2"), ("c0", "c1")])
+        with pytest.raises(ValidationError, match=message):
+            pairwise_comparison(matrix, "c0", "c1")
+        with pytest.raises(ValidationError, match=message):
+            stats.all_pairs_pvalues(matrix)
+
+    def test_same_and_unknown_comparates(self):
+        matrix = _matrix([[0.5], [0.6]])
+        with pytest.raises(SameComparate):
+            stats.pair_statistics(matrix, [("c0", "c1"), ("c1", "c1")])
+        with pytest.raises(UnknownComparate):
+            stats.pair_statistics(matrix, [("c0", "zzz")])
+
+    def test_p_value_disagreeing_with_single_pair_is_internal_error(self, monkeypatch):
+        test = stats.wilcoxon_signed_rank
+
+        def perturbed(*args, **kwargs):
+            p, method = test(*args, **kwargs)
+            return math.nextafter(p, 0.0), method
+
+        monkeypatch.setattr(stats, "wilcoxon_signed_rank", perturbed)
+        matrix = random_matrix(np.random.default_rng(4), m=5, n=9)
+        with pytest.raises(InternalError, match="batched signed-rank test"):
+            stats.all_pairs_pvalues(matrix)
+        # Fewer pairs are tested one at a time, with nothing to compare.
+        few = stats.all_pairs_pvalues(matrix, matrix.comparates[:4])
+        assert len(few) == 6 < stats.MIN_BLOCK_PAIRS
 
 
 class TestFriedman:
