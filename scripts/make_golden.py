@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the golden render fixtures under tests/golden/.
+"""Regenerate the golden fixtures under tests/golden/: the rendered
+figures and the ``stability weaken`` / ``rank-swap`` JSON.
 
-The figures are byte-exact output contracts: regenerate only when a style
-or layout change is intended, and review the diff.
+They are byte-exact output contracts: regenerate only when a style,
+layout or output change is intended, and review the diff.
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,7 +18,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from mcmatrix import MCMConfig, build_mcm, render_cd_diagram, render_mcm  # noqa: E402
 
-from conftest import golden_matrix  # noqa: E402
+from conftest import STABILITY_GOLDEN_CASES, golden_matrix, stability_json  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -35,6 +37,11 @@ def main() -> None:
     (GOLDEN / "cd_wilcoxon_holm.svg").write_bytes(
         render_cd_diagram(matrix, 0.05, "wilcoxon-holm", metadata=metadata)
     )
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, fixture, experiment in STABILITY_GOLDEN_CASES:
+            (GOLDEN / f"stability_{stem}.json").write_bytes(
+                stability_json(fixture, experiment, Path(tmp))
+            )
     for path in sorted(GOLDEN.iterdir()):
         print(f"wrote {path} ({path.stat().st_size} bytes)")
 

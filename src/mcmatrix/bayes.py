@@ -146,21 +146,23 @@ def _chunk_thetas(left, right, concentration, seed, chunk_index, size):
     return np.stack([theta_l, theta_e, theta_r], axis=1)
 
 
+def _chunks(diffs, config: BayesConfig):
+    """The theta triples of ``config.mc_samples`` samples, one substream
+    chunk at a time."""
+    left, right, concentration = _prepare(diffs, config)
+    n = int(config.mc_samples)
+    for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
+        size = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
+        yield _chunk_thetas(left, right, concentration, config.seed, chunk_index, size)
+
+
 def posterior_samples(diffs, config: BayesConfig = BayesConfig()) -> np.ndarray:
     """All per-sample (theta_left, theta_rope, theta_right) triples.
 
     The rows are exactly the samples ``bayesian_signed_rank`` averages for
     the same inputs and seed; useful for convergence diagnostics.
     """
-    left, right, concentration = _prepare(diffs, config)
-    n = int(config.mc_samples)
-    blocks = []
-    for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        size = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
-        blocks.append(
-            _chunk_thetas(left, right, concentration, config.seed, chunk_index, size)
-        )
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate(list(_chunks(diffs, config)), axis=0)
 
 
 def bayesian_signed_rank(diffs, config: BayesConfig = BayesConfig()) -> BayesPosterior:
@@ -169,15 +171,10 @@ def bayesian_signed_rank(diffs, config: BayesConfig = BayesConfig()) -> BayesPos
     Deterministic given the inputs and ``config.seed``; chunk substreams
     make the result independent of evaluation order.
     """
-    left, right, concentration = _prepare(diffs, config)
-    n = int(config.mc_samples)
     sums = np.zeros(3, dtype=np.float64)
-    for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        size = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
-        thetas = _chunk_thetas(
-            left, right, concentration, config.seed, chunk_index, size
-        )
+    for thetas in _chunks(diffs, config):
         sums += thetas.sum(axis=0)
+    n = int(config.mc_samples)
     means = np.clip(sums / n, 0.0, 1.0)
     return BayesPosterior(
         theta_left=float(means[0]),

@@ -25,6 +25,7 @@ from .errors import (
     OverlappingSets,
     PairNotInBothSets,
     PoolTooSmall,
+    SameComparate,
     ValidationError,
 )
 from .stats import (
@@ -33,8 +34,8 @@ from .stats import (
     check_alpha,
     compute_ranks,
     holm_correction,
-    holm_significance,
     pair_id,
+    pair_statistics,
 )
 from .stats import wilcoxon_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 
@@ -167,9 +168,10 @@ def significance_pattern(
 ) -> SignificancePattern:
     """Corrected significance pattern of the core pairs inside one study.
 
-    The signed-rank test runs for every pair among core plus extras and the
-    step-down correction is applied to that full family; the returned
-    pattern records which core-core pairs came out non-significant.
+    The signed-rank test runs once for every pair among core plus extras
+    (a p-value depends only on its pair) and the step-down correction is
+    applied to that full family; the returned pattern records which
+    core-core pairs came out non-significant.
     """
     core = matrix.check_names(core, "core")
     extra = matrix.check_names(extra, "extra")
@@ -180,14 +182,8 @@ def significance_pattern(
     if len(family) < 2:
         raise ValidationError("need at least two comparates in core + extra")
 
-    flags = holm_significance(matrix, family, alpha, exact_threshold=exact_threshold)
-    pairs = frozenset(
-        (i, j)
-        for i in range(len(core))
-        for j in range(i + 1, len(core))
-        if not flags[pair_id(core[i], core[j])]
-    )
-    return SignificancePattern(core=core, non_significant_pairs=pairs)
+    pvalues = all_pairs_pvalues(matrix, family, exact_threshold)
+    return pattern_from_bitmask(core, _holm_mask(core, family, pvalues, alpha))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -237,24 +233,29 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
+def _pvalues(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]],
+             exact_threshold: int) -> dict[tuple[str, str], float]:
+    """Signed-rank p of each (row, column) pair, keyed by ``pair_id``."""
+    cells = pair_statistics(matrix, pairs, exact_threshold=exact_threshold)
+    return {pair_id(c.row, c.column): c.p_value for c in cells}
+
+
 def _holm_mask(
     core: tuple[str, ...],
     family: tuple[str, ...],
     pvalues: dict[tuple[str, str], float],
     alpha: float,
 ) -> int:
-    items = []
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            pid = pair_id(family[i], family[j])
-            items.append((pid, pvalues[pid]))
+    """Core pairs left non-significant by correcting the whole family over
+    cached p-values, as a bitmask: every experiment decides significance here."""
+    items = [(pid, pvalues[pid])
+             for pid in itertools.starmap(pair_id, itertools.combinations(family, 2))]
     flags = {d.pair: d.significant for d in holm_correction(items, alpha)}
     k = len(core)
     mask = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not flags[pair_id(core[i], core[j])]:
-                mask |= 1 << _pair_bit(k, i, j)
+    for i, j in itertools.combinations(range(k), 2):
+        if not flags[pair_id(core[i], core[j])]:
+            mask |= 1 << _pair_bit(k, i, j)
     return mask
 
 
@@ -449,10 +450,9 @@ class RankSwapReport:
 
 
 def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
-                   pair: tuple[str, str], alpha: float,
-                   exact_threshold: int) -> tuple[dict[str, float], str | None, bool]:
-    sub = matrix.select_comparates(members)
-    table = compute_ranks(sub)
+                   pair: tuple[str, str], pvalues: dict[tuple[str, str], float],
+                   alpha: float) -> tuple[dict[str, float], str | None, bool]:
+    table = compute_ranks(matrix.select_comparates(members))
     ars = {name: float(table.average_ranks[i]) for i, name in enumerate(members)}
     x, y = pair
     if ars[x] < ars[y]:
@@ -461,12 +461,8 @@ def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
         better = y
     else:
         better = None
-    flags = holm_significance(sub, members, alpha, exact_threshold=exact_threshold)
-    return (
-        {x: ars[x], y: ars[y]},
-        better,
-        flags[pair_id(x, y)],
-    )
+    significant = not _holm_mask(pair, members, pvalues, alpha)
+    return {x: ars[x], y: ars[y]}, better, significant
 
 
 def detect_rank_swap(
@@ -478,18 +474,26 @@ def detect_rank_swap(
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> RankSwapReport:
     """Compare the pair's average-rank order (and corrected significance)
-    between two comparate sets that both contain it."""
+    between two comparate sets that both contain it.
+
+    A p-value depends only on its pair, so each distinct pair of the two
+    Holm families is tested once; only the corrections differ.
+    """
+    alpha = check_alpha(alpha)
     x, y = pair
-    a = matrix.check_names(set_a, "set_a")
-    b = matrix.check_names(set_b, "set_b")
+    if x == y:
+        raise SameComparate(f"the pair names {x!r} twice")
+    a = matrix.in_matrix_order(matrix.check_names(set_a, "set_a"))
+    b = matrix.in_matrix_order(matrix.check_names(set_b, "set_b"))
     for name in (x, y):
         if name not in a or name not in b:
             raise PairNotInBothSets(f"comparate {name!r} missing from a set")
 
-    a = matrix.in_matrix_order(a)
-    b = matrix.in_matrix_order(b)
-    ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), alpha, exact_threshold)
-    ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), alpha, exact_threshold)
+    # Both sets are in matrix order, so a shared pair is the same tuple in both.
+    families = dict.fromkeys(pq for s in (a, b) for pq in itertools.combinations(s, 2))
+    pvalues = _pvalues(matrix, list(families), exact_threshold)
+    ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), pvalues, alpha)
+    ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), pvalues, alpha)
     return RankSwapReport(
         pair=(x, y),
         average_ranks_a=ars_a,
@@ -566,23 +570,21 @@ def weakened_variant_attack(
 
     For each weight the augmented study is the context plus the variant;
     patterns are recorded over the context pairs so outcomes are directly
-    comparable with the unaugmented baseline.
+    comparable with the unaugmented baseline.  A p-value depends only on its
+    pair, so the context pairs are tested once and each weight tests only its
+    variant against the context, replacing an earlier same-named variant's.
     """
+    alpha = check_alpha(alpha)
     context = matrix.check_names(context, "context")
     if target not in context:
         raise ValidationError(f"target {target!r} must be part of the context")
     matrix.index_of(reference)
     ordered = matrix.in_matrix_order(context)
 
-    base_sub = matrix.select_comparates(ordered)
-    base_ranks = compute_ranks(base_sub)
+    base_ranks = compute_ranks(matrix.select_comparates(ordered))
     base_ar = float(base_ranks.average_ranks[ordered.index(target)])
-    base_pattern = significance_pattern(
-        matrix, ordered, (), alpha, exact_threshold=exact_threshold
-    )
-    base_flags = {
-        pair: True for pair in base_pattern.pair_names()
-    }  # pairs currently non-significant
+    pvalues = all_pairs_pvalues(matrix, ordered, exact_threshold)
+    base_mask = _holm_mask(ordered, ordered, pvalues, alpha)
 
     outcomes = []
     for w in weights:
@@ -590,25 +592,21 @@ def weakened_variant_attack(
         variant = _fresh_variant_name(matrix, target, w)
         augmented = weaken_comparate(matrix, target, reference, w, variant)
         members = augmented.in_matrix_order(context + (variant,))
-        sub = augmented.select_comparates(members)
-        table = compute_ranks(sub)
+        table = compute_ranks(augmented.select_comparates(members))
         target_ar = float(table.average_ranks[members.index(target)])
         variant_ar = float(table.average_ranks[members.index(variant)])
-        pattern = significance_pattern(
-            augmented, ordered, (variant,), alpha, exact_threshold=exact_threshold
-        )
-        now_flags = {pair: True for pair in pattern.pair_names()}
-        flipped = tuple(
-            sorted(set(base_flags) ^ set(now_flags))
-        )
+        pvalues.update(_pvalues(augmented, [(c, variant) for c in ordered],
+                                exact_threshold))
+        mask = _holm_mask(ordered, ordered + (variant,), pvalues, alpha)
+        flipped = pattern_from_bitmask(ordered, base_mask ^ mask).pair_names()
         outcomes.append(
             WeightOutcome(
                 weight=w,
                 variant_name=variant,
                 target_average_rank=target_ar,
                 variant_average_rank=variant_ar,
-                pattern=pattern,
-                flipped_pairs=flipped,
+                pattern=pattern_from_bitmask(ordered, mask),
+                flipped_pairs=tuple(sorted(flipped)),
             )
         )
 
@@ -616,9 +614,9 @@ def weakened_variant_attack(
         target=target,
         reference=reference,
         context=ordered,
-        alpha=float(alpha),
+        alpha=alpha,
         baseline_target_average_rank=base_ar,
-        baseline_pattern=base_pattern,
+        baseline_pattern=pattern_from_bitmask(ordered, base_mask),
         outcomes=tuple(outcomes),
     )
 

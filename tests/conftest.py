@@ -6,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mcmatrix.mcm
+import mcmatrix.stability
+import mcmatrix.stats
 from mcmatrix import Direction, ResultsMatrix
+from mcmatrix.cli import main
 from mcmatrix.stats import holm_correction
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +80,38 @@ def golden_matrix() -> ResultsMatrix:
     )
 
 
+#: (golden file stem, fixture, stability experiment and its arguments).
+STABILITY_GOLDEN_CASES = (
+    ("weaken_weakened_variant", "weakened_variant",
+     ("weaken", "--target", "c0", "--reference", "c2",
+      "--weights", "0.25,0.5,1", "--context", "c0,c1")),
+    ("rank_swap_weakened_variant", "weakened_variant",
+     ("rank-swap", "--pair", "c0,c1", "--set-a", "c0,c1", "--set-b", "c0,c1,c2")),
+    ("weaken_rank_swap", "rank_swap",
+     ("weaken", "--target", "c0", "--reference", "c3",
+      "--weights", "0.3,0.7", "--context", "c0,c1,c2")),
+    ("rank_swap_rank_swap", "rank_swap",
+     ("rank-swap", "--pair", "c0,c1", "--set-a", "c0,c1,c2", "--set-b", "c0,c1,c3")),
+    ("weaken_holm_flip", "holm_flip",
+     ("weaken", "--target", "c0", "--reference", "c3",
+      "--weights", "0,0.5,0.9,1", "--context", "c0,c1,c2")),
+    ("rank_swap_holm_flip", "holm_flip",
+     ("rank-swap", "--pair", "c0,c1", "--set-a", "c0,c1", "--set-b", "c0,c1,c2,c3")),
+)
+
+
+def stability_json(fixture_name: str, experiment: tuple, directory: Path) -> bytes:
+    """``mcmatrix stability <experiment>`` JSON bytes on a fixture's matrix."""
+    spec = load_fixture(fixture_name)["matrix"]
+    source, output = directory / f"{fixture_name}.json", directory / "out.json"
+    source.write_text(json.dumps(spec))
+    argv = ["stability", *experiment, "--input", str(source),
+            "--direction", spec["direction"], "--output", str(output)]
+    if main(argv) != 0:
+        raise AssertionError(f"stability run failed: {argv!r}")
+    return output.read_bytes()
+
+
 @pytest.fixture
 def demo_matrix() -> ResultsMatrix:
     scores = np.array(
@@ -92,6 +128,23 @@ def demo_matrix() -> ResultsMatrix:
         scores,
         Direction.HIGHER_IS_BETTER,
     )
+
+
+@pytest.fixture
+def tested_pairs(monkeypatch) -> list:
+    """The unordered pairs handed to ``pair_statistics``, one entry per pair,
+    in every module that looks it up."""
+    calls = []
+    batch = mcmatrix.stats.pair_statistics
+
+    def counting(matrix, pairs, *args, **kwargs):
+        pairs = list(pairs)
+        calls.extend(frozenset(pair) for pair in pairs)
+        return batch(matrix, pairs, *args, **kwargs)
+
+    for module in (mcmatrix.stats, mcmatrix.mcm, mcmatrix.stability):
+        monkeypatch.setattr(module, "pair_statistics", counting)
+    return calls
 
 
 def inverted_holm(pairs, alpha):

@@ -12,7 +12,7 @@ import pytest
 import mcmatrix
 from mcmatrix.cli import main
 
-from conftest import inverted_holm
+from conftest import GOLDEN, STABILITY_GOLDEN_CASES, inverted_holm, stability_json
 
 CSV = (
     "comparate,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10\n"
@@ -117,6 +117,32 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "k_extra=35 over a pool of 70" in err and "2**63" in err
         assert "Traceback" not in err
+
+    def test_rank_swap_pair_of_one_comparate_is_data_error(self, results_csv, capsys):
+        code, out, err = run(
+            ["stability", "rank-swap", "--input", str(results_csv), "--direction",
+             "higher", "--pair", "Alpha,Alpha", "--set-a", "Alpha,Bravo",
+             "--set-b", "Alpha,Charlie"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "'Alpha' twice" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", [
+        ("weaken", "--target", "Alpha", "--reference", "Delta", "--weights", "0.5",
+         "--context", "Alpha,Bravo,Charlie"),
+        ("rank-swap", "--pair", "Alpha,Bravo", "--set-a", "Alpha,Bravo,Charlie",
+         "--set-b", "Alpha,Bravo,Delta"),
+    ])
+    def test_stability_alpha_refused_before_any_test(self, results_csv, capsys,
+                                                     tested_pairs, experiment):
+        code, out, err = run(
+            ["stability", *experiment, "--input", str(results_csv),
+             "--direction", "higher", "--alpha", "0"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "alpha must lie in (0, 1)" in err
+        assert tested_pairs == []
 
     def test_enumerate_step_down_mismatch_is_internal_error(self, results_csv, capsys,
                                                             monkeypatch):
@@ -381,6 +407,38 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert len(doc["outcomes"]) == 2
         assert doc["outcomes"][0]["weight"] == 0.5
+
+    def test_weaken_weights_sharing_a_variant_name(self, tmp_path, capsys):
+        # Both weights name their variant "T~0.123456", but the blends differ:
+        # R's blend at the first weight ties C on t1, at the second it does not.
+        table = tmp_path / "blend.csv"
+        table.write_text(
+            "comparate,t1,t2,t3,t4,t5,t6\n"
+            "T,0.7,0.4,0.6,0.8,1.0,0.0\n"
+            "C,0.34938244,0.1,0.2,0.4,0.1,0.2\n"
+            "D,0.9,0.5,0.8,0.8,0.8,0.8\n"
+            "R,0.3,0.1,0.5,0.4,0.3,0.3\n"
+        )
+
+        def outcomes(weights):
+            code, out, _ = run(
+                ["stability", "weaken", "--input", str(table), "--direction", "higher",
+                 "--target", "T", "--reference", "R", "--weights", weights,
+                 "--context", "T,C,D", "--alpha", "0.2"],
+                capsys,
+            )
+            assert code == 0
+            return json.loads(out)["outcomes"]
+
+        both = outcomes("0.1234561,0.1234562")
+        assert [o["variant"] for o in both] == ["T~0.123456"] * 2
+        assert both[0]["pattern_bitmask"] != both[1]["pattern_bitmask"]
+        assert both == outcomes("0.1234561") + outcomes("0.1234562")
+
+    @pytest.mark.parametrize("stem, fixture, experiment", STABILITY_GOLDEN_CASES)
+    def test_stability_json_matches_golden(self, tmp_path, stem, fixture, experiment):
+        golden = (GOLDEN / f"stability_{stem}.json").read_bytes()
+        assert stability_json(fixture, experiment, tmp_path) == golden
 
     def test_selftest(self, capsys):
         code, out, _ = run(["selftest"], capsys)

@@ -20,9 +20,11 @@ from mcmatrix import (
 from mcmatrix.errors import (
     EnumerationTooLarge,
     InternalError,
+    InvalidAlpha,
     OverlappingSets,
     PairNotInBothSets,
     PoolTooSmall,
+    SameComparate,
     ValidationError,
 )
 from mcmatrix.stability import (
@@ -37,7 +39,9 @@ from mcmatrix.stability import (
 from mcmatrix.stats import (
     all_pairs_pvalues,
     compute_ranks,
+    holm_significance,
     oriented_differences,
+    pair_id,
     wilcoxon_signed_rank,
 )
 
@@ -401,6 +405,13 @@ class TestDetectRankSwap:
                 ("Alpha", "Charlie"), ("Alpha", "Bravo"),
             )
 
+    def test_pair_of_one_comparate_refused_before_any_test(self, demo_matrix,
+                                                          tested_pairs):
+        with pytest.raises(SameComparate):
+            detect_rank_swap(demo_matrix, ("Alpha", "Alpha"),
+                             demo_matrix.comparates, demo_matrix.comparates)
+        assert tested_pairs == []
+
 
 class TestWeakenedVariantAttack:
     def test_clone_changes_ar_only_by_tie_splitting(self, demo_matrix):
@@ -481,3 +492,83 @@ class TestMcmImmunityAcrossManipulations:
         # Comparate removal.
         removed = matrix.select_comparates([c for c in matrix.comparates if c != matrix.comparates[2]])
         assert build_mcm(removed).cells[(a, b)] == baseline
+
+
+def holm_significance_pattern(matrix, core, family, alpha):
+    """Core pattern from ``holm_significance`` on the family's own
+    sub-matrix, which tests every pair of the study afresh."""
+    members = matrix.in_matrix_order(family)
+    flags = holm_significance(matrix.select_comparates(members), members, alpha)
+    return frozenset((i, j) for i, j in combinations(range(len(core)), 2)
+                     if not flags[pair_id(core[i], core[j])])
+
+
+class TestOnePValueTablePerExperiment:
+    def test_weaken_tests_context_pairs_once(self, tested_pairs):
+        matrix = random_matrix(np.random.default_rng(3), m=6, n=10)
+        context = matrix.comparates[:5]
+        weights = [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0]
+        weakened_variant_attack(matrix, "c0", "c5", weights, context, 0.05)
+        assert len(tested_pairs) == 10 + 8 * 5  # each study from scratch: 130
+        assert set(tested_pairs[:10]) == {frozenset(p) for p in combinations(context, 2)}
+
+    def test_rank_swap_tests_each_family_pair_once(self, tested_pairs):
+        matrix = random_matrix(np.random.default_rng(4), m=8, n=10)
+        set_a = ("c0", "c1", "c2", "c3", "c4")
+        set_b = ("c0", "c1", "c5", "c6", "c7")
+        detect_rank_swap(matrix, ("c0", "c1"), set_a, set_b)
+        families = {frozenset(p) for s in (set_a, set_b) for p in combinations(s, 2)}
+        assert len(tested_pairs) == len(families) == 19
+        assert set(tested_pairs) == families
+
+    def test_significance_pattern_tests_the_family_once(self, tested_pairs):
+        matrix = random_matrix(np.random.default_rng(5), m=6, n=10)
+        significance_pattern(matrix, ["c0", "c1", "c2"], ["c4", "c5"], 0.05)
+        assert len(tested_pairs) == len(set(tested_pairs)) == math.comb(5, 2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_invalid_alpha_refused_before_any_test(self, demo_matrix, tested_pairs,
+                                                   alpha):
+        names = demo_matrix.comparates
+        with pytest.raises(InvalidAlpha):
+            weakened_variant_attack(demo_matrix, "Alpha", "Delta", [0.5], names, alpha)
+        with pytest.raises(InvalidAlpha):
+            detect_rank_swap(demo_matrix, ("Alpha", "Bravo"), names, names, alpha)
+        assert tested_pairs == []
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_matches_holm_significance_on_tied_matrices(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        for _ in range(12):
+            m, n = int(rng.integers(4, 8)), int(rng.integers(4, 12))
+            matrix = tied_matrix(rng, m, n)
+            names = matrix.comparates
+            context = tuple(rng.choice(names[:-1], size=int(rng.integers(2, m)),
+                                       replace=False))
+            target, reference = context[0], names[-1]
+            weights = np.round(rng.uniform(0.0, 1.0, size=3), 1).tolist() + [0.1234561]
+            report = weakened_variant_attack(matrix, target, reference, weights,
+                                             context, alpha)
+            core = report.context
+            base = holm_significance_pattern(matrix, core, core, alpha)
+            assert report.baseline_pattern.non_significant_pairs == base
+            for w, outcome in zip(weights, report.outcomes):
+                augmented = weaken_comparate(matrix, target, reference, w,
+                                             outcome.variant_name)
+                now = holm_significance_pattern(augmented, core,
+                                           core + (outcome.variant_name,), alpha)
+                assert outcome.pattern.non_significant_pairs == now
+                flipped = sorted((core[i], core[j]) for i, j in base ^ now)
+                assert outcome.flipped_pairs == tuple(flipped)
+
+            pair = tuple(rng.choice(names, size=2, replace=False))
+            rest = [c for c in names if c not in pair]
+            sets = [pair + tuple(rng.choice(rest, size=int(rng.integers(0, m - 1)),
+                                            replace=False)) for _ in range(2)]
+            swap = detect_rank_swap(matrix, pair, sets[0], sets[1], alpha)
+            for members, significant in zip(sets, (swap.significant_a,
+                                                   swap.significant_b)):
+                members = matrix.in_matrix_order(members)
+                flags = holm_significance(matrix.select_comparates(members), members,
+                                          alpha)
+                assert significant == flags[pair_id(*pair)]
