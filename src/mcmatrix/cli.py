@@ -257,10 +257,10 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         row_comparates=tuple(args.rows) if args.rows else None,
         column_comparates=tuple(args.cols) if args.cols else None,
-        include_bayes=args.include_bayes,
         tie_epsilon=args.tie_epsilon,
     )
-    report = build_mcm(matrix, config, bayes_config=_bayes_config(args))
+    report = build_mcm(matrix, config,
+                       _bayes_config(args) if args.include_bayes else None)
     meta = _metadata(args, payload, workers=1)
     if args.format == "json":
         out = dict(metadata=meta, **mcm_report_to_dict(report))

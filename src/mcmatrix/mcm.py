@@ -35,12 +35,11 @@ __all__ = ["MCMConfig", "MCMReport", "build_mcm", "compare_pairs",
 @dataclass(frozen=True)
 class MCMConfig:
     """Report shape: significance level, optional focused row/column lists,
-    tie tolerance, and whether to attach Bayesian posteriors per cell."""
+    and tie tolerance."""
 
     alpha: float = 0.05
     row_comparates: tuple[str, ...] | None = None
     column_comparates: tuple[str, ...] | None = None
-    include_bayes: bool = False
     tie_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -69,7 +68,6 @@ class MCMReport:
     alpha: float
     direction: Direction
     n_tasks: int
-    ordering_statistic: str = "mean_performance"
     tie_epsilon: float = 0.0
     bayes: dict[tuple[str, str], BayesPosterior] | None = None
 
@@ -143,10 +141,9 @@ def build_mcm(
 ) -> MCMReport:
     """Build the comparison grid for a matrix under the given configuration.
 
-    When ``config.include_bayes`` is set, each cell also gets a Bayesian
-    signed-rank posterior computed with ``bayes_config`` (defaults apply
-    when omitted).  Each unordered pair is evaluated once (see
-    ``compare_pairs``).
+    When a ``bayes_config`` is given, each cell also gets a Bayesian
+    signed-rank posterior computed with it.  Each unordered pair is
+    evaluated once (see ``compare_pairs``).
     """
     alpha = check_alpha(config.alpha)
     rows = matrix.check_names(config.row_comparates or matrix.comparates,
@@ -165,10 +162,7 @@ def build_mcm(
         count = len(rows) * len(cols) - len(set(rows) & set(cols))
 
     pairs = [(r, c) for r in row_order for c in column_order if r != c]
-    bcfg = None
-    if config.include_bayes:
-        bcfg = bayes_config if bayes_config is not None else BayesConfig()
-    cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bcfg)
+    cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bayes_config)
     significance = {p: cells[p].p_value < alpha for p in pairs}
 
     return MCMReport(
@@ -201,7 +195,6 @@ def mcm_cell_invariance_check(
     matrix: ResultsMatrix,
     pair: tuple[str, str],
     subsets: Sequence[Sequence[str]],
-    alpha: float = 0.05,
     tie_epsilon: float = 0.0,
 ) -> bool:
     """True iff the pair's cell is bit-identical across every subset report.
@@ -218,7 +211,7 @@ def mcm_cell_invariance_check(
         ordered = matrix.in_matrix_order(subset_set)
         report = build_mcm(
             matrix.select_comparates(ordered),
-            MCMConfig(alpha=alpha, tie_epsilon=tie_epsilon),
+            MCMConfig(tie_epsilon=tie_epsilon),
         )
         key = _cell_key(report.cells[(a, b)])
         if reference is None:
@@ -249,7 +242,7 @@ def mcm_report_to_dict(report: MCMReport) -> dict:
         "column_order": list(report.column_order),
         "mean_performance": {c: report.mean_performance[c] for c in ordering},
         "alpha": report.alpha,
-        "ordering_statistic": report.ordering_statistic,
+        "ordering_statistic": "mean_performance",
         "tie_epsilon": report.tie_epsilon,
         "direction": report.direction.value,
         "n_tasks": report.n_tasks,

@@ -145,7 +145,7 @@ def render_cd_diagram(
     labels_top = bars_top + n_bar_rows * style.cd_bar_spacing + 10.0
     height = labels_top + max(right_count, left_count) * style.cd_row_height + pad
     width = axis_left + style.cd_axis_width + 40.0 + pad
-    doc = SvgDoc(width, height)
+    doc = SvgDoc(width, height, style.font_family)
     doc.rect(0, 0, width, height, fill="#ffffff")
 
     title = (
@@ -156,8 +156,7 @@ def render_cd_diagram(
             else "Wilcoxon signed-rank with Holm correction"
         )
     )
-    doc.text(axis_left + style.cd_axis_width / 2.0, pad + fs, title, fs,
-             family=style.font_family)
+    doc.text(axis_left + style.cd_axis_width / 2.0, pad + fs, title, fs)
 
     # CD ruler above the axis.
     if layout.critical_difference is not None:
@@ -175,7 +174,7 @@ def render_cd_diagram(
     for rank in range(1, m + 1):
         x = _axis_position(float(rank), m, axis_left, style.cd_axis_width)
         doc.line(x, axis_y - 4, x, axis_y + 4)
-        doc.text(x, axis_y - 8, str(rank), fs * 0.9, family=style.font_family)
+        doc.text(x, axis_y - 8, str(rank), fs * 0.9)
     doc.group_end()
 
     # Joining bars.
@@ -205,7 +204,6 @@ def render_cd_diagram(
             f"{name} ({fnum(layout.average_ranks[idx], 4)})",
             fs,
             anchor=anchor,
-            family=style.font_family,
         )
     doc.group_end()
 

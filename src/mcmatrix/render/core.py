@@ -21,11 +21,15 @@ def fnum(x: float, places: int = 2) -> str:
 
 
 class SvgDoc:
-    """Accumulates SVG elements; ``tobytes`` emits the full document."""
+    """Accumulates SVG elements; ``tobytes`` emits the full document.
 
-    def __init__(self, width: float, height: float):
+    Every text element uses the document's font ``family``.
+    """
+
+    def __init__(self, width: float, height: float, family: str):
         self.width = width
         self.height = height
+        self._family = quoteattr(family)
         self._parts: list[str] = []
 
     def raw(self, fragment: str) -> None:
@@ -51,10 +55,10 @@ class SvgDoc:
         )
 
     def text(self, x, y, content: str, size: float, anchor: str = "middle",
-             bold: bool = False, family: str = "Helvetica, Arial, sans-serif") -> None:
+             bold: bool = False) -> None:
         weight = ' font-weight="bold"' if bold else ""
         self._parts.append(
-            f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={quoteattr(family)} '
+            f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={self._family} '
             f'font-size="{fnum(size, 1)}" text-anchor="{anchor}"{weight}>'
             f"{escape(content)}</text>"
         )

@@ -53,7 +53,7 @@ def render_mcm(
 
     width = style.padding * 2 + style.label_width + style.cell_width * len(cols)
     height = style.padding * 2 + style.header_height + style.cell_height * len(rows)
-    doc = SvgDoc(width, height)
+    doc = SvgDoc(width, height, style.font_family)
     doc.rect(0, 0, width, height, fill="#ffffff")
 
     x0 = style.padding + style.label_width
@@ -63,13 +63,12 @@ def render_mcm(
     doc.group_start("column-labels")
     for j, name in enumerate(cols):
         cx = x0 + (j + 0.5) * style.cell_width
-        doc.text(cx, style.padding + fs, name, fs, family=style.font_family)
+        doc.text(cx, style.padding + fs, name, fs)
         doc.text(
             cx,
             style.padding + 2.4 * fs,
             f"({fnum(report.mean_performance[name], places)})",
             fs * 0.9,
-            family=style.font_family,
         )
     doc.group_end()
 
@@ -77,14 +76,13 @@ def render_mcm(
     for i, name in enumerate(rows):
         cy = y0 + (i + 0.5) * style.cell_height
         rx = style.padding + style.label_width - 8.0
-        doc.text(rx, cy - 0.25 * fs, name, fs, anchor="end", family=style.font_family)
+        doc.text(rx, cy - 0.25 * fs, name, fs, anchor="end")
         doc.text(
             rx,
             cy + 1.05 * fs,
             f"({fnum(report.mean_performance[name], places)})",
             fs * 0.9,
             anchor="end",
-            family=style.font_family,
         )
     doc.group_end()
 
@@ -105,7 +103,7 @@ def render_mcm(
             cx = x + style.cell_width / 2.0
             for k, line in enumerate(_cell_lines(cell, places)):
                 cy = y + style.cell_height / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs
-                doc.text(cx, cy, line, fs, bold=bold, family=style.font_family)
+                doc.text(cx, cy, line, fs, bold=bold)
     doc.group_end()
 
     svg = doc.tobytes(metadata)

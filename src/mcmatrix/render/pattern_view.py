@@ -22,7 +22,7 @@ def render_pattern_graph(pattern, style: RenderStyle = RenderStyle(),
     radius = 70.0
     pad = style.padding + 50.0
     size = 2 * (radius + pad)
-    doc = SvgDoc(size, size)
+    doc = SvgDoc(size, size, style.font_family)
     doc.rect(0, 0, size, size, fill="#ffffff")
     cx = cy = size / 2.0
 
@@ -43,8 +43,7 @@ def render_pattern_graph(pattern, style: RenderStyle = RenderStyle(),
         # Push the label outward from the circle center.
         lx = cx + (x - cx) * 1.35
         ly = cy + (y - cy) * 1.35
-        doc.text(lx, ly + 0.35 * style.font_size, name, style.font_size,
-                 family=style.font_family)
+        doc.text(lx, ly + 0.35 * style.font_size, name, style.font_size)
     doc.group_end()
 
     meta = dict(metadata) if metadata else {}

@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .stats import (
-    DEFAULT_EXACT_THRESHOLD,
     all_pairs_pvalues,
     check_alpha,
     compute_ranks,
@@ -164,7 +163,6 @@ def significance_pattern(
     core: Sequence[str],
     extra: Sequence[str],
     alpha: float,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> SignificancePattern:
     """Corrected significance pattern of the core pairs inside one study.
 
@@ -173,6 +171,7 @@ def significance_pattern(
     applied to that full family; the returned pattern records which
     core-core pairs came out non-significant.
     """
+    alpha = check_alpha(alpha)
     core = matrix.check_names(core, "core")
     extra = matrix.check_names(extra, "extra")
     overlap = set(core) & set(extra)
@@ -182,7 +181,7 @@ def significance_pattern(
     if len(family) < 2:
         raise ValidationError("need at least two comparates in core + extra")
 
-    pvalues = all_pairs_pvalues(matrix, family, exact_threshold)
+    pvalues = all_pairs_pvalues(matrix, family)
     return pattern_from_bitmask(core, _holm_mask(core, family, pvalues, alpha))
 
 
@@ -233,10 +232,10 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-def _pvalues(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]],
-             exact_threshold: int) -> dict[tuple[str, str], float]:
+def _pvalues(matrix: ResultsMatrix,
+             pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], float]:
     """Signed-rank p of each (row, column) pair, keyed by ``pair_id``."""
-    cells = pair_statistics(matrix, pairs, exact_threshold=exact_threshold)
+    cells = pair_statistics(matrix, pairs)
     return {pair_id(c.row, c.column): c.p_value for c in cells}
 
 
@@ -319,7 +318,6 @@ def enumerate_patterns(
     mode: Exhaustive | Sampled = Exhaustive(),
     example_limit: int = 5,
     example_seed: int = 0,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> PatternEnumeration:
     """Pattern counts over every (or a sampled set of) k-extra subsets.
@@ -384,7 +382,7 @@ def enumerate_patterns(
         raise ValidationError(f"unknown enumeration mode {mode!r}")
 
     # One p-value per pair over core + pool covers every family.
-    pvalues = all_pairs_pvalues(matrix, core + pool, exact_threshold)
+    pvalues = all_pairs_pvalues(matrix, core + pool)
     masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
     counts: dict[int, int] = {}
     examples: dict[int, list[tuple[str, ...]]] = {}
@@ -471,7 +469,6 @@ def detect_rank_swap(
     set_a: Sequence[str],
     set_b: Sequence[str],
     alpha: float = 0.05,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> RankSwapReport:
     """Compare the pair's average-rank order (and corrected significance)
     between two comparate sets that both contain it.
@@ -491,7 +488,7 @@ def detect_rank_swap(
 
     # Both sets are in matrix order, so a shared pair is the same tuple in both.
     families = dict.fromkeys(pq for s in (a, b) for pq in itertools.combinations(s, 2))
-    pvalues = _pvalues(matrix, list(families), exact_threshold)
+    pvalues = _pvalues(matrix, list(families))
     ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), pvalues, alpha)
     ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), pvalues, alpha)
     return RankSwapReport(
@@ -563,7 +560,6 @@ def weakened_variant_attack(
     weights: Sequence[float],
     context: Sequence[str],
     alpha: float = 0.05,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> WeakenedVariantReport:
     """Add one blended variant of the target per weight and report how the
     target's average rank and the context's corrected significances move.
@@ -575,6 +571,8 @@ def weakened_variant_attack(
     variant against the context, replacing an earlier same-named variant's.
     """
     alpha = check_alpha(alpha)
+    if target == reference:
+        raise SameComparate("target and reference must differ")
     context = matrix.check_names(context, "context")
     if target not in context:
         raise ValidationError(f"target {target!r} must be part of the context")
@@ -583,7 +581,7 @@ def weakened_variant_attack(
 
     base_ranks = compute_ranks(matrix.select_comparates(ordered))
     base_ar = float(base_ranks.average_ranks[ordered.index(target)])
-    pvalues = all_pairs_pvalues(matrix, ordered, exact_threshold)
+    pvalues = all_pairs_pvalues(matrix, ordered)
     base_mask = _holm_mask(ordered, ordered, pvalues, alpha)
 
     outcomes = []
@@ -595,8 +593,7 @@ def weakened_variant_attack(
         table = compute_ranks(augmented.select_comparates(members))
         target_ar = float(table.average_ranks[members.index(target)])
         variant_ar = float(table.average_ranks[members.index(variant)])
-        pvalues.update(_pvalues(augmented, [(c, variant) for c in ordered],
-                                exact_threshold))
+        pvalues.update(_pvalues(augmented, [(c, variant) for c in ordered]))
         mask = _holm_mask(ordered, ordered + (variant,), pvalues, alpha)
         flipped = pattern_from_bitmask(ordered, base_mask ^ mask).pair_names()
         outcomes.append(

@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 #: Largest number of nonzero differences for which the exact signed-rank
-#: distribution is computed by default; above this the normal
-#: approximation with tie and continuity corrections is used.
+#: distribution is computed; above this the normal approximation with tie
+#: and continuity corrections is used.
 DEFAULT_EXACT_THRESHOLD = 25
 
 #: Most nonzero differences whose 2^k sign assignments int64 can count.
@@ -303,18 +303,17 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> list[f
 
 def wilcoxon_signed_rank(
     diffs: Sequence[float],
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     method: str = "auto",
 ) -> tuple[float, PMethod]:
     """Two-sided signed-rank p-value for paired differences.
 
     Zero differences are discarded before ranking; tied absolute
-    differences receive averaged ranks.  With at most ``exact_threshold``
-    nonzero differences the p-value comes from the exact distribution over
-    all sign assignments; beyond that a normal approximation with tie and
-    continuity corrections is used.  ``method`` may force ``"exact"`` or
-    ``"approx"``.  The exact distribution is refused above 62 nonzero
-    differences.
+    differences receive averaged ranks.  With at most
+    ``DEFAULT_EXACT_THRESHOLD`` nonzero differences the p-value comes from
+    the exact distribution over all sign assignments; beyond that a normal
+    approximation with tie and continuity corrections is used.  ``method``
+    may force ``"exact"`` or ``"approx"``.  The exact distribution is
+    refused above 62 nonzero differences.
 
     Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
     This is one row of the block kernel ``pair_statistics`` uses.
@@ -324,11 +323,10 @@ def wilcoxon_signed_rank(
         raise EmptyInput("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    if method not in ("auto", "exact", "approx"):
+    thresholds = {"auto": DEFAULT_EXACT_THRESHOLD, "exact": d.size, "approx": 0}
+    if method not in thresholds:
         raise ValidationError(f"unknown method {method!r}")
-    if method != "auto":
-        exact_threshold = d.size if method == "exact" else 0
-    return _signed_rank_rows(d, exact_threshold)[0]
+    return _signed_rank_rows(d, thresholds[method])[0]
 
 
 def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -379,7 +377,6 @@ def pairwise_comparison(
     row: str,
     column: str,
     tie_epsilon: float = 0.0,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> PairwiseComparison:
     """Mean difference, win/tie/loss counts, and Wilcoxon p for one pair.
 
@@ -388,14 +385,13 @@ def pairwise_comparison(
     the raw oriented differences and depends only on the two comparates'
     score vectors.  This is ``pair_statistics`` of the one pair.
     """
-    return pair_statistics(matrix, [(row, column)], tie_epsilon, exact_threshold)[0]
+    return pair_statistics(matrix, [(row, column)], tie_epsilon)[0]
 
 
 def pair_statistics(
     matrix: ResultsMatrix,
     pairs: Sequence[tuple[str, str]],
     tie_epsilon: float = 0.0,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> list[PairwiseComparison]:
     """``pairwise_comparison`` of every ordered (row, column) pair, in order.
 
@@ -420,9 +416,9 @@ def pair_statistics(
         # pair gives.
         means = (d.mean(axis=1) + 0.0).tolist()
         if len(block) < MIN_BLOCK_PAIRS:
-            tests = [wilcoxon_signed_rank(x, exact_threshold) for x in d]
+            tests = [wilcoxon_signed_rank(x) for x in d]
         else:
-            tests = _signed_rank_rows(d, exact_threshold)
+            tests = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
         out.extend(
             PairwiseComparison(row, column, mean, w, n - w - l, l, p, p_method)
             for (row, column), mean, w, l, (p, p_method)
@@ -571,7 +567,6 @@ def pair_id(a: str, b: str) -> tuple[str, str]:
 def all_pairs_pvalues(
     matrix: ResultsMatrix,
     names: Sequence[str] | None = None,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> dict[tuple[str, str], float]:
     """Two-sided Wilcoxon p for every unordered pair among ``names``.
 
@@ -584,11 +579,10 @@ def all_pairs_pvalues(
     members = tuple(names) if names is not None else matrix.comparates
     pairs = [(members[i], members[j])
              for i in range(len(members)) for j in range(i + 1, len(members))]
-    cells = pair_statistics(matrix, pairs, exact_threshold=exact_threshold)
+    cells = pair_statistics(matrix, pairs)
     if len(pairs) >= MIN_BLOCK_PAIRS:
         a, b = pairs[0]
-        alone = wilcoxon_signed_rank(oriented_differences(matrix, a, b),
-                                     exact_threshold=exact_threshold)
+        alone = wilcoxon_signed_rank(oriented_differences(matrix, a, b))
         if alone != (cells[0].p_value, cells[0].p_method):
             raise InternalError(
                 f"batched signed-rank test gave {(cells[0].p_value, cells[0].p_method)!r} "
@@ -601,11 +595,11 @@ def holm_significance(
     matrix: ResultsMatrix,
     names: Sequence[str],
     alpha: float,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> dict[tuple[str, str], bool]:
     """Holm-corrected significance of every pair among ``names``."""
+    alpha = check_alpha(alpha)
     members = list(names)
     if len(members) < 2:
         raise TooFewComparates("need at least two comparates for pairwise tests")
-    pvalues = all_pairs_pvalues(matrix, members, exact_threshold)
+    pvalues = all_pairs_pvalues(matrix, members)
     return {d.pair: d.significant for d in holm_correction(pvalues.items(), alpha)}

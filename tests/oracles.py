@@ -5,7 +5,9 @@ the signed-rank null distribution via explicit enumeration of sign
 assignments (not subset-sum counting), and the groupwise rank statistic
 via the textbook tie-free formula, and the reservoir draw of pattern
 enumeration with Python integers masked to 64 bits (the package uses
-wrapping numpy uint64 arrays).
+wrapping numpy uint64 arrays), and the Bayesian posterior means in closed
+form from the Dirichlet moments (the package estimates them by Monte
+Carlo).
 
 ``wilcoxon_signed_rank_scalar`` and ``pairwise_comparison_scalar`` are
 the one-pair signed-rank test and cell the package computed before its
@@ -53,6 +55,33 @@ def friedman_tie_free(ranks: np.ndarray) -> float:
     return float(
         12.0 / (n * m * (m + 1)) * (rank_sums**2).sum() - 3.0 * n * (m + 1)
     )
+
+
+def bayes_posterior_means(diffs, rope: float,
+                          prior_strength: float) -> tuple[float, float, float]:
+    """Exact posterior means (theta_left, theta_rope, theta_right) of the
+    Bayesian signed-rank test.
+
+    With z = (0, diffs) and w ~ Dirichlet(alpha), alpha = (s, 1, ..., 1)
+    and alpha_0 = s + q, the moments E[w_i w_j] = (alpha_i alpha_j +
+    [i = j] alpha_i) / (alpha_0 (alpha_0 + 1)) give
+    E[theta_left] = (alpha' L alpha + sum_i alpha_i L_ii) / (alpha_0 (alpha_0 + 1)),
+    L the indicator of z_i + z_j < -2 rope; theta_right likewise with
+    z_i + z_j > 2 rope.
+    """
+    z = np.concatenate(([0.0], np.asarray(diffs, dtype=np.float64)))
+    alpha = np.ones(z.size)
+    alpha[0] = prior_strength
+    scale = alpha.sum() * (alpha.sum() + 1.0)
+    sums = z[:, None] + z[None, :]
+
+    def mean(region: np.ndarray) -> float:
+        region = region.astype(np.float64)
+        return float((alpha @ region @ alpha + alpha @ np.diag(region)) / scale)
+
+    left = mean(sums < -2.0 * rope)
+    right = mean(sums > 2.0 * rope)
+    return left, 1.0 - (left + right), right
 
 
 _MASK64 = (1 << 64) - 1

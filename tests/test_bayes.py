@@ -5,6 +5,7 @@ from mcmatrix import BayesConfig, bayesian_signed_rank, posterior_samples
 from mcmatrix.errors import EmptyInput, InvalidConfig, ValidationError
 
 from conftest import posterior_bits
+from oracles import bayes_posterior_means
 
 
 def test_config_validation():
@@ -107,6 +108,23 @@ def test_convergence_doubling_within_three_se():
         ]
     )
     assert (np.abs(deltas) <= 3.0 * np.maximum(se, 1e-12)).all()
+
+
+@pytest.mark.parametrize(
+    "n, rope, prior_strength, shift",
+    [(n, rope, s, 0.0) for n in (3, 10, 30) for rope in (0.0, 0.05) for s in (0.5, 1.0, 3.0)]
+    # Every difference above 2 rope: theta_left is 0 in every sample.
+    + [(10, 0.05, 1.0, 1.0)],
+)
+def test_sample_mean_within_four_se_of_closed_form(n, rope, prior_strength, shift):
+    diffs = np.random.default_rng(n).normal(0.02, 0.1, size=n) + shift
+    config = BayesConfig(rope=rope, prior_strength=prior_strength,
+                         mc_samples=20_000, seed=1)
+    samples = posterior_samples(diffs, config)
+    se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+    error = np.abs(samples.mean(axis=0)
+                   - np.array(bayes_posterior_means(diffs, rope, prior_strength)))
+    assert (error <= np.where(se > 0.0, 4.0 * se, 1e-12)).all()
 
 
 def test_boundary_sums_fall_in_rope():

@@ -151,8 +151,7 @@ class TestBuildMcm:
             bayes_calls.clear()
             report = build_mcm(
                 matrix,
-                MCMConfig(row_comparates=rows, column_comparates=cols, tie_epsilon=0.05,
-                          include_bayes=True),
+                MCMConfig(row_comparates=rows, column_comparates=cols, tie_epsilon=0.05),
                 bayes_config,
             )
             if expected >= MIN_BLOCK_PAIRS:
@@ -189,12 +188,13 @@ class TestBuildMcm:
         matrix = random_matrix(rng, m=3, n=5)
         report = build_mcm(
             matrix,
-            MCMConfig(include_bayes=True),
+            MCMConfig(),
             bayes_config=BayesConfig(mc_samples=500, seed=1),
         )
         assert report.bayes is not None and len(report.bayes) == len(report.cells)
         post = next(iter(report.bayes.values()))
         assert post.theta_left + post.theta_rope + post.theta_right == pytest.approx(1.0)
+        assert build_mcm(matrix, MCMConfig()).bayes is None
 
     def test_guards(self):
         rng = np.random.default_rng(8)
@@ -267,7 +267,7 @@ class TestReportJson:
         matrix = random_matrix(rng, m=3, n=4)
         report = build_mcm(
             matrix,
-            MCMConfig(include_bayes=True),
+            MCMConfig(),
             bayes_config=BayesConfig(mc_samples=200, seed=0),
         )
         obj = mcm_report_to_dict(report)

@@ -534,6 +534,13 @@ class TestOnePValueTablePerExperiment:
             weakened_variant_attack(demo_matrix, "Alpha", "Delta", [0.5], names, alpha)
         with pytest.raises(InvalidAlpha):
             detect_rank_swap(demo_matrix, ("Alpha", "Bravo"), names, names, alpha)
+        with pytest.raises(InvalidAlpha):
+            significance_pattern(demo_matrix, names[:2], names[2:], alpha)
+        with pytest.raises(InvalidAlpha):
+            holm_significance(demo_matrix, names, alpha)
+        for weights in ([0.5], []):
+            with pytest.raises(SameComparate):
+                weakened_variant_attack(demo_matrix, "Alpha", "Alpha", weights, names)
         assert tested_pairs == []
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])

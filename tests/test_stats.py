@@ -112,12 +112,12 @@ class TestWilcoxon:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_threshold_switches_method(self):
-        rng = np.random.default_rng(3)
-        diffs = rng.normal(size=30)
+        assert stats.DEFAULT_EXACT_THRESHOLD == 25
+        diffs = np.random.default_rng(3).normal(size=26)
+        _, method = wilcoxon_signed_rank(diffs[:25])
+        assert method is PMethod.EXACT
         _, method = wilcoxon_signed_rank(diffs)
         assert method is PMethod.NORMAL_APPROXIMATION
-        _, method = wilcoxon_signed_rank(diffs, exact_threshold=30)
-        assert method is PMethod.EXACT
 
     def test_approximation_close_to_exact(self):
         rng = np.random.default_rng(5)
@@ -272,10 +272,15 @@ class TestSignedRankKernel:
 
     def test_exact_refused_above_62_nonzero_differences(self):
         diffs = np.arange(1.0, 64.0)
-        for kwargs in ({"method": "exact"}, {"exact_threshold": 70}):
-            for test in (wilcoxon_signed_rank, wilcoxon_signed_rank_scalar):
-                with pytest.raises(ValidationError, match="infeasible for 63 nonzero"):
-                    test(diffs, **kwargs)
+        refusals = (
+            lambda: wilcoxon_signed_rank(diffs, method="exact"),
+            lambda: wilcoxon_signed_rank_scalar(diffs, method="exact"),
+            lambda: stats._signed_rank_rows(diffs.reshape(1, -1), 70),
+            lambda: wilcoxon_signed_rank_scalar(diffs, exact_threshold=70),
+        )
+        for refusal in refusals:
+            with pytest.raises(ValidationError, match="infeasible for 63 nonzero"):
+                refusal()
         assert (_result_bits(wilcoxon_signed_rank(diffs[:62], method="exact"))
                 == _result_bits(wilcoxon_signed_rank_scalar(diffs[:62], method="exact")))
 
