@@ -108,12 +108,16 @@ def _json_bytes(obj: dict) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=False) + "\n").encode("utf-8")
 
 
-def _bayes_config(args: argparse.Namespace) -> BayesConfig:
-    return BayesConfig(
+def _bayes_config(args: argparse.Namespace) -> BayesConfig | None:
+    """The validated Bayes flags, which reach the output metadata even
+    without ``--include-bayes``; the config only when that flag is set."""
+    config = BayesConfig(
         rope=args.rope,
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
+    config.validate()
+    return config if args.include_bayes else None
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -252,6 +256,7 @@ def _load(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_mcm(args: argparse.Namespace) -> int:
+    bayes = _bayes_config(args)
     matrix, payload = _load(args)
     config = MCMConfig(
         alpha=args.alpha,
@@ -259,8 +264,7 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         column_comparates=tuple(args.cols) if args.cols else None,
         tie_epsilon=args.tie_epsilon,
     )
-    report = build_mcm(matrix, config,
-                       _bayes_config(args) if args.include_bayes else None)
+    report = build_mcm(matrix, config, bayes)
     meta = _metadata(args, payload, workers=1)
     if args.format == "json":
         out = dict(metadata=meta, **mcm_report_to_dict(report))
@@ -282,6 +286,7 @@ def _cmd_cd(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    bayes_config = _bayes_config(args)
     matrix, payload = _load(args)
     alpha = check_alpha(args.alpha)
     table = compute_ranks(matrix)
@@ -292,10 +297,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         friedman = {"skipped": str(exc)}
 
     pairs = list(itertools.combinations(matrix.comparates, 2))
-    cells, bayes = compare_pairs(
-        matrix, pairs, args.tie_epsilon,
-        _bayes_config(args) if args.include_bayes else None,
-    )
+    cells, bayes = compare_pairs(matrix, pairs, args.tie_epsilon, bayes_config)
     entries = []
     for pair in pairs:
         entry = cells[pair].to_dict()

@@ -11,6 +11,7 @@ grid is immune to by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ __all__ = [
 #: Exhaustive enumeration refuses above this many subsets; use Sampled mode.
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
 
-#: Sampled mode refuses a subset space larger than this: ranks are drawn
-#: with numpy's ``Generator.integers``, whose int64 range ends here.
+#: A sweep refuses a subset space larger than this: ranks are drawn with
+#: numpy's ``Generator.integers`` and unranked in int64, whose range ends here.
 SAMPLED_SPACE_LIMIT = 1 << 63
 
 # Subsets per vectorized step-down: bounds the subsets x family-pairs block.
@@ -193,43 +194,62 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _reservoir_keys(seed: int, start: int, count: int) -> list[int]:
-    """Deterministic keys of subset indices start .. start + count - 1,
+def _reservoir_keys(seed: int, start: int, count: int) -> np.ndarray:
+    """Deterministic uint64 keys of subset indices start .. start + count - 1,
     keyed by (seed, subset index): the n-th subset of a pattern takes
     reservoir slot key % n."""
     index = np.arange(start, start + count, dtype=np.uint64)
-    return _splitmix64(np.uint64(seed & _MASK64) ^ _splitmix64(index)).tolist()
+    return _splitmix64(np.uint64(seed & _MASK64) ^ _splitmix64(index))
 
 
-def _subset_by_rank(pool: Sequence, k: int, rank: int) -> tuple:
-    """Combination unranking in lexicographic order (combinatorial number
-    system): maps rank in [0, C(len(pool), k)) to a k-subset."""
-    n = len(pool)
-    out = []
-    start = 0
-    for slot in range(k, 0, -1):
-        for idx in range(start, n):
-            block = math.comb(n - idx - 1, slot - 1)
-            if rank < block:
-                out.append(pool[idx])
-                start = idx + 1
-                break
-            rank -= block
-    return tuple(out)
+@functools.lru_cache(maxsize=16)
+def _binomial_columns(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Column j - 1 (1 <= j <= k) holds C(j - 1 + i, j) for i in 0 .. n - k,
+    the only binomials slot j of an unranking over C(n, k) can subtract.
+    Each is at most C(n - 1, k) < C(n, k), so int64 holds them."""
+    return tuple(
+        np.array([math.comb(j - 1 + i, j) for i in range(n - k + 1)], dtype=np.int64)
+        for j in range(1, k + 1)
+    )
 
 
-def _sample_ranks(total_space: int, count: int, seed: int) -> list[int]:
-    """``count`` distinct ranks in [0, total_space), ascending, from Philox(seed)."""
+def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """Combination unranking in lexicographic order: maps S ranks in
+    [0, C(n, k)) to the S x k array of their ascending indices in range(n).
+
+    x = C(n, k) - 1 - rank is written greedily in the combinatorial number
+    system, x = C(c_k, k) + ... + C(c_1, 1) with c_k > ... > c_1, one
+    ``searchsorted`` per slot, and the subset is n - 1 - c_k, ..., n - 1 - c_1.
+    C(n, k) must not exceed 2**63, so x is exact in int64.
+    """
+    columns = _binomial_columns(n, k)
+    x = np.int64(math.comb(n, k) - 1) - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(x), k), dtype=np.intp)
+    for j in range(k, 0, -1):
+        i = np.searchsorted(columns[j - 1], x, side="right") - 1
+        x = x - columns[j - 1][i]
+        out[:, k - j] = n - j - i
+    return out
+
+
+def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct ranks in [0, total_space), ascending, from Philox(seed).
+
+    Each batch keeps its not-yet-chosen values in the order they were drawn,
+    up to the number still needed."""
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    chosen: set[int] = set()
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
         need = count - len(chosen)
         draw = rng.integers(0, total_space, size=max(need * 2, 16))
-        for r in draw.tolist():
-            if len(chosen) >= count:
-                break
-            chosen.add(int(r))
-    return sorted(chosen)
+        values, first = np.unique(draw, return_index=True)
+        at = np.searchsorted(chosen, values)
+        known = np.zeros(len(values), dtype=bool)
+        inside = at < len(chosen)
+        known[inside] = chosen[at[inside]] == values[inside]
+        fresh = np.sort(draw[np.sort(first[~known])[:need]])
+        chosen = np.insert(chosen, np.searchsorted(chosen, fresh), fresh)
+    return chosen
 
 
 def _pvalues(matrix: ResultsMatrix,
@@ -264,18 +284,19 @@ def _step_down(
     k_extra: int,
     pvalues: dict[tuple[str, str], float],
     alpha: float,
-) -> Callable[[np.ndarray], list[int]]:
+) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
     """Vectorized ``_holm_mask`` over many families core + extras.
 
-    ``names`` is core + pool.  The returned function maps an S x k_extra
-    array of pool indices to the S pattern bitmasks.  Each row's family
-    p-values are sorted and compared with alpha / (F - i); the rejections
-    are the leading run of passes.  A pair is significant iff at least one
-    p was rejected and its p is <= the last rejected p, which is the stop
-    rule together with the equal-p unification of ``holm_correction``.
+    ``names`` is core + pool.  Returns the C(n_core, 2) + 1 possible pattern
+    bitmasks and a function that maps an S x k_extra array of pool indices
+    to each row's index into them.  Each row's family p-values are sorted
+    and compared with alpha / (F - i); the rejections are the leading run
+    of passes.  A pair is significant iff at least one p was rejected and
+    its p is <= the last rejected p, which is the stop rule together with
+    the equal-p unification of ``holm_correction``.
     Core p-values do not depend on the extras, so the significant core
-    pairs are always the first few in ascending core p, and a row's mask
-    is one of C(n_core, 2) + 1 precomputed suffix masks.
+    pairs are always the first t in ascending core p, and a row's mask
+    is the suffix mask of the core pairs from the t-th on.
     """
     n = len(names)
     pmat = np.zeros((n, n))
@@ -295,7 +316,7 @@ def _step_down(
         suffix_masks[t] = suffix_masks[t + 1] | 1 << core_pairs[t][1]
     core_idx = np.arange(n_core)
 
-    def masks(extras: np.ndarray) -> list[int]:
+    def masks(extras: np.ndarray) -> np.ndarray:
         s = len(extras)
         family = np.concatenate(
             [np.broadcast_to(core_idx, (s, n_core)), extras + n_core], axis=1
@@ -303,10 +324,9 @@ def _step_down(
         ps = np.sort(pmat[family[:, left], family[:, right]], axis=1)
         rejected = np.logical_and.accumulate(ps <= thresholds, axis=1).sum(axis=1)
         last = np.where(rejected > 0, ps[np.arange(s), rejected - 1], -1.0)
-        significant = np.searchsorted(core_p, last, side="right")
-        return [suffix_masks[t] for t in significant.tolist()]
+        return np.searchsorted(core_p, last, side="right")
 
-    return masks
+    return suffix_masks, masks
 
 
 def enumerate_patterns(
@@ -324,18 +344,22 @@ def enumerate_patterns(
 
     Per-pair p-values are computed once up front: they depend only on the
     two comparates involved, so each subset evaluation reduces to one
-    step-down correction over cached values.  Subsets are taken in index
-    order (lexicographic over the pool; ascending rank in Sampled mode) and
-    corrected with numpy in chunks of at most 256, so memory stays bounded
-    by one chunk's subsets x family pairs.  The first subset of each newly
-    seen pattern is also corrected by ``holm_correction``, and a mismatch
-    raises ``InternalError``.  Example subsets are retained by reservoir
-    sampling keyed by (seed, subset index), so a seed always selects the
-    same examples.
+    step-down correction over cached values.  A sweep is an ascending array
+    of subset ranks in lexicographic order over the pool: every rank in
+    Exhaustive mode, the drawn ranks in Sampled mode.  It is processed in
+    chunks of at most 256 ranks, each unranked to pool indices, corrected
+    and counted with numpy, so memory stays bounded by one chunk's subsets
+    x family pairs.  The first subset of each newly seen pattern is also
+    corrected by ``holm_correction``, and a mismatch raises
+    ``InternalError``.  Example subsets are retained by reservoir sampling
+    keyed by (seed, subset index), so a seed always selects the same
+    examples; only subsets that enter a reservoir are turned into names.
 
-    Sampled mode refuses a space of more than ``SAMPLED_SPACE_LIMIT``
-    (2**63) subsets, and a sample of more than ``exhaustive_limit``
-    subsets, with ``ValidationError``.
+    Exhaustive mode refuses more than ``exhaustive_limit`` subsets with
+    ``EnumerationTooLarge``.  Sampled mode refuses a space of more than
+    ``SAMPLED_SPACE_LIMIT`` (2**63) subsets, and a sample of more than
+    ``exhaustive_limit`` subsets, with ``ValidationError``.  Ranks are int64,
+    so no sweep goes past 2**63 subsets, whatever ``exhaustive_limit`` says.
     """
     alpha = check_alpha(alpha)
     core = matrix.check_names(core, "core")
@@ -360,12 +384,14 @@ def enumerate_patterns(
             mode = Exhaustive()  # the sample would cover the whole space
 
     if isinstance(mode, Exhaustive):
-        if total_space > exhaustive_limit:
+        limit = min(exhaustive_limit, SAMPLED_SPACE_LIMIT)
+        if total_space > limit:
             raise EnumerationTooLarge(
-                f"{total_space} subsets exceed the exhaustive limit "
-                f"{exhaustive_limit}; use Sampled mode"
+                f"{total_space} subsets exceed the exhaustive limit {limit}; "
+                f"use Sampled mode"
             )
-        rows = itertools.combinations(range(len(pool)), k_extra)
+        ranks = None
+        total = total_space
     elif isinstance(mode, Sampled):
         if count > exhaustive_limit:
             raise ValidationError(
@@ -376,48 +402,55 @@ def enumerate_patterns(
                 f"k_extra={k_extra} over a pool of {len(pool)} gives {total_space} "
                 f"subsets, more than Sampled mode can draw from (2**63)"
             )
-        rows = (_subset_by_rank(range(len(pool)), k_extra, r)
-                for r in _sample_ranks(total_space, count, mode.seed))
+        ranks = _sample_ranks(total_space, count, mode.seed)
+        total = count
     else:
         raise ValidationError(f"unknown enumeration mode {mode!r}")
 
     # One p-value per pair over core + pool covers every family.
     pvalues = all_pairs_pvalues(matrix, core + pool)
-    masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
-    counts: dict[int, int] = {}
+    pattern_masks, masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
+    counts = np.zeros(len(pattern_masks), dtype=np.int64)
+    # Pattern index -> kept example subsets, in order of first appearance.
     examples: dict[int, list[tuple[str, ...]]] = {}
     example_limit = max(0, int(example_limit))
-    start = 0
-    # Pool-index rows come lazily, one chunk at a time, so exhaustive sweeps
-    # near the limit never hold a million subsets at once.
-    for chunk in iter(lambda: list(itertools.islice(rows, _CHUNK)), []):
-        extras = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_extra)
-        keys = _reservoir_keys(example_seed, start, len(chunk))
-        for row, mask, key in zip(chunk, masks(extras), keys):
-            n_seen = counts.get(mask, 0) + 1
-            counts[mask] = n_seen
-            if n_seen == 1:
-                subset = tuple(pool[i] for i in row)
+    # Ranks come one chunk at a time, so an exhaustive sweep near the limit
+    # never holds a million subsets at once.
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        extras = _unrank(len(pool), k_extra,
+                         np.arange(start, stop) if ranks is None else ranks[start:stop])
+        t = masks(extras)
+        # n_seen: the row's 1-based place among all subsets of its pattern.
+        order = np.argsort(t, kind="stable")
+        grouped = t[order]
+        place = np.empty_like(t)
+        place[order] = np.arange(len(t)) - np.searchsorted(grouped, grouped)
+        n_seen = counts[t] + place + 1
+        counts += np.bincount(t, minlength=len(counts))
+        slot = _reservoir_keys(example_seed, start, len(t)) % n_seen.astype(np.uint64)
+        kept = (n_seen <= max(example_limit, 1)) | (slot < example_limit)
+        for row in np.flatnonzero(kept).tolist():
+            subset = tuple(pool[i] for i in extras[row].tolist())
+            pattern = int(t[row])
+            if n_seen[row] == 1:
                 expected = _holm_mask(core, core + subset, pvalues, alpha)
-                if expected != mask:
+                if expected != pattern_masks[pattern]:
                     raise InternalError(
-                        f"vectorized step-down gave pattern {mask:#x} for extras "
-                        f"{subset!r}; holm_correction gives {expected:#x}"
+                        f"vectorized step-down gave pattern {pattern_masks[pattern]:#x} "
+                        f"for extras {subset!r}; holm_correction gives {expected:#x}"
                     )
-                examples[mask] = [subset] if example_limit else []
-            elif n_seen <= example_limit:
-                examples[mask].append(tuple(pool[i] for i in row))
-            elif example_limit > 0:
-                slot = key % n_seen
-                if slot < example_limit:
-                    examples[mask][slot] = tuple(pool[i] for i in row)
-        start += len(chunk)
+                examples[pattern] = []
+            if n_seen[row] <= example_limit:
+                examples[pattern].append(subset)
+            elif slot[row] < example_limit:
+                examples[pattern][int(slot[row])] = subset
 
     return PatternEnumeration(
         core=core,
-        pattern_counts=counts,
-        examples_per_pattern={m: tuple(v) for m, v in examples.items()},
-        total_subsets=start,
+        pattern_counts={pattern_masks[p]: int(counts[p]) for p in examples},
+        examples_per_pattern={pattern_masks[p]: tuple(v) for p, v in examples.items()},
+        total_subsets=total,
     )
 
 
@@ -619,7 +652,9 @@ def weakened_variant_attack(
 
 
 def _fresh_variant_name(matrix: ResultsMatrix, target: str, weight: float) -> str:
-    base = f"{target}~{weight:g}"
+    # ``:g`` keeps six significant digits; distinct weights need the full repr.
+    label = f"{weight:g}"
+    base = f"{target}~{label if float(label) == weight else repr(weight)}"
     name = base
     suffix = 2
     while name in matrix.comparates:

@@ -7,7 +7,10 @@ via the textbook tie-free formula, and the reservoir draw of pattern
 enumeration with Python integers masked to 64 bits (the package uses
 wrapping numpy uint64 arrays), and the Bayesian posterior means in closed
 form from the Dirichlet moments (the package estimates them by Monte
-Carlo).
+Carlo).  Subset unranking walks the pool with one ``math.comb`` per step
+(the package searches a binomial table per slot in numpy), and the sampled
+ranks are deduplicated one Python int at a time (the package uses
+``np.unique`` per batch).
 
 ``wilcoxon_signed_rank_scalar`` and ``pairwise_comparison_scalar`` are
 the one-pair signed-rank test and cell the package computed before its
@@ -97,6 +100,40 @@ def splitmix64(x: int) -> int:
 def reservoir_draw(seed: int, index: int, n: int) -> int:
     """Reservoir slot in [0, n) of the subset with this index, for this seed."""
     return splitmix64((seed & _MASK64) ^ splitmix64(index)) % n
+
+
+def subset_by_rank(pool: Sequence, k: int, rank: int) -> tuple:
+    """Combination unranking in lexicographic order (combinatorial number
+    system): maps rank in [0, C(len(pool), k)) to a k-subset."""
+    rank = int(rank)
+    n = len(pool)
+    out = []
+    start = 0
+    for slot in range(k, 0, -1):
+        for idx in range(start, n):
+            block = math.comb(n - idx - 1, slot - 1)
+            if rank < block:
+                out.append(pool[idx])
+                start = idx + 1
+                break
+            rank -= block
+    return tuple(out)
+
+
+def sample_ranks_loop(total_space: int, count: int, seed: int) -> list[int]:
+    """``count`` distinct ranks in [0, total_space), ascending, from
+    Philox(seed): each batch adds its values one at a time, in draw order,
+    until ``count`` are chosen."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    chosen: set[int] = set()
+    while len(chosen) < count:
+        need = count - len(chosen)
+        draw = rng.integers(0, total_space, size=max(need * 2, 16))
+        for r in draw.tolist():
+            if len(chosen) >= count:
+                break
+            chosen.add(int(r))
+    return sorted(chosen)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -94,6 +94,24 @@ class TestExitCodes:
         )
         assert code == 2 and "alpha must lie in (0, 1)" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["mcm", "stats"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--rope=-1", "rope must be finite and >= 0"),
+        ("--rope=nan", "rope must be finite and >= 0"),
+        ("--mc-samples=0", "mc_samples must be at least 1"),
+        ("--seed=-1", "seed must be a 64-bit unsigned integer"),
+    ])
+    @pytest.mark.parametrize("include_bayes", [[], ["--include-bayes"]])
+    def test_bayes_flags_validated_with_or_without_include_bayes(
+            self, results_csv, capsys, command, flag, message, include_bayes):
+        # The flags are echoed into the output metadata either way.
+        code, out, err = run(
+            [command, "--input", str(results_csv), "--direction", "higher", flag,
+             *include_bayes],
+            capsys,
+        )
+        assert code == 2 and message in err and out == ""
+
     @pytest.mark.parametrize("count", ["0", "-4"])
     def test_enumerate_sample_below_one_is_data_error(self, results_csv, capsys, count):
         code, out, err = run(
@@ -409,7 +427,7 @@ class TestOtherCommands:
         assert doc["outcomes"][0]["weight"] == 0.5
 
     def test_weaken_weights_sharing_a_variant_name(self, tmp_path, capsys):
-        # Both weights name their variant "T~0.123456", but the blends differ:
+        # Both weights print as 0.123456 with ``:g``, but the blends differ:
         # R's blend at the first weight ties C on t1, at the second it does not.
         table = tmp_path / "blend.csv"
         table.write_text(
@@ -431,7 +449,7 @@ class TestOtherCommands:
             return json.loads(out)["outcomes"]
 
         both = outcomes("0.1234561,0.1234562")
-        assert [o["variant"] for o in both] == ["T~0.123456"] * 2
+        assert [o["variant"] for o in both] == ["T~0.1234561", "T~0.1234562"]
         assert both[0]["pattern_bitmask"] != both[1]["pattern_bitmask"]
         assert both == outcomes("0.1234561") + outcomes("0.1234562")
 

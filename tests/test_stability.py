@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmatrix import (
     Direction,
@@ -33,7 +35,7 @@ from mcmatrix.stability import (
     _reservoir_keys,
     _sample_ranks,
     _step_down,
-    _subset_by_rank,
+    _unrank,
     pattern_from_bitmask,
 )
 from mcmatrix.stats import (
@@ -46,7 +48,7 @@ from mcmatrix.stats import (
 )
 
 from conftest import fixture_matrix, inverted_holm, load_fixture, random_matrix
-from oracles import reservoir_draw
+from oracles import reservoir_draw, sample_ranks_loop, subset_by_rank
 
 
 class TestSignificancePattern:
@@ -183,15 +185,13 @@ class TestEnumeratePatterns:
         assert fresh == enumeration.pattern_counts
 
     def test_unranking_matches_lexicographic_order(self):
-        from itertools import combinations
-
-        from mcmatrix.stability import _subset_by_rank
-
         pool = tuple("abcdefgh")
         for k in (0, 1, 3, 5, 8):
             expected = list(combinations(pool, k))
-            got = [_subset_by_rank(pool, k, r) for r in range(math.comb(8, k))]
+            got = [subset_by_rank(pool, k, r) for r in range(math.comb(8, k))]
             assert got == expected
+            rows = _unrank(8, k, np.arange(math.comb(8, k)))
+            assert [tuple(pool[i] for i in row) for row in rows.tolist()] == expected
 
     def test_sampled_count_covering_space_degrades_to_exhaustive(self):
         rng = np.random.default_rng(48)
@@ -233,7 +233,7 @@ def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
     pvalues = all_pairs_pvalues(matrix, core + pool)
     counts, examples = {}, {}
     for g, rank in enumerate(ranks):
-        subset = _subset_by_rank(pool, k_extra, rank)
+        subset = subset_by_rank(pool, k_extra, rank)
         mask = _holm_mask(core, core + subset, pvalues, alpha)
         n_seen = counts.get(mask, 0) + 1
         counts[mask] = n_seen
@@ -255,8 +255,9 @@ def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
 class TestStepDownKernel:
     def kernel_and_oracle(self, core, pool, k_extra, pvalues, alpha):
         rows = list(combinations(range(len(pool)), k_extra))
-        masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
-        got = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
+        pattern_masks, masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
+        index = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
+        got = [pattern_masks[t] for t in index.tolist()]
         expected = [
             _holm_mask(core, core + tuple(pool[i] for i in row), pvalues, alpha)
             for row in rows
@@ -327,7 +328,7 @@ class TestStepDownKernel:
     def test_reservoir_keys_match_python_integer_route(self):
         for seed in (0, 7, -1, 2**63 + 5, 2**70 + 3):
             for start in (0, 1, 255, 2**32 - 3, 2**63):
-                assert _reservoir_keys(seed, start, 6) == [
+                assert _reservoir_keys(seed, start, 6).tolist() == [
                     reservoir_draw(seed, start + i, 2**64) for i in range(6)
                 ]
 
@@ -347,11 +348,61 @@ class TestStepDownKernel:
                 enumerate_patterns(matrix, matrix.comparates[:2],
                                    matrix.comparates[2:pool_end], k_extra, 0.05,
                                    mode=Sampled(5))
+        # Exhaustive ranks are int64 too, whatever the exhaustive limit.
+        with pytest.raises(EnumerationTooLarge, match=f"limit {2**63}"):
+            enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:69],
+                               33, 0.05, exhaustive_limit=2**70)
         # C(64, 32) < 2**63 still samples.
         enumeration = enumerate_patterns(matrix, matrix.comparates[:2],
                                          matrix.comparates[2:66], 32, 0.05,
                                          mode=Sampled(5), example_limit=0)
         assert enumeration.total_subsets == 5
+
+
+@st.composite
+def _rank_batches(draw):
+    # n <= 66 keeps C(n, k) <= C(66, 33) ~ 7.2e18, just below 2**63.
+    n = draw(st.integers(0, 66))
+    k = draw(st.integers(0, n))
+    top = math.comb(n, k) - 1
+    ranks = draw(st.lists(st.integers(0, top), max_size=20))
+    return n, k, [0, top] + ranks
+
+
+class TestUnranking:
+    @given(_rank_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_oracle(self, batch):
+        n, k, ranks = batch
+        rows = _unrank(n, k, np.array(ranks, dtype=np.int64))
+        assert rows.shape == (len(ranks), k)
+        assert [tuple(row) for row in rows.tolist()] == [
+            subset_by_rank(range(n), k, r) for r in ranks
+        ]
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (5, 0), (5, 5), (66, 1), (66, 33),
+                                      (66, 65), (64, 32)])
+    def test_edges_of_the_space(self, n, k):
+        top = math.comb(n, k) - 1
+        ranks = sorted({r for r in (0, 1, top // 3, top // 2, top - 1, top) if 0 <= r <= top})
+        rows = _unrank(n, k, np.array(ranks, dtype=np.int64))
+        assert [tuple(row) for row in rows.tolist()] == [
+            subset_by_rank(range(n), k, r) for r in ranks
+        ]
+        assert rows[0].tolist() == list(range(k))  # rank 0: the first k indices
+        assert rows[-1].tolist() == list(range(n - k, n))  # last rank: the last k
+
+    @pytest.mark.parametrize("total, count, seed", [
+        (math.comb(12, 5), 300, 3),
+        (math.comb(14, 7), 3400, 0),  # near the space size: many batches
+        (math.comb(14, 7), 3431, 9),
+        (math.comb(21, 10), 349_188, 0),
+        (math.comb(64, 32), 50, 1),
+        (20, 20, 2),
+    ])
+    def test_sample_ranks_match_one_at_a_time_loop(self, total, count, seed):
+        got = _sample_ranks(total, count, seed)
+        assert got.tolist() == sample_ranks_loop(total, count, seed)
 
 
 class TestDetectRankSwap:
