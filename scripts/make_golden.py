@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the golden fixtures under tests/golden/: the rendered
-figures and the ``stability weaken`` / ``rank-swap`` JSON.
+figures, the ``mcm`` and ``stats`` command outputs, and the
+``stability weaken`` / ``rank-swap`` JSON.
 
 They are byte-exact output contracts: regenerate only when a style,
 layout or output change is intended, and review the diff.
@@ -18,7 +19,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from mcmatrix import MCMConfig, build_mcm, render_cd_diagram, render_mcm  # noqa: E402
 
-from conftest import STABILITY_GOLDEN_CASES, golden_matrix, stability_json  # noqa: E402
+from conftest import (  # noqa: E402
+    CLI_GOLDEN_CASES,
+    STABILITY_GOLDEN_CASES,
+    golden_cli_output,
+    golden_matrix,
+    stability_json,
+)
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -38,6 +45,8 @@ def main() -> None:
         render_cd_diagram(matrix, 0.05, "wilcoxon-holm", metadata=metadata)
     )
     with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CLI_GOLDEN_CASES:
+            (GOLDEN / name).write_bytes(golden_cli_output(argv, Path(tmp)))
         for stem, fixture, experiment in STABILITY_GOLDEN_CASES:
             (GOLDEN / f"stability_{stem}.json").write_bytes(
                 stability_json(fixture, experiment, Path(tmp))

@@ -25,7 +25,7 @@ from .bayes import BayesConfig
 from .bayes import bayesian_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 from .data import Direction, load_results
 from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
-from .mcm import MCMConfig, build_mcm, compare_pairs, mcm_report_to_dict
+from .mcm import MCMConfig, build_mcm, cell_records, compare_pairs, mcm_report_to_dict
 from .render import RenderStyle, render_cd_diagram, render_mcm, render_pattern_graph
 from .selftest import run_selftest
 from .stability import (
@@ -66,18 +66,21 @@ def _names(text: str) -> list[str]:
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    p = Path(path)
-    if not p.exists():
-        raise _UsageError(f"input file {path!r} does not exist")
-    return p.read_bytes()
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
 def _write_output(path: str | None, payload: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-    else:
+        return
+    try:
         Path(path).write_bytes(payload)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _guess_format(path: str, explicit: str | None) -> str:
@@ -298,25 +301,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     pairs = list(itertools.combinations(matrix.comparates, 2))
     cells, bayes = compare_pairs(matrix, pairs, args.tie_epsilon, bayes_config)
-    entries = []
-    for pair in pairs:
-        entry = cells[pair].to_dict()
-        entry["significant"] = cells[pair].p_value < alpha
-        if bayes is not None:
-            entry["bayes"] = bayes[pair].to_dict()
-        entries.append(entry)
-
     out = {
         "metadata": _metadata(args, payload),
         "direction": matrix.direction.value,
         "comparates": list(matrix.comparates),
         "tasks": list(matrix.tasks),
-        "ranks": [[float(x) for x in row] for row in table.ranks],
-        "average_ranks": {
-            c: float(table.average_ranks[i]) for i, c in enumerate(matrix.comparates)
-        },
+        "ranks": table.ranks.tolist(),
+        "average_ranks": dict(zip(matrix.comparates, table.average_ranks.tolist())),
         "friedman": friedman,
-        "pairwise": entries,
+        "pairwise": cell_records(cells, alpha, bayes),
     }
     _write_output(args.output, _json_bytes(out))
     return 0
@@ -334,16 +327,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         mode=mode, example_seed=args.seed,
     )
     meta = _metadata(args, payload, pool=list(pool), workers=1)
-    out = dict(metadata=meta, **enumeration.to_dict())
-    _write_output(args.output, _json_bytes(out))
-
     if args.render_patterns:
         directory = Path(args.render_patterns)
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot create directory {args.render_patterns!r}: {exc.strerror}"
+            ) from None
         for mask in sorted(enumeration.pattern_counts):
             pattern = pattern_from_bitmask(core, mask)
             svg = render_pattern_graph(pattern, metadata=meta)
-            (directory / f"pattern-{mask:#06x}.svg").write_bytes(svg)
+            _write_output(str(directory / f"pattern-{mask:#06x}.svg"), svg)
+    out = dict(metadata=meta, **enumeration.to_dict())
+    _write_output(args.output, _json_bytes(out))
     return 0
 
 

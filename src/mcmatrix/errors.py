@@ -124,7 +124,7 @@ class PairNotInBothSets(McmatrixError):
 
 
 class EmptyReport(McmatrixError):
-    """A report with no comparison cells cannot be rendered."""
+    """A report with no comparison cells cannot be built or rendered."""
 
 
 class EnumerationTooLarge(McmatrixError):

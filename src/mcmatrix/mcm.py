@@ -18,7 +18,7 @@ import numpy as np
 
 from .bayes import BayesConfig, BayesPosterior, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
-from .errors import InternalError, PairNotInSubset
+from .errors import EmptyReport, InternalError, PairNotInSubset
 from .stats import (
     MIN_BLOCK_PAIRS,
     PairwiseComparison,
@@ -28,7 +28,7 @@ from .stats import (
     pairwise_comparison,
 )
 
-__all__ = ["MCMConfig", "MCMReport", "build_mcm", "compare_pairs",
+__all__ = ["MCMConfig", "MCMReport", "build_mcm", "cell_records", "compare_pairs",
            "mcm_cell_invariance_check", "mcm_report_to_dict"]
 
 
@@ -54,9 +54,11 @@ class MCMReport:
     """Ordered grid of pairwise cells plus the metadata used to build it.
 
     ``cells`` maps (row, column) to a comparison for every off-diagonal
-    grid position; ``significance`` holds the uncorrected per-cell flag
-    ``p < alpha``.  ``comparison_count`` counts off-diagonal grid cells in
-    focused mode and distinct pairs in all-pairs mode.
+    grid position, in grid order: row-major over ``row_order`` x
+    ``column_order``, diagonal skipped.  ``significance`` holds the
+    uncorrected per-cell flag ``p < alpha``.  ``comparison_count`` counts
+    off-diagonal grid cells in focused mode and distinct pairs in all-pairs
+    mode.
     """
 
     row_order: tuple[str, ...]
@@ -143,7 +145,8 @@ def build_mcm(
 
     When a ``bayes_config`` is given, each cell also gets a Bayesian
     signed-rank posterior computed with it.  Each unordered pair is
-    evaluated once (see ``compare_pairs``).
+    evaluated once (see ``compare_pairs``).  A grid without an
+    off-diagonal cell raises ``EmptyReport``.
     """
     alpha = check_alpha(config.alpha)
     rows = matrix.check_names(config.row_comparates or matrix.comparates,
@@ -162,6 +165,8 @@ def build_mcm(
         count = len(rows) * len(cols) - len(set(rows) & set(cols))
 
     pairs = [(r, c) for r in row_order for c in column_order if r != c]
+    if not pairs:
+        raise EmptyReport("report contains no comparisons")
     cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bayes_config)
     significance = {p: cells[p].p_value < alpha for p in pairs}
 
@@ -221,18 +226,25 @@ def mcm_cell_invariance_check(
     return True
 
 
+def cell_records(
+    cells: dict[tuple[str, str], PairwiseComparison],
+    alpha: float,
+    bayes: dict[tuple[str, str], BayesPosterior] | None = None,
+) -> list[dict]:
+    """JSON records of ``cells``, in their order: each cell's fields, then
+    ``"significant"`` (``p < alpha``), then ``"bayes"`` when posteriors exist."""
+    records = []
+    for pair, cell in cells.items():
+        record = cell.to_dict()
+        record["significant"] = cell.p_value < alpha
+        if bayes is not None:
+            record["bayes"] = bayes[pair].to_dict()
+        records.append(record)
+    return records
+
+
 def mcm_report_to_dict(report: MCMReport) -> dict:
     """Canonical machine-readable form of a report."""
-    cells = []
-    for r in report.row_order:
-        for c in report.column_order:
-            if r == c:
-                continue
-            entry = report.cells[(r, c)].to_dict()
-            entry["significant"] = report.significance[(r, c)]
-            if report.bayes is not None:
-                entry["bayes"] = report.bayes[(r, c)].to_dict()
-            cells.append(entry)
     ordering = _order_by_mean(
         sorted(report.mean_performance), report.mean_performance, report.direction
     )
@@ -247,5 +259,5 @@ def mcm_report_to_dict(report: MCMReport) -> dict:
         "direction": report.direction.value,
         "n_tasks": report.n_tasks,
         "comparison_count": report.comparison_count,
-        "cells": cells,
+        "cells": cell_records(report.cells, report.alpha, report.bayes),
     }

@@ -19,14 +19,6 @@ def resolve_scale_limit(report: MCMReport, style: RenderStyle) -> float:
     return largest if largest > 0.0 else 1.0
 
 
-def _cell_lines(cell, places: int) -> tuple[str, str, str]:
-    return (
-        fnum(cell.mean_difference, places),
-        f"{cell.wins} / {cell.ties} / {cell.losses}",
-        f"p = {fnum(cell.p_value, places)}",
-    )
-
-
 def render_mcm(
     report: MCMReport,
     style: RenderStyle = RenderStyle(),
@@ -38,8 +30,9 @@ def render_mcm(
     Cell fill encodes the mean difference on a diverging scale (white at
     zero); text shows the mean difference, the win/tie/loss count, and the
     Wilcoxon p, in bold when the cell is significant.  Mean performance is
-    printed next to each comparate label.  Output bytes are a pure
-    function of (report, style, metadata).
+    printed next to each comparate label.  HTML adds a table row per cell
+    with the same labels.  Output bytes are a pure function of (report,
+    style, metadata).
     """
     fmt = str(format).strip().lower()
     if fmt not in ("svg", "html"):
@@ -86,6 +79,10 @@ def render_mcm(
         )
     doc.group_end()
 
+    table = [
+        "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
+        "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
+    ] if fmt == "html" else None
     doc.group_start("cells")
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
@@ -99,38 +96,26 @@ def render_mcm(
             fill = diverging_color(cell.mean_difference, limit, style)
             doc.rect(x, y, style.cell_width, style.cell_height,
                      fill=fill, stroke="#bbbbbb", extra='class="cell-bg"')
-            bold = style.bold_significant and report.significance[(r, c)]
+            significant = report.significance[(r, c)]
+            bold = style.bold_significant and significant
+            mean = fnum(cell.mean_difference, places)
+            wtl = f"{cell.wins} / {cell.ties} / {cell.losses}"
+            p = fnum(cell.p_value, places)
             cx = x + style.cell_width / 2.0
-            for k, line in enumerate(_cell_lines(cell, places)):
+            for k, line in enumerate((mean, wtl, f"p = {p}")):
                 cy = y + style.cell_height / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs
                 doc.text(cx, cy, line, fs, bold=bold)
+            if table is not None:
+                table.append(
+                    f"<tr><td>{escape(r)}</td><td>{escape(c)}</td><td>{mean}</td>"
+                    f"<td>{wtl}</td><td>{p}</td>"
+                    f"<td>{'yes' if significant else 'no'}</td></tr>"
+                )
     doc.group_end()
 
     svg = doc.tobytes(metadata)
-    if fmt == "svg":
+    if table is None:
         return svg
-    return wrap_html(svg, "Pairwise comparison matrix",
-                     _data_table(report, places), metadata)
+    table.append("</table>")
+    return wrap_html(svg, "Pairwise comparison matrix", "\n".join(table), metadata)
 
-
-def _data_table(report: MCMReport, places: int) -> str:
-    head = (
-        "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
-        "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
-    )
-    body = []
-    for r in report.row_order:
-        for c in report.column_order:
-            if r == c:
-                continue
-            cell = report.cells[(r, c)]
-            body.append(
-                "<tr>"
-                f"<td>{escape(r)}</td><td>{escape(c)}</td>"
-                f"<td>{fnum(cell.mean_difference, places)}</td>"
-                f"<td>{cell.wins} / {cell.ties} / {cell.losses}</td>"
-                f"<td>{fnum(cell.p_value, places)}</td>"
-                f"<td>{'yes' if report.significance[(r, c)] else 'no'}</td>"
-                "</tr>"
-            )
-    return head + "\n" + "\n".join(body) + "\n</table>"

@@ -8,7 +8,6 @@ against the closed form m(m+1)/2.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -16,31 +15,36 @@ import numpy as np
 from .data import Direction, ResultsMatrix
 from .stats import compute_ranks, holm_correction, wilcoxon_signed_rank
 
-__all__ = ["run_selftest", "enumeration_pvalue"]
+__all__ = ["run_selftest", "average_ranks", "enumeration_pvalue"]
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties sharing the mean of their sorted positions."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def enumeration_pvalue(diffs: np.ndarray) -> float:
     """Two-sided signed-rank p by enumerating all 2^k sign assignments.
 
-    Independent route: ranks come from scipy and the distribution from
-    explicit enumeration rather than subset-sum counting.
+    Independent route: tied ranks come from sorting and the distribution
+    from explicit enumeration rather than subset-sum counting.
     """
-    from scipy.stats import rankdata  # imported here: scipy.stats costs ~1 s to load
-
     nz = diffs[diffs != 0.0]
     k = nz.size
     if k == 0:
         return 1.0
-    ranks = rankdata(np.abs(nz))
+    ranks = average_ranks(np.abs(nz))
     observed = float(ranks[nz > 0.0].sum())
-    le = ge = 0
-    for signs in product((0.0, 1.0), repeat=k):
-        w = float(np.dot(signs, ranks))
-        if w <= observed:
-            le += 1
-        if w >= observed:
-            ge += 1
-    return min(1.0, 2.0 * min(le, ge) / 2.0**k)
+    # Row b: the positive-rank sum when bit i of b makes difference i positive.
+    sums = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) @ ranks
+    tail = min(int((sums <= observed).sum()), int((sums >= observed).sum()))
+    return min(1.0, 2.0 * tail / 2.0**k)
 
 
 def _suite_wilcoxon(cases: int = 200) -> str:

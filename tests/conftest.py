@@ -11,6 +11,7 @@ import mcmatrix.stability
 import mcmatrix.stats
 from mcmatrix import Direction, ResultsMatrix
 from mcmatrix.cli import main
+from mcmatrix.data import dump_results
 from mcmatrix.stats import holm_correction
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,16 +101,42 @@ STABILITY_GOLDEN_CASES = (
 )
 
 
+_FOCUS = ("--rows", "Alpha,Bravo", "--cols", "Alpha,Charlie,Echo")
+#: (golden file name, ``mcmatrix`` arguments) run on ``golden_matrix()``.
+CLI_GOLDEN_CASES = (
+    ("mcm.json", ("mcm", "--format", "json")),
+    ("mcm_focused.json", ("mcm", "--format", "json", *_FOCUS)),
+    ("mcm_focused.html", ("mcm", "--format", "html", *_FOCUS)),
+    ("mcm_bayes.json", ("mcm", "--format", "json", "--include-bayes",
+                        "--mc-samples", "2000")),
+    ("stats.json", ("stats",)),
+    ("stats_bayes.json", ("stats", "--include-bayes", "--mc-samples", "2000")),
+)
+
+
+def _cli_bytes(source: Path, direction: str, argv: tuple, directory: Path) -> bytes:
+    output = directory / "out"
+    argv = [*argv, "--input", str(source), "--direction", direction,
+            "--output", str(output)]
+    if main(argv) != 0:
+        raise AssertionError(f"mcmatrix run failed: {argv!r}")
+    return output.read_bytes()
+
+
 def stability_json(fixture_name: str, experiment: tuple, directory: Path) -> bytes:
     """``mcmatrix stability <experiment>`` JSON bytes on a fixture's matrix."""
     spec = load_fixture(fixture_name)["matrix"]
-    source, output = directory / f"{fixture_name}.json", directory / "out.json"
+    source = directory / f"{fixture_name}.json"
     source.write_text(json.dumps(spec))
-    argv = ["stability", *experiment, "--input", str(source),
-            "--direction", spec["direction"], "--output", str(output)]
-    if main(argv) != 0:
-        raise AssertionError(f"stability run failed: {argv!r}")
-    return output.read_bytes()
+    return _cli_bytes(source, spec["direction"], ("stability", *experiment), directory)
+
+
+def golden_cli_output(argv: tuple, directory: Path) -> bytes:
+    """``mcmatrix <argv>`` output bytes on ``golden_matrix()``, read as JSON."""
+    matrix = golden_matrix()
+    source = directory / "golden.json"
+    source.write_bytes(dump_results(matrix, "json"))
+    return _cli_bytes(source, matrix.direction.value, argv, directory)
 
 
 @pytest.fixture

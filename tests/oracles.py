@@ -1,16 +1,18 @@
 """Independent oracles the test suite checks the implementation against.
 
-These deliberately take different computational routes: ranks via scipy,
-the signed-rank null distribution via explicit enumeration of sign
-assignments (not subset-sum counting), and the groupwise rank statistic
-via the textbook tie-free formula, and the reservoir draw of pattern
-enumeration with Python integers masked to 64 bits (the package uses
+These deliberately take different computational routes: the groupwise
+rank statistic via the textbook tie-free formula, the reservoir draw of
+pattern enumeration with Python integers masked to 64 bits (the package uses
 wrapping numpy uint64 arrays), and the Bayesian posterior means in closed
 form from the Dirichlet moments (the package estimates them by Monte
 Carlo).  Subset unranking walks the pool with one ``math.comb`` per step
 (the package searches a binomial table per slot in numpy), and the sampled
 ranks are deduplicated one Python int at a time (the package uses
 ``np.unique`` per batch).
+
+The sign-enumeration signed-rank oracle is the package's own
+``mcmatrix.selftest.enumeration_pvalue``, which the ``selftest`` command
+runs too; the tests pin its ranks to ``scipy.stats.rankdata``.
 
 ``wilcoxon_signed_rank_scalar`` and ``pairwise_comparison_scalar`` are
 the one-pair signed-rank test and cell the package computed before its
@@ -23,32 +25,10 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import EmptyInput, InternalError, ValidationError
 from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod
-
-
-def wilcoxon_enumeration_p(diffs) -> float:
-    """Two-sided signed-rank p over all 2^k sign assignments of the nonzero
-    differences, with averaged ranks for tied absolutes; the smaller tail
-    is doubled and capped at 1."""
-    d = np.asarray(diffs, dtype=float)
-    nz = d[d != 0.0]
-    k = nz.size
-    if k == 0:
-        return 1.0
-    ranks = rankdata(np.abs(nz))
-    observed = float(ranks[nz > 0.0].sum())
-
-    # Vectorized enumeration: row b of the mask grid encodes assignment b.
-    assignments = np.arange(1 << k, dtype=np.uint64)
-    bits = (assignments[:, None] >> np.arange(k, dtype=np.uint64)) & 1
-    stats = bits.astype(float) @ ranks
-    le = int((stats <= observed).sum())
-    ge = int((stats >= observed).sum())
-    return min(1.0, 2.0 * min(le, ge) / float(1 << k))
 
 
 def friedman_tie_free(ranks: np.ndarray) -> float:

@@ -33,10 +33,10 @@ from mcmatrix import (
     significance_pattern,
     wilcoxon_signed_rank,
 )
+from mcmatrix.selftest import enumeration_pvalue
 from mcmatrix.stats import oriented_differences
 
 from conftest import GOLDEN, fixture_matrix, golden_matrix, load_fixture, random_matrix
-from oracles import wilcoxon_enumeration_p
 
 
 @contextmanager
@@ -62,7 +62,7 @@ def test_criterion_1_wilcoxon_exact_oracle():
             diffs = diffs[np.flatnonzero(diffs)][:12]
             if diffs.size == 0:
                 diffs = np.array([1.0])
-            expected = wilcoxon_enumeration_p(diffs)
+            expected = enumeration_pvalue(diffs)
             got, _ = wilcoxon_signed_rank(diffs)
             assert abs(got - expected) <= 1e-12, (diffs.tolist(), got, expected)
         elapsed = time.monotonic() - start

@@ -12,7 +12,14 @@ import pytest
 import mcmatrix
 from mcmatrix.cli import main
 
-from conftest import GOLDEN, STABILITY_GOLDEN_CASES, inverted_holm, stability_json
+from conftest import (
+    CLI_GOLDEN_CASES,
+    GOLDEN,
+    STABILITY_GOLDEN_CASES,
+    golden_cli_output,
+    inverted_holm,
+    stability_json,
+)
 
 CSV = (
     "comparate,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10\n"
@@ -53,6 +60,50 @@ class TestExitCodes:
             ["mcm", "--input", "/does/not/exist.csv", "--direction", "higher"], capsys
         )
         assert code == 1
+
+    def test_missing_output_directory_is_usage_error(self, results_csv, capsys):
+        target = "/nonexistent/x.json"
+        code, _, err = run(
+            ["mcm", "--input", str(results_csv), "--direction", "higher",
+             "--format", "json", "--output", target],
+            capsys,
+        )
+        assert code == 1 and target in err and "Traceback" not in err
+
+    def test_output_below_a_regular_file_is_usage_error(self, results_csv, capsys):
+        target = str(results_csv / "x")
+        code, _, err = run(
+            ["stats", "--input", str(results_csv), "--direction", "higher",
+             "--output", target],
+            capsys,
+        )
+        assert code == 1 and target in err and "Traceback" not in err
+
+    def test_directory_as_input_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            ["mcm", "--input", str(tmp_path), "--direction", "higher"], capsys
+        )
+        assert code == 1 and str(tmp_path) in err and "Traceback" not in err
+
+    def test_pattern_directory_that_is_a_file_is_usage_error(self, results_csv, capsys):
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(results_csv),
+             "--direction", "higher", "--core", "Alpha,Bravo", "--k-extra", "1",
+             "--render-patterns", str(results_csv)],
+            capsys,
+        )
+        assert code == 1 and str(results_csv) in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["svg", "html", "json"])
+    def test_grid_without_off_diagonal_cell_is_data_error(self, results_csv, capsys, fmt):
+        code, out, err = run(
+            ["mcm", "--input", str(results_csv), "--direction", "higher",
+             "--rows", "Alpha", "--cols", "Alpha", "--format", fmt],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "report contains no comparisons" in err
 
     def test_malformed_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -458,10 +509,23 @@ class TestOtherCommands:
         golden = (GOLDEN / f"stability_{stem}.json").read_bytes()
         assert stability_json(fixture, experiment, tmp_path) == golden
 
+    @pytest.mark.parametrize("name, argv", CLI_GOLDEN_CASES)
+    def test_output_matches_golden(self, tmp_path, name, argv):
+        assert golden_cli_output(argv, tmp_path) == (GOLDEN / name).read_bytes()
+
     def test_selftest(self, capsys):
         code, out, _ = run(["selftest"], capsys)
         assert code == 0
         assert out.count("PASS") == 3 and "FAIL" not in out
+
+    def test_selftest_does_not_load_scipy(self):
+        src = Path(mcmatrix.__file__).resolve().parent.parent
+        probe = ("import sys; from mcmatrix.cli import main; code = main(['selftest']); "
+                 "print(code, 'scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_enumerate_render_patterns(self, results_csv, tmp_path, capsys):
         outdir = tmp_path / "patterns"

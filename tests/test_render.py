@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -97,13 +98,14 @@ class TestRenderMcm:
         assert "(0.8700)" in svg  # Alpha's mean accuracy
 
     def test_empty_report_rejected(self):
-        matrix = golden_matrix()
-        report = build_mcm(
-            matrix,
-            MCMConfig(row_comparates=("Alpha",), column_comparates=("Alpha",)),
-        )
         with pytest.raises(EmptyReport):
-            render_mcm(report)
+            build_mcm(
+                golden_matrix(),
+                MCMConfig(row_comparates=("Alpha",), column_comparates=("Alpha",)),
+            )
+        full = build_mcm(golden_matrix())
+        with pytest.raises(EmptyReport):
+            render_mcm(dataclasses.replace(full, cells={}))
 
 
 class TestCliqueRuns:

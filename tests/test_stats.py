@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import studentized_range
+from scipy.stats import rankdata, studentized_range
 
 from mcmatrix import stats
 from mcmatrix import (
@@ -33,12 +33,12 @@ from mcmatrix.errors import (
     UnsupportedAlpha,
     ValidationError,
 )
+from mcmatrix.selftest import average_ranks, enumeration_pvalue
 
 from conftest import cell_bits, random_matrix
 from oracles import (
     friedman_tie_free,
     pairwise_comparison_scalar,
-    wilcoxon_enumeration_p,
     wilcoxon_signed_rank_scalar,
 )
 
@@ -106,10 +106,17 @@ class TestWilcoxon:
     )
     @settings(max_examples=300, deadline=None)
     def test_exact_matches_enumeration_oracle(self, diffs):
-        expected = wilcoxon_enumeration_p(np.array(diffs))
+        expected = enumeration_pvalue(np.array(diffs))
         got, method = wilcoxon_signed_rank(diffs)
         assert method in (PMethod.EXACT, PMethod.DEGENERATE)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @given(st.lists(st.integers(min_value=-4, max_value=4).map(lambda v: v / 4.0),
+                    min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_enumeration_oracle_ranks_match_scipy(self, values):
+        x = np.array(values)
+        assert average_ranks(x).tobytes() == rankdata(x).tobytes()
 
     def test_threshold_switches_method(self):
         assert stats.DEFAULT_EXACT_THRESHOLD == 25
