@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the golden fixtures under tests/golden/: the rendered
-figures, the ``mcm`` and ``stats`` command outputs, and the
-``stability weaken`` / ``rank-swap`` JSON.
+figures, the ``mcm`` and ``stats`` command outputs, the ``stability
+enumerate`` JSON and one pattern graph, and the ``stability weaken`` /
+``rank-swap`` JSON.
 
 They are byte-exact output contracts: regenerate only when a style,
 layout or output change is intended, and review the diff.
@@ -45,8 +46,8 @@ def main() -> None:
         render_cd_diagram(matrix, 0.05, "wilcoxon-holm", metadata=metadata)
     )
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CLI_GOLDEN_CASES:
-            (GOLDEN / name).write_bytes(golden_cli_output(argv, Path(tmp)))
+        for name, argv, result in CLI_GOLDEN_CASES:
+            (GOLDEN / name).write_bytes(golden_cli_output(argv, result, Path(tmp)))
         for stem, fixture, experiment in STABILITY_GOLDEN_CASES:
             (GOLDEN / f"stability_{stem}.json").write_bytes(
                 stability_json(fixture, experiment, Path(tmp))

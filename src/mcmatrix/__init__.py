@@ -20,16 +20,13 @@ from .data import (
 from .errors import McmatrixError
 from .mcm import MCMConfig, MCMReport, build_mcm, mcm_cell_invariance_check, mcm_report_to_dict
 from .render import (
-    RenderStyle,
     cd_layout,
     render_cd_diagram,
     render_mcm,
     render_pattern_graph,
 )
 from .stability import (
-    Exhaustive,
     PatternEnumeration,
-    Sampled,
     SignificancePattern,
     detect_rank_swap,
     enumerate_patterns,
@@ -79,15 +76,12 @@ __all__ = [
     "build_mcm",
     "mcm_cell_invariance_check",
     "mcm_report_to_dict",
-    "RenderStyle",
     "render_mcm",
     "render_cd_diagram",
     "cd_layout",
     "render_pattern_graph",
     "SignificancePattern",
     "PatternEnumeration",
-    "Exhaustive",
-    "Sampled",
     "significance_pattern",
     "enumerate_patterns",
     "detect_rank_swap",

@@ -14,9 +14,11 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,11 +28,9 @@ from .bayes import bayesian_signed_rank  # noqa: F401 -- perfbench/spans.py time
 from .data import Direction, load_results
 from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
 from .mcm import MCMConfig, build_mcm, cell_records, compare_pairs, mcm_report_to_dict
-from .render import RenderStyle, render_cd_diagram, render_mcm, render_pattern_graph
+from .render import render_cd_diagram, render_mcm, render_pattern_graph
 from .selftest import run_selftest
 from .stability import (
-    Exhaustive,
-    Sampled,
     detect_rank_swap,
     enumerate_patterns,
     pattern_from_bitmask,
@@ -70,6 +70,17 @@ def _read_input(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an output path whose directory is missing before any work is
+    done; ``_write_output`` still reports a write that fails later."""
+    if path is None or path == "-":
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise _UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _write_output(path: str | None, payload: bytes) -> None:
@@ -252,6 +263,7 @@ def build_parser() -> _Parser:
 
 
 def _load(args: argparse.Namespace) -> tuple:
+    _check_output(args.output)
     payload = _read_input(args.input)
     fmt = _guess_format(args.input, args.input_format)
     matrix = load_results(payload, fmt, Direction(args.direction))
@@ -273,8 +285,7 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         out = dict(metadata=meta, **mcm_report_to_dict(report))
         _write_output(args.output, _json_bytes(out))
     else:
-        _write_output(args.output, render_mcm(report, RenderStyle(),
-                                              format=args.format, metadata=meta))
+        _write_output(args.output, render_mcm(report, format=args.format, metadata=meta))
     return 0
 
 
@@ -321,12 +332,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     pool = tuple(args.pool) if args.pool else tuple(
         c for c in matrix.comparates if c not in set(core)
     )
-    mode = Sampled(args.sample, args.seed) if args.sample is not None else Exhaustive()
-    enumeration = enumerate_patterns(
-        matrix, core, pool, args.k_extra, args.alpha,
-        mode=mode, example_seed=args.seed,
-    )
-    meta = _metadata(args, payload, pool=list(pool), workers=1)
     if args.render_patterns:
         directory = Path(args.render_patterns)
         try:
@@ -335,6 +340,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             raise _UsageError(
                 f"cannot create directory {args.render_patterns!r}: {exc.strerror}"
             ) from None
+    enumeration = enumerate_patterns(
+        matrix, core, pool, args.k_extra, args.alpha, sample=args.sample, seed=args.seed
+    )
+    meta = _metadata(args, payload, pool=list(pool), workers=1)
+    if args.render_patterns:
         for mask in sorted(enumeration.pattern_counts):
             pattern = pattern_from_bitmask(core, mask)
             svg = render_pattern_graph(pattern, metadata=meta)

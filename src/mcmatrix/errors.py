@@ -128,7 +128,7 @@ class EmptyReport(McmatrixError):
 
 
 class EnumerationTooLarge(McmatrixError):
-    """Exhaustive subset enumeration would exceed the safety limit."""
+    """An exhaustive subset sweep would exceed the safety limit."""
 
 
 class InternalError(McmatrixError):

@@ -2,15 +2,13 @@
 critical-difference diagrams, and pattern mini-graphs."""
 
 from .cd_view import CdLayout, cd_layout, contiguous_nonsignificant_runs, render_cd_diagram
-from .mcm_view import render_mcm, resolve_scale_limit
+from .mcm_view import render_mcm
 from .pattern_view import render_pattern_graph
-from .style import RenderStyle, diverging_color
+from .style import diverging_color
 
 __all__ = [
-    "RenderStyle",
     "diverging_color",
     "render_mcm",
-    "resolve_scale_limit",
     "render_cd_diagram",
     "cd_layout",
     "CdLayout",

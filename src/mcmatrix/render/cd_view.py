@@ -22,7 +22,7 @@ from ..stats import (
     pair_id,
 )
 from .core import SvgDoc, fnum
-from .style import RenderStyle
+from .style import CD_AXIS_WIDTH, CD_BAR_SPACING, CD_ROW_HEIGHT, FONT_SIZE, PADDING
 
 __all__ = [
     "CdLayout",
@@ -34,8 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CdLayout:
-    """Geometry-free layout: AR-sorted names, their positions on the axis
-    (best at the right), and the index runs to join with bars."""
+    """Geometry-free layout: AR-sorted names, their positions on the unit
+    axis, (m - ar) / (m - 1) (best at the right, 1.0), and the index runs
+    to join with bars."""
 
     names: tuple[str, ...]
     average_ranks: tuple[float, ...]
@@ -63,18 +64,15 @@ def contiguous_nonsignificant_runs(
     return runs
 
 
-def _axis_position(ar: float, m: int, x_left: float, width: float) -> float:
-    # Affine in AR, decreasing: rank 1 maps to the right edge, rank m to
-    # the left edge.
-    return x_left + (m - ar) / (m - 1) * width
+def _unit_position(ar: float, m: int) -> float:
+    # Affine in AR, decreasing: rank 1 maps to 1.0, rank m to 0.0.
+    return (m - ar) / (m - 1)
 
 
 def cd_layout(
     matrix: ResultsMatrix,
     alpha: float = 0.05,
     pairwise_method: str = "nemenyi",
-    axis_left: float = 0.0,
-    axis_width: float = 1.0,
 ) -> CdLayout:
     """Compute everything the diagram needs, independent of page geometry."""
     method = str(pairwise_method).strip().lower().replace("_", "-")
@@ -94,7 +92,7 @@ def cd_layout(
     )
     names = tuple(matrix.comparates[i] for i in order)
     ars = tuple(float(table.average_ranks[i]) for i in order)
-    positions = tuple(_axis_position(ar, matrix.m, axis_left, axis_width) for ar in ars)
+    positions = tuple(_unit_position(ar, matrix.m) for ar in ars)
 
     cd: float | None = None
     if method == "nemenyi":
@@ -125,27 +123,27 @@ def render_cd_diagram(
     matrix: ResultsMatrix,
     alpha: float = 0.05,
     pairwise_method: str = "nemenyi",
-    style: RenderStyle = RenderStyle(),
     metadata: dict | None = None,
 ) -> bytes:
     """Render the diagram as SVG bytes; deterministic for fixed inputs."""
     m = matrix.m
-    pad = style.padding
-    axis_left = pad + 40.0
-    layout = cd_layout(matrix, alpha, pairwise_method, axis_left, style.cd_axis_width)
+    pad = PADDING
+    left = pad + 40.0
+    layout = cd_layout(matrix, alpha, pairwise_method)
+    xs = [left + u * CD_AXIS_WIDTH for u in layout.positions]
 
-    fs = style.font_size
+    fs = FONT_SIZE
     right_count = (m + 1) // 2  # best half labelled on the right
     left_count = m - right_count
-    bar_rows = _assign_bar_rows(layout)
+    bar_rows = _assign_bar_rows(layout.bars, xs)
     n_bar_rows = (max(bar_rows) + 1) if bar_rows else 0
 
     axis_y = pad + 2.6 * fs + (2.0 * fs if layout.critical_difference else 0.0)
     bars_top = axis_y + 14.0
-    labels_top = bars_top + n_bar_rows * style.cd_bar_spacing + 10.0
-    height = labels_top + max(right_count, left_count) * style.cd_row_height + pad
-    width = axis_left + style.cd_axis_width + 40.0 + pad
-    doc = SvgDoc(width, height, style.font_family)
+    labels_top = bars_top + n_bar_rows * CD_BAR_SPACING + 10.0
+    height = labels_top + max(right_count, left_count) * CD_ROW_HEIGHT + pad
+    width = left + CD_AXIS_WIDTH + 40.0 + pad
+    doc = SvgDoc(width, height)
     doc.rect(0, 0, width, height, fill="#ffffff")
 
     title = (
@@ -156,13 +154,13 @@ def render_cd_diagram(
             else "Wilcoxon signed-rank with Holm correction"
         )
     )
-    doc.text(axis_left + style.cd_axis_width / 2.0, pad + fs, title, fs)
+    doc.text(left + CD_AXIS_WIDTH / 2.0, pad + fs, title, fs)
 
     # CD ruler above the axis.
     if layout.critical_difference is not None:
-        unit = style.cd_axis_width / (m - 1)
+        unit = CD_AXIS_WIDTH / (m - 1)
         ruler_len = min(layout.critical_difference, float(m - 1)) * unit
-        rx = axis_left + style.cd_axis_width - ruler_len
+        rx = left + CD_AXIS_WIDTH - ruler_len
         ry = pad + 2.2 * fs
         doc.line(rx, ry, rx + ruler_len, ry, width=1.5)
         doc.line(rx, ry - 4, rx, ry + 4)
@@ -170,9 +168,9 @@ def render_cd_diagram(
 
     # Axis with integer rank ticks, best rank at the right.
     doc.group_start("axis")
-    doc.line(axis_left, axis_y, axis_left + style.cd_axis_width, axis_y, width=1.5)
+    doc.line(left, axis_y, left + CD_AXIS_WIDTH, axis_y, width=1.5)
     for rank in range(1, m + 1):
-        x = _axis_position(float(rank), m, axis_left, style.cd_axis_width)
+        x = left + _unit_position(float(rank), m) * CD_AXIS_WIDTH
         doc.line(x, axis_y - 4, x, axis_y + 4)
         doc.text(x, axis_y - 8, str(rank), fs * 0.9)
     doc.group_end()
@@ -180,21 +178,21 @@ def render_cd_diagram(
     # Joining bars.
     doc.group_start("bars")
     for (i, j), row in zip(layout.bars, bar_rows):
-        y = bars_top + row * style.cd_bar_spacing
-        doc.line(layout.positions[j] - 3, y, layout.positions[i] + 3, y, width=3.0)
+        y = bars_top + row * CD_BAR_SPACING
+        doc.line(xs[j] - 3, y, xs[i] + 3, y, width=3.0)
     doc.group_end()
 
     # Labels: best half on the right, rest on the left, with connectors.
     doc.group_start("labels")
-    right_x = axis_left + style.cd_axis_width + 36.0
-    left_x = axis_left - 36.0
+    right_x = left + CD_AXIS_WIDTH + 36.0
+    left_x = left - 36.0
     for idx, name in enumerate(layout.names):
         on_right = idx < right_count
         slot = idx if on_right else (m - 1 - idx)
-        y = labels_top + slot * style.cd_row_height
+        y = labels_top + slot * CD_ROW_HEIGHT
         x_label = right_x if on_right else left_x
         anchor = "start" if on_right else "end"
-        px = layout.positions[idx]
+        px = xs[idx]
         doc.line(px, axis_y, px, y, stroke="#555555", width=1.0)
         doc.line(px, y, x_label - (6.0 if on_right else -6.0), y,
                  stroke="#555555", width=1.0)
@@ -213,12 +211,13 @@ def render_cd_diagram(
     return doc.tobytes(meta)
 
 
-def _assign_bar_rows(layout: CdLayout) -> list[int]:
-    """Greedy stagger: overlapping bars land on different rows."""
+def _assign_bar_rows(bars: tuple[tuple[int, int], ...], xs: list[float]) -> list[int]:
+    """Greedy stagger: overlapping bars (at pixel positions ``xs``) land on
+    different rows."""
     rows: list[int] = []
     occupied: list[list[tuple[float, float]]] = []
-    for i, j in layout.bars:
-        lo, hi = layout.positions[j], layout.positions[i]
+    for i, j in bars:
+        lo, hi = xs[j], xs[i]
         row = 0
         while row < len(occupied) and any(
             not (hi < a or b < lo) for a, b in occupied[row]

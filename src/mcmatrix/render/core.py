@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from xml.sax.saxutils import escape, quoteattr
 
+from .style import FONT_FAMILY
+
 __all__ = ["fnum", "SvgDoc", "wrap_html"]
 
 
@@ -23,13 +25,14 @@ def fnum(x: float, places: int = 2) -> str:
 class SvgDoc:
     """Accumulates SVG elements; ``tobytes`` emits the full document.
 
-    Every text element uses the document's font ``family``.
+    Every text element uses ``FONT_FAMILY``.
     """
 
-    def __init__(self, width: float, height: float, family: str):
+    _family = quoteattr(FONT_FAMILY)
+
+    def __init__(self, width: float, height: float):
         self.width = width
         self.height = height
-        self._family = quoteattr(family)
         self._parts: list[str] = []
 
     def raw(self, fragment: str) -> None:

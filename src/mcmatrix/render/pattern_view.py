@@ -10,19 +10,18 @@ from __future__ import annotations
 import math
 
 from .core import SvgDoc
-from .style import RenderStyle
+from .style import FONT_SIZE, PADDING
 
 __all__ = ["render_pattern_graph"]
 
 
-def render_pattern_graph(pattern, style: RenderStyle = RenderStyle(),
-                         metadata: dict | None = None) -> bytes:
+def render_pattern_graph(pattern, metadata: dict | None = None) -> bytes:
     names = pattern.core
     k = len(names)
     radius = 70.0
-    pad = style.padding + 50.0
+    pad = PADDING + 50.0
     size = 2 * (radius + pad)
-    doc = SvgDoc(size, size, style.font_family)
+    doc = SvgDoc(size, size)
     doc.rect(0, 0, size, size, fill="#ffffff")
     cx = cy = size / 2.0
 
@@ -43,7 +42,7 @@ def render_pattern_graph(pattern, style: RenderStyle = RenderStyle(),
         # Push the label outward from the circle center.
         lx = cx + (x - cx) * 1.35
         ly = cy + (y - cy) * 1.35
-        doc.text(lx, ly + 0.35 * style.font_size, name, style.font_size)
+        doc.text(lx, ly + 0.35 * FONT_SIZE, name, FONT_SIZE)
     doc.group_end()
 
     meta = dict(metadata) if metadata else {}

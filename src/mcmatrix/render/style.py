@@ -1,73 +1,44 @@
 """Visual style for rendered figures.
 
-Geometry and color defaults are documented in ``docs/style-reference.md``;
-changing any default changes golden-file bytes, so treat them as part of
-the output contract.
+The constants are documented in ``docs/style-reference.md``; changing any
+of them changes golden-file bytes, so treat them as part of the output
+contract.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+__all__ = ["diverging_color"]
 
-from ..errors import ValidationError
+# Diverging fill endpoints: positive mean difference (row better) vs negative.
+COLOR_POSITIVE = "#d73027"
+COLOR_NEGATIVE = "#4575b4"
+CELL_DECIMAL_PLACES = 4
 
-__all__ = ["RenderStyle", "parse_color", "diverging_color"]
+FONT_FAMILY = "Helvetica, Arial, sans-serif"
+FONT_SIZE = 12.0
+CELL_WIDTH = 150.0
+CELL_HEIGHT = 64.0
+LABEL_WIDTH = 190.0
+HEADER_HEIGHT = 56.0
+PADDING = 16.0
 
-_HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
+# Rank-diagram geometry.
+CD_AXIS_WIDTH = 560.0
+CD_ROW_HEIGHT = 22.0
+CD_BAR_SPACING = 10.0
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    """Colors, fonts, and geometry for the comparison-grid and rank figures."""
-
-    # Diverging fill: positive mean difference (row better) vs negative.
-    color_positive: str = "#d73027"
-    color_negative: str = "#4575b4"
-    # Symmetric saturation point of the fill scale; None means the largest
-    # absolute mean difference over the rendered cells.
-    color_scale_limit: float | None = None
-    bold_significant: bool = True
-    cell_decimal_places: int = 4
-
-    font_family: str = "Helvetica, Arial, sans-serif"
-    font_size: float = 12.0
-    cell_width: float = 150.0
-    cell_height: float = 64.0
-    label_width: float = 190.0
-    header_height: float = 56.0
-    padding: float = 16.0
-
-    # Rank-diagram geometry.
-    cd_axis_width: float = 560.0
-    cd_row_height: float = 22.0
-    cd_bar_spacing: float = 10.0
-
-    def __post_init__(self):
-        parse_color(self.color_positive)
-        parse_color(self.color_negative)
-        if self.color_scale_limit is not None and not self.color_scale_limit > 0.0:
-            raise ValidationError("color_scale_limit must be > 0 when set")
-        if int(self.cell_decimal_places) < 0:
-            raise ValidationError("cell_decimal_places must be >= 0")
+_POSITIVE_RGB = tuple(int(COLOR_POSITIVE[i:i + 2], 16) for i in (1, 3, 5))
+_NEGATIVE_RGB = tuple(int(COLOR_NEGATIVE[i:i + 2], 16) for i in (1, 3, 5))
 
 
-def parse_color(spec: str) -> tuple[int, int, int]:
-    if not isinstance(spec, str) or not _HEX_COLOR.match(spec):
-        raise ValidationError(f"color must be '#rrggbb', got {spec!r}")
-    return (int(spec[1:3], 16), int(spec[3:5], 16), int(spec[5:7], 16))
-
-
-def diverging_color(value: float, limit: float, style: RenderStyle) -> str:
+def diverging_color(value: float, limit: float) -> str:
     """Interpolate white -> endpoint on the signed side of a diverging map.
 
     Zero maps exactly to white; |value| >= limit saturates at the endpoint.
     """
     if value == 0.0:
         return "#ffffff"
-    endpoint = parse_color(
-        style.color_positive if value > 0.0 else style.color_negative
-    )
+    endpoint = _POSITIVE_RGB if value > 0.0 else _NEGATIVE_RGB
     t = min(abs(value) / limit, 1.0)
     channels = tuple(round(255 + (c - 255) * t) for c in endpoint)
     return "#{:02x}{:02x}{:02x}".format(*channels)

@@ -43,8 +43,6 @@ __all__ = [
     "SignificancePattern",
     "pattern_from_bitmask",
     "PatternEnumeration",
-    "Exhaustive",
-    "Sampled",
     "significance_pattern",
     "enumerate_patterns",
     "RankSwapReport",
@@ -56,7 +54,7 @@ __all__ = [
     "SAMPLED_SPACE_LIMIT",
 ]
 
-#: Exhaustive enumeration refuses above this many subsets; use Sampled mode.
+#: An exhaustive sweep refuses above this many subsets; sample instead.
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
 
 #: A sweep refuses a subset space larger than this: ranks are drawn with
@@ -114,19 +112,6 @@ def pattern_from_bitmask(core: Sequence[str], mask: int) -> SignificancePattern:
             if mask >> _pair_bit(k, i, j) & 1:
                 pairs.add((i, j))
     return SignificancePattern(core=core, non_significant_pairs=frozenset(pairs))
-
-
-@dataclass(frozen=True)
-class Exhaustive:
-    """Evaluate every k-subset of the pool."""
-
-
-@dataclass(frozen=True)
-class Sampled:
-    """Evaluate ``count`` distinct k-subsets drawn with the given seed."""
-
-    count: int
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -335,18 +320,19 @@ def enumerate_patterns(
     pool: Sequence[str],
     k_extra: int,
     alpha: float,
-    mode: Exhaustive | Sampled = Exhaustive(),
+    sample: int | None = None,
+    seed: int = 0,
     example_limit: int = 5,
-    example_seed: int = 0,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> PatternEnumeration:
-    """Pattern counts over every (or a sampled set of) k-extra subsets.
+    """Pattern counts over every k-extra subset, or over ``sample`` distinct
+    subsets drawn with ``seed``.
 
     Per-pair p-values are computed once up front: they depend only on the
     two comparates involved, so each subset evaluation reduces to one
     step-down correction over cached values.  A sweep is an ascending array
-    of subset ranks in lexicographic order over the pool: every rank in
-    Exhaustive mode, the drawn ranks in Sampled mode.  It is processed in
+    of subset ranks in lexicographic order over the pool: every rank, or
+    the drawn ranks when sampling.  It is processed in
     chunks of at most 256 ranks, each unranked to pool indices, corrected
     and counted with numpy, so memory stays bounded by one chunk's subsets
     x family pairs.  The first subset of each newly seen pattern is also
@@ -354,14 +340,19 @@ def enumerate_patterns(
     ``InternalError``.  Example subsets are retained by reservoir sampling
     keyed by (seed, subset index), so a seed always selects the same
     examples; only subsets that enter a reservoir are turned into names.
+    The one ``seed`` draws the sample and keys the reservoirs; it must lie
+    in 0 .. 2**64 - 1.
 
-    Exhaustive mode refuses more than ``exhaustive_limit`` subsets with
-    ``EnumerationTooLarge``.  Sampled mode refuses a space of more than
+    An exhaustive sweep refuses more than ``exhaustive_limit`` subsets with
+    ``EnumerationTooLarge``.  A sampled one refuses a space of more than
     ``SAMPLED_SPACE_LIMIT`` (2**63) subsets, and a sample of more than
-    ``exhaustive_limit`` subsets, with ``ValidationError``.  Ranks are int64,
-    so no sweep goes past 2**63 subsets, whatever ``exhaustive_limit`` says.
+    ``exhaustive_limit`` subsets, with ``ValidationError``.  A sample that
+    covers the whole space is an exhaustive sweep.  Ranks are int64, so no
+    sweep goes past 2**63 subsets, whatever ``exhaustive_limit`` says.
     """
     alpha = check_alpha(alpha)
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValidationError("seed must be a 64-bit unsigned integer")
     core = matrix.check_names(core, "core")
     pool = matrix.check_names(pool, "pool")
     overlap = set(core) & set(pool)
@@ -376,36 +367,34 @@ def enumerate_patterns(
         raise ValidationError("core must contain at least two comparates")
 
     total_space = math.comb(len(pool), k_extra)
-    if isinstance(mode, Sampled):
-        count = int(mode.count)
-        if count < 1:
+    if sample is not None:
+        sample = int(sample)
+        if sample < 1:
             raise ValidationError("sample count must be >= 1")
-        if count >= total_space:
-            mode = Exhaustive()  # the sample would cover the whole space
+        if sample >= total_space:
+            sample = None  # the sample would cover the whole space
 
-    if isinstance(mode, Exhaustive):
+    if sample is None:
         limit = min(exhaustive_limit, SAMPLED_SPACE_LIMIT)
         if total_space > limit:
             raise EnumerationTooLarge(
                 f"{total_space} subsets exceed the exhaustive limit {limit}; "
-                f"use Sampled mode"
+                f"use --sample"
             )
         ranks = None
         total = total_space
-    elif isinstance(mode, Sampled):
-        if count > exhaustive_limit:
+    else:
+        if sample > exhaustive_limit:
             raise ValidationError(
-                f"sample count {count} exceeds the limit of {exhaustive_limit} subsets"
+                f"sample count {sample} exceeds the limit of {exhaustive_limit} subsets"
             )
         if total_space > SAMPLED_SPACE_LIMIT:
             raise ValidationError(
                 f"k_extra={k_extra} over a pool of {len(pool)} gives {total_space} "
-                f"subsets, more than Sampled mode can draw from (2**63)"
+                f"subsets, more than --sample can draw from (2**63)"
             )
-        ranks = _sample_ranks(total_space, count, mode.seed)
-        total = count
-    else:
-        raise ValidationError(f"unknown enumeration mode {mode!r}")
+        ranks = _sample_ranks(total_space, sample, seed)
+        total = sample
 
     # One p-value per pair over core + pool covers every family.
     pvalues = all_pairs_pvalues(matrix, core + pool)
@@ -428,7 +417,7 @@ def enumerate_patterns(
         place[order] = np.arange(len(t)) - np.searchsorted(grouped, grouped)
         n_seen = counts[t] + place + 1
         counts += np.bincount(t, minlength=len(counts))
-        slot = _reservoir_keys(example_seed, start, len(t)) % n_seen.astype(np.uint64)
+        slot = _reservoir_keys(seed, start, len(t)) % n_seen.astype(np.uint64)
         kept = (n_seen <= max(example_limit, 1)) | (slot < example_limit)
         for row in np.flatnonzero(kept).tolist():
             subset = tuple(pool[i] for i in extras[row].tolist())

@@ -533,20 +533,12 @@ def holm_correction(
     rejecting = True
     for i, (pid, p) in enumerate(items):
         threshold = alpha / (total - i)
-        significant = rejecting and p <= threshold
-        if rejecting and p > threshold:
-            rejecting = False
-        decisions.append(HolmDecision(pid, p, significant, threshold))
-
-    # With the stop rule, equal p-values are already decided uniformly;
-    # unify anyway so the guarantee does not depend on that argument.
-    by_p: dict[float, bool] = {}
-    for d in decisions:
-        by_p[d.p_value] = by_p.get(d.p_value, False) or d.significant
-    return [
-        HolmDecision(d.pair, d.p_value, by_p[d.p_value], d.threshold)
-        for d in decisions
-    ]
+        rejecting = rejecting and p <= threshold
+        decisions.append(HolmDecision(pid, p, rejecting, threshold))
+    # Equal p-values share a decision: thresholds grow along a run of them
+    # (division is monotone in its denominator), so the stop rule cannot
+    # split the run.
+    return decisions
 
 
 def _sort_token(pid: object):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -102,25 +103,40 @@ STABILITY_GOLDEN_CASES = (
 
 
 _FOCUS = ("--rows", "Alpha,Bravo", "--cols", "Alpha,Charlie,Echo")
-#: (golden file name, ``mcmatrix`` arguments) run on ``golden_matrix()``.
+_ENUMERATE = ("stability", "enumerate", "--core", "Alpha,Charlie", "--k-extra", "2")
+#: (golden file name, ``mcmatrix`` arguments run on ``golden_matrix()``, the
+#: file read, relative to the run's working directory).
 CLI_GOLDEN_CASES = (
-    ("mcm.json", ("mcm", "--format", "json")),
-    ("mcm_focused.json", ("mcm", "--format", "json", *_FOCUS)),
-    ("mcm_focused.html", ("mcm", "--format", "html", *_FOCUS)),
+    ("mcm.json", ("mcm", "--format", "json"), "out"),
+    ("mcm_focused.json", ("mcm", "--format", "json", *_FOCUS), "out"),
+    ("mcm_focused.html", ("mcm", "--format", "html", *_FOCUS), "out"),
     ("mcm_bayes.json", ("mcm", "--format", "json", "--include-bayes",
-                        "--mc-samples", "2000")),
-    ("stats.json", ("stats",)),
-    ("stats_bayes.json", ("stats", "--include-bayes", "--mc-samples", "2000")),
+                        "--mc-samples", "2000"), "out"),
+    ("stats.json", ("stats",), "out"),
+    ("stats_bayes.json", ("stats", "--include-bayes", "--mc-samples", "2000"), "out"),
+    ("enumerate.json", _ENUMERATE, "out"),
+    ("enumerate_sampled.json", (*_ENUMERATE, "--sample", "2", "--seed", "3"), "out"),
+    # The pattern directory is relative: the SVG metadata records its name.
+    ("enumerate_pattern.svg",
+     ("stability", "enumerate", "--core", "Alpha,Bravo,Echo", "--k-extra", "1",
+      "--render-patterns", "patterns"), "patterns/pattern-0x0001.svg"),
 )
 
 
-def _cli_bytes(source: Path, direction: str, argv: tuple, directory: Path) -> bytes:
-    output = directory / "out"
+def _cli_bytes(source: Path, direction: str, argv: tuple, directory: Path,
+               result: str = "out") -> bytes:
+    """Run ``mcmatrix`` inside ``directory`` with ``--output out`` and return
+    the bytes of ``result``, a path relative to ``directory``."""
     argv = [*argv, "--input", str(source), "--direction", direction,
-            "--output", str(output)]
-    if main(argv) != 0:
-        raise AssertionError(f"mcmatrix run failed: {argv!r}")
-    return output.read_bytes()
+            "--output", "out"]
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        if main(argv) != 0:
+            raise AssertionError(f"mcmatrix run failed: {argv!r}")
+        return Path(result).read_bytes()
+    finally:
+        os.chdir(previous)
 
 
 def stability_json(fixture_name: str, experiment: tuple, directory: Path) -> bytes:
@@ -131,12 +147,13 @@ def stability_json(fixture_name: str, experiment: tuple, directory: Path) -> byt
     return _cli_bytes(source, spec["direction"], ("stability", *experiment), directory)
 
 
-def golden_cli_output(argv: tuple, directory: Path) -> bytes:
-    """``mcmatrix <argv>`` output bytes on ``golden_matrix()``, read as JSON."""
+def golden_cli_output(argv: tuple, result: str, directory: Path) -> bytes:
+    """Bytes of ``result`` after ``mcmatrix <argv>`` on ``golden_matrix()``,
+    read as JSON."""
     matrix = golden_matrix()
     source = directory / "golden.json"
     source.write_bytes(dump_results(matrix, "json"))
-    return _cli_bytes(source, matrix.direction.value, argv, directory)
+    return _cli_bytes(source, matrix.direction.value, argv, directory, result)
 
 
 @pytest.fixture

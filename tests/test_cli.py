@@ -187,6 +187,42 @@ class TestExitCodes:
         assert "k_extra=35 over a pool of 70" in err and "2**63" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sample", [(), ("--sample", "2")])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_enumerate_seed_outside_uint64_is_data_error(self, results_csv, capsys,
+                                                          tested_pairs, seed, sample):
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(results_csv), "--direction",
+             "higher", "--core", "Alpha,Bravo", "--k-extra", "1", "--seed", seed,
+             *sample],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "seed must be a 64-bit unsigned integer" in err
+        assert tested_pairs == []
+
+    @pytest.mark.parametrize("argv, unreached", [
+        (("mcm", "--format", "html", "--output", "/nonexistent/x.html"), "build_mcm"),
+        (("stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1",
+          "--output", "/nonexistent/x.json"), "enumerate_patterns"),
+        (("stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1",
+          "--render-patterns", "{csv}"), "enumerate_patterns"),
+        (("cd", "--output", "{csv}/x"), "_read_input"),
+    ])
+    def test_bad_output_path_fails_before_the_work(self, results_csv, capsys,
+                                                   monkeypatch, argv, unreached):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{unreached} ran before the output path was checked")
+
+        monkeypatch.setattr(f"mcmatrix.cli.{unreached}", unreachable)
+        argv = [arg.format(csv=results_csv) for arg in argv]
+        code, out, err = run(
+            [*argv, "--input", str(results_csv), "--direction", "higher"], capsys
+        )
+        path = argv[-1]
+        assert code == 1 and out == ""
+        assert path in err and "Traceback" not in err
+
     def test_rank_swap_pair_of_one_comparate_is_data_error(self, results_csv, capsys):
         code, out, err = run(
             ["stability", "rank-swap", "--input", str(results_csv), "--direction",
@@ -509,9 +545,9 @@ class TestOtherCommands:
         golden = (GOLDEN / f"stability_{stem}.json").read_bytes()
         assert stability_json(fixture, experiment, tmp_path) == golden
 
-    @pytest.mark.parametrize("name, argv", CLI_GOLDEN_CASES)
-    def test_output_matches_golden(self, tmp_path, name, argv):
-        assert golden_cli_output(argv, tmp_path) == (GOLDEN / name).read_bytes()
+    @pytest.mark.parametrize("name, argv, result", CLI_GOLDEN_CASES)
+    def test_output_matches_golden(self, tmp_path, name, argv, result):
+        assert golden_cli_output(argv, result, tmp_path) == (GOLDEN / name).read_bytes()
 
     def test_selftest(self, capsys):
         code, out, _ = run(["selftest"], capsys)

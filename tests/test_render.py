@@ -7,7 +7,6 @@ import pytest
 from mcmatrix import (
     Direction,
     MCMConfig,
-    RenderStyle,
     ResultsMatrix,
     build_mcm,
     cd_layout,
@@ -17,6 +16,7 @@ from mcmatrix import (
 )
 from mcmatrix.errors import EmptyReport, TooFewComparates, TooFewTasks, ValidationError
 from mcmatrix.render import contiguous_nonsignificant_runs, diverging_color
+from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
 from mcmatrix.stability import pattern_from_bitmask
 
 from conftest import GOLDEN, golden_matrix
@@ -24,22 +24,16 @@ from conftest import GOLDEN, golden_matrix
 
 class TestDivergingColor:
     def test_zero_is_white(self):
-        assert diverging_color(0.0, 1.0, RenderStyle()) == "#ffffff"
+        assert diverging_color(0.0, 1.0) == "#ffffff"
 
     def test_saturates_at_limit(self):
-        style = RenderStyle()
-        assert diverging_color(5.0, 1.0, style) == style.color_positive
-        assert diverging_color(-5.0, 1.0, style) == style.color_negative
+        assert diverging_color(5.0, 1.0) == COLOR_POSITIVE
+        assert diverging_color(-5.0, 1.0) == COLOR_NEGATIVE
 
     def test_sign_selects_endpoint(self):
-        style = RenderStyle()
-        positive = diverging_color(0.5, 1.0, style)
-        negative = diverging_color(-0.5, 1.0, style)
+        positive = diverging_color(0.5, 1.0)
+        negative = diverging_color(-0.5, 1.0)
         assert positive != negative
-
-    def test_bad_color_spec_rejected(self):
-        with pytest.raises(ValidationError):
-            RenderStyle(color_positive="red")
 
 
 class TestRenderMcm:
@@ -80,10 +74,21 @@ class TestRenderMcm:
         )
         assert bold_count == 3 * significant_cells  # three text lines per cell
 
-    def test_bold_suppressed_by_style(self):
+    def test_fill_saturates_at_largest_difference(self):
         report = build_mcm(golden_matrix())
-        svg = render_mcm(report, RenderStyle(bold_significant=False)).decode()
-        assert 'font-weight="bold"' not in svg
+        svg = render_mcm(report, format="svg").decode()
+        fills = re.findall(r'fill="(#\w{6})"[^>]*class="cell-bg"', svg)
+        # The largest |difference| sits on both sides of the diagonal, once
+        # with each sign; no smaller one reaches an endpoint.
+        assert fills.count(COLOR_POSITIVE) == fills.count(COLOR_NEGATIVE) == 1
+
+    def test_all_zero_differences_render_white(self):
+        matrix = ResultsMatrix(
+            ("a", "b", "c"), ("t1", "t2"), np.full((3, 2), 0.5),
+            Direction.HIGHER_IS_BETTER,
+        )
+        svg = render_mcm(build_mcm(matrix), format="svg").decode()
+        assert set(re.findall(r'fill="(#\w{6})"[^>]*class="cell-bg"', svg)) == {"#ffffff"}
 
     def test_html_embeds_identical_svg(self):
         report = build_mcm(golden_matrix())
@@ -136,15 +141,15 @@ class TestCdDiagram:
         ) == (GOLDEN / "cd_wilcoxon_holm.svg").read_bytes()
 
     def test_positions_affine_and_order_preserving(self):
-        layout = cd_layout(golden_matrix(), 0.05, "nemenyi", axis_left=0.0, axis_width=100.0)
+        layout = cd_layout(golden_matrix(), 0.05, "nemenyi")
         m = len(layout.names)
         for ar, pos in zip(layout.average_ranks, layout.positions):
-            assert pos == pytest.approx((m - ar) / (m - 1) * 100.0)
+            assert pos == (m - ar) / (m - 1)
         assert list(layout.positions) == sorted(layout.positions, reverse=True)
 
     def test_best_average_rank_at_the_right(self):
         matrix = golden_matrix()
-        layout = cd_layout(matrix, 0.05, "nemenyi", 0.0, 100.0)
+        layout = cd_layout(matrix, 0.05, "nemenyi")
         assert layout.average_ranks[0] == min(layout.average_ranks)
         assert layout.positions[0] == max(layout.positions)
 
@@ -156,7 +161,7 @@ class TestCdDiagram:
             ("champ", "b", "c", "d"), tuple(f"t{j}" for j in range(6)), scores,
             Direction.HIGHER_IS_BETTER,
         )
-        layout = cd_layout(matrix, 0.05, "nemenyi", 0.0, 1.0)
+        layout = cd_layout(matrix, 0.05, "nemenyi")
         assert layout.names[0] == "champ"
         assert layout.average_ranks[0] == 1.0
         assert layout.positions[0] == 1.0
@@ -168,7 +173,7 @@ class TestCdDiagram:
             np.full((3, 2), 0.5),
             Direction.HIGHER_IS_BETTER,
         )
-        layout = cd_layout(matrix, 0.05, "nemenyi", 0.0, 1.0)
+        layout = cd_layout(matrix, 0.05, "nemenyi")
         assert set(layout.average_ranks) == {2.0}  # (m + 1) / 2
         assert layout.bars == ((0, 2),)
 

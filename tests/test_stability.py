@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from mcmatrix import (
     Direction,
-    Exhaustive,
     ResultsMatrix,
-    Sampled,
     build_mcm,
     detect_rank_swap,
     enumerate_patterns,
@@ -138,11 +136,11 @@ class TestEnumeratePatterns:
         with pytest.raises(ValidationError, match="sample count 11 exceeds the limit of 10"):
             enumerate_patterns(
                 matrix, matrix.comparates[:2], matrix.comparates[2:], 4, 0.05,
-                mode=Sampled(11), exhaustive_limit=10,
+                sample=11, exhaustive_limit=10,
             )
         # A sample that covers the whole space is an exhaustive sweep.
         full = enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:], 1,
-                                  0.05, mode=Sampled(11), exhaustive_limit=10)
+                                  0.05, sample=11, exhaustive_limit=10)
         assert full.total_subsets == 8
 
     def test_sampled_mode_deterministic(self):
@@ -150,8 +148,8 @@ class TestEnumeratePatterns:
         matrix = random_matrix(rng, m=10, n=10)
         core = matrix.comparates[:3]
         pool = matrix.comparates[3:]
-        first = enumerate_patterns(matrix, core, pool, 3, 0.05, mode=Sampled(12, seed=9))
-        second = enumerate_patterns(matrix, core, pool, 3, 0.05, mode=Sampled(12, seed=9))
+        first = enumerate_patterns(matrix, core, pool, 3, 0.05, sample=12, seed=9)
+        second = enumerate_patterns(matrix, core, pool, 3, 0.05, sample=12, seed=9)
         assert first == second
         assert first.total_subsets == 12
         assert sum(first.pattern_counts.values()) == 12
@@ -199,7 +197,7 @@ class TestEnumeratePatterns:
         core = matrix.comparates[:2]
         pool = matrix.comparates[2:]
         sampled = enumerate_patterns(
-            matrix, core, pool, 2, 0.05, mode=Sampled(999, seed=0)
+            matrix, core, pool, 2, 0.05, sample=999, seed=0
         )
         exhaustive = enumerate_patterns(matrix, core, pool, 2, 0.05)
         assert sampled == exhaustive
@@ -211,9 +209,20 @@ class TestEnumeratePatterns:
         core = matrix.comparates[:2]
         pool = matrix.comparates[2:]
         kwargs = dict(example_limit=2)
-        a = enumerate_patterns(matrix, core, pool, 3, 0.05, example_seed=7, **kwargs)
-        b = enumerate_patterns(matrix, core, pool, 3, 0.05, example_seed=7, **kwargs)
+        a = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7, **kwargs)
+        b = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7, **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize("sample", [None, 3])
+    def test_seed_outside_uint64_refused(self, sample):
+        rng = np.random.default_rng(49)
+        matrix = random_matrix(rng, m=6, n=8)
+        core, pool = matrix.comparates[:2], matrix.comparates[2:]
+        for seed in (-1, 2**64):
+            with pytest.raises(ValidationError, match="seed must be a 64-bit unsigned"):
+                enumerate_patterns(matrix, core, pool, 2, 0.05, sample=sample, seed=seed)
+        top = enumerate_patterns(matrix, core, pool, 2, 0.05, sample=sample, seed=2**64 - 1)
+        assert top.total_subsets == (sample or math.comb(4, 2))
 
 
 def tied_matrix(rng, m, n):
@@ -228,7 +237,7 @@ def tied_matrix(rng, m, n):
 
 
 def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
-                           example_limit, example_seed):
+                           example_limit, seed):
     """The one-``holm_correction``-per-subset loop the chunked kernel replaced."""
     pvalues = all_pairs_pvalues(matrix, core + pool)
     counts, examples = {}, {}
@@ -241,7 +250,7 @@ def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
         if n_seen <= example_limit:
             bucket.append(subset)
         elif example_limit > 0:
-            slot = reservoir_draw(example_seed, g, n_seen)
+            slot = reservoir_draw(seed, g, n_seen)
             if slot < example_limit:
                 bucket[slot] = subset
     return PatternEnumeration(
@@ -305,11 +314,10 @@ class TestStepDownKernel:
         rng = np.random.default_rng(50)
         matrix = tied_matrix(rng, m=15, n=9)
         core, pool = matrix.comparates[:3], matrix.comparates[3:]
-        mode = Exhaustive() if count is None else Sampled(count, seed=3)
-        got = enumerate_patterns(matrix, core, pool, 5, 0.2, mode=mode,
-                                 example_limit=example_limit, example_seed=5)
+        got = enumerate_patterns(matrix, core, pool, 5, 0.2, sample=count, seed=5,
+                                 example_limit=example_limit)
         ranks = (range(math.comb(12, 5)) if count is None
-                 else _sample_ranks(math.comb(12, 5), count, 3))
+                 else _sample_ranks(math.comb(12, 5), count, 5))
         expected = per_subset_enumeration(matrix, core, pool, 5, 0.2, ranks,
                                           example_limit, 5)
         assert got == expected
@@ -347,15 +355,15 @@ class TestStepDownKernel:
             with pytest.raises(ValidationError, match=r"2\*\*63"):
                 enumerate_patterns(matrix, matrix.comparates[:2],
                                    matrix.comparates[2:pool_end], k_extra, 0.05,
-                                   mode=Sampled(5))
-        # Exhaustive ranks are int64 too, whatever the exhaustive limit.
+                                   sample=5)
+        # Exhaustive sweeps' ranks are int64 too, whatever the exhaustive limit.
         with pytest.raises(EnumerationTooLarge, match=f"limit {2**63}"):
             enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:69],
                                33, 0.05, exhaustive_limit=2**70)
         # C(64, 32) < 2**63 still samples.
         enumeration = enumerate_patterns(matrix, matrix.comparates[:2],
                                          matrix.comparates[2:66], 32, 0.05,
-                                         mode=Sampled(5), example_limit=0)
+                                         sample=5, example_limit=0)
         assert enumeration.total_subsets == 5
 
 
