@@ -46,8 +46,10 @@ def main() -> None:
         render_cd_diagram(matrix, 0.05, "wilcoxon-holm", metadata=metadata)
     )
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, result in CLI_GOLDEN_CASES:
-            (GOLDEN / name).write_bytes(golden_cli_output(argv, result, Path(tmp)))
+        for name, argv, result, make_matrix in CLI_GOLDEN_CASES:
+            (GOLDEN / name).write_bytes(
+                golden_cli_output(argv, result, Path(tmp), make_matrix)
+            )
         for stem, fixture, experiment in STABILITY_GOLDEN_CASES:
             (GOLDEN / f"stability_{stem}.json").write_bytes(
                 stability_json(fixture, experiment, Path(tmp))

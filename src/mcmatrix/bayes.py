@@ -129,7 +129,7 @@ def _prepare(diffs, config: BayesConfig):
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(key=int(seed) & _UINT64_MAX, counter=chunk_index << 128)
+        np.random.Philox(key=int(seed), counter=chunk_index << 128)
     )
 
 

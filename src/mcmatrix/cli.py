@@ -27,7 +27,13 @@ from .bayes import BayesConfig
 from .bayes import bayesian_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 from .data import Direction, load_results
 from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
-from .mcm import MCMConfig, build_mcm, cell_records, compare_pairs, mcm_report_to_dict
+from .mcm import (
+    MCMConfig,
+    build_mcm,
+    cell_records_json,
+    compare_pairs,
+    mcm_report_header,
+)
 from .render import render_cd_diagram, render_mcm, render_pattern_graph
 from .selftest import run_selftest
 from .stability import (
@@ -118,8 +124,34 @@ def _metadata(args: argparse.Namespace, payload: bytes, **extra) -> dict:
     }
 
 
+class _JsonText(str):
+    """A value already written as JSON text, indented as the value of a
+    top-level key."""
+
+
 def _json_bytes(obj: dict) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8.
+
+    Each top-level value is dumped on its own and indented one level,
+    which gives the same text, since every newline ``json.dumps`` writes
+    is an indent; a ``_JsonText`` value goes in as it is.
+    """
+    items = (
+        f"  {json.dumps(key)}: "
+        + (value if isinstance(value, _JsonText)
+           else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in obj.items()
+    )
+    return ("{\n" + ",\n".join(items) + "\n}\n").encode("utf-8")
+
+
+def _float_rows(rows: list[list[float]]) -> _JsonText:
+    """JSON text of a non-empty list of non-empty lists of finite floats,
+    one ``join`` per row."""
+    return _JsonText("[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
+        for row in rows
+    ) + "\n  ]")
 
 
 def _bayes_config(args: argparse.Namespace) -> BayesConfig | None:
@@ -282,7 +314,13 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
     report = build_mcm(matrix, config, bayes)
     meta = _metadata(args, payload, workers=1)
     if args.format == "json":
-        out = dict(metadata=meta, **mcm_report_to_dict(report))
+        out = {
+            "metadata": meta,
+            **mcm_report_header(report),
+            "cells": _JsonText(
+                cell_records_json(report.cells, report.alpha, report.bayes)
+            ),
+        }
         _write_output(args.output, _json_bytes(out))
     else:
         _write_output(args.output, render_mcm(report, format=args.format, metadata=meta))
@@ -317,10 +355,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "direction": matrix.direction.value,
         "comparates": list(matrix.comparates),
         "tasks": list(matrix.tasks),
-        "ranks": table.ranks.tolist(),
+        "ranks": _float_rows(table.ranks.tolist()),
         "average_ranks": dict(zip(matrix.comparates, table.average_ranks.tolist())),
         "friedman": friedman,
-        "pairwise": cell_records(cells, alpha, bayes),
+        "pairwise": _JsonText(cell_records_json(cells, alpha, bayes)),
     }
     _write_output(args.output, _json_bytes(out))
     return 0

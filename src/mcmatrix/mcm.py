@@ -12,6 +12,7 @@ designed to remove, so none is offered here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -22,14 +23,16 @@ from .errors import EmptyReport, InternalError, PairNotInSubset
 from .stats import (
     MIN_BLOCK_PAIRS,
     PairwiseComparison,
+    PMethod,
     check_alpha,
     oriented_differences,
     pair_statistics,
     pairwise_comparison,
 )
 
-__all__ = ["MCMConfig", "MCMReport", "build_mcm", "cell_records", "compare_pairs",
-           "mcm_cell_invariance_check", "mcm_report_to_dict"]
+__all__ = ["MCMConfig", "MCMReport", "build_mcm", "cell_records", "cell_records_json",
+           "compare_pairs", "mcm_cell_invariance_check", "mcm_report_header",
+           "mcm_report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -243,8 +246,64 @@ def cell_records(
     return records
 
 
-def mcm_report_to_dict(report: MCMReport) -> dict:
-    """Canonical machine-readable form of a report."""
+# One cell of ``cell_records_json``: the keys and indents ``json.dumps``
+# gives a record two levels deep, without its closing brace.
+_CELL_JSON = """    {
+      "row": %s,
+      "col": %s,
+      "mean_diff": %s,
+      "wins": %d,
+      "ties": %d,
+      "losses": %d,
+      "p": %s,
+      "p_method": %s,
+      "significant": %s"""
+_BAYES_JSON = """,
+      "bayes": {
+        "theta_left": %s,
+        "theta_rope": %s,
+        "theta_right": %s,
+        "mc_samples": %d
+      }"""
+
+
+def cell_records_json(
+    cells: dict[tuple[str, str], PairwiseComparison],
+    alpha: float,
+    bayes: dict[tuple[str, str], BayesPosterior] | None = None,
+) -> str:
+    """``cell_records(cells, alpha, bayes)`` as the JSON text of a
+    top-level value of an indent-2 document: ``json.dumps(records,
+    indent=2)`` with every line after the first indented two more spaces.
+
+    Each cell is one template.  Each name is quoted once, by the function
+    ``json`` quotes with, and floats are written by ``float.__repr__``,
+    which is what ``json`` writes for a finite float; every cell value is
+    finite.
+    """
+    if not cells:
+        return "[]"
+    names = {name for cell in cells.values() for name in (cell.row, cell.column)}
+    quoted = {name: encode_basestring_ascii(name) for name in names}
+    methods = {m: encode_basestring_ascii(m.value) for m in PMethod}
+    r = float.__repr__
+    parts = []
+    for pair, cell in cells.items():
+        text = _CELL_JSON % (
+            quoted[cell.row], quoted[cell.column], r(cell.mean_difference),
+            cell.wins, cell.ties, cell.losses, r(cell.p_value), methods[cell.p_method],
+            "true" if cell.p_value < alpha else "false",
+        )
+        if bayes is not None:
+            post = bayes[pair]
+            text += _BAYES_JSON % (r(post.theta_left), r(post.theta_rope),
+                                   r(post.theta_right), post.mc_samples_used)
+        parts.append(text)
+    return "[\n" + "\n    },\n".join(parts) + "\n    }\n  ]"
+
+
+def mcm_report_header(report: MCMReport) -> dict:
+    """``mcm_report_to_dict(report)`` without its last key, ``"cells"``."""
     ordering = _order_by_mean(
         sorted(report.mean_performance), report.mean_performance, report.direction
     )
@@ -259,5 +318,12 @@ def mcm_report_to_dict(report: MCMReport) -> dict:
         "direction": report.direction.value,
         "n_tasks": report.n_tasks,
         "comparison_count": report.comparison_count,
+    }
+
+
+def mcm_report_to_dict(report: MCMReport) -> dict:
+    """Canonical machine-readable form of a report."""
+    return {
+        **mcm_report_header(report),
         "cells": cell_records(report.cells, report.alpha, report.bayes),
     }

@@ -51,16 +51,30 @@ def contiguous_nonsignificant_runs(
     count: int, non_significant: Callable[[int, int], bool]
 ) -> list[tuple[int, int]]:
     """Maximal index runs [i, j] in which every contained pair is
-    non-significant.  Runs fully contained in a longer run are dropped."""
+    non-significant.  Runs fully contained in a longer run are dropped.
+
+    ``lo[b]`` is the smallest ``a`` such that every pair ``(a', b)`` with
+    ``a <= a' < b`` is non-significant, so ``b`` extends a run that starts
+    at ``i`` iff ``lo[b] <= i``.  Each pair is tested at most once, and
+    only while walking down from ``b`` to the first significant pair.
+    The run ends never decrease with ``i``, so a run is contained in an
+    earlier one iff it ends where the last kept run ends.
+    """
+    lo = []
+    for b in range(count):
+        a = b
+        while a > 0 and non_significant(a - 1, b):
+            a -= 1
+        lo.append(a)
     runs: list[tuple[int, int]] = []
+    j = last_end = 0
     for i in range(count):
-        j = i
-        while j + 1 < count and all(
-            non_significant(a, j + 1) for a in range(i, j + 1)
-        ):
+        j = max(j, i)
+        while j + 1 < count and lo[j + 1] <= i:
             j += 1
-        if j > i and not any(pi <= i and j <= pj for pi, pj in runs):
+        if j > i and j > last_end:
             runs.append((i, j))
+            last_end = j
     return runs
 
 

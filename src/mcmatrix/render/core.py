@@ -25,10 +25,10 @@ def fnum(x: float, places: int = 2) -> str:
 class SvgDoc:
     """Accumulates SVG elements; ``tobytes`` emits the full document.
 
-    Every text element uses ``FONT_FAMILY``.
+    Every text element uses ``FONT_FAMILY``, quoted as ``family``.
     """
 
-    _family = quoteattr(FONT_FAMILY)
+    family = quoteattr(FONT_FAMILY)
 
     def __init__(self, width: float, height: float):
         self.width = width
@@ -61,7 +61,7 @@ class SvgDoc:
              bold: bool = False) -> None:
         weight = ' font-weight="bold"' if bold else ""
         self._parts.append(
-            f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={self._family} '
+            f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={self.family} '
             f'font-size="{fnum(size, 1)}" text-anchor="{anchor}"{weight}>'
             f"{escape(content)}</text>"
         )

@@ -82,34 +82,58 @@ def render_mcm(
         )
     doc.group_end()
 
+    # Every cell of a column shares its x strings and every cell of a row
+    # its y strings, so each coordinate is formatted once, from the same
+    # expression a per-cell computation would use.  Cell texts are numbers,
+    # slashes and "p = ", which need no escaping.
+    xs = [x0 + j * CELL_WIDTH for j in range(len(cols))]
+    col_x = [fnum(x) for x in xs]
+    col_cx = [fnum(x + CELL_WIDTH / 2.0) for x in xs]
+    ys = [y0 + i * CELL_HEIGHT for i in range(len(rows))]
+    row_y = [fnum(y) for y in ys]
+    row_text_y = [
+        [fnum(y + CELL_HEIGHT / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs) for k in range(3)]
+        for y in ys
+    ]
+    size = f'width="{fnum(CELL_WIDTH)}" height="{fnum(CELL_HEIGHT)}"'
+    stroke = f'stroke="#bbbbbb" stroke-width="{fnum(1.0)}"'
+    text = f' font-family={SvgDoc.family} font-size="{fnum(fs, 1)}" text-anchor="middle"'
+    bold = text + ' font-weight="bold"'
+
     table = [
         "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
         "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
     ] if fmt == "html" else None
+    row_html = [escape(r) for r in rows]
+    col_html = [escape(c) for c in cols]
     doc.group_start("cells")
     for i, r in enumerate(rows):
+        y = row_y[i]
+        y_mean, y_wtl, y_p = row_text_y[i]
         for j, c in enumerate(cols):
-            x = x0 + j * CELL_WIDTH
-            y = y0 + i * CELL_HEIGHT
+            x = col_x[j]
             if r == c:
-                doc.rect(x, y, CELL_WIDTH, CELL_HEIGHT,
-                         fill="#f2f2f2", stroke="#bbbbbb", extra='class="diagonal"')
+                doc.raw(f'<rect x="{x}" y="{y}" {size} fill="#f2f2f2" {stroke} '
+                        'class="diagonal"/>')
                 continue
             cell = report.cells[(r, c)]
-            fill = diverging_color(cell.mean_difference, limit)
-            doc.rect(x, y, CELL_WIDTH, CELL_HEIGHT,
-                     fill=fill, stroke="#bbbbbb", extra='class="cell-bg"')
             significant = report.significance[(r, c)]
             mean = fnum(cell.mean_difference, places)
             wtl = f"{cell.wins} / {cell.ties} / {cell.losses}"
             p = fnum(cell.p_value, places)
-            cx = x + CELL_WIDTH / 2.0
-            for k, line in enumerate((mean, wtl, f"p = {p}")):
-                cy = y + CELL_HEIGHT / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs
-                doc.text(cx, cy, line, fs, bold=significant)
+            cx = col_cx[j]
+            attrs = bold if significant else text
+            doc.raw(
+                f'<rect x="{x}" y="{y}" {size} '
+                f'fill="{diverging_color(cell.mean_difference, limit)}" {stroke} '
+                'class="cell-bg"/>\n'
+                f'<text x="{cx}" y="{y_mean}"{attrs}>{mean}</text>\n'
+                f'<text x="{cx}" y="{y_wtl}"{attrs}>{wtl}</text>\n'
+                f'<text x="{cx}" y="{y_p}"{attrs}>p = {p}</text>'
+            )
             if table is not None:
                 table.append(
-                    f"<tr><td>{escape(r)}</td><td>{escape(c)}</td><td>{mean}</td>"
+                    f"<tr><td>{row_html[i]}</td><td>{col_html[j]}</td><td>{mean}</td>"
                     f"<td>{wtl}</td><td>{p}</td>"
                     f"<td>{'yes' if significant else 'no'}</td></tr>"
                 )

@@ -38,7 +38,8 @@ def diverging_color(value: float, limit: float) -> str:
     """
     if value == 0.0:
         return "#ffffff"
-    endpoint = _POSITIVE_RGB if value > 0.0 else _NEGATIVE_RGB
+    r, g, b = _POSITIVE_RGB if value > 0.0 else _NEGATIVE_RGB
     t = min(abs(value) / limit, 1.0)
-    channels = tuple(round(255 + (c - 255) * t) for c in endpoint)
-    return "#{:02x}{:02x}{:02x}".format(*channels)
+    return "#%02x%02x%02x" % (
+        round(255 + (r - 255) * t), round(255 + (g - 255) * t), round(255 + (b - 255) * t)
+    )

@@ -182,9 +182,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def _reservoir_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Deterministic uint64 keys of subset indices start .. start + count - 1,
     keyed by (seed, subset index): the n-th subset of a pattern takes
-    reservoir slot key % n."""
+    reservoir slot key % n.  ``enumerate_patterns`` has checked that the
+    seed lies in 0 .. 2**64 - 1."""
     index = np.arange(start, start + count, dtype=np.uint64)
-    return _splitmix64(np.uint64(seed & _MASK64) ^ _splitmix64(index))
+    return _splitmix64(np.uint64(seed) ^ _splitmix64(index))
 
 
 @functools.lru_cache(maxsize=16)
@@ -222,7 +223,7 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
 
     Each batch keeps its not-yet-chosen values in the order they were drawn,
     up to the number still needed."""
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
         need = count - len(chosen)

@@ -82,6 +82,27 @@ def golden_matrix() -> ResultsMatrix:
     )
 
 
+def escaping_matrix() -> ResultsMatrix:
+    """Six comparates whose names need XML or JSON escaping: ``&``, ``<``,
+    ``>``, both quotes, a backslash and a non-ASCII letter."""
+    scores = np.array(
+        [
+            [0.91, 0.85, 0.78, 0.94, 0.88, 0.90, 0.83, 0.87],
+            [0.89, 0.87, 0.75, 0.90, 0.86, 0.88, 0.85, 0.84],
+            [0.70, 0.72, 0.66, 0.74, 0.70, 0.71, 0.69, 0.73],
+            [0.71, 0.70, 0.67, 0.72, 0.72, 0.70, 0.68, 0.74],
+            [0.50, 0.55, 0.48, 0.61, 0.52, 0.57, 0.53, 0.55],
+            [0.62, 0.60, 0.58, 0.66, 0.61, 0.63, 0.60, 0.64],
+        ]
+    )
+    return ResultsMatrix(
+        ("R&D", "<b>", "a > b", 'say "hi"', "it's", "back\\slash Zo\u00eb"),
+        tuple(f"t{j}" for j in range(1, 9)),
+        scores,
+        Direction.HIGHER_IS_BETTER,
+    )
+
+
 #: (golden file stem, fixture, stability experiment and its arguments).
 STABILITY_GOLDEN_CASES = (
     ("weaken_weakened_variant", "weakened_variant",
@@ -104,22 +125,27 @@ STABILITY_GOLDEN_CASES = (
 
 _FOCUS = ("--rows", "Alpha,Bravo", "--cols", "Alpha,Charlie,Echo")
 _ENUMERATE = ("stability", "enumerate", "--core", "Alpha,Charlie", "--k-extra", "2")
-#: (golden file name, ``mcmatrix`` arguments run on ``golden_matrix()``, the
-#: file read, relative to the run's working directory).
+#: (golden file name, ``mcmatrix`` arguments, the file read, relative to the
+#: run's working directory, and the matrix the run reads as JSON).
 CLI_GOLDEN_CASES = (
-    ("mcm.json", ("mcm", "--format", "json"), "out"),
-    ("mcm_focused.json", ("mcm", "--format", "json", *_FOCUS), "out"),
-    ("mcm_focused.html", ("mcm", "--format", "html", *_FOCUS), "out"),
+    ("mcm.json", ("mcm", "--format", "json"), "out", golden_matrix),
+    ("mcm_focused.json", ("mcm", "--format", "json", *_FOCUS), "out", golden_matrix),
+    ("mcm_focused.html", ("mcm", "--format", "html", *_FOCUS), "out", golden_matrix),
     ("mcm_bayes.json", ("mcm", "--format", "json", "--include-bayes",
-                        "--mc-samples", "2000"), "out"),
-    ("stats.json", ("stats",), "out"),
-    ("stats_bayes.json", ("stats", "--include-bayes", "--mc-samples", "2000"), "out"),
-    ("enumerate.json", _ENUMERATE, "out"),
-    ("enumerate_sampled.json", (*_ENUMERATE, "--sample", "2", "--seed", "3"), "out"),
+                        "--mc-samples", "2000"), "out", golden_matrix),
+    ("stats.json", ("stats",), "out", golden_matrix),
+    ("stats_bayes.json", ("stats", "--include-bayes", "--mc-samples", "2000"), "out",
+     golden_matrix),
+    ("enumerate.json", _ENUMERATE, "out", golden_matrix),
+    ("enumerate_sampled.json", (*_ENUMERATE, "--sample", "2", "--seed", "3"), "out",
+     golden_matrix),
     # The pattern directory is relative: the SVG metadata records its name.
     ("enumerate_pattern.svg",
      ("stability", "enumerate", "--core", "Alpha,Bravo,Echo", "--k-extra", "1",
-      "--render-patterns", "patterns"), "patterns/pattern-0x0001.svg"),
+      "--render-patterns", "patterns"), "patterns/pattern-0x0001.svg", golden_matrix),
+    ("escaping_mcm.html", ("mcm", "--format", "html"), "out", escaping_matrix),
+    ("escaping_mcm.json", ("mcm", "--format", "json"), "out", escaping_matrix),
+    ("escaping_stats.json", ("stats",), "out", escaping_matrix),
 )
 
 
@@ -147,10 +173,11 @@ def stability_json(fixture_name: str, experiment: tuple, directory: Path) -> byt
     return _cli_bytes(source, spec["direction"], ("stability", *experiment), directory)
 
 
-def golden_cli_output(argv: tuple, result: str, directory: Path) -> bytes:
-    """Bytes of ``result`` after ``mcmatrix <argv>`` on ``golden_matrix()``,
+def golden_cli_output(argv: tuple, result: str, directory: Path,
+                      make_matrix=golden_matrix) -> bytes:
+    """Bytes of ``result`` after ``mcmatrix <argv>`` on ``make_matrix()``,
     read as JSON."""
-    matrix = golden_matrix()
+    matrix = make_matrix()
     source = directory / "golden.json"
     source.write_bytes(dump_results(matrix, "json"))
     return _cli_bytes(source, matrix.direction.value, argv, directory, result)

@@ -17,12 +17,14 @@ runs too; the tests pin its ranks to ``scipy.stats.rankdata``.
 ``wilcoxon_signed_rank_scalar`` and ``pairwise_comparison_scalar`` are
 the one-pair signed-rank test and cell the package computed before its
 block kernel, kept unchanged as the bit-for-bit oracles of that kernel.
+``contiguous_runs_loop`` is the rank-diagram bar search the package ran
+before its one-pass form: it re-tests every pair of a growing run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -229,3 +231,21 @@ def pairwise_comparison_scalar(
         p_value=p,
         p_method=p_method,
     )
+
+
+def contiguous_runs_loop(
+    count: int, non_significant: Callable[[int, int], bool]
+) -> list[tuple[int, int]]:
+    """Maximal index runs [i, j] in which every contained pair is
+    non-significant, each run grown from every start and checked against
+    the runs kept so far."""
+    runs: list[tuple[int, int]] = []
+    for i in range(count):
+        j = i
+        while j + 1 < count and all(
+            non_significant(a, j + 1) for a in range(i, j + 1)
+        ):
+            j += 1
+        if j > i and not any(pi <= i and j <= pj for pi, pj in runs):
+            runs.append((i, j))
+    return runs

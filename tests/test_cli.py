@@ -8,9 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcmatrix
-from mcmatrix.cli import main
+from mcmatrix.cli import _float_rows, _json_bytes, _JsonText, main
 
 from conftest import (
     CLI_GOLDEN_CASES,
@@ -545,9 +547,10 @@ class TestOtherCommands:
         golden = (GOLDEN / f"stability_{stem}.json").read_bytes()
         assert stability_json(fixture, experiment, tmp_path) == golden
 
-    @pytest.mark.parametrize("name, argv, result", CLI_GOLDEN_CASES)
-    def test_output_matches_golden(self, tmp_path, name, argv, result):
-        assert golden_cli_output(argv, result, tmp_path) == (GOLDEN / name).read_bytes()
+    @pytest.mark.parametrize("name, argv, result, matrix", CLI_GOLDEN_CASES)
+    def test_output_matches_golden(self, tmp_path, name, argv, result, matrix):
+        golden = (GOLDEN / name).read_bytes()
+        assert golden_cli_output(argv, result, tmp_path, matrix) == golden
 
     def test_selftest(self, capsys):
         code, out, _ = run(["selftest"], capsys)
@@ -600,3 +603,30 @@ class TestOtherCommands:
         )
         assert code == 0
         assert json.loads(out)["average_ranks"]["A"] == 1.0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), _JSON, min_size=1, max_size=4))
+    def test_document_equals_json_dumps(self, obj):
+        assert _json_bytes(obj) == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_FINITE, min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_float_rows_spliced_at_their_key(self, rows):
+        obj = {"before": 1, "rows": rows, "after": [2]}
+        spliced = {**obj, "rows": _float_rows(rows)}
+        assert _json_bytes(spliced) == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+    def test_text_value_goes_in_as_it_is(self):
+        assert _json_bytes({"a": _JsonText("[1, 2]")}) == b'{\n  "a": [1, 2]\n}\n'

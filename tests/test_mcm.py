@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcmatrix.mcm
 from mcmatrix import (
@@ -14,6 +17,7 @@ from mcmatrix import (
     mcm_cell_invariance_check,
     mcm_report_to_dict,
 )
+from mcmatrix.bayes import BayesPosterior
 from mcmatrix.errors import (
     InternalError,
     InvalidAlpha,
@@ -21,7 +25,8 @@ from mcmatrix.errors import (
     UnknownComparate,
 )
 from mcmatrix.stability import significance_pattern
-from mcmatrix.stats import MIN_BLOCK_PAIRS, oriented_differences
+from mcmatrix.mcm import cell_records, cell_records_json
+from mcmatrix.stats import MIN_BLOCK_PAIRS, PairwiseComparison, PMethod, oriented_differences
 
 from conftest import cell_bits, fixture_matrix, load_fixture, posterior_bits, random_matrix
 from oracles import pairwise_comparison_scalar
@@ -274,3 +279,32 @@ class TestReportJson:
         assert all("bayes" in cell for cell in obj["cells"])
         sample = obj["cells"][0]["bayes"]
         assert set(sample) == {"theta_left", "theta_rope", "theta_right", "mc_samples"}
+
+
+# Names with quotes, backslashes, control characters and non-ASCII letters.
+_NAMES = st.text(st.sampled_from('ab"\\\'<&\x00\x1f\n\t\u00eb\u4e2d\U0001f600 '),
+                 min_size=1, max_size=6)
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.0, -2.5e-8]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_P = st.one_of(st.sampled_from([0.0, 5e-324, 0.05, 1.0]), st.floats(0.0, 1.0))
+_COUNT = st.integers(0, 10**6)
+_CELLS = st.lists(
+    st.builds(PairwiseComparison, _NAMES, _NAMES, _FLOATS, _COUNT, _COUNT, _COUNT, _P,
+              st.sampled_from(PMethod)),
+    max_size=6,
+    unique_by=lambda cell: (cell.row, cell.column),
+)
+
+
+class TestCellRecordsJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_CELLS, _P, st.none() | st.lists(
+        st.builds(BayesPosterior, _P, _P, _P, _COUNT), min_size=6, max_size=6))
+    @example([], 0.05, None)
+    @example([], 0.05, [BayesPosterior(0.0, 1.0, 0.0, 1)] * 6)
+    def test_equals_json_dumps_at_the_same_nesting(self, cells, alpha, posteriors):
+        cells = {(cell.row, cell.column): cell for cell in cells}
+        bayes = None if posteriors is None else dict(zip(cells, posteriors))
+        expected = json.dumps({"cells": cell_records(cells, alpha, bayes)}, indent=2)
+        text = cell_records_json(cells, alpha, bayes)
+        assert '{\n  "cells": ' + text + "\n}" == expected

@@ -1,4 +1,6 @@
+import gc
 import re
+import warnings
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -20,5 +22,10 @@ def test_library_example_runs(tmp_path, monkeypatch):
         "MethodB,0.89,0.87,0.75\n"
     )
     monkeypatch.chdir(tmp_path)
-    exec(compile(_library_block(), str(README), "exec"), {})
+    # A file the example opens and leaves open warns when it is collected.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(_library_block(), str(README), "exec"), {})
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert (tmp_path / "matrix.svg").read_bytes().startswith(b"<?xml")

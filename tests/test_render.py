@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmatrix import (
     Direction,
@@ -20,6 +22,7 @@ from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
 from mcmatrix.stability import pattern_from_bitmask
 
 from conftest import GOLDEN, golden_matrix
+from oracles import contiguous_runs_loop
 
 
 class TestDivergingColor:
@@ -128,6 +131,30 @@ class TestCliqueRuns:
             return True
 
         assert contiguous_nonsignificant_runs(4, all_non_sig) == [(0, 3)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 16).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, 10),
+                            st.lists(st.integers(0, 9), min_size=m * m, max_size=m * m))))
+    def test_matches_loop_oracle(self, case):
+        # A pair is non-significant with probability density / 10, so dense
+        # predicates with long runs are drawn as well as sparse ones.
+        m, density, draws = case
+
+        def non_sig(i, j):
+            return draws[min(i, j) * m + max(i, j)] < density
+
+        assert contiguous_nonsignificant_runs(m, non_sig) == contiguous_runs_loop(m, non_sig)
+
+    def test_each_pair_tested_at_most_once(self):
+        calls = []
+
+        def all_non_sig(i, j):
+            calls.append((i, j))
+            return True
+
+        contiguous_nonsignificant_runs(30, all_non_sig)
+        assert len(calls) == len(set(calls)) == 30 * 29 // 2
 
 
 class TestCdDiagram:

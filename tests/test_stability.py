@@ -334,7 +334,7 @@ class TestStepDownKernel:
         assert all(r == results[0] for r in results)
 
     def test_reservoir_keys_match_python_integer_route(self):
-        for seed in (0, 7, -1, 2**63 + 5, 2**70 + 3):
+        for seed in (0, 7, 2**63 + 5, 2**64 - 1):
             for start in (0, 1, 255, 2**32 - 3, 2**63):
                 assert _reservoir_keys(seed, start, 6).tolist() == [
                     reservoir_draw(seed, start + i, 2**64) for i in range(6)
