@@ -87,14 +87,6 @@ class BayesPosterior:
     theta_right: float
     mc_samples_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_left": self.theta_left,
-            "theta_rope": self.theta_rope,
-            "theta_right": self.theta_right,
-            "mc_samples": self.mc_samples_used,
-        }
-
     def mirrored(self) -> BayesPosterior:
         """The posterior of the reversed pair, whose differences are negated.
 

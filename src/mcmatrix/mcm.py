@@ -58,8 +58,8 @@ class MCMReport:
 
     ``cells`` maps (row, column) to a comparison for every off-diagonal
     grid position, in grid order: row-major over ``row_order`` x
-    ``column_order``, diagonal skipped.  ``significance`` holds the
-    uncorrected per-cell flag ``p < alpha``.  ``comparison_count`` counts
+    ``column_order``, diagonal skipped.  A cell is significant iff its
+    uncorrected ``p_value < alpha``.  ``comparison_count`` counts
     off-diagonal grid cells in focused mode and distinct pairs in all-pairs
     mode.
     """
@@ -68,7 +68,6 @@ class MCMReport:
     column_order: tuple[str, ...]
     mean_performance: dict[str, float]
     cells: dict[tuple[str, str], PairwiseComparison]
-    significance: dict[tuple[str, str], bool]
     comparison_count: int
     alpha: float
     direction: Direction
@@ -171,31 +170,18 @@ def build_mcm(
     if not pairs:
         raise EmptyReport("report contains no comparisons")
     cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bayes_config)
-    significance = {p: cells[p].p_value < alpha for p in pairs}
 
     return MCMReport(
         row_order=row_order,
         column_order=column_order,
         mean_performance={c: means[c] for c in involved},
         cells=cells,
-        significance=significance,
         comparison_count=count,
         alpha=alpha,
         direction=matrix.direction,
         n_tasks=matrix.n,
         tie_epsilon=float(config.tie_epsilon),
         bayes=bayes,
-    )
-
-
-def _cell_key(cell: PairwiseComparison) -> tuple:
-    return (
-        cell.mean_difference,
-        cell.wins,
-        cell.ties,
-        cell.losses,
-        cell.p_value,
-        cell.p_method,
     )
 
 
@@ -211,7 +197,7 @@ def mcm_cell_invariance_check(
     recomputed from a report built on the sub-matrix over that subset.
     """
     a, b = pair
-    reference: tuple | None = None
+    reference: PairwiseComparison | None = None
     for subset in subsets:
         subset_set = set(subset)
         if a not in subset_set or b not in subset_set:
@@ -221,10 +207,10 @@ def mcm_cell_invariance_check(
             matrix.select_comparates(ordered),
             MCMConfig(tie_epsilon=tie_epsilon),
         )
-        key = _cell_key(report.cells[(a, b)])
+        cell = report.cells[(a, b)]
         if reference is None:
-            reference = key
-        elif key != reference:
+            reference = cell
+        elif cell != reference:
             return False
     return True
 
@@ -238,10 +224,25 @@ def cell_records(
     ``"significant"`` (``p < alpha``), then ``"bayes"`` when posteriors exist."""
     records = []
     for pair, cell in cells.items():
-        record = cell.to_dict()
-        record["significant"] = cell.p_value < alpha
+        record = {
+            "row": cell.row,
+            "col": cell.column,
+            "mean_diff": cell.mean_difference,
+            "wins": cell.wins,
+            "ties": cell.ties,
+            "losses": cell.losses,
+            "p": cell.p_value,
+            "p_method": cell.p_method.value,
+            "significant": cell.p_value < alpha,
+        }
         if bayes is not None:
-            record["bayes"] = bayes[pair].to_dict()
+            post = bayes[pair]
+            record["bayes"] = {
+                "theta_left": post.theta_left,
+                "theta_rope": post.theta_rope,
+                "theta_right": post.theta_right,
+                "mc_samples": post.mc_samples_used,
+            }
         records.append(record)
     return records
 

@@ -158,7 +158,6 @@ def render_cd_diagram(
     height = labels_top + max(right_count, left_count) * CD_ROW_HEIGHT + pad
     width = left + CD_AXIS_WIDTH + 40.0 + pad
     doc = SvgDoc(width, height)
-    doc.rect(0, 0, width, height, fill="#ffffff")
 
     title = (
         f"alpha = {fnum(layout.alpha, 2)}, "
@@ -222,7 +221,7 @@ def render_cd_diagram(
     meta = dict(metadata) if metadata else {}
     meta.setdefault("figure", "critical-difference-diagram")
     meta.setdefault("method", layout.method)
-    return doc.tobytes(meta)
+    return doc.tostring(meta).encode("utf-8")
 
 
 def _assign_bar_rows(bars: tuple[tuple[int, int], ...], xs: list[float]) -> list[int]:

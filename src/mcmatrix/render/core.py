@@ -23,7 +23,8 @@ def fnum(x: float, places: int = 2) -> str:
 
 
 class SvgDoc:
-    """Accumulates SVG elements; ``tobytes`` emits the full document.
+    """Accumulates SVG elements on a white page; ``tostring`` emits the full
+    document.
 
     Every text element uses ``FONT_FAMILY``, quoted as ``family``.
     """
@@ -33,22 +34,13 @@ class SvgDoc:
     def __init__(self, width: float, height: float):
         self.width = width
         self.height = height
-        self._parts: list[str] = []
+        self._parts: list[str] = [
+            f'<rect x="0.00" y="0.00" width="{fnum(width)}" height="{fnum(height)}" '
+            'fill="#ffffff"/>'
+        ]
 
     def raw(self, fragment: str) -> None:
         self._parts.append(fragment)
-
-    def rect(self, x, y, w, h, fill: str, stroke: str | None = None,
-             stroke_width: float = 1.0, extra: str = "") -> None:
-        attrs = (
-            f'x="{fnum(x)}" y="{fnum(y)}" width="{fnum(w)}" height="{fnum(h)}" '
-            f'fill="{fill}"'
-        )
-        if stroke is not None:
-            attrs += f' stroke="{stroke}" stroke-width="{fnum(stroke_width)}"'
-        if extra:
-            attrs += " " + extra
-        self._parts.append(f"<rect {attrs}/>")
 
     def line(self, x1, y1, x2, y2, stroke: str = "#000000",
              width: float = 1.0) -> None:
@@ -57,22 +49,20 @@ class SvgDoc:
             f'stroke="{stroke}" stroke-width="{fnum(width)}"/>'
         )
 
-    def text(self, x, y, content: str, size: float, anchor: str = "middle",
-             bold: bool = False) -> None:
-        weight = ' font-weight="bold"' if bold else ""
+    def text(self, x, y, content: str, size: float, anchor: str = "middle") -> None:
         self._parts.append(
             f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={self.family} '
-            f'font-size="{fnum(size, 1)}" text-anchor="{anchor}"{weight}>'
+            f'font-size="{fnum(size, 1)}" text-anchor="{anchor}">'
             f"{escape(content)}</text>"
         )
 
-    def group_start(self, cls: str = "") -> None:
-        self._parts.append(f'<g class="{cls}">' if cls else "<g>")
+    def group_start(self, cls: str) -> None:
+        self._parts.append(f'<g class="{cls}">')
 
     def group_end(self) -> None:
         self._parts.append("</g>")
 
-    def tobytes(self, metadata: dict | None = None) -> bytes:
+    def tostring(self, metadata: dict | None = None) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -85,11 +75,11 @@ class SvgDoc:
             parts.append(f"<metadata>{escape(blob)}</metadata>")
         parts.extend(self._parts)
         parts.append("</svg>\n")
-        return "\n".join(parts).encode("utf-8")
+        return "\n".join(parts)
 
 
-def wrap_html(svg: bytes, title: str, table_html: str,
-              metadata: dict | None = None) -> bytes:
+def wrap_html(svg: str, title: str, table_html: str,
+              metadata: dict | None = None) -> str:
     """HTML page embedding the SVG unchanged plus an accessible data table."""
     meta_block = ""
     if metadata is not None:
@@ -107,8 +97,8 @@ def wrap_html(svg: bytes, title: str, table_html: str,
         "</head>\n<body>\n"
         f"{meta_block}"
         f"<h1>{escape(title)}</h1>\n"
-        f'<div class="figure">\n{svg.decode("utf-8")}</div>\n'
+        f'<div class="figure">\n{svg}</div>\n'
         f"{table_html}\n"
         "</body>\n</html>\n"
     )
-    return doc.encode("utf-8")
+    return doc

@@ -31,9 +31,9 @@ def render_mcm(
     Cell fill encodes the mean difference on a diverging scale (white at
     zero) that saturates at the largest |mean difference|.  Text shows the
     mean difference, the win/tie/loss count, and the Wilcoxon p, in bold
-    exactly when the cell is significant.  Mean performance is printed next
-    to each comparate label.  HTML adds a table row per cell with the same
-    labels.  Output bytes are a pure function of (report, format, metadata).
+    exactly when p < alpha.  Mean performance is printed next to each
+    comparate label.  HTML adds a table row per cell with the same labels.
+    Output bytes are a pure function of (report, format, metadata).
     """
     fmt = str(format).strip().lower()
     if fmt not in ("svg", "html"):
@@ -46,11 +46,11 @@ def render_mcm(
     limit = max(abs(c.mean_difference) for c in report.cells.values())
     places = CELL_DECIMAL_PLACES
     rows, cols = report.row_order, report.column_order
+    alpha = report.alpha
 
     width = PADDING * 2 + LABEL_WIDTH + CELL_WIDTH * len(cols)
     height = PADDING * 2 + HEADER_HEIGHT + CELL_HEIGHT * len(rows)
     doc = SvgDoc(width, height)
-    doc.rect(0, 0, width, height, fill="#ffffff")
 
     x0 = PADDING + LABEL_WIDTH
     y0 = PADDING + HEADER_HEIGHT
@@ -117,7 +117,7 @@ def render_mcm(
                         'class="diagonal"/>')
                 continue
             cell = report.cells[(r, c)]
-            significant = report.significance[(r, c)]
+            significant = cell.p_value < alpha
             mean = fnum(cell.mean_difference, places)
             wtl = f"{cell.wins} / {cell.ties} / {cell.losses}"
             p = fnum(cell.p_value, places)
@@ -139,8 +139,8 @@ def render_mcm(
                 )
     doc.group_end()
 
-    svg = doc.tobytes(metadata)
-    if table is None:
-        return svg
-    table.append("</table>")
-    return wrap_html(svg, "Pairwise comparison matrix", "\n".join(table), metadata)
+    page = doc.tostring(metadata)
+    if table is not None:
+        table.append("</table>")
+        page = wrap_html(page, "Pairwise comparison matrix", "\n".join(table), metadata)
+    return page.encode("utf-8")

@@ -22,7 +22,6 @@ def render_pattern_graph(pattern, metadata: dict | None = None) -> bytes:
     pad = PADDING + 50.0
     size = 2 * (radius + pad)
     doc = SvgDoc(size, size)
-    doc.rect(0, 0, size, size, fill="#ffffff")
     cx = cy = size / 2.0
 
     points = []
@@ -48,4 +47,4 @@ def render_pattern_graph(pattern, metadata: dict | None = None) -> bytes:
     meta = dict(metadata) if metadata else {}
     meta.setdefault("figure", "significance-pattern")
     meta.setdefault("bitmask", hex(pattern.bitmask))
-    return doc.tobytes(meta)
+    return doc.tostring(meta).encode("utf-8")

@@ -8,8 +8,6 @@ against the closed form m(m+1)/2.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .data import Direction, ResultsMatrix
@@ -47,9 +45,9 @@ def enumeration_pvalue(diffs: np.ndarray) -> float:
     return min(1.0, 2.0 * tail / 2.0**k)
 
 
-def _suite_wilcoxon(cases: int = 200) -> str:
+def _suite_wilcoxon() -> str:
     rng = np.random.default_rng(20240117)
-    for _ in range(cases):
+    for _ in range(200):
         k = int(rng.integers(1, 11))
         diffs = np.round(rng.normal(0.0, 1.0, size=k), 2)
         expected = enumeration_pvalue(diffs)
@@ -58,7 +56,7 @@ def _suite_wilcoxon(cases: int = 200) -> str:
             raise AssertionError(
                 f"signed-rank mismatch for {diffs.tolist()!r}: {got} vs {expected}"
             )
-    return f"{cases} random vectors vs sign-enumeration oracle"
+    return "200 random vectors vs sign-enumeration oracle"
 
 
 def _suite_holm() -> str:
@@ -79,9 +77,9 @@ def _suite_holm() -> str:
     return "worked step-down examples"
 
 
-def _suite_rank_sums(cases: int = 200) -> str:
+def _suite_rank_sums() -> str:
     rng = np.random.default_rng(987654321)
-    for _ in range(cases):
+    for _ in range(200):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(1, 21))
         scores = np.round(rng.uniform(0.0, 1.0, size=(m, n)), 2)
@@ -96,10 +94,10 @@ def _suite_rank_sums(cases: int = 200) -> str:
         sums = table.ranks.sum(axis=0)
         if np.abs(sums - target).max() > 1e-9:
             raise AssertionError("per-task rank sums off target")
-    return f"{cases} random matrices, per-task rank sums = m(m+1)/2"
+    return "200 random matrices, per-task rank sums = m(m+1)/2"
 
 
-def run_selftest(report: Callable[[str], None] = print) -> bool:
+def run_selftest() -> bool:
     """Run all suites; prints one PASS/FAIL line each, returns overall."""
     suites = [
         ("wilcoxon-enumeration", _suite_wilcoxon),
@@ -110,8 +108,8 @@ def run_selftest(report: Callable[[str], None] = print) -> bool:
     for name, suite in suites:
         try:
             detail = suite()
-            report(f"PASS {name}: {detail}")
+            print(f"PASS {name}: {detail}")
         except AssertionError as exc:
             ok = False
-            report(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
     return ok

@@ -113,18 +113,6 @@ class PairwiseComparison:
     p_value: float
     p_method: PMethod
 
-    def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "col": self.column,
-            "mean_diff": self.mean_difference,
-            "wins": self.wins,
-            "ties": self.ties,
-            "losses": self.losses,
-            "p": self.p_value,
-            "p_method": self.p_method.value,
-        }
-
     def mirrored(self) -> PairwiseComparison:
         """The same cell from the column comparate's perspective.
 
@@ -301,19 +289,14 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> list[f
     return out
 
 
-def wilcoxon_signed_rank(
-    diffs: Sequence[float],
-    method: str = "auto",
-) -> tuple[float, PMethod]:
+def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     """Two-sided signed-rank p-value for paired differences.
 
     Zero differences are discarded before ranking; tied absolute
     differences receive averaged ranks.  With at most
     ``DEFAULT_EXACT_THRESHOLD`` nonzero differences the p-value comes from
     the exact distribution over all sign assignments; beyond that a normal
-    approximation with tie and continuity corrections is used.  ``method``
-    may force ``"exact"`` or ``"approx"``.  The exact distribution is
-    refused above 62 nonzero differences.
+    approximation with tie and continuity corrections is used.
 
     Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
     This is one row of the block kernel ``pair_statistics`` uses.
@@ -323,10 +306,7 @@ def wilcoxon_signed_rank(
         raise EmptyInput("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    thresholds = {"auto": DEFAULT_EXACT_THRESHOLD, "exact": d.size, "approx": 0}
-    if method not in thresholds:
-        raise ValidationError(f"unknown method {method!r}")
-    return _signed_rank_rows(d, thresholds[method])[0]
+    return _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)[0]
 
 
 def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -515,8 +495,8 @@ def holm_correction(
 ) -> list[HolmDecision]:
     """Step-down familywise correction over a family of p-values.
 
-    P-values are sorted ascending (ties broken by pair id for
-    determinism); the i-th smallest is tested against alpha / (N + 1 - i)
+    P-values are sorted ascending, ties broken by pair id for determinism,
+    so the ids of tied p-values must be comparable; the i-th smallest is tested against alpha / (N + 1 - i)
     and rejection stops at the first failure, leaving that p-value and all
     larger ones non-significant.  Equal p-values always receive the same
     decision.  Results are returned in the sorted order.
@@ -527,7 +507,7 @@ def holm_correction(
         if not (0.0 <= p <= 1.0) or not math.isfinite(p):
             raise InvalidP(f"p-value for pair {pid!r} outside [0, 1]: {p!r}")
 
-    items.sort(key=lambda item: (item[1], _sort_token(item[0])))
+    items.sort(key=lambda item: (item[1], item[0]))
     total = len(items)
     decisions: list[HolmDecision] = []
     rejecting = True
@@ -539,16 +519,6 @@ def holm_correction(
     # (division is monotone in its denominator), so the stop rule cannot
     # split the run.
     return decisions
-
-
-def _sort_token(pid: object):
-    # Pair ids are usually tuples of names; fall back to repr so mixed id
-    # types still sort deterministically.
-    if isinstance(pid, tuple) and all(isinstance(x, str) for x in pid):
-        return (0, pid)
-    if isinstance(pid, str):
-        return (1, pid)
-    return (2, repr(pid))
 
 
 def pair_id(a: str, b: str) -> tuple[str, str]:

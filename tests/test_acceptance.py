@@ -34,7 +34,7 @@ from mcmatrix import (
     wilcoxon_signed_rank,
 )
 from mcmatrix.selftest import enumeration_pvalue
-from mcmatrix.stats import oriented_differences
+from mcmatrix.stats import _signed_rank_rows, oriented_differences
 
 from conftest import GOLDEN, fixture_matrix, golden_matrix, load_fixture, random_matrix
 
@@ -79,8 +79,8 @@ def test_criterion_2_wilcoxon_approximation_quality():
             k = int(rng.integers(20, 26))
             diffs = rng.normal(rng.uniform(-0.5, 0.5), 1.0, size=k)
             assert np.unique(np.abs(diffs)).size == k  # tie-free draw
-            exact, _ = wilcoxon_signed_rank(diffs, method="exact")
-            approx, _ = wilcoxon_signed_rank(diffs, method="approx")
+            exact, _ = _signed_rank_rows(diffs.reshape(1, -1), k)[0]
+            approx, _ = _signed_rank_rows(diffs.reshape(1, -1), 0)[0]
             worst = max(worst, abs(exact - approx))
         elapsed = time.monotonic() - start
         assert worst <= 0.01, f"worst gap {worst:.4f}"
@@ -279,7 +279,7 @@ def test_criterion_9_render_determinism():
 
         report = build_mcm(matrix, MCMConfig(alpha=0.05))
         svg = render_mcm(report, format="svg").decode()
-        n_significant = sum(report.significance.values())
+        n_significant = sum(cell.p_value < report.alpha for cell in report.cells.values())
         assert svg.count('font-weight="bold"') == 3 * n_significant
 
 

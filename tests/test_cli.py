@@ -45,6 +45,57 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+_TWO_BY_ONE = '{"comparates": ["A", "B"], "tasks": ["t1"], "scores": %s}'
+
+# Malformed tables: (file suffix, bytes, start of the stderr message).
+MALFORMED_TABLES = {
+    "csv-empty": (".csv", b"", "error: empty CSV input"),
+    "csv-header-without-task": (
+        ".csv", b"comparate\nA\nB\n",
+        "error: CSV header must list at least one task (row=1, column=None)"),
+    "csv-row-with-too-many-cells": (
+        ".csv", b"comparate,t1\nA,0.5,0.6\nB,0.4\n",
+        "error: expected 2 cells, found 3 (row=2, column=None)"),
+    "csv-empty-comparate-name": (
+        ".csv", b"comparate,t1\n,0.5\nB,0.4\n",
+        "error: empty comparate name (row=2, column=1)"),
+    "csv-header-without-rows": (
+        ".csv", b"comparate,t1,t2\n", "error: CSV input has a header but no data rows"),
+    "csv-not-utf8": (
+        ".csv", b"comparate,t1\nA\xff,0.5\nB,0.4\n", "error: input is not valid UTF-8"),
+    "json-not-an-object": (".json", b"[1, 2]", "error: JSON input must be an object"),
+    "json-missing-key": (
+        ".json", b'{"comparates": ["A", "B"], "tasks": ["t1"]}',
+        "error: JSON input is missing 'scores'"),
+    "json-wrong-row-count": (
+        ".json", (_TWO_BY_ONE % "[[0.5]]").encode(),
+        "error: scores must have one row per comparate (2 expected, 1 found)"),
+    "json-non-number-cell": (
+        ".json", (_TWO_BY_ONE % '[[0.5], ["0.4"]]').encode(),
+        "error: cell is not a number (row=2, column=1)"),
+    "json-overflowing-number": (
+        ".json", (_TWO_BY_ONE % "[[0.5], [1e999]]").encode(),
+        "error: non-finite score (row=2, column=1)"),
+}
+
+# Malformed flags: (argv after the input flags, stderr message).
+MALFORMED_FLAGS = {
+    "rank-swap-pair-of-three": (
+        ["stability", "rank-swap", "--pair", "Alpha,Bravo,Charlie",
+         "--set-a", "Alpha,Bravo", "--set-b", "Alpha,Bravo,Charlie"],
+        "usage error: --pair needs exactly two names"),
+    "weaken-weight-not-a-number": (
+        ["stability", "weaken", "--target", "Alpha", "--reference", "Delta",
+         "--weights", "x", "--context", "Alpha,Bravo"],
+        "usage error: bad --weights value 'x'"),
+    "weaken-no-weight": (
+        ["stability", "weaken", "--target", "Alpha", "--reference", "Delta",
+         "--weights", ",", "--context", "Alpha,Bravo"],
+        "usage error: --weights must list at least one weight"),
+    "mcm-no-row": (["mcm", "--rows", ","], "usage error: empty name list ','"),
+}
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, err = run([], capsys)
@@ -114,6 +165,35 @@ class TestExitCodes:
             ["mcm", "--input", str(bad), "--direction", "higher"], capsys
         )
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("suffix, data, message", MALFORMED_TABLES.values(),
+                             ids=MALFORMED_TABLES.keys())
+    def test_malformed_table_is_located_data_error(self, tmp_path, capsys,
+                                                   suffix, data, message):
+        path = tmp_path / f"table{suffix}"
+        path.write_bytes(data)
+        code, out, err = run(["mcm", "--input", str(path), "--direction", "higher"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(message) and "Traceback" not in err
+
+    def test_stdin_read_in_the_named_format(self, capsys, monkeypatch):
+        # Read as CSV, the same bytes are a header without rows.
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": io.BytesIO(b"[1, 2]")})())
+        code, out, err = run(
+            ["mcm", "--input", "-", "--input-format", "json", "--direction", "higher"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: JSON input must be an object\n"
+
+    @pytest.mark.parametrize("argv, message", MALFORMED_FLAGS.values(),
+                             ids=MALFORMED_FLAGS.keys())
+    def test_malformed_flag_is_usage_error(self, results_csv, capsys, argv, message):
+        code, out, err = run(
+            [*argv, "--input", str(results_csv), "--direction", "higher"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == message + "\n"
 
     def test_non_array_json_names_are_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -541,6 +621,18 @@ class TestOtherCommands:
         assert [o["variant"] for o in both] == ["T~0.1234561", "T~0.1234562"]
         assert both[0]["pattern_bitmask"] != both[1]["pattern_bitmask"]
         assert both == outcomes("0.1234561") + outcomes("0.1234562")
+
+    def test_weaken_variant_name_taken_gets_a_suffix(self, tmp_path, capsys):
+        table = tmp_path / "taken.csv"
+        table.write_text(CSV + "Alpha~0.5,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0\n")
+        code, out, _ = run(
+            ["stability", "weaken", "--input", str(table), "--direction", "higher",
+             "--target", "Alpha", "--reference", "Delta", "--weights", "0.5",
+             "--context", "Alpha,Bravo,Charlie"],
+            capsys,
+        )
+        assert code == 0
+        assert [o["variant"] for o in json.loads(out)["outcomes"]] == ["Alpha~0.5#2"]
 
     @pytest.mark.parametrize("stem, fixture, experiment", STABILITY_GOLDEN_CASES)
     def test_stability_json_matches_golden(self, tmp_path, stem, fixture, experiment):

@@ -94,8 +94,10 @@ class TestBuildMcm:
         rng = np.random.default_rng(3)
         matrix = random_matrix(rng, m=5, n=10)
         report = build_mcm(matrix, MCMConfig(alpha=0.3))
-        for pair, cell in report.cells.items():
-            assert report.significance[pair] == (cell.p_value < 0.3)
+        records = mcm_report_to_dict(report)["cells"]
+        assert [r["significant"] for r in records] == [
+            cell.p_value < 0.3 for cell in report.cells.values()
+        ]
 
     def test_grid_antisymmetry(self):
         rng = np.random.default_rng(4)

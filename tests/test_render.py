@@ -73,7 +73,7 @@ class TestRenderMcm:
             1
             for r in report.row_order
             for c in report.column_order
-            if r != c and report.significance[(r, c)]
+            if r != c and report.cells[(r, c)].p_value < report.alpha
         )
         assert bold_count == 3 * significant_cells  # three text lines per cell
 

@@ -132,8 +132,8 @@ class TestWilcoxon:
         for _ in range(100):
             k = int(rng.integers(20, 26))
             diffs = rng.normal(0.3, 1.0, size=k)
-            exact, _ = wilcoxon_signed_rank(diffs, method="exact")
-            approx, _ = wilcoxon_signed_rank(diffs, method="approx")
+            exact, _ = _forced(diffs, "exact")
+            approx, _ = _forced(diffs, "approx")
             worst = max(worst, abs(exact - approx))
         assert worst <= 0.01
 
@@ -144,7 +144,7 @@ class TestWilcoxon:
         for _ in range(100):
             k = int(rng.integers(1, 26))
             diffs = rng.normal(0.2, 1.0, size=k)  # continuous: tie-free
-            p_exact, _ = wilcoxon_signed_rank(diffs, method="exact")
+            p_exact, _ = _forced(diffs, "exact")
             ref = scipy_wilcoxon(
                 diffs, zero_method="wilcox", correction=True, mode="exact"
             ).pvalue
@@ -155,7 +155,7 @@ class TestWilcoxon:
             diffs = diffs[diffs != 0.0]
             if diffs.size < 5:
                 continue
-            p_approx, _ = wilcoxon_signed_rank(diffs, method="approx")
+            p_approx, _ = _forced(diffs, "approx")
             ref = scipy_wilcoxon(
                 diffs, zero_method="wilcox", correction=True, mode="approx"
             ).pvalue
@@ -262,6 +262,14 @@ def _result_bits(result) -> tuple:
     return struct.pack("<d", p), method
 
 
+def _forced(diffs, method: str) -> tuple[float, PMethod]:
+    """The kernel on one vector, with the branch forced as
+    ``wilcoxon_signed_rank_scalar(diffs, method=method)`` forces it."""
+    d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
+    threshold = {"auto": stats.DEFAULT_EXACT_THRESHOLD, "exact": d.size, "approx": 0}[method]
+    return stats._signed_rank_rows(d, threshold)[0]
+
+
 class TestSignedRankKernel:
     @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 40, 62]))
     @settings(max_examples=300, deadline=None)
@@ -274,13 +282,13 @@ class TestSignedRankKernel:
     @settings(max_examples=150, deadline=None)
     def test_forced_method_matches_scalar_oracle_bit_for_bit(self, block, method):
         for row in block:
-            assert (_result_bits(wilcoxon_signed_rank(row, method=method))
+            assert (_result_bits(_forced(row, method))
                     == _result_bits(wilcoxon_signed_rank_scalar(row, method=method)))
 
     def test_exact_refused_above_62_nonzero_differences(self):
         diffs = np.arange(1.0, 64.0)
         refusals = (
-            lambda: wilcoxon_signed_rank(diffs, method="exact"),
+            lambda: _forced(diffs, "exact"),
             lambda: wilcoxon_signed_rank_scalar(diffs, method="exact"),
             lambda: stats._signed_rank_rows(diffs.reshape(1, -1), 70),
             lambda: wilcoxon_signed_rank_scalar(diffs, exact_threshold=70),
@@ -288,7 +296,7 @@ class TestSignedRankKernel:
         for refusal in refusals:
             with pytest.raises(ValidationError, match="infeasible for 63 nonzero"):
                 refusal()
-        assert (_result_bits(wilcoxon_signed_rank(diffs[:62], method="exact"))
+        assert (_result_bits(_forced(diffs[:62], "exact"))
                 == _result_bits(wilcoxon_signed_rank_scalar(diffs[:62], method="exact")))
 
 
@@ -486,6 +494,12 @@ class TestHolm:
             [(("b", "c"), 0.01), (("a", "b"), 0.01), (("a", "c"), 0.5)], alpha=0.05
         )
         assert [d.pair for d in decisions] == [("a", "b"), ("b", "c"), ("a", "c")]
+
+    def test_tied_ids_compare_as_themselves(self):
+        decisions = holm_correction([(10, 0.01), (9, 0.01), (2, 0.5)], alpha=0.05)
+        assert [d.pair for d in decisions] == [9, 10, 2]
+        with pytest.raises(TypeError):
+            holm_correction([("a", 0.01), (9, 0.01)], alpha=0.05)
 
     def test_equal_ps_share_decision(self):
         decisions = holm_correction(
