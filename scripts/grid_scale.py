@@ -1,0 +1,86 @@
+"""Time the grid commands on one large seeded table, one subprocess each.
+
+Run from the root of a source checkout::
+
+    python3 scripts/grid_scale.py
+    python3 scripts/grid_scale.py --root ../other-checkout
+
+It writes an m = 400, n = 60 table of accuracy-like scores, generated from
+``random.Random`` seeded with a string (a stream Python keeps stable across
+versions), then runs ``mcm --format json``, ``mcm --format html`` and
+``stats`` on it, each as a fresh ``python -m mcmatrix.cli`` process on the
+``src`` directory of ``--root``.  It prints a Markdown table with each
+command's wall seconds, its peak resident memory (the child's own
+``ru_maxrss``, from ``os.wait4``) and its output size.  One run per command
+is evidence of scale, not a benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+M, N = 400, 60
+COMMANDS = (
+    ("mcm --format json", ["mcm", "--format", "json"]),
+    ("mcm --format html", ["mcm", "--format", "html"]),
+    ("stats", ["stats"]),
+)
+
+
+def table_csv(m: int = M, n: int = N) -> bytes:
+    """m x n scores: a per-task difficulty every comparate shares, a
+    per-comparate skill and independent per-cell noise."""
+    rng = random.Random(f"grid_scale:{m}x{n}")
+    base = [rng.uniform(0.55, 0.85) for _ in range(n)]
+    lines = ["comparate," + ",".join(f"t{j:03d}" for j in range(n))]
+    for i in range(m):
+        skill = rng.gauss(0.0, 0.02)
+        lines.append(f"c{i:03d}," + ",".join(repr(b + skill + rng.gauss(0.0, 0.03))
+                                           for b in base))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one child process."""
+    start = time.perf_counter()
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL) as child:
+        # wait4 reaps the child and returns its own resource usage.
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    seconds = time.perf_counter() - start
+    if child.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited with {child.returncode}")
+    return seconds, usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="source checkout whose src/ is timed (default: this one)")
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
+    print(f"m = {M}, n = {N}, root {args.root}")
+    print("| Command | Time | Peak RSS | Output |")
+    print("| --- | --- | --- | --- |")
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "table.csv"
+        table.write_bytes(table_csv())
+        out = Path(tmp) / "out"
+        for label, command in COMMANDS:
+            argv = [sys.executable, "-m", "mcmatrix.cli", *command, "--input", str(table),
+                    "--direction", "higher", "--output", str(out)]
+            seconds, rss = run_child(argv, env)
+            size = out.stat().st_size / 1e6
+            print(f"| `{label}` | {seconds:.1f} s | {rss:.0f} MB | {size:.0f} MB |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

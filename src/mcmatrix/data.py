@@ -207,7 +207,11 @@ def load_results(
 
 
 def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", row=reader.line_num) from None
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise ParseError("empty CSV input")
@@ -252,7 +256,7 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
 def _load_json(text: str, direction: Direction) -> ResultsMatrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("JSON input must be an object")
@@ -271,8 +275,14 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
     for key in ("comparates", "tasks"):
         if not isinstance(obj[key], list):
             raise ValidationError(f"JSON {key!r} must be an array of names")
-    comparates = [str(c) for c in obj["comparates"]]
-    tasks = [str(t) for t in obj["tasks"]]
+    comparates, tasks = obj["comparates"], obj["tasks"]
+    # A comparate is located by its row, a task by its column.
+    for i, name in enumerate(comparates):
+        if not isinstance(name, str):
+            raise ValidationError("comparate name is not a string", row=i + 1, column=None)
+    for j, name in enumerate(tasks):
+        if not isinstance(name, str):
+            raise ValidationError("task name is not a string", row=None, column=j + 1)
     rows = obj["scores"]
     if not isinstance(rows, list) or len(rows) != len(comparates):
         raise ValidationError(
@@ -281,13 +291,18 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
         )
     grid: list[list[float]] = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(tasks):
+        if not isinstance(row, list) or len(row) < len(tasks):
             raise ValidationError("missing cell", row=i + 1, column=None)
+        if len(row) > len(tasks):
+            raise ValidationError("extra cell", row=i + 1, column=len(tasks) + 1)
         values = []
         for j, cell in enumerate(row):
             if not isinstance(cell, (int, float)) or isinstance(cell, bool):
                 raise ParseError("cell is not a number", row=i + 1, column=j + 1)
-            value = float(cell)
+            try:
+                value = float(cell)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
             if not math.isfinite(value):
                 raise ValidationError("non-finite score", row=i + 1, column=j + 1)
             values.append(value)

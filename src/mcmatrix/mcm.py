@@ -11,9 +11,9 @@ designed to remove, so none is offered here.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .data import Direction, ResultsMatrix
 from .errors import EmptyReport, InternalError, PairNotInSubset
 from .stats import (
     MIN_BLOCK_PAIRS,
+    PairTable,
     PairwiseComparison,
     PMethod,
     check_alpha,
@@ -30,9 +31,9 @@ from .stats import (
     pairwise_comparison,
 )
 
-__all__ = ["MCMConfig", "MCMReport", "build_mcm", "cell_records", "cell_records_json",
-           "compare_pairs", "mcm_cell_invariance_check", "mcm_report_header",
-           "mcm_report_to_dict"]
+__all__ = ["MCMConfig", "MCMReport", "PairGrid", "build_mcm", "cell_records",
+           "cell_records_json", "compare_pairs", "mcm_cell_invariance_check",
+           "mcm_report_header", "mcm_report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ class MCMReport:
 
     ``cells`` maps (row, column) to a comparison for every off-diagonal
     grid position, in grid order: row-major over ``row_order`` x
-    ``column_order``, diagonal skipped.  A cell is significant iff its
+    ``column_order``, diagonal skipped.  ``bayes``, when posteriors were
+    asked for, maps the same keys to them.  A cell is significant iff its
     uncorrected ``p_value < alpha``.  ``comparison_count`` counts
     off-diagonal grid cells in focused mode and distinct pairs in all-pairs
     mode.
@@ -67,13 +69,13 @@ class MCMReport:
     row_order: tuple[str, ...]
     column_order: tuple[str, ...]
     mean_performance: dict[str, float]
-    cells: dict[tuple[str, str], PairwiseComparison]
+    cells: PairGrid
     comparison_count: int
     alpha: float
     direction: Direction
     n_tasks: int
     tie_epsilon: float = 0.0
-    bayes: dict[tuple[str, str], BayesPosterior] | None = None
+    bayes: PairGrid | None = None
 
 
 def _order_by_mean(names: Sequence[str], means: dict[str, float],
@@ -84,58 +86,82 @@ def _order_by_mean(names: Sequence[str], means: dict[str, float],
     return tuple(sorted(names, key=lambda c: (means[c], c)))
 
 
+class PairGrid(Mapping):
+    """Read-only mapping of ordered (row, column) pairs to the values of
+    their unordered pairs, in the order the pairs were asked for.
+
+    ``index`` maps each key to ``(i, reversed)``: ``table[i]`` is the value
+    of the pair in the orientation it was evaluated in, and a reversed key
+    reads its ``mirrored()``.  Cells keep ``table`` a ``PairTable``, whose
+    ``fields(i, reversed)`` the writers read instead of building cells.
+    """
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: Sequence, index: dict[tuple[str, str], tuple[int, bool]]):
+        self.table = table
+        self.index = index
+
+    def __getitem__(self, key):
+        i, reverse = self.index[key]
+        value = self.table[i]
+        return value.mirrored() if reverse else value
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 def compare_pairs(
     matrix: ResultsMatrix,
     pairs: Sequence[tuple[str, str]],
     tie_epsilon: float = 0.0,
     bayes_config: BayesConfig | None = None,
-) -> tuple[dict[tuple[str, str], PairwiseComparison],
-           dict[tuple[str, str], BayesPosterior] | None]:
+) -> tuple[PairGrid, PairGrid | None]:
     """Cells, and with a Bayes config posteriors, for ordered (row, column) pairs.
 
     Each unordered pair is evaluated once, in the orientation that comes
-    first in ``pairs``; the reverse orientation, when also asked for, is
-    the mirror of that result, bit-identical to evaluating it directly.
-    With at least ``MIN_BLOCK_PAIRS`` unordered pairs the cells come from
-    ``pair_statistics`` in numpy blocks, and the first one is evaluated
-    again by ``pairwise_comparison``: a disagreement raises
-    ``InternalError``.  That compares a block with a one-row run of the
-    same kernel, not with an independent implementation.  Fewer pairs are
-    evaluated one at a time by ``pairwise_comparison``.  Posteriors are
-    computed pair by pair.
+    first in ``pairs``, into one ``PairTable``; the reverse orientation,
+    when also asked for, reads the mirror of that result, bit-identical to
+    evaluating it directly.  With at least ``MIN_BLOCK_PAIRS`` unordered
+    pairs the table comes from ``pair_statistics`` in numpy blocks, and the
+    first pair is evaluated again by ``pairwise_comparison``: a
+    disagreement raises ``InternalError``.  That compares a block with a
+    one-row run of the same kernel, not with an independent
+    implementation.  Fewer pairs are evaluated one at a time by
+    ``pairwise_comparison``.  Posteriors are computed pair by pair.
     """
+    index: dict[tuple[str, str], tuple[int, bool]] = {}
     first: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
     for r, c in pairs:
-        if (r, c) not in seen and (c, r) not in seen:
-            seen.add((r, c))
-            first.append((r, c))
+        if (r, c) not in index:
+            seen = index.get((c, r))
+            if seen is None:
+                index[(r, c)] = (len(first), False)
+                first.append((r, c))
+            else:
+                index[(r, c)] = (seen[0], True)
     if len(first) < MIN_BLOCK_PAIRS:
-        evaluated = {pair: pairwise_comparison(matrix, *pair, tie_epsilon) for pair in first}
+        alone = [pairwise_comparison(matrix, *pair, tie_epsilon) for pair in first]
+        columns = (tuple(getattr(cell, name) for cell in alone) for name in
+                   ("mean_difference", "wins", "losses", "p_value", "p_method"))
+        table = PairTable(tuple(first), *columns, matrix.n)
     else:
-        evaluated = dict(zip(first, pair_statistics(matrix, first, tie_epsilon)))
+        table = pair_statistics(matrix, first, tie_epsilon)
         alone = pairwise_comparison(matrix, *first[0], tie_epsilon)
-        if alone != evaluated[first[0]]:
+        if alone != table[0]:
             raise InternalError(
-                f"batched pair statistics gave {evaluated[first[0]]!r}; "
+                f"batched pair statistics gave {table[0]!r}; "
                 f"pairwise_comparison gives {alone!r}"
             )
-    cells: dict[tuple[str, str], PairwiseComparison] = {}
-    bayes: dict[tuple[str, str], BayesPosterior] | None = (
-        None if bayes_config is None else {}
-    )
-    for r, c in pairs:
-        if (r, c) in evaluated:
-            cells[(r, c)] = evaluated[(r, c)]
-            if bayes is not None:
-                bayes[(r, c)] = bayesian_signed_rank(
-                    oriented_differences(matrix, r, c), bayes_config
-                )
-        else:
-            cells[(r, c)] = evaluated[(c, r)].mirrored()
-            if bayes is not None:
-                bayes[(r, c)] = bayes[(c, r)].mirrored()
-    return cells, bayes
+    bayes = None
+    if bayes_config is not None:
+        posteriors = [bayesian_signed_rank(oriented_differences(matrix, r, c), bayes_config)
+                      for r, c in first]
+        bayes = PairGrid(posteriors, index)
+    return PairGrid(table, index), bayes
 
 
 def build_mcm(
@@ -216,9 +242,9 @@ def mcm_cell_invariance_check(
 
 
 def cell_records(
-    cells: dict[tuple[str, str], PairwiseComparison],
+    cells: Mapping[tuple[str, str], PairwiseComparison],
     alpha: float,
-    bayes: dict[tuple[str, str], BayesPosterior] | None = None,
+    bayes: Mapping[tuple[str, str], BayesPosterior] | None = None,
 ) -> list[dict]:
     """JSON records of ``cells``, in their order: each cell's fields, then
     ``"significant"`` (``p < alpha``), then ``"bayes"`` when posteriors exist."""
@@ -248,7 +274,8 @@ def cell_records(
 
 
 # One cell of ``cell_records_json``: the keys and indents ``json.dumps``
-# gives a record two levels deep, without its closing brace.
+# gives a record two levels deep, without its closing brace.  The last
+# three fields depend only on the unordered pair.
 _CELL_JSON = """    {
       "row": %s,
       "col": %s,
@@ -256,7 +283,8 @@ _CELL_JSON = """    {
       "wins": %d,
       "ties": %d,
       "losses": %d,
-      "p": %s,
+%s"""
+_TEST_JSON = """      "p": %s,
       "p_method": %s,
       "significant": %s"""
 _BAYES_JSON = """,
@@ -269,32 +297,35 @@ _BAYES_JSON = """,
 
 
 def cell_records_json(
-    cells: dict[tuple[str, str], PairwiseComparison],
+    cells: PairGrid,
     alpha: float,
-    bayes: dict[tuple[str, str], BayesPosterior] | None = None,
+    bayes: PairGrid | None = None,
 ) -> str:
     """``cell_records(cells, alpha, bayes)`` as the JSON text of a
     top-level value of an indent-2 document: ``json.dumps(records,
     indent=2)`` with every line after the first indented two more spaces.
 
-    Each cell is one template.  Each name is quoted once, by the function
-    ``json`` quotes with, and floats are written by ``float.__repr__``,
-    which is what ``json`` writes for a finite float; every cell value is
-    finite.
+    ``cells`` is a ``PairGrid`` over a ``PairTable``, as ``compare_pairs``
+    gives it.  Each cell is one template, filled from the table's columns:
+    each name is quoted once, by the function ``json`` quotes with, and
+    each unordered pair's p-value, method and significance are written
+    once.  Floats are written by ``float.__repr__``, which is what ``json``
+    writes for a finite float; every cell value is finite.
     """
     if not cells:
         return "[]"
-    names = {name for cell in cells.values() for name in (cell.row, cell.column)}
+    table = cells.table
+    names = {name for pair in table.pairs for name in pair}
     quoted = {name: encode_basestring_ascii(name) for name in names}
     methods = {m: encode_basestring_ascii(m.value) for m in PMethod}
     r = float.__repr__
+    tests = [_TEST_JSON % (r(p), methods[method], "true" if p < alpha else "false")
+             for p, method in zip(table.p_value, table.p_method)]
     parts = []
-    for pair, cell in cells.items():
-        text = _CELL_JSON % (
-            quoted[cell.row], quoted[cell.column], r(cell.mean_difference),
-            cell.wins, cell.ties, cell.losses, r(cell.p_value), methods[cell.p_method],
-            "true" if cell.p_value < alpha else "false",
-        )
+    for pair, (i, reverse) in cells.index.items():
+        row, column, mean, wins, ties, losses, _, _ = table.fields(i, reverse)
+        text = _CELL_JSON % (quoted[row], quoted[column], r(mean), wins, ties, losses,
+                             tests[i])
         if bayes is not None:
             post = bayes[pair]
             text += _BAYES_JSON % (r(post.theta_left), r(post.theta_rope),

@@ -41,9 +41,11 @@ def render_mcm(
     if not report.cells:
         raise EmptyReport("report contains no comparisons")
 
-    # A zero difference is white whatever the limit, so a limit of 0 is
-    # never divided by.
-    limit = max(abs(c.mean_difference) for c in report.cells.values())
+    # Each unordered pair is one row of the cells' table, read in both
+    # orientations.  A zero difference is white whatever the limit, so a
+    # limit of 0 is never divided by.
+    pairs, index = report.cells.table, report.cells.index
+    limit = max(map(abs, pairs.mean_difference))
     places = CELL_DECIMAL_PLACES
     rows, cols = report.row_order, report.column_order
     alpha = report.alpha
@@ -104,6 +106,8 @@ def render_mcm(
         "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
         "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
     ] if fmt == "html" else None
+    # A pair's p label is the same in both orientations.
+    p_labels = [fnum(p, places) for p in pairs.p_value]
     row_html = [escape(r) for r in rows]
     col_html = [escape(c) for c in cols]
     doc.group_start("cells")
@@ -116,16 +120,17 @@ def render_mcm(
                 doc.raw(f'<rect x="{x}" y="{y}" {size} fill="#f2f2f2" {stroke} '
                         'class="diagonal"/>')
                 continue
-            cell = report.cells[(r, c)]
-            significant = cell.p_value < alpha
-            mean = fnum(cell.mean_difference, places)
-            wtl = f"{cell.wins} / {cell.ties} / {cell.losses}"
-            p = fnum(cell.p_value, places)
+            k, reverse = index[(r, c)]
+            _, _, mean_difference, wins, ties, losses, p_value, _ = pairs.fields(k, reverse)
+            significant = p_value < alpha
+            mean = fnum(mean_difference, places)
+            wtl = f"{wins} / {ties} / {losses}"
+            p = p_labels[k]
             cx = col_cx[j]
             attrs = bold if significant else text
             doc.raw(
                 f'<rect x="{x}" y="{y}" {size} '
-                f'fill="{diverging_color(cell.mean_difference, limit)}" {stroke} '
+                f'fill="{diverging_color(mean_difference, limit)}" {stroke} '
                 'class="cell-bg"/>\n'
                 f'<text x="{cx}" y="{y_mean}"{attrs}>{mean}</text>\n'
                 f'<text x="{cx}" y="{y_wtl}"{attrs}>{wtl}</text>\n'

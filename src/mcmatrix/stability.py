@@ -241,8 +241,8 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
 def _pvalues(matrix: ResultsMatrix,
              pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], float]:
     """Signed-rank p of each (row, column) pair, keyed by ``pair_id``."""
-    cells = pair_statistics(matrix, pairs)
-    return {pair_id(c.row, c.column): c.p_value for c in cells}
+    table = pair_statistics(matrix, pairs)
+    return dict(zip(itertools.starmap(pair_id, table.pairs), table.p_value))
 
 
 def _holm_mask(

@@ -12,10 +12,11 @@ internal randomness.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "PMethod",
     "RankTable",
     "PairwiseComparison",
+    "PairTable",
     "HolmDecision",
     "DEFAULT_EXACT_THRESHOLD",
     "compute_ranks",
@@ -60,6 +62,10 @@ DEFAULT_EXACT_THRESHOLD = 25
 
 #: Most nonzero differences whose 2^k sign assignments int64 can count.
 _MAX_EXACT = 62
+
+#: Fewest nonzero differences whose k(k+1)(2k+1) the normal approximation
+#: computes with Python ints: int64 overflows from about 1.65 million.
+_INT64_TAIL = 1 << 20
 
 #: Differences per block of pairs, and counts per block of exact
 #: distributions: bounds the kernel's working memory whatever n is.
@@ -116,21 +122,57 @@ class PairwiseComparison:
     def mirrored(self) -> PairwiseComparison:
         """The same cell from the column comparate's perspective.
 
-        Bit-identical to evaluating the reversed pair: the differences only
-        change sign, so the p-value is shared and wins and losses swap.
-        ``0.0 - x`` rather than ``-x`` keeps a zero mean difference at +0.0,
-        as direct evaluation gives it.
+        Bit-identical to evaluating the reversed pair (see ``_mirror``).
         """
-        return PairwiseComparison(
-            row=self.column,
-            column=self.row,
-            mean_difference=0.0 - self.mean_difference,
-            wins=self.losses,
-            ties=self.ties,
-            losses=self.wins,
-            p_value=self.p_value,
-            p_method=self.p_method,
-        )
+        return PairwiseComparison(*_mirror(
+            self.row, self.column, self.mean_difference, self.wins, self.ties,
+            self.losses, self.p_value, self.p_method,
+        ))
+
+
+def _mirror(row, column, mean_difference, wins, ties, losses, p_value, p_method) -> tuple:
+    """A cell's fields from the column comparate's perspective.
+
+    The differences only change sign, so the p-value is shared and wins and
+    losses swap.  ``0.0 - x`` rather than ``-x`` keeps a zero mean
+    difference at +0.0, as direct evaluation gives it.
+    """
+    return column, row, 0.0 - mean_difference, losses, ties, wins, p_value, p_method
+
+
+@dataclass(frozen=True)
+class PairTable(Sequence):
+    """Cells of ordered (row, column) pairs, held as columns.
+
+    Item i is the ``PairwiseComparison`` of ``pairs[i]``, built when it is
+    read; its ties are ``n - wins[i] - losses[i]``.  A slice is a table.
+    """
+
+    pairs: tuple[tuple[str, str], ...]
+    mean_difference: tuple[float, ...]
+    wins: tuple[int, ...]
+    losses: tuple[int, ...]
+    p_value: tuple[float, ...]
+    p_method: tuple[PMethod, ...]
+    n: int
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PairTable(self.pairs[i], self.mean_difference[i], self.wins[i],
+                             self.losses[i], self.p_value[i], self.p_method[i], self.n)
+        return PairwiseComparison(*self.fields(i))
+
+    def fields(self, i: int, reverse: bool = False) -> tuple:
+        """Item i's fields in ``PairwiseComparison`` order; with ``reverse``,
+        those of ``self[i].mirrored()``."""
+        row, column = self.pairs[i]
+        wins, losses = self.wins[i], self.losses[i]
+        fields = (row, column, self.mean_difference[i], wins, self.n - wins - losses,
+                  losses, self.p_value[i], self.p_method[i])
+        return _mirror(*fields) if reverse else fields
 
 
 @dataclass(frozen=True)
@@ -161,33 +203,36 @@ def compute_ranks(matrix: ResultsMatrix) -> RankTable:
     return RankTable(ranks=ranks, average_ranks=average)
 
 
-def _signed_rank_rows(d: np.ndarray, exact_threshold: int) -> list[tuple[float, PMethod]]:
-    """Two-sided signed-rank ``(p, method)`` for each row of ``d``.
+def _signed_rank_rows(d: np.ndarray,
+                      exact_threshold: int) -> tuple[list[float], list[PMethod]]:
+    """Two-sided signed-rank p and method of each row of ``d``, as two lists.
 
     ``d`` is a rows x n array of finite differences; each row gets what
-    ``wilcoxon_signed_rank`` documents.  Zeros become +inf, so one stable
-    argsort per row puts them last.  A value's doubled averaged rank is
-    start + end + 2 over the 0-based sorted positions of its tie group, an
-    exact integer, so 2 W+ and the tie term are integer sums.  Rows with at
-    most ``exact_threshold`` nonzero differences get the exact distribution
-    (``_exact_pvalues``); the others get the normal approximation with tie
-    and continuity corrections, finished per row with the Python ``math``
-    functions.
+    ``wilcoxon_signed_rank`` documents.  Each row is sorted once, as the
+    uint64 keys ``bits(|x|) << 1 | (x > 0)`` with zeros as +inf: the bit
+    patterns of non-negative floats sort as the floats do, so a run of
+    equal ``key >> 1`` is a tie group, and bit 0 is the sign.  A value's
+    doubled averaged rank is start + end + 2 over the 0-based sorted
+    positions of its tie group, an exact integer, so 2 W+ and the tie term
+    are integer sums.  Rows with at most ``exact_threshold`` nonzero
+    differences get the exact distribution (``_exact_pvalues``); the others
+    get the normal approximation with tie and continuity corrections, in
+    the IEEE operations of the one-row formula, with ``math.erfc`` per row.
     """
     rows, n = d.shape
     # Each temporary is dropped once used: they are block-sized.
     k = np.count_nonzero(d, axis=1)
-    a = np.where(d != 0.0, np.abs(d), np.inf)
-    order = np.argsort(a, axis=1, kind="stable")
-    a = np.take_along_axis(a, order, axis=1)
-    positive = np.take_along_axis(d > 0.0, order, axis=1)
-    del order
+    key = np.where(d != 0.0, np.abs(d), np.inf).view(np.uint64) << np.uint64(1)
+    key |= d > 0.0
+    key.sort(axis=1)
+    positive = (key & np.uint64(1)).astype(bool)
+    key >>= np.uint64(1)
     pos = np.arange(n)
     # A tie group's first and last sorted positions, at every position.
     first = np.empty((rows, n), dtype=bool)
     first[:, 0] = True
-    np.not_equal(a[:, 1:], a[:, :-1], out=first[:, 1:])
-    del a
+    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
+    del key
     last = np.empty_like(first)
     last[:, -1] = True
     last[:, :-1] = first[:, 1:]
@@ -204,52 +249,60 @@ def _signed_rank_rows(d: np.ndarray, exact_threshold: int) -> list[tuple[float, 
     if (doubled.sum(axis=1) != k * (k + 1)).any():
         raise InternalError("doubled ranks do not sum to k(k+1)")
 
+    method = [PMethod.DEGENERATE if kr == 0 else PMethod.EXACT if kr <= exact_threshold
+              else PMethod.NORMAL_APPROXIMATION for kr in k.tolist()]
+    p = np.ones(rows)
     exact = (k > 0) & (k <= exact_threshold)
-    too_many = k[exact] > _MAX_EXACT
-    if too_many.any():  # 2^k assignments must stay countable in int64
-        raise ValidationError(
-            f"exact distribution infeasible for {k[exact][too_many][0]} "
-            "nonzero differences"
-        )
-    exact_rows = np.flatnonzero(exact)
-    exact_p = dict(zip(exact_rows.tolist(),
-                       _exact_pvalues(doubled[exact_rows], w2[exact_rows], k[exact_rows])))
-
-    out: list[tuple[float, PMethod]] = []
-    for row, (kr, w2r, tie_term) in enumerate(zip(k.tolist(), w2.tolist(), ties.tolist())):
-        if kr == 0:
-            out.append((1.0, PMethod.DEGENERATE))
-        elif row in exact_p:
-            out.append((exact_p[row], PMethod.EXACT))
-        else:
-            mean = kr * (kr + 1) / 4.0
-            variance = kr * (kr + 1) * (2 * kr + 1) / 24.0 - tie_term / 48.0
-            if variance <= 0.0:
-                raise InternalError("non-positive signed-rank variance")
-            # Continuity correction of one half, applied toward the mean so
-            # the result is symmetric in the two one-sided statistics.
-            numerator = max(abs(w2r / 2.0 - mean) - 0.5, 0.0)
-            z = numerator / math.sqrt(variance)
-            out.append((min(1.0, math.erfc(z / math.sqrt(2.0))), PMethod.NORMAL_APPROXIMATION))
-    return out
+    if exact.any():
+        too_many = k[exact] > _MAX_EXACT
+        if too_many.any():  # 2^k assignments must stay countable in int64
+            raise ValidationError(
+                f"exact distribution infeasible for {k[exact][too_many][0]} "
+                "nonzero differences"
+            )
+        p[exact] = _exact_pvalues(doubled[exact], w2[exact], k[exact])
+    normal = k > exact_threshold
+    if normal.any():
+        kn = k[normal]
+        if kn.max() >= _INT64_TAIL:  # k(k+1)(2k+1) would overflow int64
+            kn = kn.astype(object)
+        mean = (kn * (kn + 1) / 4.0).astype(np.float64)
+        variance = ((kn * (kn + 1) * (2 * kn + 1) / 24.0).astype(np.float64)
+                    - ties[normal] / 48.0)
+        if (variance <= 0.0).any():
+            raise InternalError("non-positive signed-rank variance")
+        # Continuity correction of one half, applied toward the mean so the
+        # result is symmetric in the two one-sided statistics.
+        numerator = np.maximum(np.abs(w2[normal] / 2.0 - mean) - 0.5, 0.0)
+        z = numerator / np.sqrt(variance) / np.sqrt(2.0)
+        p[normal] = np.minimum(1.0, list(map(math.erfc, z.tolist())))
+    return p.tolist(), method
 
 
-def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> list[float]:
+def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Exact two-sided p per row, from the rows' doubled ranks (zero-padded),
     doubled positive-rank sums and nonzero counts.
 
-    The distribution of the doubled positive-rank sum over all 2^k sign
-    assignments comes from subset-sum counting, on one int64 array of
-    ``k(k+1) + 1`` counts per row and at most about ``_BLOCK`` counts in
-    all.  Each doubled-rank value t is added as many times as a row holds
-    it, by shifting the rows that hold it with contiguous slices.
+    Flipping every sign maps a doubled positive-rank sum W to k(k+1) - W,
+    so the distribution is symmetric about h = k(k+1)/2, P(W >= w) is
+    P(W <= k(k+1) - w), and the two-sided p is twice the count of sums up
+    to min(w, k(k+1) - w), over 2^k.  The counts of the sums up to h come
+    from subset-sum counting, on one array of ``h_max + 1`` counts per row
+    and at most about ``_BLOCK`` counts in all.  The largest, the count up
+    to h, is about 2^(k-1), so they are int32 while k_max <= 31 and int64
+    above.  Each doubled-rank value t is added as many times as a row holds
+    it, by shifting the rows that hold it with contiguous slices.  By the
+    symmetry, the counts up to h and up to h - 1 add up to 2^k.
     """
     k_max = int(k.max(initial=0))
-    width = k_max * (k_max + 1) + 1
-    step = max(1, _BLOCK // width)
-    out: list[float] = []
+    cap = k_max * (k_max + 1) // 2
+    step = max(1, _BLOCK // (cap + 1))
+    dtype = np.int32 if k_max <= 31 else np.int64
+    half = k * (k + 1) // 2
+    low = np.minimum(w2, 2 * half - w2)
+    out = np.empty(len(k))
     for lo in range(0, len(k), step):
-        kb, w2b = k[lo:lo + step], w2[lo:lo + step]
+        kb = k[lo:lo + step]
         rows = len(kb)
         # held[r, t]: how many values of row r have doubled rank t.
         held = np.bincount(
@@ -257,35 +310,32 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> list[f
             minlength=rows * (2 * k_max + 1),
         ).reshape(rows, 2 * k_max + 1)
         held[:, 0] = 0  # the zero padding
-        counts = np.zeros((rows, width), dtype=np.int64)
+        counts = np.zeros((rows, cap + 1), dtype=dtype)
         counts[:, 0] = 1
         reach = np.zeros(rows, dtype=np.int64)  # largest sum with a nonzero count
         top = 0  # reach.max()
-        values = np.flatnonzero(held.any(axis=0))
+        values = np.flatnonzero(held[:, :cap + 1].any(axis=0))
         for t, most, least in zip(values.tolist(), held.max(axis=0)[values].tolist(),
                                   held.min(axis=0)[values].tolist()):
             for nth in range(1, most + 1):
                 if nth <= least:  # every row: contiguous views, overlap buffered
-                    counts[:, t:top + t + 1] += counts[:, :top + 1]
+                    hi = min(top + t, cap)
+                    counts[:, t:hi + 1] += counts[:, :hi + 1 - t]
                     reach += t
                     top += t
                 else:
                     sel = np.flatnonzero(held[:, t] >= nth)
-                    hi = int(reach[sel].max()) + t
+                    hi = min(int(reach[sel].max()) + t, cap)
                     counts[sel, t:hi + 1] += counts[sel, :hi + 1 - t]
                     reach[sel] += t
-                    top = max(top, hi)
+                    top = max(top, int(reach[sel].max()))
         np.cumsum(counts, axis=1, out=counts)
-        total = counts[:, -1]
-        if (total != np.left_shift(1, kb)).any():
-            raise InternalError("signed-rank distribution lost mass")
         at = np.arange(rows)
-        le = counts[at, w2b]
-        ge = total - np.where(w2b > 0, counts[at, np.maximum(w2b - 1, 0)], 0)
-        out.extend(
-            min(1.0, 2.0 * min(lo_count, hi_count) / float(1 << kr))
-            for lo_count, hi_count, kr in zip(le.tolist(), ge.tolist(), kb.tolist())
-        )
+        hb = half[lo:lo + step]
+        if (counts[at, hb].astype(np.int64) + counts[at, hb - 1] != np.left_shift(1, kb)).any():
+            raise InternalError("signed-rank distribution lost mass")
+        tail = counts[at, low[lo:lo + step]]
+        out[lo:lo + step] = np.minimum(1.0, 2.0 * tail / np.ldexp(1.0, kb))
     return out
 
 
@@ -306,7 +356,8 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
         raise EmptyInput("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    return _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)[0]
+    p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
+    return p[0], method[0]
 
 
 def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -372,8 +423,9 @@ def pair_statistics(
     matrix: ResultsMatrix,
     pairs: Sequence[tuple[str, str]],
     tie_epsilon: float = 0.0,
-) -> list[PairwiseComparison]:
-    """``pairwise_comparison`` of every ordered (row, column) pair, in order.
+) -> PairTable:
+    """``pairwise_comparison`` of every ordered (row, column) pair, in order,
+    as one table.
 
     Pairs are evaluated together in numpy blocks of at most about 2**19
     differences, so memory stays bounded whatever the number of tasks.  A
@@ -382,29 +434,31 @@ def pair_statistics(
     bit-identical to evaluating its pair alone.
     """
     tie_epsilon = _check_tie_epsilon(tie_epsilon)
-    pairs = list(pairs)
+    pairs = tuple(pairs)
     n = matrix.n
     step = max(1, _BLOCK // n)
-    out: list[PairwiseComparison] = []
+    means: list[float] = []
+    wins: list[int] = []
+    losses: list[int] = []
+    p_value: list[float] = []
+    p_method: list[PMethod] = []
     for lo in range(0, len(pairs), step):
         block = pairs[lo:lo + step]
         d = _differences(matrix, block)
-        wins = (d > tie_epsilon).sum(axis=1).tolist()
-        losses = (d < -tie_epsilon).sum(axis=1).tolist()
+        wins += np.count_nonzero(d > tie_epsilon, axis=1).tolist()
+        losses += np.count_nonzero(d < -tie_epsilon, axis=1).tolist()
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
         # underflows to -0.0 into +0.0, the value the mirror of the reversed
         # pair gives.
-        means = (d.mean(axis=1) + 0.0).tolist()
+        means += (d.mean(axis=1) + 0.0).tolist()
         if len(block) < MIN_BLOCK_PAIRS:
-            tests = [wilcoxon_signed_rank(x) for x in d]
+            p, method = zip(*map(wilcoxon_signed_rank, d))
         else:
-            tests = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
-        out.extend(
-            PairwiseComparison(row, column, mean, w, n - w - l, l, p, p_method)
-            for (row, column), mean, w, l, (p, p_method)
-            in zip(block, means, wins, losses, tests)
-        )
-    return out
+            p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
+        p_value += p
+        p_method += method
+    return PairTable(pairs, tuple(means), tuple(wins), tuple(losses), tuple(p_value),
+                     tuple(p_method), n)
 
 
 def friedman_test(matrix: ResultsMatrix) -> tuple[float, float]:
@@ -539,18 +593,17 @@ def all_pairs_pvalues(
     an independent implementation.
     """
     members = tuple(names) if names is not None else matrix.comparates
-    pairs = [(members[i], members[j])
-             for i in range(len(members)) for j in range(i + 1, len(members))]
-    cells = pair_statistics(matrix, pairs)
+    pairs = list(itertools.combinations(members, 2))
+    table = pair_statistics(matrix, pairs)
     if len(pairs) >= MIN_BLOCK_PAIRS:
         a, b = pairs[0]
         alone = wilcoxon_signed_rank(oriented_differences(matrix, a, b))
-        if alone != (cells[0].p_value, cells[0].p_method):
+        if alone != (table.p_value[0], table.p_method[0]):
             raise InternalError(
-                f"batched signed-rank test gave {(cells[0].p_value, cells[0].p_method)!r} "
+                f"batched signed-rank test gave {(table.p_value[0], table.p_method[0])!r} "
                 f"for ({a!r}, {b!r}); wilcoxon_signed_rank gives {alone!r}"
             )
-    return {pair_id(a, b): cell.p_value for (a, b), cell in zip(pairs, cells)}
+    return dict(zip(itertools.starmap(pair_id, pairs), table.p_value))
 
 
 def holm_significance(

@@ -213,6 +213,7 @@ PUBLIC_SURFACE = {
         "tie_epsilon=0.0",
         "bayes=None",
     ),
+    "mcmatrix.mcm.PairGrid": ("class(Mapping)", "__init__(self, table, index)"),
     "mcmatrix.mcm.build_mcm": (
         "(matrix, config=MCMConfig(alpha=0.05, row_comparates=None, "
         "column_comparates=None, tie_epsilon=0.0), bayes_config=None)"
@@ -337,6 +338,16 @@ PUBLIC_SURFACE = {
         "p_value",
         "p_method",
         "mirrored(self)",
+    ),
+    "mcmatrix.stats.PairTable": (
+        "pairs",
+        "mean_difference",
+        "wins",
+        "losses",
+        "p_value",
+        "p_method",
+        "n",
+        "fields(self, i, reverse=False)",
     ),
     "mcmatrix.stats.HolmDecision": ("pair", "p_value", "significant", "threshold"),
     "mcmatrix.stats.DEFAULT_EXACT_THRESHOLD": "25",

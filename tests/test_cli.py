@@ -76,6 +76,31 @@ MALFORMED_TABLES = {
     "json-overflowing-number": (
         ".json", (_TWO_BY_ONE % "[[0.5], [1e999]]").encode(),
         "error: non-finite score (row=2, column=1)"),
+    "json-integer-beyond-float": (
+        ".json", (_TWO_BY_ONE % f"[[0.5], [1{'0' * 400}]]").encode(),
+        "error: non-finite score (row=2, column=1)"),
+    "json-integer-beyond-int-parsing": (
+        ".json", (_TWO_BY_ONE % f"[[0.5], [1{'0' * 5000}]]").encode(),
+        "error: invalid JSON: Exceeds the limit (4300 digits)"),
+    "json-nested-too-deep": (
+        ".json", b"[" * 100_000 + b"]" * 100_000,
+        "error: invalid JSON: maximum recursion depth exceeded"),
+    "json-null-comparate-name": (
+        ".json", b'{"comparates": [null, "B"], "tasks": ["t1"], "scores": [[1], [2]]}',
+        "error: comparate name is not a string (row=1, column=None)"),
+    "json-array-task-name": (
+        ".json", b'{"comparates": ["A", "B"], "tasks": [["x"]], "scores": [[1], [2]]}',
+        "error: task name is not a string (row=None, column=1)"),
+    "json-row-longer-than-tasks": (
+        ".json",
+        b'{"comparates": ["A", "B"], "tasks": ["t1", "t2"], "scores": [[1, 2, 3], [1, 2]]}',
+        "error: extra cell (row=1, column=3)"),
+    "csv-newline-in-unquoted-field": (
+        ".csv", b"comparate,t1\r\nA,0.5\rx\nB,0.4\n",
+        "error: invalid CSV: new-line character seen in unquoted field"),
+    "csv-field-over-the-size-limit": (
+        ".csv", b"comparate,t1\nA," + b"1" * 200_000 + b"\nB,0.4\n",
+        "error: invalid CSV: field larger than field limit (131072) (row=2, column=None)"),
 }
 
 # Malformed flags: (argv after the input flags, stderr message).

@@ -1,9 +1,10 @@
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmatrix import (
@@ -13,8 +14,10 @@ from mcmatrix import (
     restrict_to_complete_tasks,
     weaken_comparate,
 )
+from mcmatrix.cli import main
 from mcmatrix.errors import (
     EmptyIntersection,
+    McmatrixError,
     NameCollision,
     ParseError,
     SameComparate,
@@ -105,6 +108,66 @@ class TestLoadJson:
         )
         with pytest.raises(ValidationError, match="missing cell"):
             load_results(data, "json", "higher")
+
+
+# Any JSON value, with integers beyond the float range and non-finite floats
+# (written as NaN and Infinity, which the JSON reader accepts).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers() | st.integers(10**300, 10**400),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+# Objects shaped like a table whose names, rows and cells may be anything.
+_TABLE = st.fixed_dictionaries(
+    {
+        "comparates": st.lists(st.text(max_size=2) | _JSON, max_size=4) | _JSON,
+        "tasks": st.lists(st.text(max_size=2) | _JSON, max_size=3) | _JSON,
+        "scores": st.lists(st.lists(st.floats() | _JSON, max_size=4), max_size=4) | _JSON,
+    },
+    optional={"direction": st.sampled_from(["higher", "lower"]) | _JSON},
+)
+_JSON_INPUTS = st.one_of(_JSON, _TABLE).map(lambda value: ("json", json.dumps(value).encode()))
+_CSV_INPUTS = st.one_of(
+    st.binary(max_size=48),
+    st.text(st.sampled_from(',\n\r"01.5e-+AB t\x00\ufeff'), max_size=48).map(str.encode),
+).map(lambda data: ("csv", data))
+_BIG = json.dumps({"comparates": ["A", "B"], "tasks": ["t1"], "scores": [[1], [10**400]]})
+_FUZZ_EXAMPLES = (("json", _BIG.encode()), ("csv", b"comparate,t1\r\nA,1\rB\n"))
+
+
+class TestFuzzedInput:
+    """Whatever the bytes, loading ends in a value or a package error, and
+    the CLI in exit code 0, 1 or 2 without a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_INPUTS | _CSV_INPUTS)
+    @example(_FUZZ_EXAMPLES[0])
+    @example(_FUZZ_EXAMPLES[1])
+    def test_only_package_errors_escape_the_loader(self, source):
+        fmt, data = source
+        try:
+            load_results(data, fmt, "higher")
+        except McmatrixError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(_JSON_INPUTS | _CSV_INPUTS)
+    @example(_FUZZ_EXAMPLES[0])
+    @example(_FUZZ_EXAMPLES[1])
+    def test_stats_exits_with_a_message_not_a_traceback(self, tmp_path_factory, source):
+        fmt, data = source
+        folder = tmp_path_factory.mktemp("fuzz")
+        table = folder / f"table.{fmt}"
+        table.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["stats", "--input", str(table), "--direction", "higher",
+                         "--output", str(folder / "out.json")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -25,8 +25,15 @@ from mcmatrix.errors import (
     UnknownComparate,
 )
 from mcmatrix.stability import significance_pattern
-from mcmatrix.mcm import cell_records, cell_records_json
-from mcmatrix.stats import MIN_BLOCK_PAIRS, PairwiseComparison, PMethod, oriented_differences
+from mcmatrix.mcm import PairGrid, cell_records, cell_records_json
+from mcmatrix.render import render_mcm
+from mcmatrix.stats import (
+    MIN_BLOCK_PAIRS,
+    PairTable,
+    PairwiseComparison,
+    PMethod,
+    oriented_differences,
+)
 
 from conftest import cell_bits, fixture_matrix, load_fixture, posterior_bits, random_matrix
 from oracles import pairwise_comparison_scalar
@@ -212,6 +219,42 @@ class TestBuildMcm:
             build_mcm(matrix, MCMConfig(row_comparates=("nope",)))
 
 
+class TestGridCells:
+    def test_cells_are_a_read_only_mapping_in_grid_order(self):
+        matrix = random_matrix(np.random.default_rng(14), m=5, n=9, tie_prob=0.4)
+        scores = matrix.scores.copy()
+        scores[4] = scores[2]  # an all-zero pair, whose mean difference is +0.0
+        matrix = ResultsMatrix(matrix.comparates, matrix.tasks, scores, matrix.direction)
+        report = build_mcm(matrix)
+        grid = [(r, c) for r in report.row_order for c in report.column_order if r != c]
+        assert list(report.cells) == grid and len(report.cells) == 20
+        a, b = grid[0]
+        for key in ((a, a), (a, "nobody"), ("nobody", b)):
+            with pytest.raises(KeyError):
+                report.cells[key]
+        with pytest.raises(TypeError):
+            report.cells[(a, b)] = report.cells[(b, a)]
+        for a, b in grid:
+            assert cell_bits(report.cells[(b, a)]) == cell_bits(report.cells[(a, b)].mirrored())
+
+    def test_grid_writers_build_no_cell_beyond_the_cross_check(self, monkeypatch):
+        built = []
+        init = PairwiseComparison.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        matrix = random_matrix(np.random.default_rng(15), m=30, n=12, tie_prob=0.3)
+        monkeypatch.setattr(PairwiseComparison, "__init__", counting)
+        report = build_mcm(matrix)
+        for fmt in ("svg", "html"):
+            render_mcm(report, fmt)
+        cell_records_json(report.cells, report.alpha)
+        # pairwise_comparison of the first pair, and the table's first cell.
+        assert len(built) == 2
+
+
 class TestCellInvariance:
     def test_single_subset_trivially_true(self):
         rng = np.random.default_rng(9)
@@ -290,23 +333,41 @@ _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.0, -2.5e-8]),
                     st.floats(allow_nan=False, allow_infinity=False))
 _P = st.one_of(st.sampled_from([0.0, 5e-324, 0.05, 1.0]), st.floats(0.0, 1.0))
 _COUNT = st.integers(0, 10**6)
-_CELLS = st.lists(
-    st.builds(PairwiseComparison, _NAMES, _NAMES, _FLOATS, _COUNT, _COUNT, _COUNT, _P,
-              st.sampled_from(PMethod)),
-    max_size=6,
-    unique_by=lambda cell: (cell.row, cell.column),
-)
+
+
+@st.composite
+def _grids(draw) -> PairGrid:
+    """A ``PairGrid`` over a ``PairTable`` of up to six unordered pairs, each
+    asked for in one orientation, the other or both, in a drawn order."""
+    pairs = draw(st.lists(st.tuples(_NAMES, _NAMES).filter(lambda p: p[0] != p[1]),
+                          max_size=6, unique_by=frozenset))
+    size = len(pairs)
+    n = draw(_COUNT)
+    wins = draw(st.lists(st.integers(0, n), min_size=size, max_size=size))
+    losses = [draw(st.integers(0, n - w)) for w in wins]
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=size, max_size=size)))
+
+    table = PairTable(tuple(pairs), column(_FLOATS), tuple(wins), tuple(losses), column(_P),
+                      column(st.sampled_from(PMethod)), n)
+    keys = [((a, b), (i, False)) for i, (a, b) in enumerate(pairs)]
+    keys += [((b, a), (i, True)) for i, (a, b) in enumerate(pairs)]
+    chosen = draw(st.lists(st.sampled_from(range(len(keys))), unique=True)) if keys else []
+    return PairGrid(table, dict(keys[k] for k in chosen))
+
+
+_EMPTY_GRID = PairGrid(PairTable((), (), (), (), (), (), 0), {})
 
 
 class TestCellRecordsJson:
     @settings(max_examples=300, deadline=None)
-    @given(_CELLS, _P, st.none() | st.lists(
+    @given(_grids(), _P, st.none() | st.lists(
         st.builds(BayesPosterior, _P, _P, _P, _COUNT), min_size=6, max_size=6))
-    @example([], 0.05, None)
-    @example([], 0.05, [BayesPosterior(0.0, 1.0, 0.0, 1)] * 6)
+    @example(_EMPTY_GRID, 0.05, None)
+    @example(_EMPTY_GRID, 0.05, [BayesPosterior(0.0, 1.0, 0.0, 1)] * 6)
     def test_equals_json_dumps_at_the_same_nesting(self, cells, alpha, posteriors):
-        cells = {(cell.row, cell.column): cell for cell in cells}
-        bayes = None if posteriors is None else dict(zip(cells, posteriors))
+        bayes = None if posteriors is None else PairGrid(posteriors, cells.index)
         expected = json.dumps({"cells": cell_records(cells, alpha, bayes)}, indent=2)
         text = cell_records_json(cells, alpha, bayes)
         assert '{\n  "cells": ' + text + "\n}" == expected

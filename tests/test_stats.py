@@ -1,10 +1,11 @@
 import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata, studentized_range
 
@@ -242,14 +243,19 @@ class TestPairwiseComparison:
 
 @st.composite
 def _difference_blocks(draw):
-    """Rows x n differences with ties, zeros, -0.0 and all-zero rows, whose
-    rows' nonzero counts differ."""
+    """Rows x n differences with ties, zeros, -0.0, subnormals, magnitudes
+    near the float maximum and all-zero rows, whose rows' nonzero counts
+    differ; some blocks draw every value from at most three."""
     n = draw(st.integers(1, 40))
     values = st.one_of(
         st.integers(-4, 4).map(lambda v: v / 4.0),
         st.sampled_from([0.0, -0.0, 0.1 + 0.2, -0.3, 0.3]),
+        st.sampled_from([5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308,
+                         1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
     )
+    if draw(st.booleans()):  # heavy ties
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
     rows = [draw(st.lists(values, min_size=n, max_size=n))
             for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):
@@ -267,19 +273,31 @@ def _forced(diffs, method: str) -> tuple[float, PMethod]:
     ``wilcoxon_signed_rank_scalar(diffs, method=method)`` forces it."""
     d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
     threshold = {"auto": stats.DEFAULT_EXACT_THRESHOLD, "exact": d.size, "approx": 0}[method]
-    return stats._signed_rank_rows(d, threshold)[0]
+    (p,), (method,) = stats._signed_rank_rows(d, threshold)
+    return p, method
 
 
 class TestSignedRankKernel:
-    @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 40, 62]))
+    @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 40, 62]), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_block_matches_scalar_oracle_bit_for_bit(self, block, threshold):
-        got = stats._signed_rank_rows(block, threshold)
+    def test_block_matches_scalar_oracle_bit_for_bit(self, block, threshold, python_ints):
+        # The normal tail's Python-int branch, which rows of a million
+        # nonzero differences take, forced on every row.
+        tail = 0 if python_ints else stats._INT64_TAIL
+        with mock.patch.object(stats, "_INT64_TAIL", tail):
+            got = zip(*stats._signed_rank_rows(block, threshold))
         want = [wilcoxon_signed_rank_scalar(row, threshold) for row in block]
         assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
 
     @given(_difference_blocks(), st.sampled_from(["auto", "exact", "approx"]))
     @settings(max_examples=150, deadline=None)
+    # 30, 31 and 32 nonzero differences: the exact distribution counts in
+    # int32 up to 31 and in int64 from 32.  The all-positive rows have the
+    # p-values 2^-29, 2^-30 and 2^-31.
+    @example(np.array([[*range(1, 31), 0, 0],
+                       [(1 + i // 3) * (-1) ** (i // 2) for i in range(31)] + [0],
+                       [*range(1, 32), 0],
+                       [*range(1, 33)]], dtype=np.float64), "exact")
     def test_forced_method_matches_scalar_oracle_bit_for_bit(self, block, method):
         for row in block:
             assert (_result_bits(_forced(row, method))
@@ -321,6 +339,7 @@ class TestPairStatistics:
                         for r, c in pairs]
             got = stats.pair_statistics(matrix, pairs, eps)
             assert [cell_bits(c) for c in got] == expected
+            assert [cell_bits(c) for c in got[1::3]] == expected[1::3]
             assert [cell_bits(pairwise_comparison(matrix, r, c, eps))
                     for r, c in pairs] == expected
 
