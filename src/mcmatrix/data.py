@@ -159,6 +159,13 @@ def _check_unique(kind: str, names: Sequence[str]) -> None:
     for pos, name in enumerate(names):
         if not isinstance(name, str) or not name.strip():
             raise ValidationError(f"empty {kind} name at position {pos + 1}")
+        # CSV cells are stripped on load; a name that is not would change
+        # on a CSV round trip.
+        if name != name.strip():
+            raise ValidationError(
+                f"{kind} name {name!r} at position {pos + 1} has leading or "
+                f"trailing whitespace"
+            )
         if name in seen:
             raise ValidationError(f"duplicate {kind} name {name!r}")
         seen.add(name)
@@ -181,15 +188,16 @@ def _as_text(source: bytes | str | IO[bytes] | IO[str]) -> str:
 
 def load_results(
     source: bytes | str | IO[bytes] | IO[str],
-    format: str = "csv",
-    direction: Direction | str = Direction.HIGHER_IS_BETTER,
+    format: str,
+    direction: Direction | str,
 ) -> ResultsMatrix:
     """Parse a results table from a byte stream.
 
     CSV wide format: header row is ``comparate`` followed by the task
-    names; each following row is a comparate name followed by n numeric
-    scores.  JSON format: an object with keys ``direction``,
-    ``comparates``, ``tasks`` and row-major ``scores``.
+    names; each following row is a comparate name followed by n scores,
+    each an ASCII decimal (sign, digits, point, exponent).  JSON format: an
+    object with keys ``direction``, ``comparates``, ``tasks`` and row-major
+    ``scores``.
 
     Raises :class:`ParseError` for malformed syntax and
     :class:`ValidationError` for invariant violations (duplicates, missing
@@ -229,6 +237,15 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
         name = row[0].strip()
         if not name:
             raise ValidationError("empty comparate name", row=r, column=1)
+        # float() also reads digit-group underscores and non-ASCII digits
+        # ("1_0" as 10.0, "\u0661" as 1.0), so a row that holds either is
+        # searched for the cell at fault.
+        joined = "".join(row[1:])
+        if not joined.isascii() or "_" in joined:
+            for c, cell in enumerate(row[1:], start=2):
+                cell = cell.strip()
+                if not cell.isascii() or "_" in cell:
+                    raise ParseError(f"cell {cell!r} is not a number", row=r, column=c)
         values: list[float] = []
         for c in range(n):
             cell = row[c + 1].strip() if c + 1 < len(row) else ""
@@ -255,7 +272,9 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
 
 def _load_json(text: str, direction: Direction) -> ResultsMatrix:
     try:
-        obj = json.loads(text)
+        # Every number is read as a float: an integer past the float range
+        # becomes inf, which the non-finite check below refuses.
+        obj = json.loads(text, parse_int=float)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -297,15 +316,11 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
             raise ValidationError("extra cell", row=i + 1, column=len(tasks) + 1)
         values = []
         for j, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
+            if type(cell) is not float:
                 raise ParseError("cell is not a number", row=i + 1, column=j + 1)
-            try:
-                value = float(cell)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
+            if not math.isfinite(cell):
                 raise ValidationError("non-finite score", row=i + 1, column=j + 1)
-            values.append(value)
+            values.append(cell)
         grid.append(values)
     return ResultsMatrix(tuple(comparates), tuple(tasks), np.array(grid), direction)
 

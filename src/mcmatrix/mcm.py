@@ -177,10 +177,11 @@ def build_mcm(
     off-diagonal cell raises ``EmptyReport``.
     """
     alpha = check_alpha(config.alpha)
-    rows = matrix.check_names(config.row_comparates or matrix.comparates,
-                              "row selection")
-    cols = matrix.check_names(config.column_comparates or matrix.comparates,
-                              "column selection")
+    rows = cols = matrix.comparates
+    if config.row_comparates is not None:
+        rows = matrix.check_names(config.row_comparates, "row selection")
+    if config.column_comparates is not None:
+        cols = matrix.check_names(config.column_comparates, "column selection")
 
     involved = sorted(set(rows) | set(cols))
     means = {c: float(np.mean(matrix.row(c))) for c in involved}
@@ -215,7 +216,6 @@ def mcm_cell_invariance_check(
     matrix: ResultsMatrix,
     pair: tuple[str, str],
     subsets: Sequence[Sequence[str]],
-    tie_epsilon: float = 0.0,
 ) -> bool:
     """True iff the pair's cell is bit-identical across every subset report.
 
@@ -229,11 +229,7 @@ def mcm_cell_invariance_check(
         if a not in subset_set or b not in subset_set:
             raise PairNotInSubset(f"subset {sorted(subset_set)!r} lacks pair {pair!r}")
         ordered = matrix.in_matrix_order(subset_set)
-        report = build_mcm(
-            matrix.select_comparates(ordered),
-            MCMConfig(tie_epsilon=tie_epsilon),
-        )
-        cell = report.cells[(a, b)]
+        cell = build_mcm(matrix.select_comparates(ordered)).cells[(a, b)]
         if reference is None:
             reference = cell
         elif cell != reference:

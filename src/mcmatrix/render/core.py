@@ -78,9 +78,9 @@ class SvgDoc:
         return "\n".join(parts)
 
 
-def wrap_html(svg: str, title: str, table_html: str,
-              metadata: dict | None = None) -> str:
+def wrap_html(svg: str, table_html: str, metadata: dict | None = None) -> str:
     """HTML page embedding the SVG unchanged plus an accessible data table."""
+    title = "Pairwise comparison matrix"
     meta_block = ""
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
@@ -90,13 +90,13 @@ def wrap_html(svg: str, title: str, table_html: str,
     doc = (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        f"<title>{escape(title)}</title>\n"
+        f"<title>{title}</title>\n"
         "<style>body{font-family:Helvetica,Arial,sans-serif;margin:1em;}"
         "table{border-collapse:collapse;margin-top:1em;}"
         "td,th{border:1px solid #999;padding:4px 8px;font-size:12px;}</style>\n"
         "</head>\n<body>\n"
         f"{meta_block}"
-        f"<h1>{escape(title)}</h1>\n"
+        f"<h1>{title}</h1>\n"
         f'<div class="figure">\n{svg}</div>\n'
         f"{table_html}\n"
         "</body>\n</html>\n"

@@ -147,5 +147,5 @@ def render_mcm(
     page = doc.tostring(metadata)
     if table is not None:
         table.append("</table>")
-        page = wrap_html(page, "Pairwise comparison matrix", "\n".join(table), metadata)
+        page = wrap_html(page, "\n".join(table), metadata)
     return page.encode("utf-8")

@@ -57,9 +57,12 @@ __all__ = [
 #: An exhaustive sweep refuses above this many subsets; sample instead.
 DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
 
-#: A sweep refuses a subset space larger than this: ranks are drawn with
-#: numpy's ``Generator.integers`` and unranked in int64, whose range ends here.
+#: A sampled sweep refuses a subset space larger than this: ranks are drawn
+#: with numpy's ``Generator.integers`` and unranked in int64, whose range ends here.
 SAMPLED_SPACE_LIMIT = 1 << 63
+
+# Example subsets kept per pattern, by reservoir sampling.
+_EXAMPLE_LIMIT = 5
 
 # Subsets per vectorized step-down: bounds the subsets x family-pairs block.
 _CHUNK = 256
@@ -323,8 +326,6 @@ def enumerate_patterns(
     alpha: float,
     sample: int | None = None,
     seed: int = 0,
-    example_limit: int = 5,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> PatternEnumeration:
     """Pattern counts over every k-extra subset, or over ``sample`` distinct
     subsets drawn with ``seed``.
@@ -338,18 +339,18 @@ def enumerate_patterns(
     and counted with numpy, so memory stays bounded by one chunk's subsets
     x family pairs.  The first subset of each newly seen pattern is also
     corrected by ``holm_correction``, and a mismatch raises
-    ``InternalError``.  Example subsets are retained by reservoir sampling
-    keyed by (seed, subset index), so a seed always selects the same
-    examples; only subsets that enter a reservoir are turned into names.
+    ``InternalError``.  Up to five example subsets per pattern are retained
+    by reservoir sampling keyed by (seed, subset index), so a seed always
+    selects the same examples; only subsets that enter a reservoir are
+    turned into names.
     The one ``seed`` draws the sample and keys the reservoirs; it must lie
     in 0 .. 2**64 - 1.
 
-    An exhaustive sweep refuses more than ``exhaustive_limit`` subsets with
-    ``EnumerationTooLarge``.  A sampled one refuses a space of more than
-    ``SAMPLED_SPACE_LIMIT`` (2**63) subsets, and a sample of more than
-    ``exhaustive_limit`` subsets, with ``ValidationError``.  A sample that
-    covers the whole space is an exhaustive sweep.  Ranks are int64, so no
-    sweep goes past 2**63 subsets, whatever ``exhaustive_limit`` says.
+    An exhaustive sweep refuses more than ``DEFAULT_EXHAUSTIVE_LIMIT``
+    subsets with ``EnumerationTooLarge``.  A sampled one refuses a space of
+    more than ``SAMPLED_SPACE_LIMIT`` (2**63) subsets, and a sample of more
+    than ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets, with ``ValidationError``.  A
+    sample that covers the whole space is an exhaustive sweep.
     """
     alpha = check_alpha(alpha)
     if not 0 <= int(seed) <= _MASK64:
@@ -376,18 +377,18 @@ def enumerate_patterns(
             sample = None  # the sample would cover the whole space
 
     if sample is None:
-        limit = min(exhaustive_limit, SAMPLED_SPACE_LIMIT)
-        if total_space > limit:
+        if total_space > DEFAULT_EXHAUSTIVE_LIMIT:
             raise EnumerationTooLarge(
-                f"{total_space} subsets exceed the exhaustive limit {limit}; "
-                f"use --sample"
+                f"{total_space} subsets exceed the exhaustive limit "
+                f"{DEFAULT_EXHAUSTIVE_LIMIT}; use --sample"
             )
         ranks = None
         total = total_space
     else:
-        if sample > exhaustive_limit:
+        if sample > DEFAULT_EXHAUSTIVE_LIMIT:
             raise ValidationError(
-                f"sample count {sample} exceeds the limit of {exhaustive_limit} subsets"
+                f"sample count {sample} exceeds the limit of "
+                f"{DEFAULT_EXHAUSTIVE_LIMIT} subsets"
             )
         if total_space > SAMPLED_SPACE_LIMIT:
             raise ValidationError(
@@ -403,7 +404,6 @@ def enumerate_patterns(
     counts = np.zeros(len(pattern_masks), dtype=np.int64)
     # Pattern index -> kept example subsets, in order of first appearance.
     examples: dict[int, list[tuple[str, ...]]] = {}
-    example_limit = max(0, int(example_limit))
     # Ranks come one chunk at a time, so an exhaustive sweep near the limit
     # never holds a million subsets at once.
     for start in range(0, total, _CHUNK):
@@ -419,7 +419,7 @@ def enumerate_patterns(
         n_seen = counts[t] + place + 1
         counts += np.bincount(t, minlength=len(counts))
         slot = _reservoir_keys(seed, start, len(t)) % n_seen.astype(np.uint64)
-        kept = (n_seen <= max(example_limit, 1)) | (slot < example_limit)
+        kept = (n_seen <= _EXAMPLE_LIMIT) | (slot < _EXAMPLE_LIMIT)
         for row in np.flatnonzero(kept).tolist():
             subset = tuple(pool[i] for i in extras[row].tolist())
             pattern = int(t[row])
@@ -431,9 +431,9 @@ def enumerate_patterns(
                         f"for extras {subset!r}; holm_correction gives {expected:#x}"
                     )
                 examples[pattern] = []
-            if n_seen[row] <= example_limit:
+            if n_seen[row] <= _EXAMPLE_LIMIT:
                 examples[pattern].append(subset)
-            elif slot[row] < example_limit:
+            elif slot[row] < _EXAMPLE_LIMIT:
                 examples[pattern][int(slot[row])] = subset
 
     return PatternEnumeration(

@@ -161,9 +161,7 @@ PUBLIC_SURFACE = {
         "select_comparates(self, names)",
         "in_matrix_order(self, names)",
     ),
-    "mcmatrix.data.load_results": (
-        "(source, format='csv', direction=<Direction.HIGHER_IS_BETTER: 'higher'>)"
-    ),
+    "mcmatrix.data.load_results": "(source, format, direction)",
     "mcmatrix.data.dump_results": "(matrix, format='csv')",
     "mcmatrix.data.restrict_to_complete_tasks": "(matrices)",
     "mcmatrix.data.weaken_comparate": "(matrix, target, reference, weight, new_name)",
@@ -221,7 +219,7 @@ PUBLIC_SURFACE = {
     "mcmatrix.mcm.cell_records": "(cells, alpha, bayes=None)",
     "mcmatrix.mcm.cell_records_json": "(cells, alpha, bayes=None)",
     "mcmatrix.mcm.compare_pairs": "(matrix, pairs, tie_epsilon=0.0, bayes_config=None)",
-    "mcmatrix.mcm.mcm_cell_invariance_check": "(matrix, pair, subsets, tie_epsilon=0.0)",
+    "mcmatrix.mcm.mcm_cell_invariance_check": "(matrix, pair, subsets)",
     "mcmatrix.mcm.mcm_report_header": "(report)",
     "mcmatrix.mcm.mcm_report_to_dict": "(report)",
     "mcmatrix.render.diverging_color": "= mcmatrix.render.style.diverging_color",
@@ -260,7 +258,7 @@ PUBLIC_SURFACE = {
         "group_end(self)",
         "tostring(self, metadata=None)",
     ),
-    "mcmatrix.render.core.wrap_html": "(svg, title, table_html, metadata=None)",
+    "mcmatrix.render.core.wrap_html": "(svg, table_html, metadata=None)",
     "mcmatrix.render.mcm_view.render_mcm": "(report, format='svg', metadata=None)",
     "mcmatrix.render.pattern_view.render_pattern_graph": "(pattern, metadata=None)",
     "mcmatrix.render.style.diverging_color": "(value, limit)",
@@ -283,8 +281,7 @@ PUBLIC_SURFACE = {
     ),
     "mcmatrix.stability.significance_pattern": "(matrix, core, extra, alpha)",
     "mcmatrix.stability.enumerate_patterns": (
-        "(matrix, core, pool, k_extra, alpha, sample=None, seed=0, example_limit=5, "
-        "exhaustive_limit=1000000)"
+        "(matrix, core, pool, k_extra, alpha, sample=None, seed=0)"
     ),
     "mcmatrix.stability.RankSwapReport": (
         "pair",
@@ -361,6 +358,6 @@ PUBLIC_SURFACE = {
     "mcmatrix.stats.check_alpha": "(alpha)",
     "mcmatrix.stats.holm_correction": "(pairs, alpha)",
     "mcmatrix.stats.pair_id": "(a, b)",
-    "mcmatrix.stats.all_pairs_pvalues": "(matrix, names=None)",
+    "mcmatrix.stats.all_pairs_pvalues": "(matrix, names)",
     "mcmatrix.stats.holm_significance": "(matrix, names, alpha)",
 }

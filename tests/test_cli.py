@@ -81,7 +81,17 @@ MALFORMED_TABLES = {
         "error: non-finite score (row=2, column=1)"),
     "json-integer-beyond-int-parsing": (
         ".json", (_TWO_BY_ONE % f"[[0.5], [1{'0' * 5000}]]").encode(),
-        "error: invalid JSON: Exceeds the limit (4300 digits)"),
+        "error: non-finite score (row=2, column=1)"),
+    "json-numeric-direction": (
+        ".json", b'{"direction": 1, "comparates": ["A", "B"], "tasks": ["t1"], '
+                 b'"scores": [[1], [2]]}',
+        "error: unknown direction 1.0; expected 'higher' or 'lower'"),
+    "json-numeric-comparate-name": (
+        ".json", b'{"comparates": [1, "B"], "tasks": ["t1"], "scores": [[1], [2]]}',
+        "error: comparate name is not a string (row=1, column=None)"),
+    "json-comparate-name-with-whitespace": (
+        ".json", b'{"comparates": [" A", "B"], "tasks": ["t1"], "scores": [[1], [2]]}',
+        "error: comparate name ' A' at position 1 has leading or trailing whitespace"),
     "json-nested-too-deep": (
         ".json", b"[" * 100_000 + b"]" * 100_000,
         "error: invalid JSON: maximum recursion depth exceeded"),
@@ -98,6 +108,15 @@ MALFORMED_TABLES = {
     "csv-newline-in-unquoted-field": (
         ".csv", b"comparate,t1\r\nA,0.5\rx\nB,0.4\n",
         "error: invalid CSV: new-line character seen in unquoted field"),
+    "csv-digit-group-underscore": (
+        ".csv", b"comparate,t1,t2\nA,1_0,0.5\nB,0.4,0.3\n",
+        "error: cell '1_0' is not a number (row=2, column=2)"),
+    "csv-arabic-indic-digit": (
+        ".csv", "comparate,t1,t2\nA,0.5,0.5\nB,0.4,\u0661\n".encode(),
+        "error: cell '\u0661' is not a number (row=3, column=3)"),
+    "csv-fullwidth-digit": (
+        ".csv", "comparate,t1,t2\nA,\uff11,0.5\nB,0.4,0.3\n".encode(),
+        "error: cell '\uff11' is not a number (row=2, column=2)"),
     "csv-field-over-the-size-limit": (
         ".csv", b"comparate,t1\nA," + b"1" * 200_000 + b"\nB,0.4\n",
         "error: invalid CSV: field larger than field limit (131072) (row=2, column=None)"),
@@ -415,15 +434,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "sample count 2000000 exceeds the limit of 1000000 subsets" in err
 
-    def test_cli_import_does_not_load_scipy_stats(self):
-        # scipy.stats takes about a second to import; only the Friedman
-        # p-value and the selftest oracle need it, and they import it late.
+    def test_stats_command_does_not_load_scipy_stats(self, results_csv, tmp_path):
+        # scipy.stats takes about a second to import, and no command needs it:
+        # the Friedman p-value comes from scipy.special.
         src = Path(mcmatrix.__file__).resolve().parent.parent
-        probe = "import sys, mcmatrix.cli; print('scipy.stats' in sys.modules)"
+        argv = ["stats", "--input", str(results_csv), "--direction", "higher",
+                "--output", str(tmp_path / "stats.json")]
+        probe = (f"import sys; from mcmatrix.cli import main; code = main({argv!r}); "
+                 "print(code, 'scipy.stats' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestMcmCommand:

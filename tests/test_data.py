@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestLoadJson:
         with pytest.raises(ParseError):
             load_results(b"{nope", "json", "higher")
 
+    @pytest.mark.parametrize("key, names", [("comparates", ["A", " B"]),
+                                            ("tasks", ["t1\t"])])
+    def test_names_with_surrounding_whitespace_rejected(self, key, names):
+        # CSV strips names, so such a name would not survive a CSV round trip.
+        obj = {"comparates": ["A", "B"], "tasks": ["t1"], "scores": [[1], [2]]}
+        obj[key] = names
+        with pytest.raises(ValidationError, match="leading or trailing whitespace"):
+            load_results(json.dumps(obj).encode(), "json", "higher")
+
+    def test_numbers_are_read_as_floats(self):
+        data = b'{"comparates": ["A", "B"], "tasks": ["t1"], "scores": [[-0], [3]]}'
+        matrix = load_results(data, "json", "higher")
+        assert math.copysign(1.0, matrix.scores[0, 0]) == -1.0
+        assert matrix.scores[1, 0] == 3.0
+
     @pytest.mark.parametrize("key", ["comparates", "tasks"])
     @pytest.mark.parametrize("value", ["AB", 5, None, {"A": 1}])
     def test_names_must_be_arrays(self, key, value):
@@ -131,7 +147,8 @@ _TABLE = st.fixed_dictionaries(
 _JSON_INPUTS = st.one_of(_JSON, _TABLE).map(lambda value: ("json", json.dumps(value).encode()))
 _CSV_INPUTS = st.one_of(
     st.binary(max_size=48),
-    st.text(st.sampled_from(',\n\r"01.5e-+AB t\x00\ufeff'), max_size=48).map(str.encode),
+    st.text(st.sampled_from(',\n\r"01.5e-+AB t\x00\ufeff_\u0661\uff11'),
+            max_size=48).map(str.encode),
 ).map(lambda data: ("csv", data))
 _BIG = json.dumps({"comparates": ["A", "B"], "tasks": ["t1"], "scores": [[1], [10**400]]})
 _FUZZ_EXAMPLES = (("json", _BIG.encode()), ("csv", b"comparate,t1\r\nA,1\rB\n"))

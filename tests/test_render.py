@@ -111,6 +111,10 @@ class TestRenderMcm:
                 golden_matrix(),
                 MCMConfig(row_comparates=("Alpha",), column_comparates=("Alpha",)),
             )
+        # An empty selection selects nothing; it is not a second spelling of "all".
+        for config in (MCMConfig(row_comparates=()), MCMConfig(column_comparates=())):
+            with pytest.raises(EmptyReport):
+                build_mcm(golden_matrix(), config)
         full = build_mcm(golden_matrix())
         with pytest.raises(EmptyReport):
             render_mcm(dataclasses.replace(full, cells={}))

@@ -121,26 +121,27 @@ class TestEnumeratePatterns:
                 demo_matrix, demo_matrix.comparates[:2], demo_matrix.comparates[2:], 5, 0.05
             )
 
-    def test_exhaustive_limit_guard(self):
+    def test_exhaustive_limit_guard(self, monkeypatch):
         rng = np.random.default_rng(43)
         matrix = random_matrix(rng, m=10, n=4)
+        monkeypatch.setattr(stability, "DEFAULT_EXHAUSTIVE_LIMIT", 10)
         with pytest.raises(EnumerationTooLarge):
             enumerate_patterns(
                 matrix, matrix.comparates[:2], matrix.comparates[2:], 4, 0.05,
-                exhaustive_limit=10,
             )
 
-    def test_sample_above_exhaustive_limit_refused(self):
+    def test_sample_above_exhaustive_limit_refused(self, monkeypatch):
         rng = np.random.default_rng(43)
         matrix = random_matrix(rng, m=10, n=4)
+        monkeypatch.setattr(stability, "DEFAULT_EXHAUSTIVE_LIMIT", 10)
         with pytest.raises(ValidationError, match="sample count 11 exceeds the limit of 10"):
             enumerate_patterns(
                 matrix, matrix.comparates[:2], matrix.comparates[2:], 4, 0.05,
-                sample=11, exhaustive_limit=10,
+                sample=11,
             )
         # A sample that covers the whole space is an exhaustive sweep.
         full = enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:], 1,
-                                  0.05, sample=11, exhaustive_limit=10)
+                                  0.05, sample=11)
         assert full.total_subsets == 8
 
     def test_sampled_mode_deterministic(self):
@@ -159,7 +160,7 @@ class TestEnumeratePatterns:
         matrix = random_matrix(rng, m=10, n=8)
         core = matrix.comparates[:2]
         pool = matrix.comparates[2:]
-        enumeration = enumerate_patterns(matrix, core, pool, 2, 0.05, example_limit=5)
+        enumeration = enumerate_patterns(matrix, core, pool, 2, 0.05)
         for mask, examples in enumeration.examples_per_pattern.items():
             assert len(examples) <= 5
             for subset in examples:
@@ -208,9 +209,8 @@ class TestEnumeratePatterns:
         matrix = random_matrix(rng, m=10, n=8, tie_prob=0.3)
         core = matrix.comparates[:2]
         pool = matrix.comparates[2:]
-        kwargs = dict(example_limit=2)
-        a = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7, **kwargs)
-        b = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7, **kwargs)
+        a = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7)
+        b = enumerate_patterns(matrix, core, pool, 3, 0.05, seed=7)
         assert a == b
 
     @pytest.mark.parametrize("sample", [None, 3])
@@ -249,7 +249,7 @@ def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
         bucket = examples.setdefault(mask, [])
         if n_seen <= example_limit:
             bucket.append(subset)
-        elif example_limit > 0:
+        else:
             slot = reservoir_draw(seed, g, n_seen)
             if slot < example_limit:
                 bucket[slot] = subset
@@ -306,16 +306,16 @@ class TestStepDownKernel:
                 seen.update(got)
         assert len(seen) >= 10
 
-    @pytest.mark.parametrize("example_limit", [0, 1, 5])
+    @pytest.mark.parametrize("example_limit", [1, 5])
     @pytest.mark.parametrize("count", [None, 300, 512])
-    def test_chunked_run_matches_per_subset_loop(self, example_limit, count):
+    def test_chunked_run_matches_per_subset_loop(self, monkeypatch, example_limit, count):
         # None: 792 exhaustive subsets, the last of four chunks partial;
         # 512 sampled subsets fill exactly two chunks.
         rng = np.random.default_rng(50)
         matrix = tied_matrix(rng, m=15, n=9)
         core, pool = matrix.comparates[:3], matrix.comparates[3:]
-        got = enumerate_patterns(matrix, core, pool, 5, 0.2, sample=count, seed=5,
-                                 example_limit=example_limit)
+        monkeypatch.setattr(stability, "_EXAMPLE_LIMIT", example_limit)
+        got = enumerate_patterns(matrix, core, pool, 5, 0.2, sample=count, seed=5)
         ranks = (range(math.comb(12, 5)) if count is None
                  else _sample_ranks(math.comb(12, 5), count, 5))
         expected = per_subset_enumeration(matrix, core, pool, 5, 0.2, ranks,
@@ -330,7 +330,7 @@ class TestStepDownKernel:
         results = []
         for chunk in (1, 8, 256, 792, 4096):  # 792 = C(12, 5), 8 divides it
             monkeypatch.setattr(stability, "_CHUNK", chunk)
-            results.append(enumerate_patterns(matrix, core, pool, 5, 0.2, example_limit=3))
+            results.append(enumerate_patterns(matrix, core, pool, 5, 0.2))
         assert all(r == results[0] for r in results)
 
     def test_reservoir_keys_match_python_integer_route(self):
@@ -356,14 +356,10 @@ class TestStepDownKernel:
                 enumerate_patterns(matrix, matrix.comparates[:2],
                                    matrix.comparates[2:pool_end], k_extra, 0.05,
                                    sample=5)
-        # Exhaustive sweeps' ranks are int64 too, whatever the exhaustive limit.
-        with pytest.raises(EnumerationTooLarge, match=f"limit {2**63}"):
-            enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:69],
-                               33, 0.05, exhaustive_limit=2**70)
         # C(64, 32) < 2**63 still samples.
         enumeration = enumerate_patterns(matrix, matrix.comparates[:2],
                                          matrix.comparates[2:66], 32, 0.05,
-                                         sample=5, example_limit=0)
+                                         sample=5)
         assert enumeration.total_subsets == 5
 
 
