@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "BayesConfig",
@@ -61,15 +61,15 @@ class BayesConfig:
 
     def validate(self) -> None:
         if not (self.rope >= 0.0 and math.isfinite(self.rope)):
-            raise InvalidConfig(f"rope must be finite and >= 0, got {self.rope!r}")
+            raise ValidationError(f"rope must be finite and >= 0, got {self.rope!r}")
         if not (self.prior_strength > 0.0 and math.isfinite(self.prior_strength)):
-            raise InvalidConfig(
+            raise ValidationError(
                 f"prior strength must be finite and > 0, got {self.prior_strength!r}"
             )
         if int(self.mc_samples) < 1:
-            raise InvalidConfig("mc_samples must be at least 1")
+            raise ValidationError("mc_samples must be at least 1")
         if not 0 <= int(self.seed) <= _UINT64_MAX:
-            raise InvalidConfig("seed must be a 64-bit unsigned integer")
+            raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _prepare(diffs, config: BayesConfig):
     config.validate()
     d = np.asarray(diffs, dtype=np.float64)
     if d.size == 0:
-        raise EmptyInput("need at least one difference")
+        raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
     z = np.concatenate(([0.0], d))

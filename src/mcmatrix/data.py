@@ -17,14 +17,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyIntersection,
-    NameCollision,
-    ParseError,
-    SameComparate,
-    UnknownComparate,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "Direction",
@@ -116,13 +109,16 @@ class ResultsMatrix:
         try:
             return self.comparates.index(name)
         except ValueError:
-            raise UnknownComparate(f"unknown comparate {name!r}") from None
+            raise ValidationError(f"unknown comparate {name!r}") from None
 
     def check_names(self, names: Iterable[str], what: str) -> tuple[str, ...]:
         """The given comparates as a tuple, each known and listed once.
 
-        ``what`` names the list in the duplicate-name message.
+        ``what`` names the list in the messages.  A bare string is refused
+        rather than read as a list of its characters.
         """
+        if isinstance(names, str):
+            raise ValidationError(f"{what} must be a list of names, not the string {names!r}")
         names = tuple(names)
         seen = set()
         for name in names:
@@ -383,7 +379,7 @@ def restrict_to_complete_tasks(matrices: Sequence[ResultsMatrix]) -> ResultsMatr
 
     complete = [t for t in task_order if all((c, t) in cell for c in comparates)]
     if not complete:
-        raise EmptyIntersection(
+        raise ValidationError(
             "no task has a score for every comparate in the requested set"
         )
     grid = np.array([[cell[(c, t)] for t in complete] for c in comparates])
@@ -405,7 +401,7 @@ def weaken_comparate(
     holds exactly even under rounding.
     """
     if target == reference:
-        raise SameComparate("target and reference must differ")
+        raise ValidationError("target and reference must differ")
     ti = matrix.index_of(target)
     ri = matrix.index_of(reference)
     weight = float(weight)
@@ -414,7 +410,7 @@ def weaken_comparate(
     if not isinstance(new_name, str) or not new_name.strip():
         raise ValidationError("new comparate name must be non-empty")
     if new_name in matrix.comparates:
-        raise NameCollision(f"comparate name {new_name!r} already exists")
+        raise ValidationError(f"comparate name {new_name!r} already exists")
 
     trow = matrix.scores[ti]
     rrow = matrix.scores[ri]

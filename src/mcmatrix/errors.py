@@ -1,7 +1,10 @@
 """Exception hierarchy.
 
 Every error raised by the library derives from :class:`McmatrixError` so
-callers (and the CLI) can separate data problems from genuine bugs.
+callers (and the CLI) can separate data problems from genuine bugs.  Refused
+input is a :class:`ParseError` (syntax) or a :class:`ValidationError`
+(everything else); the message names the fault.  A new class is added only
+when some caller must react to it differently.
 """
 
 from __future__ import annotations
@@ -10,24 +13,8 @@ __all__ = [
     "McmatrixError",
     "ParseError",
     "ValidationError",
-    "EmptyIntersection",
-    "NameCollision",
-    "UnknownComparate",
-    "SameComparate",
-    "EmptyInput",
     "TooFewComparates",
     "TooFewTasks",
-    "UnsupportedAlpha",
-    "MOutOfTableRange",
-    "InvalidAlpha",
-    "InvalidP",
-    "InvalidConfig",
-    "OverlappingSets",
-    "PoolTooSmall",
-    "PairNotInSubset",
-    "PairNotInBothSets",
-    "EmptyReport",
-    "EnumerationTooLarge",
     "InternalError",
 ]
 
@@ -56,79 +43,17 @@ class ParseError(_Located):
 
 
 class ValidationError(_Located):
-    """The input parsed but violates a table invariant."""
+    """The input parsed but is refused: a table invariant, an unknown,
+    repeated or colliding name, overlapping or too small comparate sets, a
+    setting out of range, or a size limit."""
 
 
-class EmptyIntersection(McmatrixError):
-    """No task is covered by every comparate."""
-
-
-class NameCollision(McmatrixError):
-    """A new comparate name is already taken."""
-
-
-class UnknownComparate(McmatrixError):
-    """A named comparate does not exist in the matrix."""
-
-
-class SameComparate(McmatrixError):
-    """An operation needs two distinct comparates."""
-
-
-class EmptyInput(McmatrixError):
-    """A non-empty sequence was required."""
-
-
-class TooFewComparates(McmatrixError):
+class TooFewComparates(ValidationError):
     """The operation needs more comparates than the matrix provides."""
 
 
-class TooFewTasks(McmatrixError):
+class TooFewTasks(ValidationError):
     """The operation needs more tasks than the matrix provides."""
-
-
-class UnsupportedAlpha(McmatrixError):
-    """No critical-value table is embedded for this significance level."""
-
-
-class MOutOfTableRange(McmatrixError):
-    """The embedded critical-value table does not cover this group count."""
-
-
-class InvalidAlpha(McmatrixError):
-    """Significance level outside (0, 1)."""
-
-
-class InvalidP(McmatrixError):
-    """A p-value outside [0, 1]."""
-
-
-class InvalidConfig(McmatrixError):
-    """A configuration object violates its invariants."""
-
-
-class OverlappingSets(McmatrixError):
-    """Two comparate sets that must be disjoint overlap."""
-
-
-class PoolTooSmall(McmatrixError):
-    """Fewer pool comparates than the requested subset size."""
-
-
-class PairNotInSubset(McmatrixError):
-    """A comparate subset does not contain the pair under study."""
-
-
-class PairNotInBothSets(McmatrixError):
-    """The pair under study is missing from one of the two sets."""
-
-
-class EmptyReport(McmatrixError):
-    """A report with no comparison cells cannot be built or rendered."""
-
-
-class EnumerationTooLarge(McmatrixError):
-    """An exhaustive subset sweep would exceed the safety limit."""
 
 
 class InternalError(McmatrixError):

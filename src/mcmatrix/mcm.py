@@ -19,7 +19,7 @@ import numpy as np
 
 from .bayes import BayesConfig, BayesPosterior, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
-from .errors import EmptyReport, InternalError, PairNotInSubset
+from .errors import InternalError, ValidationError
 from .stats import (
     MIN_BLOCK_PAIRS,
     PairTable,
@@ -45,12 +45,6 @@ class MCMConfig:
     row_comparates: tuple[str, ...] | None = None
     column_comparates: tuple[str, ...] | None = None
     tie_epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.row_comparates is not None:
-            object.__setattr__(self, "row_comparates", tuple(self.row_comparates))
-        if self.column_comparates is not None:
-            object.__setattr__(self, "column_comparates", tuple(self.column_comparates))
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ def build_mcm(
     When a ``bayes_config`` is given, each cell also gets a Bayesian
     signed-rank posterior computed with it.  Each unordered pair is
     evaluated once (see ``compare_pairs``).  A grid without an
-    off-diagonal cell raises ``EmptyReport``.
+    off-diagonal cell raises ``ValidationError``.
     """
     alpha = check_alpha(config.alpha)
     rows = cols = matrix.comparates
@@ -195,7 +189,7 @@ def build_mcm(
 
     pairs = [(r, c) for r in row_order for c in column_order if r != c]
     if not pairs:
-        raise EmptyReport("report contains no comparisons")
+        raise ValidationError("report contains no comparisons")
     cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bayes_config)
 
     return MCMReport(
@@ -225,10 +219,10 @@ def mcm_cell_invariance_check(
     a, b = pair
     reference: PairwiseComparison | None = None
     for subset in subsets:
-        subset_set = set(subset)
-        if a not in subset_set or b not in subset_set:
-            raise PairNotInSubset(f"subset {sorted(subset_set)!r} lacks pair {pair!r}")
-        ordered = matrix.in_matrix_order(subset_set)
+        subset = matrix.check_names(subset, "subset")
+        if a not in subset or b not in subset:
+            raise ValidationError(f"subset {sorted(subset)!r} lacks pair {pair!r}")
+        ordered = matrix.in_matrix_order(subset)
         cell = build_mcm(matrix.select_comparates(ordered)).cells[(a, b)]
         if reference is None:
             reference = cell

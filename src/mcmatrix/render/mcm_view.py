@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from ..errors import EmptyReport, ValidationError
+from ..errors import ValidationError
 from ..mcm import MCMReport
 from .core import SvgDoc, fnum, wrap_html
 from .style import (
@@ -39,7 +39,7 @@ def render_mcm(
     if fmt not in ("svg", "html"):
         raise ValidationError(f"unknown render format {format!r}")
     if not report.cells:
-        raise EmptyReport("report contains no comparisons")
+        raise ValidationError("report contains no comparisons")
 
     # Each unordered pair is one row of the cells' table, read in both
     # orientations.  A zero difference is white whatever the limit, so a

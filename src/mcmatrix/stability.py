@@ -20,15 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import ResultsMatrix, weaken_comparate
-from .errors import (
-    EnumerationTooLarge,
-    InternalError,
-    OverlappingSets,
-    PairNotInBothSets,
-    PoolTooSmall,
-    SameComparate,
-    ValidationError,
-)
+from .errors import InternalError, ValidationError
 from .stats import (
     all_pairs_pvalues,
     check_alpha,
@@ -165,7 +157,7 @@ def significance_pattern(
     extra = matrix.check_names(extra, "extra")
     overlap = set(core) & set(extra)
     if overlap:
-        raise OverlappingSets(f"core and extra sets overlap: {sorted(overlap)!r}")
+        raise ValidationError(f"core and extra sets overlap: {sorted(overlap)!r}")
     family = core + extra
     if len(family) < 2:
         raise ValidationError("need at least two comparates in core + extra")
@@ -225,7 +217,12 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
     """``count`` distinct ranks in [0, total_space), ascending, from Philox(seed).
 
     Each batch keeps its not-yet-chosen values in the order they were drawn,
-    up to the number still needed."""
+    up to the number still needed.  Above half the space the ranks to leave
+    out are drawn instead, so a near-full sample takes a few batches, not
+    hundreds."""
+    if 2 * count > total_space:
+        left_out = _sample_ranks(total_space, total_space - count, seed)
+        return np.setdiff1d(np.arange(total_space), left_out, assume_unique=True)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
@@ -346,11 +343,11 @@ def enumerate_patterns(
     The one ``seed`` draws the sample and keys the reservoirs; it must lie
     in 0 .. 2**64 - 1.
 
-    An exhaustive sweep refuses more than ``DEFAULT_EXHAUSTIVE_LIMIT``
-    subsets with ``EnumerationTooLarge``.  A sampled one refuses a space of
-    more than ``SAMPLED_SPACE_LIMIT`` (2**63) subsets, and a sample of more
-    than ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets, with ``ValidationError``.  A
-    sample that covers the whole space is an exhaustive sweep.
+    An exhaustive sweep of more than ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets,
+    a sampled space of more than ``SAMPLED_SPACE_LIMIT`` (2**63) subsets and
+    a sample of more than ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets each raise
+    ``ValidationError``.  A sample that covers the whole space is an
+    exhaustive sweep.
     """
     alpha = check_alpha(alpha)
     if not 0 <= int(seed) <= _MASK64:
@@ -359,12 +356,12 @@ def enumerate_patterns(
     pool = matrix.check_names(pool, "pool")
     overlap = set(core) & set(pool)
     if overlap:
-        raise OverlappingSets(f"core and pool overlap: {sorted(overlap)!r}")
+        raise ValidationError(f"core and pool overlap: {sorted(overlap)!r}")
     k_extra = int(k_extra)
     if k_extra < 0:
         raise ValidationError("k_extra must be >= 0")
     if k_extra > len(pool):
-        raise PoolTooSmall(f"k_extra={k_extra} exceeds pool size {len(pool)}")
+        raise ValidationError(f"k_extra={k_extra} exceeds pool size {len(pool)}")
     if len(core) < 2:
         raise ValidationError("core must contain at least two comparates")
 
@@ -378,7 +375,7 @@ def enumerate_patterns(
 
     if sample is None:
         if total_space > DEFAULT_EXHAUSTIVE_LIMIT:
-            raise EnumerationTooLarge(
+            raise ValidationError(
                 f"{total_space} subsets exceed the exhaustive limit "
                 f"{DEFAULT_EXHAUSTIVE_LIMIT}; use --sample"
             )
@@ -502,12 +499,12 @@ def detect_rank_swap(
     alpha = check_alpha(alpha)
     x, y = pair
     if x == y:
-        raise SameComparate(f"the pair names {x!r} twice")
+        raise ValidationError(f"the pair names {x!r} twice")
     a = matrix.in_matrix_order(matrix.check_names(set_a, "set_a"))
     b = matrix.in_matrix_order(matrix.check_names(set_b, "set_b"))
     for name in (x, y):
         if name not in a or name not in b:
-            raise PairNotInBothSets(f"comparate {name!r} missing from a set")
+            raise ValidationError(f"comparate {name!r} missing from a set")
 
     # Both sets are in matrix order, so a shared pair is the same tuple in both.
     families = dict.fromkeys(pq for s in (a, b) for pq in itertools.combinations(s, 2))
@@ -595,7 +592,7 @@ def weakened_variant_attack(
     """
     alpha = check_alpha(alpha)
     if target == reference:
-        raise SameComparate("target and reference must differ")
+        raise ValidationError("target and reference must differ")
     context = matrix.check_names(context, "context")
     if target not in context:
         raise ValidationError(f"target {target!r} must be part of the context")

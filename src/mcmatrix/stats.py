@@ -21,18 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Direction, ResultsMatrix
-from .errors import (
-    EmptyInput,
-    InternalError,
-    InvalidAlpha,
-    InvalidP,
-    MOutOfTableRange,
-    SameComparate,
-    TooFewComparates,
-    TooFewTasks,
-    UnsupportedAlpha,
-    ValidationError,
-)
+from .errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
 
 __all__ = [
     "PMethod",
@@ -350,7 +339,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     """
     d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
     if d.size == 0:
-        raise EmptyInput("need at least one difference")
+        raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
     p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
@@ -367,10 +356,10 @@ def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.
     left, right = [], []
     for row, column in pairs:
         if row == column:
-            raise SameComparate(f"cannot compare {row!r} with itself")
+            raise ValidationError(f"cannot compare {row!r} with itself")
         for name in (row, column):
             if name not in position:
-                matrix.index_of(name)  # raises UnknownComparate
+                matrix.index_of(name)  # raises ValidationError
         left.append(position[row])
         right.append(position[column])
     with np.errstate(over="ignore"):
@@ -522,12 +511,12 @@ def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
     alpha = float(alpha)
     table = _Q_CONSTANTS.get(alpha)
     if table is None:
-        raise UnsupportedAlpha(
+        raise ValidationError(
             f"no critical-value table for alpha={alpha!r}; supported: 0.05, 0.10"
         )
     m = int(m)
     if not 2 <= m <= 1 + len(table):
-        raise MOutOfTableRange(f"m={m} outside the tabulated range 2..{1 + len(table)}")
+        raise ValidationError(f"m={m} outside the tabulated range 2..{1 + len(table)}")
     n = int(n)
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -535,10 +524,10 @@ def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` as a float; ``InvalidAlpha`` unless it lies in (0, 1)."""
+    """``alpha`` as a float; ``ValidationError`` unless it lies in (0, 1)."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha!r}")
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     return alpha
 
 
@@ -558,7 +547,7 @@ def holm_correction(
     items = [(pid, float(p)) for pid, p in pairs]
     for pid, p in items:
         if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise InvalidP(f"p-value for pair {pid!r} outside [0, 1]: {p!r}")
+            raise ValidationError(f"p-value for pair {pid!r} outside [0, 1]: {p!r}")
 
     items.sort(key=lambda item: (item[1], item[0]))
     total = len(items)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mcmatrix.data import Direction, ResultsMatrix
-from mcmatrix.errors import EmptyInput, InternalError, ValidationError
+from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod
 
 
@@ -105,7 +105,11 @@ def subset_by_rank(pool: Sequence, k: int, rank: int) -> tuple:
 def sample_ranks_loop(total_space: int, count: int, seed: int) -> list[int]:
     """``count`` distinct ranks in [0, total_space), ascending, from
     Philox(seed): each batch adds its values one at a time, in draw order,
-    until ``count`` are chosen."""
+    until ``count`` are chosen.  Above half the space, every rank but the
+    ``total_space - count`` drawn this way."""
+    if 2 * count > total_space:
+        left_out = set(sample_ranks_loop(total_space, total_space - count, seed))
+        return [r for r in range(total_space) if r not in left_out]
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     chosen: set[int] = set()
     while len(chosen) < count:
@@ -178,7 +182,7 @@ def wilcoxon_signed_rank_scalar(
     """
     d = np.asarray(diffs, dtype=np.float64)
     if d.size == 0:
-        raise EmptyInput("need at least one difference")
+        raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
     if method not in ("auto", "exact", "approx"):

@@ -174,24 +174,14 @@ PUBLIC_SURFACE = {
         "class(_Located)",
         "__init__(self, message, row=None, column=None)",
     ),
-    "mcmatrix.errors.EmptyIntersection": ("class(McmatrixError)",),
-    "mcmatrix.errors.NameCollision": ("class(McmatrixError)",),
-    "mcmatrix.errors.UnknownComparate": ("class(McmatrixError)",),
-    "mcmatrix.errors.SameComparate": ("class(McmatrixError)",),
-    "mcmatrix.errors.EmptyInput": ("class(McmatrixError)",),
-    "mcmatrix.errors.TooFewComparates": ("class(McmatrixError)",),
-    "mcmatrix.errors.TooFewTasks": ("class(McmatrixError)",),
-    "mcmatrix.errors.UnsupportedAlpha": ("class(McmatrixError)",),
-    "mcmatrix.errors.MOutOfTableRange": ("class(McmatrixError)",),
-    "mcmatrix.errors.InvalidAlpha": ("class(McmatrixError)",),
-    "mcmatrix.errors.InvalidP": ("class(McmatrixError)",),
-    "mcmatrix.errors.InvalidConfig": ("class(McmatrixError)",),
-    "mcmatrix.errors.OverlappingSets": ("class(McmatrixError)",),
-    "mcmatrix.errors.PoolTooSmall": ("class(McmatrixError)",),
-    "mcmatrix.errors.PairNotInSubset": ("class(McmatrixError)",),
-    "mcmatrix.errors.PairNotInBothSets": ("class(McmatrixError)",),
-    "mcmatrix.errors.EmptyReport": ("class(McmatrixError)",),
-    "mcmatrix.errors.EnumerationTooLarge": ("class(McmatrixError)",),
+    "mcmatrix.errors.TooFewComparates": (
+        "class(ValidationError)",
+        "__init__(self, message, row=None, column=None)",
+    ),
+    "mcmatrix.errors.TooFewTasks": (
+        "class(ValidationError)",
+        "__init__(self, message, row=None, column=None)",
+    ),
     "mcmatrix.errors.InternalError": ("class(McmatrixError)",),
     "mcmatrix.mcm.MCMConfig": (
         "alpha=0.05",

@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 
 from mcmatrix import BayesConfig, bayesian_signed_rank, posterior_samples
-from mcmatrix.errors import EmptyInput, InvalidConfig, ValidationError
+from mcmatrix.errors import ValidationError
 
 from conftest import posterior_bits
 from oracles import bayes_posterior_means
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError, match="rope must be finite"):
         bayesian_signed_rank([1.0], BayesConfig(rope=-0.1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError, match="prior strength must be finite"):
         bayesian_signed_rank([1.0], BayesConfig(prior_strength=0.0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError, match="mc_samples must be at least 1"):
         bayesian_signed_rank([1.0], BayesConfig(mc_samples=0))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError, match="seed must be a 64-bit"):
         bayesian_signed_rank([1.0], BayesConfig(seed=-1))
 
 
 def test_empty_and_nonfinite_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="need at least one difference"):
         bayesian_signed_rank([], BayesConfig())
     with pytest.raises(ValidationError):
         bayesian_signed_rank([np.nan], BayesConfig())

@@ -18,12 +18,7 @@ from mcmatrix import (
     mcm_report_to_dict,
 )
 from mcmatrix.bayes import BayesPosterior
-from mcmatrix.errors import (
-    InternalError,
-    InvalidAlpha,
-    PairNotInSubset,
-    UnknownComparate,
-)
+from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stability import significance_pattern
 from mcmatrix.mcm import PairGrid, cell_records, cell_records_json
 from mcmatrix.render import render_mcm
@@ -213,9 +208,9 @@ class TestBuildMcm:
     def test_guards(self):
         rng = np.random.default_rng(8)
         matrix = random_matrix(rng, m=3, n=4)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             build_mcm(matrix, MCMConfig(alpha=0.0))
-        with pytest.raises(UnknownComparate):
+        with pytest.raises(ValidationError, match="unknown comparate 'nope'"):
             build_mcm(matrix, MCMConfig(row_comparates=("nope",)))
 
 
@@ -277,7 +272,7 @@ class TestCellInvariance:
         rng = np.random.default_rng(11)
         matrix = random_matrix(rng, m=4, n=5)
         pair = (matrix.comparates[0], matrix.comparates[1])
-        with pytest.raises(PairNotInSubset):
+        with pytest.raises(ValidationError, match="lacks pair"):
             mcm_cell_invariance_check(matrix, pair, [matrix.comparates[1:]])
 
     def test_holm_flags_are_not_invariant(self):

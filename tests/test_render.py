@@ -16,7 +16,7 @@ from mcmatrix import (
     render_mcm,
     render_pattern_graph,
 )
-from mcmatrix.errors import EmptyReport, TooFewComparates, TooFewTasks, ValidationError
+from mcmatrix.errors import TooFewComparates, TooFewTasks, ValidationError
 from mcmatrix.render import contiguous_nonsignificant_runs, diverging_color
 from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
 from mcmatrix.stability import pattern_from_bitmask
@@ -106,17 +106,17 @@ class TestRenderMcm:
         assert "(0.8700)" in svg  # Alpha's mean accuracy
 
     def test_empty_report_rejected(self):
-        with pytest.raises(EmptyReport):
+        with pytest.raises(ValidationError, match="report contains no comparisons"):
             build_mcm(
                 golden_matrix(),
                 MCMConfig(row_comparates=("Alpha",), column_comparates=("Alpha",)),
             )
         # An empty selection selects nothing; it is not a second spelling of "all".
         for config in (MCMConfig(row_comparates=()), MCMConfig(column_comparates=())):
-            with pytest.raises(EmptyReport):
+            with pytest.raises(ValidationError, match="report contains no comparisons"):
                 build_mcm(golden_matrix(), config)
         full = build_mcm(golden_matrix())
-        with pytest.raises(EmptyReport):
+        with pytest.raises(ValidationError, match="report contains no comparisons"):
             render_mcm(dataclasses.replace(full, cells={}))
 
 

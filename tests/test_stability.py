@@ -8,25 +8,18 @@ from hypothesis import strategies as st
 
 from mcmatrix import (
     Direction,
+    MCMConfig,
     ResultsMatrix,
     build_mcm,
     detect_rank_swap,
     enumerate_patterns,
+    mcm_cell_invariance_check,
     significance_pattern,
     stability,
     weaken_comparate,
     weakened_variant_attack,
 )
-from mcmatrix.errors import (
-    EnumerationTooLarge,
-    InternalError,
-    InvalidAlpha,
-    OverlappingSets,
-    PairNotInBothSets,
-    PoolTooSmall,
-    SameComparate,
-    ValidationError,
-)
+from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stability import (
     PatternEnumeration,
     _holm_mask,
@@ -94,7 +87,7 @@ class TestSignificancePattern:
         assert p_alone == p_small == fixture["raw_p"]
 
     def test_overlap_rejected(self, demo_matrix):
-        with pytest.raises(OverlappingSets):
+        with pytest.raises(ValidationError, match="core and extra sets overlap"):
             significance_pattern(demo_matrix, ["Alpha", "Bravo"], ["Bravo"], 0.05)
 
 
@@ -116,7 +109,7 @@ class TestEnumeratePatterns:
         assert list(enumeration.pattern_counts.values()) == [1]
 
     def test_pool_too_small(self, demo_matrix):
-        with pytest.raises(PoolTooSmall):
+        with pytest.raises(ValidationError, match="exceeds pool size"):
             enumerate_patterns(
                 demo_matrix, demo_matrix.comparates[:2], demo_matrix.comparates[2:], 5, 0.05
             )
@@ -125,7 +118,7 @@ class TestEnumeratePatterns:
         rng = np.random.default_rng(43)
         matrix = random_matrix(rng, m=10, n=4)
         monkeypatch.setattr(stability, "DEFAULT_EXHAUSTIVE_LIMIT", 10)
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(ValidationError, match="exceed the exhaustive limit"):
             enumerate_patterns(
                 matrix, matrix.comparates[:2], matrix.comparates[2:], 4, 0.05,
             )
@@ -398,7 +391,7 @@ class TestUnranking:
 
     @pytest.mark.parametrize("total, count, seed", [
         (math.comb(12, 5), 300, 3),
-        (math.comb(14, 7), 3400, 0),  # near the space size: many batches
+        (math.comb(14, 7), 3400, 0),  # near the space size: the complement is drawn
         (math.comb(14, 7), 3431, 9),
         (math.comb(21, 10), 349_188, 0),
         (math.comb(64, 32), 50, 1),
@@ -454,7 +447,7 @@ class TestDetectRankSwap:
             assert orders[0] == orders[1]
 
     def test_pair_must_be_in_both_sets(self, demo_matrix):
-        with pytest.raises(PairNotInBothSets):
+        with pytest.raises(ValidationError, match="comparate 'Bravo' missing from a set"):
             detect_rank_swap(
                 demo_matrix, ("Alpha", "Bravo"),
                 ("Alpha", "Charlie"), ("Alpha", "Bravo"),
@@ -462,10 +455,26 @@ class TestDetectRankSwap:
 
     def test_pair_of_one_comparate_refused_before_any_test(self, demo_matrix,
                                                           tested_pairs):
-        with pytest.raises(SameComparate):
+        with pytest.raises(ValidationError, match="the pair names 'Alpha' twice"):
             detect_rank_swap(demo_matrix, ("Alpha", "Alpha"),
                              demo_matrix.comparates, demo_matrix.comparates)
         assert tested_pairs == []
+
+
+def test_name_list_given_as_one_string_is_refused():
+    # "AB" names a comparate here, and its letters name two others: a string
+    # read as a list of characters would silently select ('A', 'B').
+    rng = np.random.default_rng(3)
+    matrix = ResultsMatrix(("A", "B", "AB", "C"), ("t0", "t1", "t2", "t3", "t4"),
+                           rng.random((4, 5)), Direction.HIGHER_IS_BETTER)
+    with pytest.raises(ValidationError, match="row selection must be a list of names"):
+        build_mcm(matrix, MCMConfig(row_comparates="AB"))
+    with pytest.raises(ValidationError, match="core must be a list of names"):
+        enumerate_patterns(matrix, "AB", ("C",), 1, 0.05)
+    with pytest.raises(ValidationError, match="set_b must be a list of names"):
+        detect_rank_swap(matrix, ("A", "B"), ("A", "B", "C"), "AB")
+    with pytest.raises(ValidationError, match="subset must be a list of names"):
+        mcm_cell_invariance_check(matrix, ("A", "B"), ["AB"])
 
 
 class TestWeakenedVariantAttack:
@@ -585,16 +594,16 @@ class TestOnePValueTablePerExperiment:
     def test_invalid_alpha_refused_before_any_test(self, demo_matrix, tested_pairs,
                                                    alpha):
         names = demo_matrix.comparates
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             weakened_variant_attack(demo_matrix, "Alpha", "Delta", [0.5], names, alpha)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             detect_rank_swap(demo_matrix, ("Alpha", "Bravo"), names, names, alpha)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             significance_pattern(demo_matrix, names[:2], names[2:], alpha)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             holm_significance(demo_matrix, names, alpha)
         for weights in ([0.5], []):
-            with pytest.raises(SameComparate):
+            with pytest.raises(ValidationError, match="target and reference must differ"):
                 weakened_variant_attack(demo_matrix, "Alpha", "Alpha", weights, names)
         assert tested_pairs == []
 
