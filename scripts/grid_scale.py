@@ -7,9 +7,10 @@ Run from the root of a source checkout::
 
 It writes an m = 400, n = 60 table of accuracy-like scores, generated from
 ``random.Random`` seeded with a string (a stream Python keeps stable across
-versions), then runs ``mcm --format json``, ``mcm --format html`` and
-``stats`` on it, each as a fresh ``python -m mcmatrix.cli`` process on the
-``src`` directory of ``--root``.  It prints a Markdown table with each
+versions), then runs every grid writer on it: ``mcm`` in each of its three
+formats, ``stats``, and ``cd --pairwise wilcoxon-holm`` (the all-pairs Holm
+path), each as a fresh ``python -m mcmatrix.cli`` process on the ``src``
+directory of ``--root``.  It prints a Markdown table with each
 command's wall seconds, its peak resident memory (the child's own
 ``ru_maxrss``, from ``os.wait4``) and its output size.  One run per command
 is evidence of scale, not a benchmark.
@@ -30,7 +31,9 @@ M, N = 400, 60
 COMMANDS = (
     ("mcm --format json", ["mcm", "--format", "json"]),
     ("mcm --format html", ["mcm", "--format", "html"]),
+    ("mcm --format svg", ["mcm", "--format", "svg"]),
     ("stats", ["stats"]),
+    ("cd --pairwise wilcoxon-holm", ["cd", "--pairwise", "wilcoxon-holm"]),
 )
 
 
@@ -78,7 +81,7 @@ def main() -> int:
                     "--direction", "higher", "--output", str(out)]
             seconds, rss = run_child(argv, env)
             size = out.stat().st_size / 1e6
-            print(f"| `{label}` | {seconds:.1f} s | {rss:.0f} MB | {size:.0f} MB |", flush=True)
+            print(f"| `{label}` | {seconds:.1f} s | {rss:.0f} MB | {size:.1f} MB |", flush=True)
     return 0
 
 

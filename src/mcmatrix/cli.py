@@ -124,34 +124,30 @@ def _metadata(args: argparse.Namespace, payload: bytes, **extra) -> dict:
     }
 
 
-class _JsonText(str):
-    """A value already written as JSON text, indented as the value of a
-    top-level key."""
-
-
 def _json_bytes(obj: dict) -> bytes:
-    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8.
+    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8, in one join.
 
     Each top-level value is dumped on its own and indented one level,
     which gives the same text, since every newline ``json.dumps`` writes
-    is an indent; a ``_JsonText`` value goes in as it is.
+    is an indent.  A ``bytes`` value, which ``json`` cannot dump, is that
+    text already written, and goes in as it is.
     """
-    items = (
-        f"  {json.dumps(key)}: "
-        + (value if isinstance(value, _JsonText)
-           else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in obj.items()
-    )
-    return ("{\n" + ",\n".join(items) + "\n}\n").encode("utf-8")
+    parts = [b"{\n"]
+    for key, value in obj.items():
+        if not isinstance(value, bytes):
+            value = json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8")
+        parts += (f"  {json.dumps(key)}: ".encode("utf-8"), value, b",\n")
+    parts[-1] = b"\n}\n"
+    return b"".join(parts)
 
 
-def _float_rows(rows: list[list[float]]) -> _JsonText:
+def _float_rows(rows: list[list[float]]) -> bytes:
     """JSON text of a non-empty list of non-empty lists of finite floats,
-    one ``join`` per row."""
-    return _JsonText("[\n    " + ",\n    ".join(
+    indented as the value of a top-level key, one ``join`` per row."""
+    return ("[\n    " + ",\n    ".join(
         "[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
         for row in rows
-    ) + "\n  ]")
+    ) + "\n  ]").encode("utf-8")
 
 
 def _bayes_config(args: argparse.Namespace) -> BayesConfig | None:
@@ -317,9 +313,8 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         out = {
             "metadata": meta,
             **mcm_report_header(report),
-            "cells": _JsonText(
-                cell_records_json(report.cells, report.alpha, report.bayes)
-            ),
+            "cells": cell_records_json(report.cells, report.alpha,
+                                       report.bayes).encode("utf-8"),
         }
         _write_output(args.output, _json_bytes(out))
     else:
@@ -358,7 +353,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "ranks": _float_rows(table.ranks.tolist()),
         "average_ranks": dict(zip(matrix.comparates, table.average_ranks.tolist())),
         "friedman": friedman,
-        "pairwise": _JsonText(cell_records_json(cells, alpha, bayes)),
+        "pairwise": cell_records_json(cells, alpha, bayes).encode("utf-8"),
     }
     _write_output(args.output, _json_bytes(out))
     return 0

@@ -128,6 +128,19 @@ class ResultsMatrix:
             seen.add(name)
         return names
 
+    def check_pair(self, pair: Sequence[str]) -> tuple[str, str]:
+        """The pair's two comparates as a tuple, each known and distinct.
+
+        A bare string is refused as ``check_names`` refuses it, rather than
+        read as a pair of its characters.
+        """
+        if not isinstance(pair, str) and len(pair) == 2 and pair[0] == pair[1]:
+            raise ValidationError(f"the pair names {pair[0]!r} twice")
+        names = self.check_names(pair, "pair")
+        if len(names) != 2:
+            raise ValidationError(f"a pair names two comparates, not {len(names)}")
+        return names
+
     def row(self, name: str) -> np.ndarray:
         """Score vector of one comparate over all tasks."""
         return self.scores[self.index_of(name)]

@@ -11,6 +11,7 @@ designed to remove, so none is offered here.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -216,7 +217,7 @@ def mcm_cell_invariance_check(
     Each subset must contain both pair members; the cell for the pair is
     recomputed from a report built on the sub-matrix over that subset.
     """
-    a, b = pair
+    a, b = matrix.check_pair(pair)
     reference: PairwiseComparison | None = None
     for subset in subsets:
         subset = matrix.check_names(subset, "subset")
@@ -311,17 +312,22 @@ def cell_records_json(
     r = float.__repr__
     tests = [_TEST_JSON % (r(p), methods[method], "true" if p < alpha else "false")
              for p, method in zip(table.p_value, table.p_method)]
-    parts = []
-    for pair, (i, reverse) in cells.index.items():
-        row, column, mean, wins, ties, losses, _, _ = table.fields(i, reverse)
-        text = _CELL_JSON % (quoted[row], quoted[column], r(mean), wins, ties, losses,
-                             tests[i])
-        if bayes is not None:
-            post = bayes[pair]
-            text += _BAYES_JSON % (r(post.theta_left), r(post.theta_rope),
-                                   r(post.theta_right), post.mc_samples_used)
-        parts.append(text)
-    return "[\n" + "\n    },\n".join(parts) + "\n    }\n  ]"
+    parts = ["[\n"]  # a grid row's cells are joined as it is formed
+    for _, group in itertools.groupby(cells.index.items(), lambda item: item[0][0]):
+        texts = []
+        for pair, (i, reverse) in group:
+            row, column, mean, wins, ties, losses, _, _ = table.fields(i, reverse)
+            text = _CELL_JSON % (quoted[row], quoted[column], r(mean), wins, ties, losses,
+                                 tests[i])
+            if bayes is not None:
+                post = bayes[pair]
+                text += _BAYES_JSON % (r(post.theta_left), r(post.theta_rope),
+                                       r(post.theta_right), post.mc_samples_used)
+            texts.append(text)
+        parts += ("\n    },\n".join(texts), "\n    },\n")
+    parts[-1] = "\n    }\n  ]"
+    del tests  # the rows hold every cell: join them alone
+    return "".join(parts)
 
 
 def mcm_report_header(report: MCMReport) -> dict:

@@ -62,43 +62,39 @@ class SvgDoc:
     def group_end(self) -> None:
         self._parts.append("</g>")
 
-    def tostring(self, metadata: dict | None = None) -> str:
+    def lines(self, metadata: dict | None = None) -> list[str]:
+        """The document's lines: ``tostring`` joins them with newlines."""
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{fnum(self.width)}" height="{fnum(self.height)}" '
             f'viewBox="0 0 {fnum(self.width)} {fnum(self.height)}">'
         )
-        parts = [head]
+        lines = [head]
         if metadata is not None:
             blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-            parts.append(f"<metadata>{escape(blob)}</metadata>")
-        parts.extend(self._parts)
-        parts.append("</svg>\n")
-        return "\n".join(parts)
+            lines.append(f"<metadata>{escape(blob)}</metadata>")
+        return [*lines, *self._parts, "</svg>", ""]
+
+    def tostring(self, metadata: dict | None = None) -> str:
+        return "\n".join(self.lines(metadata))
 
 
-def wrap_html(svg: str, table_html: str, metadata: dict | None = None) -> str:
-    """HTML page embedding the SVG unchanged plus an accessible data table."""
+def wrap_html(svg_lines: list[str], table_lines: list[str],
+              metadata: dict | None = None) -> str:
+    """HTML page embedding an SVG unchanged plus an accessible data table,
+    joined once from the SVG's lines (``SvgDoc.lines``) and the table's."""
     title = "Pairwise comparison matrix"
-    meta_block = ""
+    meta_lines = []
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-        meta_block = (
-            f'<script type="application/json" id="run-metadata">{blob}</script>\n'
-        )
-    doc = (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        f"<title>{title}</title>\n"
+        meta_lines.append(f'<script type="application/json" id="run-metadata">{blob}</script>')
+    return "\n".join([
+        "<!DOCTYPE html>", '<html lang="en">', "<head>", '<meta charset="utf-8"/>',
+        f"<title>{title}</title>",
         "<style>body{font-family:Helvetica,Arial,sans-serif;margin:1em;}"
         "table{border-collapse:collapse;margin-top:1em;}"
-        "td,th{border:1px solid #999;padding:4px 8px;font-size:12px;}</style>\n"
-        "</head>\n<body>\n"
-        f"{meta_block}"
-        f"<h1>{title}</h1>\n"
-        f'<div class="figure">\n{svg}</div>\n'
-        f"{table_html}\n"
-        "</body>\n</html>\n"
-    )
-    return doc
+        "td,th{border:1px solid #999;padding:4px 8px;font-size:12px;}</style>",
+        "</head>", "<body>", *meta_lines, f"<h1>{title}</h1>", '<div class="figure">',
+        *svg_lines[:-1], "</div>", *table_lines, "</body>", "</html>", "",
+    ])

@@ -110,15 +110,17 @@ def render_mcm(
     p_labels = [fnum(p, places) for p in pairs.p_value]
     row_html = [escape(r) for r in rows]
     col_html = [escape(c) for c in cols]
+    # A grid row's cells are joined as it is formed; the page, once.
     doc.group_start("cells")
     for i, r in enumerate(rows):
         y = row_y[i]
         y_mean, y_wtl, y_p = row_text_y[i]
+        cells = []
         for j, c in enumerate(cols):
             x = col_x[j]
             if r == c:
-                doc.raw(f'<rect x="{x}" y="{y}" {size} fill="#f2f2f2" {stroke} '
-                        'class="diagonal"/>')
+                cells.append(f'<rect x="{x}" y="{y}" {size} fill="#f2f2f2" {stroke} '
+                             'class="diagonal"/>')
                 continue
             k, reverse = index[(r, c)]
             _, _, mean_difference, wins, ties, losses, p_value, _ = pairs.fields(k, reverse)
@@ -128,7 +130,7 @@ def render_mcm(
             p = p_labels[k]
             cx = col_cx[j]
             attrs = bold if significant else text
-            doc.raw(
+            cells.append(
                 f'<rect x="{x}" y="{y}" {size} '
                 f'fill="{diverging_color(mean_difference, limit)}" {stroke} '
                 'class="cell-bg"/>\n'
@@ -142,10 +144,13 @@ def render_mcm(
                     f"<td>{wtl}</td><td>{p}</td>"
                     f"<td>{'yes' if significant else 'no'}</td></tr>"
                 )
+        doc.raw("\n".join(cells))
     doc.group_end()
 
-    page = doc.tostring(metadata)
-    if table is not None:
+    if table is None:
+        page = doc.tostring(metadata)
+    else:
         table.append("</table>")
-        page = wrap_html(page, "\n".join(table), metadata)
+        page = wrap_html(doc.lines(metadata), table, metadata)
+    del doc, table  # the page holds every line: encode it alone
     return page.encode("utf-8")

@@ -497,9 +497,7 @@ def detect_rank_swap(
     Holm families is tested once; only the corrections differ.
     """
     alpha = check_alpha(alpha)
-    x, y = pair
-    if x == y:
-        raise ValidationError(f"the pair names {x!r} twice")
+    x, y = matrix.check_pair(pair)
     a = matrix.in_matrix_order(matrix.check_names(set_a, "set_a"))
     b = matrix.in_matrix_order(matrix.check_names(set_b, "set_b"))
     for name in (x, y):

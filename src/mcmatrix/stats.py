@@ -56,9 +56,11 @@ _MAX_EXACT = 62
 #: computes with Python ints: int64 overflows from about 1.65 million.
 _INT64_TAIL = 1 << 20
 
-#: Differences per block of pairs, and counts per block of exact
-#: distributions: bounds the kernel's working memory whatever n is.
-_BLOCK = 1 << 19
+#: Most differences per slice of pairs: each signed-rank kernel temporary
+#: then takes at most 512 KB, so the few live at once stay near a core's L2
+#: cache.  Most counts per block of exact distributions: larger, because
+#: ``_exact_pvalues`` loops in Python over each block's values.
+_SLICE, _COUNTS = 1 << 16, 1 << 19
 
 #: Fewest pairs that are evaluated as one block.  Below this the pair loops
 #: (``mcm.compare_pairs``, ``all_pairs_pvalues``) take each pair alone, and
@@ -274,7 +276,7 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.nda
     P(W <= k(k+1) - w), and the two-sided p is twice the count of sums up
     to min(w, k(k+1) - w), over 2^k.  The counts of the sums up to h come
     from subset-sum counting, on one array of ``h_max + 1`` counts per row
-    and at most about ``_BLOCK`` counts in all.  The largest, the count up
+    and at most about ``_COUNTS`` counts in all.  The largest, the count up
     to h, is about 2^(k-1), so they are int32 while k_max <= 31 and int64
     above.  Each doubled-rank value t is added as many times as a row holds
     it, by shifting the rows that hold it with contiguous slices.  By the
@@ -282,7 +284,7 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.nda
     """
     k_max = int(k.max(initial=0))
     cap = k_max * (k_max + 1) // 2
-    step = max(1, _BLOCK // (cap + 1))
+    step = max(1, _COUNTS // (cap + 1))
     dtype = np.int32 if k_max <= 31 else np.int64
     half = k * (k + 1) // 2
     low = np.minimum(w2, 2 * half - w2)
@@ -382,13 +384,6 @@ def oriented_differences(matrix: ResultsMatrix, row: str, column: str) -> np.nda
     return _differences(matrix, [(row, column)])[0]
 
 
-def _check_tie_epsilon(tie_epsilon: float) -> float:
-    tie_epsilon = float(tie_epsilon)
-    if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
-        raise ValidationError("tie_epsilon must be a finite value >= 0")
-    return tie_epsilon
-
-
 def pairwise_comparison(
     matrix: ResultsMatrix,
     row: str,
@@ -413,31 +408,34 @@ def pair_statistics(
     """``pairwise_comparison`` of every ordered (row, column) pair, in order,
     as one table.
 
-    Pairs are evaluated together in numpy blocks of at most about 2**19
-    differences, so memory stays bounded whatever the number of tasks.  A
-    block of fewer than ``MIN_BLOCK_PAIRS`` pairs is tested row by row by
-    ``wilcoxon_signed_rank``, the same kernel on one row.  Each cell is
-    bit-identical to evaluating its pair alone.
+    The pairs are cut into equal slices of at most ``_SLICE`` (2**16)
+    differences, each one numpy block, so the kernel's temporaries stay
+    cache-sized whatever n is; a slice's exact distributions are counted in
+    blocks of at most ``_COUNTS`` (2**19) counts, more as that count loops
+    in Python once per block.  Fewer than ``MIN_BLOCK_PAIRS`` pairs are
+    tested row by row by ``wilcoxon_signed_rank``, the same kernel on one
+    row.  Each cell is bit-identical to evaluating its pair alone.
     """
-    tie_epsilon = _check_tie_epsilon(tie_epsilon)
+    tie_epsilon = float(tie_epsilon)
+    if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
+        raise ValidationError("tie_epsilon must be a finite value >= 0")
     pairs = tuple(pairs)
-    n = matrix.n
-    step = max(1, _BLOCK // n)
+    n, count = matrix.n, len(pairs)
+    slices = -(-count // max(1, _SLICE // n))
     means: list[float] = []
     wins: list[int] = []
     losses: list[int] = []
     p_value: list[float] = []
     p_method: list[PMethod] = []
-    for lo in range(0, len(pairs), step):
-        block = pairs[lo:lo + step]
-        d = _differences(matrix, block)
+    for s in range(slices):
+        d = _differences(matrix, pairs[count * s // slices:count * (s + 1) // slices])
         wins += np.count_nonzero(d > tie_epsilon, axis=1).tolist()
         losses += np.count_nonzero(d < -tie_epsilon, axis=1).tolist()
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
         # underflows to -0.0 into +0.0, the value the mirror of the reversed
         # pair gives.
         means += (d.mean(axis=1) + 0.0).tolist()
-        if len(block) < MIN_BLOCK_PAIRS:
+        if count < MIN_BLOCK_PAIRS:
             p, method = zip(*map(wilcoxon_signed_rank, d))
         else:
             p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)

@@ -157,6 +157,7 @@ PUBLIC_SURFACE = {
         "n: property",
         "index_of(self, name)",
         "check_names(self, names, what)",
+        "check_pair(self, pair)",
         "row(self, name)",
         "select_comparates(self, names)",
         "in_matrix_order(self, names)",
@@ -246,9 +247,10 @@ PUBLIC_SURFACE = {
         "text(self, x, y, content, size, anchor='middle')",
         "group_start(self, cls)",
         "group_end(self)",
+        "lines(self, metadata=None)",
         "tostring(self, metadata=None)",
     ),
-    "mcmatrix.render.core.wrap_html": "(svg, table_html, metadata=None)",
+    "mcmatrix.render.core.wrap_html": "(svg_lines, table_lines, metadata=None)",
     "mcmatrix.render.mcm_view.render_mcm": "(report, format='svg', metadata=None)",
     "mcmatrix.render.pattern_view.render_pattern_graph": "(pattern, metadata=None)",
     "mcmatrix.render.style.diverging_color": "(value, limit)",

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmatrix
-from mcmatrix.cli import _float_rows, _json_bytes, _JsonText, main
+from mcmatrix.cli import _float_rows, _json_bytes, main
 
 from conftest import (
     CLI_GOLDEN_CASES,
@@ -768,4 +768,4 @@ class TestJsonWriter:
         assert _json_bytes(spliced) == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
     def test_text_value_goes_in_as_it_is(self):
-        assert _json_bytes({"a": _JsonText("[1, 2]")}) == b'{\n  "a": [1, 2]\n}\n'
+        assert _json_bytes({"a": b"[1, 2]"}) == b'{\n  "a": [1, 2]\n}\n'

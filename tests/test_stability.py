@@ -477,6 +477,22 @@ def test_name_list_given_as_one_string_is_refused():
         mcm_cell_invariance_check(matrix, ("A", "B"), ["AB"])
 
 
+def test_pair_given_as_one_string_is_refused():
+    # The letters of "AB" name two comparates: read as a pair of characters,
+    # the string would silently study ('A', 'B').
+    rng = np.random.default_rng(3)
+    matrix = ResultsMatrix(("A", "B", "AB", "C"), ("t0", "t1", "t2", "t3", "t4"),
+                           rng.random((4, 5)), Direction.HIGHER_IS_BETTER)
+    with pytest.raises(ValidationError, match="pair must be a list of names, not the string"):
+        detect_rank_swap(matrix, "AB", ("A", "B", "C"), ("A", "B"))
+    with pytest.raises(ValidationError, match="pair must be a list of names, not the string"):
+        mcm_cell_invariance_check(matrix, "AB", [("A", "B", "C")])
+    with pytest.raises(ValidationError, match="the pair names 'A' twice"):
+        mcm_cell_invariance_check(matrix, ("A", "A"), [("A", "B")])
+    with pytest.raises(ValidationError, match="a pair names two comparates, not 3"):
+        detect_rank_swap(matrix, ("A", "B", "C"), ("A", "B", "C"), ("A", "B", "C"))
+
+
 class TestWeakenedVariantAttack:
     def test_clone_changes_ar_only_by_tie_splitting(self, demo_matrix):
         report = weakened_variant_attack(

@@ -307,11 +307,16 @@ class TestSignedRankKernel:
 
 
 class TestPairStatistics:
-    @pytest.mark.parametrize("block", [48, 400, stats._BLOCK])
-    def test_matches_the_scalar_oracle_bit_for_bit(self, monkeypatch, block):
-        # Small blocks split the pairs, and the exact distributions, into
-        # many blocks, some of them short enough to be tested row by row.
-        monkeypatch.setattr(stats, "_BLOCK", block)
+    @pytest.mark.parametrize("slice_, counts", [
+        (48, stats._COUNTS), (stats._SLICE, 48), (48, 48), (400, 400),
+        (stats._SLICE, stats._COUNTS),
+    ])
+    def test_matches_the_scalar_oracle_bit_for_bit(self, monkeypatch, slice_, counts):
+        # A small slice cuts the pairs into many slices, down to one pair
+        # each; a small count budget cuts a slice's exact distributions into
+        # many blocks.  Each budget is driven alone, and both together.
+        monkeypatch.setattr(stats, "_SLICE", slice_)
+        monkeypatch.setattr(stats, "_COUNTS", counts)
         rng = np.random.default_rng(21)
         for trial in range(40):
             direction = list(Direction)[trial % 2]
