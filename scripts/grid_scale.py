@@ -9,7 +9,9 @@ It writes an m = 400, n = 60 table of accuracy-like scores, generated from
 ``random.Random`` seeded with a string (a stream Python keeps stable across
 versions), then runs every grid writer on it: ``mcm`` in each of its three
 formats, ``stats``, and ``cd --pairwise wilcoxon-holm`` (the all-pairs Holm
-path), each as a fresh ``python -m mcmatrix.cli`` process on the ``src``
+path).  It also runs ``mcm --include-bayes --format json`` at the default
+100,000 samples on the table's first 20 comparates (190 posteriors).  Each
+command is a fresh ``python -m mcmatrix.cli`` process on the ``src``
 directory of ``--root``.  It prints a Markdown table with each
 command's wall seconds, its peak resident memory (the child's own
 ``ru_maxrss``, from ``os.wait4``) and its output size.  One run per command
@@ -28,12 +30,16 @@ import time
 from pathlib import Path
 
 M, N = 400, 60
+BAYES_M = 20
+# (label, comparates: the first m rows of the table, CLI arguments)
 COMMANDS = (
-    ("mcm --format json", ["mcm", "--format", "json"]),
-    ("mcm --format html", ["mcm", "--format", "html"]),
-    ("mcm --format svg", ["mcm", "--format", "svg"]),
-    ("stats", ["stats"]),
-    ("cd --pairwise wilcoxon-holm", ["cd", "--pairwise", "wilcoxon-holm"]),
+    ("mcm --format json", M, ["mcm", "--format", "json"]),
+    ("mcm --format html", M, ["mcm", "--format", "html"]),
+    ("mcm --format svg", M, ["mcm", "--format", "svg"]),
+    ("stats", M, ["stats"]),
+    ("cd --pairwise wilcoxon-holm", M, ["cd", "--pairwise", "wilcoxon-holm"]),
+    ("mcm --include-bayes --format json", BAYES_M,
+     ["mcm", "--include-bayes", "--format", "json"]),
 )
 
 
@@ -69,19 +75,21 @@ def main() -> int:
                         help="source checkout whose src/ is timed (default: this one)")
     args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
-    print(f"m = {M}, n = {N}, root {args.root}")
-    print("| Command | Time | Peak RSS | Output |")
-    print("| --- | --- | --- | --- |")
+    print(f"n = {N}, root {args.root}")
+    print("| Command | m | Time | Peak RSS | Output |")
+    print("| --- | --- | --- | --- | --- |")
+    lines = table_csv().splitlines(keepends=True)
     with tempfile.TemporaryDirectory() as tmp:
-        table = Path(tmp) / "table.csv"
-        table.write_bytes(table_csv())
         out = Path(tmp) / "out"
-        for label, command in COMMANDS:
+        for label, m, command in COMMANDS:
+            table = Path(tmp) / f"table{m}.csv"
+            table.write_bytes(b"".join(lines[:m + 1]))  # the header and m rows
             argv = [sys.executable, "-m", "mcmatrix.cli", *command, "--input", str(table),
                     "--direction", "higher", "--output", str(out)]
             seconds, rss = run_child(argv, env)
             size = out.stat().st_size / 1e6
-            print(f"| `{label}` | {seconds:.1f} s | {rss:.0f} MB | {size:.1f} MB |", flush=True)
+            print(f"| `{label}` | {m} | {seconds:.1f} s | {rss:.0f} MB | {size:.1f} MB |",
+                  flush=True)
     return 0
 
 

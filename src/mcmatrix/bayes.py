@@ -17,11 +17,17 @@ is ``BayesPosterior.mirrored()`` bit for bit.
 Sampling is chunked through counter-keyed Philox streams: chunk c uses the
 substream ``Philox(key=seed, counter=c << 128)``, so results are
 bit-identical for a given seed regardless of how chunks are scheduled.
+A chunk's weights depend only on the seed, the chunk and the number of
+differences, so ``bayesian_signed_rank`` takes a block of pairs, draws
+each chunk once and shares it across the block: a pair's posterior is the
+same bits in any block, and alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,7 @@ from .errors import ValidationError
 __all__ = [
     "BayesConfig",
     "BayesPosterior",
+    "PosteriorTable",
     "bayesian_signed_rank",
     "posterior_samples",
     "CHUNK_SIZE",
@@ -60,16 +67,37 @@ class BayesConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (self.rope >= 0.0 and math.isfinite(self.rope)):
+        """Refuse a setting of the wrong kind or out of range with a
+        ``ValidationError`` that names it: ``rope`` and ``prior_strength``
+        are real numbers, ``mc_samples`` and ``seed`` integers (a ``bool``
+        is neither)."""
+        rope = _real("rope", self.rope)
+        if not (rope >= 0.0 and math.isfinite(rope)):
             raise ValidationError(f"rope must be finite and >= 0, got {self.rope!r}")
-        if not (self.prior_strength > 0.0 and math.isfinite(self.prior_strength)):
+        strength = _real("prior strength", self.prior_strength)
+        if not (strength > 0.0 and math.isfinite(strength)):
             raise ValidationError(
                 f"prior strength must be finite and > 0, got {self.prior_strength!r}"
             )
-        if int(self.mc_samples) < 1:
+        if _integer("mc_samples", self.mc_samples) < 1:
             raise ValidationError("mc_samples must be at least 1")
-        if not 0 <= int(self.seed) <= _UINT64_MAX:
+        if not 0 <= _integer("seed", self.seed) <= _UINT64_MAX:
             raise ValidationError("seed must be a 64-bit unsigned integer")
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -102,21 +130,46 @@ class BayesPosterior:
         )
 
 
-def _prepare(diffs, config: BayesConfig):
+@dataclass(frozen=True)
+class PosteriorTable(Sequence):
+    """Posteriors of a block of pairs, held as columns.
+
+    Item i is the ``BayesPosterior`` of row i of the block, built when it
+    is read.  Every posterior of a table averages ``mc_samples_used``
+    samples.
+    """
+
+    theta_left: tuple[float, ...]
+    theta_rope: tuple[float, ...]
+    theta_right: tuple[float, ...]
+    mc_samples_used: int
+
+    def __len__(self) -> int:
+        return len(self.theta_left)
+
+    def __getitem__(self, i: int) -> BayesPosterior:
+        return BayesPosterior(self.theta_left[i], self.theta_rope[i],
+                              self.theta_right[i], self.mc_samples_used)
+
+
+def _prepare(rows, config: BayesConfig) -> np.ndarray:
+    """Each row's z = (0, d), as one (k, q + 1) array."""
     config.validate()
-    d = np.asarray(diffs, dtype=np.float64)
-    if d.size == 0:
+    try:
+        d = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("differences must be numbers, in rows of one length") from None
+    if d.ndim != 2:
+        raise ValidationError(
+            f"need one row of differences per pair, got {d.ndim} dimension(s)"
+        )
+    if d.shape[1] == 0:
         raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    z = np.concatenate(([0.0], d))
-    sums = z[:, None] + z[None, :]
-    bound = 2.0 * float(config.rope)
-    left = (sums < -bound).astype(np.float64)
-    right = (sums > bound).astype(np.float64)
-    concentration = np.ones(z.size, dtype=np.float64)
-    concentration[0] = float(config.prior_strength)
-    return left, right, concentration
+    z = np.zeros((d.shape[0], d.shape[1] + 1), dtype=np.float64)
+    z[:, 1:] = d
+    return z
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -125,27 +178,37 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _chunk_thetas(left, right, concentration, seed, chunk_index, size):
-    """Per-sample theta triples for one substream chunk, shape (size, 3)."""
-    rng = _chunk_generator(seed, chunk_index)
-    w = rng.dirichlet(concentration, size=size)
-    # Quadratic forms w' M w, normalized by the total pair mass (sum w)^2
-    # so the three regions partition exactly one unit per sample.
-    total = w.sum(axis=1) ** 2
-    theta_l = ((w @ left) * w).sum(axis=1) / total
-    theta_r = ((w @ right) * w).sum(axis=1) / total
-    theta_e = 1.0 - (theta_l + theta_r)
-    return np.stack([theta_l, theta_e, theta_r], axis=1)
+def _chunks(z: np.ndarray, config: BayesConfig):
+    """``(i, thetas)``: row i's per-sample theta triples for one substream
+    chunk, shape (size, 3), chunk by chunk and row by row within a chunk.
 
-
-def _chunks(diffs, config: BayesConfig):
-    """The theta triples of ``config.mc_samples`` samples, one substream
-    chunk at a time."""
-    left, right, concentration = _prepare(diffs, config)
-    n = int(config.mc_samples)
+    A chunk's weights depend only on the seed, the chunk and the row
+    length, so each chunk is drawn once and shared by every row.  Only one
+    chunk's weights, one product buffer and one row's region matrices are
+    alive at a time: the regions of every row at once would be k (q+1)^2
+    floats.
+    """
+    concentration = np.ones(z.shape[1], dtype=np.float64)
+    concentration[0] = float(config.prior_strength)
+    bound = 2.0 * float(config.rope)
+    n = int(config.mc_samples) if len(z) else 0
     for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
         size = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
-        yield _chunk_thetas(left, right, concentration, config.seed, chunk_index, size)
+        w = _chunk_generator(config.seed, chunk_index).dirichlet(concentration, size=size)
+        # Quadratic forms w' M w, normalized by the total pair mass (sum w)^2
+        # so the three regions partition exactly one unit per sample.
+        total = w.sum(axis=1) ** 2
+        buf = np.empty_like(w)
+        for i, row in enumerate(z):
+            sums = row[:, None] + row[None, :]
+            thetas = []
+            for region in (sums < -bound, sums > bound):
+                np.matmul(w, region.astype(np.float64), out=buf)
+                buf *= w
+                thetas.append(buf.sum(axis=1) / total)
+            theta_l, theta_r = thetas
+            yield i, np.stack([theta_l, 1.0 - (theta_l + theta_r), theta_r], axis=1)
+        del w, total, buf  # before the next chunk's draw
 
 
 def posterior_samples(diffs, config: BayesConfig = BayesConfig()) -> np.ndarray:
@@ -154,23 +217,25 @@ def posterior_samples(diffs, config: BayesConfig = BayesConfig()) -> np.ndarray:
     The rows are exactly the samples ``bayesian_signed_rank`` averages for
     the same inputs and seed; useful for convergence diagnostics.
     """
-    return np.concatenate(list(_chunks(diffs, config)), axis=0)
+    chunks = _chunks(_prepare([diffs], config), config)
+    return np.concatenate([thetas for _, thetas in chunks], axis=0)
 
 
-def bayesian_signed_rank(diffs, config: BayesConfig = BayesConfig()) -> BayesPosterior:
-    """Posterior of (column better, no meaningful difference, row better).
+def bayesian_signed_rank(rows, config: BayesConfig = BayesConfig()) -> PosteriorTable:
+    """Posteriors of (column better, no meaningful difference, row better),
+    one per row of differences.
 
+    ``rows`` holds one row of oriented differences per pair, all of one
+    length; a single pair is ``bayesian_signed_rank([d], config)[0]``.
+    Each chunk of Dirichlet weights is drawn once and shared by every row,
+    so a row's posterior is bit-identical whatever block it is in.
     Deterministic given the inputs and ``config.seed``; chunk substreams
     make the result independent of evaluation order.
     """
-    sums = np.zeros(3, dtype=np.float64)
-    for thetas in _chunks(diffs, config):
-        sums += thetas.sum(axis=0)
+    z = _prepare(rows, config)
+    sums = np.zeros((len(z), 3), dtype=np.float64)
+    for i, thetas in _chunks(z, config):
+        sums[i] += thetas.sum(axis=0)
     n = int(config.mc_samples)
     means = np.clip(sums / n, 0.0, 1.0)
-    return BayesPosterior(
-        theta_left=float(means[0]),
-        theta_rope=float(means[1]),
-        theta_right=float(means[2]),
-        mc_samples_used=n,
-    )
+    return PosteriorTable(*(tuple(means[:, j].tolist()) for j in range(3)), n)

@@ -26,8 +26,8 @@ from .stats import (
     PairTable,
     PairwiseComparison,
     PMethod,
+    _differences,
     check_alpha,
-    oriented_differences,
     pair_statistics,
     pairwise_comparison,
 )
@@ -88,7 +88,8 @@ class PairGrid(Mapping):
     ``index`` maps each key to ``(i, reversed)``: ``table[i]`` is the value
     of the pair in the orientation it was evaluated in, and a reversed key
     reads its ``mirrored()``.  Cells keep ``table`` a ``PairTable``, whose
-    ``fields(i, reversed)`` the writers read instead of building cells.
+    ``fields(i, reversed)`` the writers read instead of building cells;
+    posteriors keep it a ``bayes.PosteriorTable``.
     """
 
     __slots__ = ("table", "index")
@@ -126,7 +127,9 @@ def compare_pairs(
     disagreement raises ``InternalError``.  That compares a block with a
     one-row run of the same kernel, not with an independent
     implementation.  Fewer pairs are evaluated one at a time by
-    ``pairwise_comparison``.  Posteriors are computed pair by pair.
+    ``pairwise_comparison``.  Posteriors come from one
+    ``bayesian_signed_rank`` call on the block of every unordered pair, so
+    each chunk of Dirichlet weights is drawn once per call.
     """
     index: dict[tuple[str, str], tuple[int, bool]] = {}
     first: list[tuple[str, str]] = []
@@ -153,9 +156,8 @@ def compare_pairs(
             )
     bayes = None
     if bayes_config is not None:
-        posteriors = [bayesian_signed_rank(oriented_differences(matrix, r, c), bayes_config)
-                      for r, c in first]
-        bayes = PairGrid(posteriors, index)
+        bayes = PairGrid(bayesian_signed_rank(_differences(matrix, first), bayes_config),
+                         index)
     return PairGrid(table, index), bayes
 
 

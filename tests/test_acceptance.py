@@ -191,23 +191,23 @@ def test_criterion_7_bayes_properties():
         assert (totals == 1.0).all()
 
         sym = BayesConfig(rope=0.0, mc_samples=40_000, seed=7)
-        posterior = bayesian_signed_rank([0.8, -0.8], sym)
+        posterior = bayesian_signed_rank([[0.8, -0.8]], sym)[0]
         gap_samples = posterior_samples([0.8, -0.8], sym)
         gap = gap_samples[:, 0] - gap_samples[:, 2]
         se = float(gap.std(ddof=1) / np.sqrt(gap.shape[0]))
         assert abs(posterior.theta_left - posterior.theta_right) <= 3.0 * se
 
-        again = bayesian_signed_rank(diffs, config)
-        assert again == bayesian_signed_rank(diffs, config)
+        again = bayesian_signed_rank([diffs], config)[0]
+        assert again == bayesian_signed_rank([diffs], config)[0]
 
         for factor in (2.0, 0.5, 8.0):
             scaled = bayesian_signed_rank(
-                [d * factor for d in diffs],
+                [[d * factor for d in diffs]],
                 BayesConfig(rope=0.01 * factor, mc_samples=20_000, seed=1007),
-            )
+            )[0]
             base = bayesian_signed_rank(
-                diffs, BayesConfig(rope=0.01, mc_samples=20_000, seed=1007)
-            )
+                [diffs], BayesConfig(rope=0.01, mc_samples=20_000, seed=1007)
+            )[0]
             assert scaled == base
 
 
@@ -245,9 +245,9 @@ def test_criterion_8_external_reproduction():
         rocket = _find_name(matrix, "ROCKET")
         inception = _find_name(matrix, "InceptionTime")
         posterior = bayesian_signed_rank(
-            oriented_differences(matrix, rocket, inception),
+            [oriented_differences(matrix, rocket, inception)],
             BayesConfig(rope=0.01, mc_samples=100_000, seed=0),
-        )
+        )[0]
         assert abs(posterior.theta_right - 0.777) <= 0.01
         assert abs(posterior.theta_rope - 0.173) <= 0.01
 

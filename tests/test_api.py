@@ -134,8 +134,14 @@ PUBLIC_SURFACE = {
         "mc_samples_used",
         "mirrored(self)",
     ),
+    "mcmatrix.bayes.PosteriorTable": (
+        "theta_left",
+        "theta_rope",
+        "theta_right",
+        "mc_samples_used",
+    ),
     "mcmatrix.bayes.bayesian_signed_rank": (
-        "(diffs, config=BayesConfig(rope=0.01, prior_strength=1.0, mc_samples=100000, "
+        "(rows, config=BayesConfig(rope=0.01, prior_strength=1.0, mc_samples=100000, "
         "seed=0))"
     ),
     "mcmatrix.bayes.posterior_samples": (

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -17,7 +18,7 @@ from mcmatrix import (
     mcm_cell_invariance_check,
     mcm_report_to_dict,
 )
-from mcmatrix.bayes import BayesPosterior
+from mcmatrix.bayes import CHUNK_SIZE, BayesPosterior, bayesian_signed_rank
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stability import significance_pattern
 from mcmatrix.mcm import PairGrid, cell_records, cell_records_json
@@ -135,9 +136,9 @@ class TestBuildMcm:
             single_calls.append(frozenset((row, column)))
             return evaluate(matrix, row, column, *args, **kwargs)
 
-        def counting_bayes(*args, **kwargs):
-            bayes_calls.append(None)
-            return posterior(*args, **kwargs)
+        def counting_bayes(rows, *args, **kwargs):
+            bayes_calls.append(len(rows))
+            return posterior(rows, *args, **kwargs)
 
         monkeypatch.setattr(mcmatrix.mcm, "pair_statistics", counting_block)
         monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting_single)
@@ -170,11 +171,11 @@ class TestBuildMcm:
                 evaluated = single_calls
                 assert block_calls == []
             assert len(evaluated) == len(set(evaluated)) == expected
-            assert len(bayes_calls) == expected
+            assert bayes_calls == [expected]  # one block per build, a row per pair
             assert set(evaluated) == {frozenset(pair) for pair in report.cells}
             for (r, c), cell in report.cells.items():
                 assert cell_bits(cell) == cell_bits(pairwise_comparison_scalar(matrix, r, c, 0.05))
-                direct = posterior(oriented_differences(matrix, r, c), bayes_config)
+                direct = posterior([oriented_differences(matrix, r, c)], bayes_config)[0]
                 assert posterior_bits(report.bayes[(r, c)]) == posterior_bits(direct)
 
     def test_batched_cell_disagreeing_with_single_pair_is_internal_error(
@@ -290,6 +291,30 @@ class TestCellInvariance:
         subset_small = (a, b, *fixture["small_family_extras"])
         subset_large = (a, b, *fixture["large_family_extras"])
         assert mcm_cell_invariance_check(matrix, (a, b), [subset_small, subset_large])
+
+
+class TestPosteriorInvariance:
+    def test_posterior_is_the_same_bits_in_any_block_and_any_report(self):
+        # Two full chunks and a short third, so every chunk's shared draw is
+        # checked against the pair's own.
+        config = BayesConfig(rope=0.02, mc_samples=2 * CHUNK_SIZE + 300, seed=31)
+        matrix = random_matrix(np.random.default_rng(24), m=5, n=11, tie_prob=0.3)
+        pairs = list(itertools.combinations(matrix.comparates, 2))
+        block = bayesian_signed_rank([oriented_differences(matrix, *p) for p in pairs], config)
+        alone = {}
+        for i, pair in enumerate(pairs):
+            table = bayesian_signed_rank([oriented_differences(matrix, *pair)], config)
+            assert len(table) == 1
+            alone[pair] = table[0]
+            assert posterior_bits(block[i]) == posterior_bits(table[0])
+        for size in range(2, matrix.m + 1):
+            for subset in itertools.combinations(matrix.comparates, size):
+                report = build_mcm(matrix.select_comparates(subset), MCMConfig(), config)
+                for a, b in itertools.combinations(subset, 2):
+                    posterior = alone[(a, b)]
+                    assert posterior_bits(report.bayes[(a, b)]) == posterior_bits(posterior)
+                    assert (posterior_bits(report.bayes[(b, a)])
+                            == posterior_bits(posterior.mirrored()))
 
 
 class TestReportJson:

@@ -1,5 +1,6 @@
 """Memory bounds of the grid commands' largest transients, on an m = 100
-grid of 108 continuous tasks (4,950 pairs, every cell approximate).
+grid of 108 continuous tasks (4,950 pairs, every cell approximate), and of
+the Bayesian block kernel's working set.
 
 ``tracemalloc`` sees numpy's buffers as well as Python objects, so a peak
 here is the working set of the call, whatever holds it.
@@ -11,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcmatrix import build_mcm
+from mcmatrix import BayesConfig, build_mcm
+from mcmatrix.bayes import CHUNK_SIZE, bayesian_signed_rank
 from mcmatrix.mcm import cell_records_json
 from mcmatrix.render import render_mcm
 from mcmatrix.stats import pair_statistics
@@ -59,3 +61,14 @@ def test_grid_writer_holds_its_output_about_twice(report, write):
     out, peak = _traced(lambda: write(report))
     assert len(out) > 2e6
     assert peak < 2.5 * len(out)
+
+
+def test_posterior_block_working_set_does_not_grow_with_its_rows():
+    # One chunk of weights, one product buffer and one row's regions are
+    # alive at a time, whatever the number of rows: about 15 MB at n = 108.
+    rows = np.random.default_rng(24).normal(0.0, 0.05, size=(45, 108))
+    config = BayesConfig(mc_samples=2 * CHUNK_SIZE, seed=5)
+    one, one_peak = _traced(lambda: bayesian_signed_rank(rows[:1], config))
+    block, block_peak = _traced(lambda: bayesian_signed_rank(rows, config))
+    assert len(block) == 45 and block[0] == one[0]
+    assert block_peak <= 1.2 * one_peak
