@@ -10,7 +10,9 @@ It writes an m = 400, n = 60 table of accuracy-like scores, generated from
 versions), then runs every grid writer on it: ``mcm`` in each of its three
 formats, ``stats``, and ``cd --pairwise wilcoxon-holm`` (the all-pairs Holm
 path).  It also runs ``mcm --include-bayes --format json`` at the default
-100,000 samples on the table's first 20 comparates (190 posteriors).  Each
+100,000 samples on the table's first 20 comparates (190 posteriors), and
+``stability enumerate --k-extra 5`` at the exhaustive limit: a core of 4
+and a pool of 43 on a second, m = 47, n = 30 table (962,598 subsets).  Each
 command is a fresh ``python -m mcmatrix.cli`` process on the ``src``
 directory of ``--root``.  It prints a Markdown table with each
 command's wall seconds, its peak resident memory (the child's own
@@ -31,15 +33,18 @@ from pathlib import Path
 
 M, N = 400, 60
 BAYES_M = 20
-# (label, comparates: the first m rows of the table, CLI arguments)
+ENUM_M, ENUM_N = 47, 30
+# (label, comparates: the first m rows of the m x n table, tasks n, CLI arguments)
 COMMANDS = (
-    ("mcm --format json", M, ["mcm", "--format", "json"]),
-    ("mcm --format html", M, ["mcm", "--format", "html"]),
-    ("mcm --format svg", M, ["mcm", "--format", "svg"]),
-    ("stats", M, ["stats"]),
-    ("cd --pairwise wilcoxon-holm", M, ["cd", "--pairwise", "wilcoxon-holm"]),
-    ("mcm --include-bayes --format json", BAYES_M,
+    ("mcm --format json", M, N, ["mcm", "--format", "json"]),
+    ("mcm --format html", M, N, ["mcm", "--format", "html"]),
+    ("mcm --format svg", M, N, ["mcm", "--format", "svg"]),
+    ("stats", M, N, ["stats"]),
+    ("cd --pairwise wilcoxon-holm", M, N, ["cd", "--pairwise", "wilcoxon-holm"]),
+    ("mcm --include-bayes --format json", BAYES_M, N,
      ["mcm", "--include-bayes", "--format", "json"]),
+    ("stability enumerate --k-extra 5", ENUM_M, ENUM_N,
+     ["stability", "enumerate", "--k-extra", "5", "--core", "c000,c001,c002,c003"]),
 )
 
 
@@ -75,20 +80,21 @@ def main() -> int:
                         help="source checkout whose src/ is timed (default: this one)")
     args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
-    print(f"n = {N}, root {args.root}")
-    print("| Command | m | Time | Peak RSS | Output |")
-    print("| --- | --- | --- | --- | --- |")
-    lines = table_csv().splitlines(keepends=True)
+    print(f"root {args.root}")
+    print("| Command | m | n | Time | Peak RSS | Output |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    lines = {N: table_csv().splitlines(keepends=True),
+             ENUM_N: table_csv(ENUM_M, ENUM_N).splitlines(keepends=True)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        for label, m, command in COMMANDS:
-            table = Path(tmp) / f"table{m}.csv"
-            table.write_bytes(b"".join(lines[:m + 1]))  # the header and m rows
+        for label, m, n, command in COMMANDS:
+            table = Path(tmp) / f"table{m}x{n}.csv"
+            table.write_bytes(b"".join(lines[n][:m + 1]))  # the header and m rows
             argv = [sys.executable, "-m", "mcmatrix.cli", *command, "--input", str(table),
                     "--direction", "higher", "--output", str(out)]
             seconds, rss = run_child(argv, env)
             size = out.stat().st_size / 1e6
-            print(f"| `{label}` | {m} | {seconds:.1f} s | {rss:.0f} MB | {size:.1f} MB |",
+            print(f"| `{label}` | {m} | {n} | {seconds:.1f} s | {rss:.0f} MB | {size:.1f} MB |",
                   flush=True)
     return 0
 

@@ -26,12 +26,12 @@ same bits in any block, and alone.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_integer, check_real, check_real_array
 from .errors import ValidationError
 
 __all__ = [
@@ -71,33 +71,18 @@ class BayesConfig:
         ``ValidationError`` that names it: ``rope`` and ``prior_strength``
         are real numbers, ``mc_samples`` and ``seed`` integers (a ``bool``
         is neither)."""
-        rope = _real("rope", self.rope)
+        rope = check_real("rope", self.rope)
         if not (rope >= 0.0 and math.isfinite(rope)):
             raise ValidationError(f"rope must be finite and >= 0, got {self.rope!r}")
-        strength = _real("prior strength", self.prior_strength)
+        strength = check_real("prior strength", self.prior_strength)
         if not (strength > 0.0 and math.isfinite(strength)):
             raise ValidationError(
                 f"prior strength must be finite and > 0, got {self.prior_strength!r}"
             )
-        if _integer("mc_samples", self.mc_samples) < 1:
+        if check_integer("mc_samples", self.mc_samples) < 1:
             raise ValidationError("mc_samples must be at least 1")
-        if not 0 <= _integer("seed", self.seed) <= _UINT64_MAX:
+        if not 0 <= check_integer("seed", self.seed) <= _UINT64_MAX:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-
-
-def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the float range
-        return math.inf
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -155,10 +140,7 @@ class PosteriorTable(Sequence):
 def _prepare(rows, config: BayesConfig) -> np.ndarray:
     """Each row's z = (0, d), as one (k, q + 1) array."""
     config.validate()
-    try:
-        d = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError("differences must be numbers, in rows of one length") from None
+    d = check_real_array("differences", rows)
     if d.ndim != 2:
         raise ValidationError(
             f"need one row of differences per pair, got {d.ndim} dimension(s)"

@@ -37,9 +37,9 @@ from .mcm import (
 from .render import render_cd_diagram, render_mcm, render_pattern_graph
 from .selftest import run_selftest
 from .stability import (
+    SignificancePattern,
     detect_rank_swap,
     enumerate_patterns,
-    pattern_from_bitmask,
     weakened_variant_attack,
 )
 from .stats import (
@@ -379,7 +379,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     meta = _metadata(args, payload, pool=list(pool), workers=1)
     if args.render_patterns:
         for mask in sorted(enumeration.pattern_counts):
-            pattern = pattern_from_bitmask(core, mask)
+            pattern = SignificancePattern(core, mask)
             svg = render_pattern_graph(pattern, metadata=meta)
             _write_output(str(directory / f"pattern-{mask:#06x}.svg"), svg)
     out = dict(metadata=meta, **enumeration.to_dict())

@@ -2,7 +2,7 @@
 
 The central type is :class:`ResultsMatrix`, a dense m x n table of scores
 for m comparates (the methods being compared) on n tasks.  All values are
-immutable after construction.
+immutable after construction.  ``check_*`` refuse input of the wrong kind.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
@@ -69,7 +70,7 @@ class ResultsMatrix:
         object.__setattr__(self, "comparates", tuple(self.comparates))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "direction", Direction.parse(self.direction))
-        arr = np.array(self.scores, dtype=np.float64, copy=True)
+        arr = np.array(check_real_array("scores", self.scores), copy=True)
         if arr.ndim != 2:
             raise ValidationError("scores must be a 2-D grid")
         object.__setattr__(self, "scores", arr)
@@ -161,6 +162,38 @@ class ResultsMatrix:
         for name in wanted:
             self.index_of(name)
         return tuple(c for c in self.comparates if c in wanted)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ``ValidationError`` naming it unless it is an
+    integer (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ``ValidationError`` naming it unless it is a
+    real number (a ``bool`` is not).  An int past the float range is inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def check_real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array; ``ValidationError`` naming them unless
+    they are integers and floats (not strings, bools, complex values or
+    objects) in rows of one length."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged rows
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be numbers, in rows of one length")
+    return array.astype(np.float64, copy=False)
 
 
 def _check_unique(kind: str, names: Sequence[str]) -> None:

@@ -19,21 +19,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ResultsMatrix, weaken_comparate
+from .data import ResultsMatrix, check_integer, weaken_comparate
 from .errors import InternalError, ValidationError
 from .stats import (
     all_pairs_pvalues,
     check_alpha,
     compute_ranks,
     holm_correction,
-    pair_id,
     pair_statistics,
 )
 from .stats import wilcoxon_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 
 __all__ = [
     "SignificancePattern",
-    "pattern_from_bitmask",
     "PatternEnumeration",
     "significance_pattern",
     "enumerate_patterns",
@@ -65,48 +63,29 @@ _MASK64 = (1 << 64) - 1
 @dataclass(frozen=True)
 class SignificancePattern:
     """Core pairs whose corrected difference is NOT significant in one
-    study configuration.
-
-    Pairs are (i, j) index pairs into ``core`` with i < j; the bitmask
-    packs them in lexicographic pair order and serves as a hash key.
+    study configuration, as a bitmask: bit b stands for the b-th pair of
+    ``itertools.combinations(range(len(core)), 2)``.
     """
 
     core: tuple[str, ...]
-    non_significant_pairs: frozenset[tuple[int, int]]
+    bitmask: int
 
     def __post_init__(self):
+        object.__setattr__(self, "core", tuple(self.core))
+        mask = check_integer("bitmask", self.bitmask)
         k = len(self.core)
-        for i, j in self.non_significant_pairs:
-            if not (0 <= i < j < k):
-                raise ValidationError(f"pair ({i}, {j}) out of range for core size {k}")
+        if not 0 <= mask < 1 << math.comb(k, 2):
+            raise ValidationError(f"bitmask {mask:#x} out of range for core size {k}")
+        object.__setattr__(self, "bitmask", mask)
 
     @property
-    def bitmask(self) -> int:
-        mask = 0
-        for i, j in self.non_significant_pairs:
-            mask |= 1 << _pair_bit(len(self.core), i, j)
-        return mask
+    def non_significant_pairs(self) -> frozenset[tuple[int, int]]:
+        pairs = itertools.combinations(range(len(self.core)), 2)
+        return frozenset(ij for b, ij in enumerate(pairs) if self.bitmask >> b & 1)
 
     def pair_names(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (self.core[i], self.core[j]) for i, j in sorted(self.non_significant_pairs)
-        )
-
-
-def _pair_bit(k: int, i: int, j: int) -> int:
-    # Lexicographic pair order: (0,1), (0,2), ..., (0,k-1), (1,2), ...
-    return i * k - i * (i + 1) // 2 + (j - i - 1)
-
-
-def pattern_from_bitmask(core: Sequence[str], mask: int) -> SignificancePattern:
-    core = tuple(core)
-    k = len(core)
-    pairs = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mask >> _pair_bit(k, i, j) & 1:
-                pairs.add((i, j))
-    return SignificancePattern(core=core, non_significant_pairs=frozenset(pairs))
+        pairs = itertools.combinations(self.core, 2)
+        return tuple(pq for b, pq in enumerate(pairs) if self.bitmask >> b & 1)
 
 
 @dataclass(frozen=True)
@@ -123,7 +102,7 @@ class PatternEnumeration:
         patterns = []
         for mask in sorted(self.pattern_counts,
                            key=lambda m: (-self.pattern_counts[m], m)):
-            pat = pattern_from_bitmask(self.core, mask)
+            pat = SignificancePattern(self.core, mask)
             patterns.append(
                 {
                     "bitmask": hex(mask),
@@ -162,8 +141,8 @@ def significance_pattern(
     if len(family) < 2:
         raise ValidationError("need at least two comparates in core + extra")
 
-    pvalues = all_pairs_pvalues(matrix, family)
-    return pattern_from_bitmask(core, _holm_mask(core, family, pvalues, alpha))
+    p = all_pairs_pvalues(matrix, family)
+    return SignificancePattern(core, _holm_mask(p, len(core), alpha))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -238,68 +217,41 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
     return chosen
 
 
-def _pvalues(matrix: ResultsMatrix,
-             pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], float]:
-    """Signed-rank p of each (row, column) pair, keyed by ``pair_id``."""
-    table = pair_statistics(matrix, pairs)
-    return dict(zip(itertools.starmap(pair_id, table.pairs), table.p_value))
-
-
-def _holm_mask(
-    core: tuple[str, ...],
-    family: tuple[str, ...],
-    pvalues: dict[tuple[str, str], float],
-    alpha: float,
-) -> int:
-    """Core pairs left non-significant by correcting the whole family over
-    cached p-values, as a bitmask: every experiment decides significance here."""
-    items = [(pid, pvalues[pid])
-             for pid in itertools.starmap(pair_id, itertools.combinations(family, 2))]
-    flags = {d.pair: d.significant for d in holm_correction(items, alpha)}
-    k = len(core)
-    mask = 0
-    for i, j in itertools.combinations(range(k), 2):
-        if not flags[pair_id(core[i], core[j])]:
-            mask |= 1 << _pair_bit(k, i, j)
-    return mask
+def _holm_mask(p: np.ndarray, n_core: int, alpha: float) -> int:
+    """Core pairs left non-significant by correcting the whole family, as a
+    bitmask.  ``p`` is the family's p-value array with the core first:
+    every experiment decides significance here."""
+    family = [(ij, p[ij]) for ij in itertools.combinations(range(len(p)), 2)]
+    flags = {d.pair: d.significant for d in holm_correction(family, alpha)}
+    core_pairs = itertools.combinations(range(n_core), 2)
+    return sum(1 << b for b, ij in enumerate(core_pairs) if not flags[ij])
 
 
 def _step_down(
-    names: tuple[str, ...],
+    p: np.ndarray,
     n_core: int,
     k_extra: int,
-    pvalues: dict[tuple[str, str], float],
     alpha: float,
 ) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
     """Vectorized ``_holm_mask`` over many families core + extras.
 
-    ``names`` is core + pool.  Returns the C(n_core, 2) + 1 possible pattern
-    bitmasks and a function that maps an S x k_extra array of pool indices
-    to each row's index into them.  Each row's family p-values are sorted
-    and compared with alpha / (F - i); the rejections are the leading run
-    of passes.  A pair is significant iff at least one p was rejected and
-    its p is <= the last rejected p, which is the stop rule together with
-    the equal-p unification of ``holm_correction``.
+    ``p`` is the p-value array of core + pool.  Returns the C(n_core, 2) + 1
+    possible pattern bitmasks and a function that maps an S x k_extra array
+    of pool indices to each row's index into them.  Each row's family
+    p-values are sorted and compared with alpha / (F - i); the rejections
+    are the leading run of passes.  A pair is significant iff at least one
+    p was rejected and its p is <= the last rejected p, which is the stop
+    rule together with the equal-p unification of ``holm_correction``.
     Core p-values do not depend on the extras, so the significant core
     pairs are always the first t in ascending core p, and a row's mask
     is the suffix mask of the core pairs from the t-th on.
     """
-    n = len(names)
-    pmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pmat[i, j] = pmat[j, i] = pvalues[pair_id(names[i], names[j])]
     left, right = np.triu_indices(n_core + k_extra, 1)
     thresholds = alpha / (len(left) - np.arange(len(left)))
-    core_pairs = sorted(
-        (pmat[i, j], _pair_bit(n_core, i, j))
-        for i in range(n_core)
-        for j in range(i + 1, n_core)
-    )
-    core_p = np.array([p for p, _ in core_pairs])
-    suffix_masks = [0] * (len(core_pairs) + 1)
-    for t in range(len(core_pairs) - 1, -1, -1):
-        suffix_masks[t] = suffix_masks[t + 1] | 1 << core_pairs[t][1]
+    core_p = p[np.triu_indices(n_core, 1)]  # entry b: the pair of bit b
+    order = np.argsort(core_p, kind="stable").tolist()
+    core_p = core_p[order]
+    suffix_masks = [sum(1 << b for b in order[t:]) for t in range(len(order) + 1)]
     core_idx = np.arange(n_core)
 
     def masks(extras: np.ndarray) -> np.ndarray:
@@ -307,7 +259,7 @@ def _step_down(
         family = np.concatenate(
             [np.broadcast_to(core_idx, (s, n_core)), extras + n_core], axis=1
         )
-        ps = np.sort(pmat[family[:, left], family[:, right]], axis=1)
+        ps = np.sort(p[family[:, left], family[:, right]], axis=1)
         rejected = np.logical_and.accumulate(ps <= thresholds, axis=1).sum(axis=1)
         last = np.where(rejected > 0, ps[np.arange(s), rejected - 1], -1.0)
         return np.searchsorted(core_p, last, side="right")
@@ -350,14 +302,14 @@ def enumerate_patterns(
     exhaustive sweep.
     """
     alpha = check_alpha(alpha)
-    if not 0 <= int(seed) <= _MASK64:
+    if not 0 <= check_integer("seed", seed) <= _MASK64:
         raise ValidationError("seed must be a 64-bit unsigned integer")
     core = matrix.check_names(core, "core")
     pool = matrix.check_names(pool, "pool")
     overlap = set(core) & set(pool)
     if overlap:
         raise ValidationError(f"core and pool overlap: {sorted(overlap)!r}")
-    k_extra = int(k_extra)
+    k_extra = check_integer("k_extra", k_extra)
     if k_extra < 0:
         raise ValidationError("k_extra must be >= 0")
     if k_extra > len(pool):
@@ -367,7 +319,7 @@ def enumerate_patterns(
 
     total_space = math.comb(len(pool), k_extra)
     if sample is not None:
-        sample = int(sample)
+        sample = check_integer("sample", sample)
         if sample < 1:
             raise ValidationError("sample count must be >= 1")
         if sample >= total_space:
@@ -396,8 +348,8 @@ def enumerate_patterns(
         total = sample
 
     # One p-value per pair over core + pool covers every family.
-    pvalues = all_pairs_pvalues(matrix, core + pool)
-    pattern_masks, masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
+    p = all_pairs_pvalues(matrix, core + pool)
+    pattern_masks, masks = _step_down(p, len(core), k_extra, alpha)
     counts = np.zeros(len(pattern_masks), dtype=np.int64)
     # Pattern index -> kept example subsets, in order of first appearance.
     examples: dict[int, list[tuple[str, ...]]] = {}
@@ -421,7 +373,8 @@ def enumerate_patterns(
             subset = tuple(pool[i] for i in extras[row].tolist())
             pattern = int(t[row])
             if n_seen[row] == 1:
-                expected = _holm_mask(core, core + subset, pvalues, alpha)
+                family = [*range(len(core)), *(extras[row] + len(core)).tolist()]
+                expected = _holm_mask(p[np.ix_(family, family)], len(core), alpha)
                 if expected != pattern_masks[pattern]:
                     raise InternalError(
                         f"vectorized step-down gave pattern {pattern_masks[pattern]:#x} "
@@ -468,7 +421,7 @@ class RankSwapReport:
 
 
 def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
-                   pair: tuple[str, str], pvalues: dict[tuple[str, str], float],
+                   pair: tuple[str, str], p: np.ndarray, index: dict[str, int],
                    alpha: float) -> tuple[dict[str, float], str | None, bool]:
     table = compute_ranks(matrix.select_comparates(members))
     ars = {name: float(table.average_ranks[i]) for i, name in enumerate(members)}
@@ -479,7 +432,8 @@ def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
         better = y
     else:
         better = None
-    significant = not _holm_mask(pair, members, pvalues, alpha)
+    family = [index[name] for name in (x, y, *(c for c in members if c not in pair))]
+    significant = not _holm_mask(p[np.ix_(family, family)], 2, alpha)
     return {x: ars[x], y: ars[y]}, better, significant
 
 
@@ -506,9 +460,12 @@ def detect_rank_swap(
 
     # Both sets are in matrix order, so a shared pair is the same tuple in both.
     families = dict.fromkeys(pq for s in (a, b) for pq in itertools.combinations(s, 2))
-    pvalues = _pvalues(matrix, list(families))
-    ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), pvalues, alpha)
-    ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), pvalues, alpha)
+    index = {name: i for i, name in enumerate(matrix.in_matrix_order(a + b))}
+    rows, columns = zip(*[(index[r], index[c]) for r, c in families])
+    p = np.zeros((len(index), len(index)))
+    p[rows, columns] = p[columns, rows] = pair_statistics(matrix, list(families)).p_value
+    ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), p, index, alpha)
+    ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), p, index, alpha)
     return RankSwapReport(
         pair=(x, y),
         average_ranks_a=ars_a,
@@ -599,8 +556,10 @@ def weakened_variant_attack(
 
     base_ranks = compute_ranks(matrix.select_comparates(ordered))
     base_ar = float(base_ranks.average_ranks[ordered.index(target)])
-    pvalues = all_pairs_pvalues(matrix, ordered)
-    base_mask = _holm_mask(ordered, ordered, pvalues, alpha)
+    c = len(ordered)
+    p = np.zeros((c + 1, c + 1))  # the last row and column: the current variant
+    p[:c, :c] = all_pairs_pvalues(matrix, ordered)
+    base_mask = _holm_mask(p[:c, :c], c, alpha)
 
     outcomes = []
     for w in weights:
@@ -611,16 +570,17 @@ def weakened_variant_attack(
         table = compute_ranks(augmented.select_comparates(members))
         target_ar = float(table.average_ranks[members.index(target)])
         variant_ar = float(table.average_ranks[members.index(variant)])
-        pvalues.update(_pvalues(augmented, [(c, variant) for c in ordered]))
-        mask = _holm_mask(ordered, ordered + (variant,), pvalues, alpha)
-        flipped = pattern_from_bitmask(ordered, base_mask ^ mask).pair_names()
+        tested = pair_statistics(augmented, [(name, variant) for name in ordered])
+        p[:c, c] = p[c, :c] = tested.p_value
+        mask = _holm_mask(p, c, alpha)
+        flipped = SignificancePattern(ordered, base_mask ^ mask).pair_names()
         outcomes.append(
             WeightOutcome(
                 weight=w,
                 variant_name=variant,
                 target_average_rank=target_ar,
                 variant_average_rank=variant_ar,
-                pattern=pattern_from_bitmask(ordered, mask),
+                pattern=SignificancePattern(ordered, mask),
                 flipped_pairs=tuple(sorted(flipped)),
             )
         )
@@ -631,7 +591,7 @@ def weakened_variant_attack(
         context=ordered,
         alpha=alpha,
         baseline_target_average_rank=base_ar,
-        baseline_pattern=pattern_from_bitmask(ordered, base_mask),
+        baseline_pattern=SignificancePattern(ordered, base_mask),
         outcomes=tuple(outcomes),
     )
 

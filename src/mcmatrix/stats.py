@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Direction, ResultsMatrix
+from .data import Direction, ResultsMatrix, check_real, check_real_array
 from .errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
 
 __all__ = [
@@ -339,7 +339,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
     This is one row of the block kernel ``pair_statistics`` uses.
     """
-    d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
+    d = check_real_array("differences", diffs).reshape(1, -1)
     if d.size == 0:
         raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
@@ -522,8 +522,8 @@ def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
 
 
 def check_alpha(alpha: float) -> float:
-    """``alpha`` as a float; ``ValidationError`` unless it lies in (0, 1)."""
-    alpha = float(alpha)
+    """``alpha`` as a float; ``ValidationError`` unless it is a real in (0, 1)."""
+    alpha = check_real("alpha", alpha)
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     return alpha
@@ -569,8 +569,9 @@ def pair_id(a: str, b: str) -> tuple[str, str]:
 def all_pairs_pvalues(
     matrix: ResultsMatrix,
     names: Sequence[str],
-) -> dict[tuple[str, str], float]:
-    """Two-sided Wilcoxon p for every unordered pair among ``names``.
+) -> np.ndarray:
+    """Two-sided Wilcoxon p of every pair among ``names``, as a symmetric
+    array with a zero diagonal whose ``[i, j]`` is the p of the i-th and j-th.
 
     The p-values come from ``pair_statistics``.  With at least
     ``MIN_BLOCK_PAIRS`` pairs, the first pair is tested again by
@@ -588,7 +589,9 @@ def all_pairs_pvalues(
                 f"batched signed-rank test gave {(table.p_value[0], table.p_method[0])!r} "
                 f"for ({a!r}, {b!r}); wilcoxon_signed_rank gives {alone!r}"
             )
-    return dict(zip(itertools.starmap(pair_id, pairs), table.p_value))
+    p = np.zeros((len(names), len(names)))
+    p[np.triu_indices(len(names), 1)] = table.p_value  # in the order of ``pairs``
+    return p + p.T
 
 
 def holm_significance(
@@ -601,5 +604,7 @@ def holm_significance(
     members = list(names)
     if len(members) < 2:
         raise TooFewComparates("need at least two comparates for pairwise tests")
-    pvalues = all_pairs_pvalues(matrix, members)
-    return {d.pair: d.significant for d in holm_correction(pvalues.items(), alpha)}
+    p = all_pairs_pvalues(matrix, members)
+    items = [(pair_id(members[i], members[j]), p[i, j])
+             for i, j in itertools.combinations(range(len(members)), 2)]
+    return {d.pair: d.significant for d in holm_correction(items, alpha)}

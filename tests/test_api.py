@@ -265,11 +265,10 @@ PUBLIC_SURFACE = {
     "mcmatrix.selftest.enumeration_pvalue": "(diffs)",
     "mcmatrix.stability.SignificancePattern": (
         "core",
-        "non_significant_pairs",
-        "bitmask: property",
+        "bitmask",
+        "non_significant_pairs: property",
         "pair_names(self)",
     ),
-    "mcmatrix.stability.pattern_from_bitmask": "(core, mask)",
     "mcmatrix.stability.PatternEnumeration": (
         "core",
         "pattern_counts",

@@ -65,6 +65,18 @@ def test_block_rows_must_be_one_length_of_numbers():
     assert len(bayesian_signed_rank(np.empty((0, 3)), BayesConfig(mc_samples=10))) == 0
 
 
+@pytest.mark.parametrize("rows", [
+    [["0.5", "-0.25"]],
+    [[True, False]],
+    [[0.5 + 0j, -0.25]],
+    [[None, -0.25]],
+    np.array([[0.5, -0.25]], dtype=object),
+], ids=["strings", "bools", "complex", "none", "object"])
+def test_non_numbers_refused(rows):
+    with pytest.raises(ValidationError, match="differences must be numbers"):
+        bayesian_signed_rank(rows, BayesConfig(mc_samples=10))
+
+
 def test_empty_and_nonfinite_input():
     with pytest.raises(ValidationError, match="need at least one difference"):
         bayesian_signed_rank([[]], BayesConfig())[0]

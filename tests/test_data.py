@@ -214,6 +214,22 @@ class TestValidation:
                 ("A", "B"), ("t",), np.array([[1.0], [np.inf]]), "higher"
             )
 
+    @pytest.mark.parametrize("scores", [
+        [["1.5"], ["2"]],
+        [[True], [False]],
+        [[1.5 + 0j], [2.0]],
+        [[None], [2.0]],
+        np.array([[1.5], [2.0]], dtype=object),
+        [[1.5, 2.0], [2.0]],
+    ], ids=["strings", "bools", "complex", "none", "object", "ragged"])
+    def test_non_numbers_refused(self, scores):
+        with pytest.raises(ValidationError, match="scores must be numbers"):
+            ResultsMatrix(("A", "B"), ("t",), scores, "higher")
+
+    def test_integer_scores_accepted(self):
+        matrix = ResultsMatrix(("A", "B"), ("t",), [[1], [np.int8(2)]], "higher")
+        assert matrix.scores.dtype == np.float64 and matrix.scores.tolist() == [[1.0], [2.0]]
+
     def test_scores_frozen(self):
         matrix = ResultsMatrix(("A", "B"), ("t",), np.array([[1.0], [2.0]]), "higher")
         with pytest.raises(ValueError):

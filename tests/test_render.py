@@ -19,7 +19,7 @@ from mcmatrix import (
 from mcmatrix.errors import TooFewComparates, TooFewTasks, ValidationError
 from mcmatrix.render import contiguous_nonsignificant_runs, diverging_color
 from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
-from mcmatrix.stability import pattern_from_bitmask
+from mcmatrix.stability import SignificancePattern
 
 from conftest import GOLDEN, golden_matrix
 from oracles import contiguous_runs_loop
@@ -226,7 +226,7 @@ class TestCdDiagram:
 
 
 def test_pattern_graph_renders_edges():
-    pattern = pattern_from_bitmask(("a", "b", "c", "d"), 0b000011)
+    pattern = SignificancePattern(("a", "b", "c", "d"), 0b000011)
     svg = render_pattern_graph(pattern).decode()
     assert svg.count("<line") == 2
     assert svg.count("<circle") == 4

@@ -22,12 +22,12 @@ from mcmatrix import (
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stability import (
     PatternEnumeration,
+    SignificancePattern,
     _holm_mask,
     _reservoir_keys,
     _sample_ranks,
     _step_down,
     _unrank,
-    pattern_from_bitmask,
 )
 from mcmatrix.stats import (
     all_pairs_pvalues,
@@ -62,7 +62,7 @@ class TestSignificancePattern:
             demo_matrix, list(demo_matrix.comparates), [], 0.05
         )
         assert pattern.bitmask < (1 << 6)  # C(4, 2) pair bits
-        rebuilt = pattern_from_bitmask(pattern.core, pattern.bitmask)
+        rebuilt = SignificancePattern(pattern.core, pattern.bitmask)
         assert rebuilt.non_significant_pairs == pattern.non_significant_pairs
 
     def test_extras_can_flip_core_pair(self):
@@ -90,6 +90,53 @@ class TestSignificancePattern:
         with pytest.raises(ValidationError, match="core and extra sets overlap"):
             significance_pattern(demo_matrix, ["Alpha", "Bravo"], ["Bravo"], 0.05)
 
+    def test_bitmask_decodes_in_combinations_order(self):
+        for k in range(6):
+            core = tuple(f"c{i}" for i in range(k))
+            pairs = list(combinations(range(k), 2))
+            for mask in range(1 << len(pairs)):
+                pattern = SignificancePattern(core, mask)
+                expected = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+                assert pattern.non_significant_pairs == frozenset(expected)
+                assert pattern.pair_names() == tuple((core[i], core[j])
+                                                     for i, j in expected)
+
+    @pytest.mark.parametrize("mask, message", [
+        (1 << 6, "bitmask 0x40 out of range for core size 4"),
+        (-1, "bitmask -0x1 out of range for core size 4"),
+        (True, "bitmask must be an integer"),
+        (False, "bitmask must be an integer"),
+        (3.0, "bitmask must be an integer"),
+        ("3", "bitmask must be an integer"),
+    ])
+    def test_bad_bitmask_refused(self, mask, message):
+        with pytest.raises(ValidationError, match=message):
+            SignificancePattern(("a", "b", "c", "d"), mask)
+
+    def test_numpy_bitmask_is_stored_as_int(self):
+        pattern = SignificancePattern(["a", "b", "c"], np.int64(5))
+        assert pattern == SignificancePattern(("a", "b", "c"), 5)
+        assert type(pattern.bitmask) is int and pattern.core == ("a", "b", "c")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.01, 0.05, 0.2]),
+       data=st.data())
+def test_holm_mask_matches_holm_significance(seed, alpha, data):
+    rng = np.random.default_rng(seed)
+    matrix = tied_matrix(rng, m=data.draw(st.integers(2, 8)), n=data.draw(st.integers(3, 12)))
+    names = data.draw(st.permutations(matrix.comparates))
+    n_family = data.draw(st.integers(2, len(names)))
+    n_core = data.draw(st.integers(2, n_family))
+    core, extra = tuple(names[:n_core]), tuple(names[n_core:n_family])
+    mask = _holm_mask(all_pairs_pvalues(matrix, core + extra), n_core, alpha)
+    flags = holm_significance(matrix, core + extra, alpha)
+    expected = sum(1 << b for b, (i, j) in enumerate(combinations(range(n_core), 2))
+                   if not flags[pair_id(core[i], core[j])])
+    assert mask == expected
+    reordered = core + tuple(data.draw(st.permutations(extra)))
+    assert _holm_mask(all_pairs_pvalues(matrix, reordered), n_core, alpha) == mask
+
 
 class TestEnumeratePatterns:
     def test_exhaustive_conservation(self):
@@ -107,6 +154,26 @@ class TestEnumeratePatterns:
         )
         assert enumeration.total_subsets == 1
         assert list(enumeration.pattern_counts.values()) == [1]
+
+    @pytest.mark.parametrize("setting, value", [
+        (setting, value)
+        for setting in ("k_extra", "sample", "seed")
+        for value in (True, False, 2.9, 2.0, float("nan"), float("inf"), "3", None)
+        if (setting, value) != ("sample", None)  # no sample: an exhaustive sweep
+    ])
+    def test_setting_of_the_wrong_kind_is_refused(self, setting, value):
+        matrix = random_matrix(np.random.default_rng(44), m=8, n=6)
+        kwargs = {"k_extra": 2, "sample": 4, "seed": 0, setting: value}
+        with pytest.raises(ValidationError, match=f"{setting} must be an integer"):
+            enumerate_patterns(matrix, matrix.comparates[:2], matrix.comparates[2:],
+                               alpha=0.05, **kwargs)
+
+    def test_numpy_integer_settings_accepted(self):
+        matrix = random_matrix(np.random.default_rng(44), m=8, n=6)
+        core, pool = matrix.comparates[:2], matrix.comparates[2:]
+        plain = enumerate_patterns(matrix, core, pool, 2, 0.05, sample=4, seed=7)
+        assert plain == enumerate_patterns(matrix, core, pool, np.int64(2), np.float64(0.05),
+                                           sample=np.int32(4), seed=np.uint64(7))
 
     def test_pool_too_small(self, demo_matrix):
         with pytest.raises(ValidationError, match="exceeds pool size"):
@@ -232,11 +299,13 @@ def tied_matrix(rng, m, n):
 def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
                            example_limit, seed):
     """The one-``holm_correction``-per-subset loop the chunked kernel replaced."""
-    pvalues = all_pairs_pvalues(matrix, core + pool)
+    p = all_pairs_pvalues(matrix, core + pool)
+    index = {name: i for i, name in enumerate(core + pool)}
     counts, examples = {}, {}
     for g, rank in enumerate(ranks):
         subset = subset_by_rank(pool, k_extra, rank)
-        mask = _holm_mask(core, core + subset, pvalues, alpha)
+        family = [index[name] for name in core + subset]
+        mask = _holm_mask(p[np.ix_(family, family)], len(core), alpha)
         n_seen = counts.get(mask, 0) + 1
         counts[mask] = n_seen
         bucket = examples.setdefault(mask, [])
@@ -255,15 +324,14 @@ def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
 
 
 class TestStepDownKernel:
-    def kernel_and_oracle(self, core, pool, k_extra, pvalues, alpha):
-        rows = list(combinations(range(len(pool)), k_extra))
-        pattern_masks, masks = _step_down(core + pool, len(core), k_extra, pvalues, alpha)
+    def kernel_and_oracle(self, n_core, p, k_extra, alpha):
+        """``p`` holds the p-values of core + pool, the core first."""
+        rows = list(combinations(range(len(p) - n_core), k_extra))
+        pattern_masks, masks = _step_down(p, n_core, k_extra, alpha)
         index = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
         got = [pattern_masks[t] for t in index.tolist()]
-        expected = [
-            _holm_mask(core, core + tuple(pool[i] for i in row), pvalues, alpha)
-            for row in rows
-        ]
+        families = [[*range(n_core), *(n_core + i for i in row)] for row in rows]
+        expected = [_holm_mask(p[np.ix_(f, f)], n_core, alpha) for f in families]
         return got, expected
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
@@ -273,9 +341,9 @@ class TestStepDownKernel:
         for n in (6, 8, 10, 12, 16):
             matrix = tied_matrix(rng, m=11, n=n)
             core, pool = matrix.comparates[:3], matrix.comparates[3:]
-            pvalues = all_pairs_pvalues(matrix, core + pool)
+            p = all_pairs_pvalues(matrix, core + pool)
             for k_extra in (0, 1, 2, 4, 8):
-                got, expected = self.kernel_and_oracle(core, pool, k_extra, pvalues, alpha)
+                got, expected = self.kernel_and_oracle(len(core), p, k_extra, alpha)
                 assert got == expected
                 seen.update(got)
         assert len(seen) >= 3  # the matrices exercise more than one pattern
@@ -284,17 +352,14 @@ class TestStepDownKernel:
         # p-values from a handful of values, several on a Holm threshold.
         rng = np.random.default_rng(11)
         values = [0.0, 0.001, 0.0025, 0.005, 0.00625, 0.01, 0.0125, 0.025, 0.05, 1.0]
-        names = tuple(f"c{i}" for i in range(10))
-        core, pool = names[:4], names[4:]
         seen = set()
         for _ in range(40):
-            pvalues = {
-                (a, b): float(rng.choice(values))
-                for a, b in combinations(names, 2)
-            }
+            p = np.zeros((10, 10))  # a core of 4 and a pool of 6
+            for i, j in combinations(range(10), 2):
+                p[i, j] = p[j, i] = float(rng.choice(values))
             alpha = float(rng.choice([0.01, 0.05, 0.2]))
             for k_extra in (0, 1, 3, 6):
-                got, expected = self.kernel_and_oracle(core, pool, k_extra, pvalues, alpha)
+                got, expected = self.kernel_and_oracle(4, p, k_extra, alpha)
                 assert got == expected
                 seen.update(got)
         assert len(seen) >= 10

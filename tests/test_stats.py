@@ -82,6 +82,18 @@ class TestWilcoxon:
         with pytest.raises(ValidationError, match="need at least one difference"):
             wilcoxon_signed_rank([])
 
+    @pytest.mark.parametrize("diffs", [
+        ["0.5", "-0.25", "1"],
+        [True, False, True],
+        [0.5 + 0j, -0.25, 1.0],
+        [None, 0.5, 1.0],
+        [object(), 0.5, 1.0],
+        [[0.5], [-0.25, 1.0]],
+    ], ids=["strings", "bools", "complex", "none", "object", "ragged"])
+    def test_non_numbers_refused(self, diffs):
+        with pytest.raises(ValidationError, match="differences must be numbers"):
+            wilcoxon_signed_rank(diffs)
+
     def test_zeros_discarded_before_ranking(self):
         with_zeros = wilcoxon_signed_rank([0.0, 1.0, 2.0, 3.0, 0.0])
         assert with_zeros == wilcoxon_signed_rank([1.0, 2.0, 3.0])
@@ -368,6 +380,17 @@ class TestPairStatistics:
         with pytest.raises(ValidationError, match="unknown comparate 'zzz'"):
             stats.pair_statistics(matrix, [("c0", "zzz")])
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
+    def test_all_pairs_pvalues_is_one_symmetric_array(self, m):
+        # Seven comparates give 21 pairs, a block; four or fewer, one pair at a time.
+        matrix = random_matrix(np.random.default_rng(6), m=7, n=9)
+        names = matrix.comparates[::-1][:m]
+        p = stats.all_pairs_pvalues(matrix, names)
+        assert p.shape == (m, m) and (p == p.T).all() and (np.diag(p) == 0.0).all()
+        for i, j in itertools.combinations(range(m), 2):
+            table = stats.pair_statistics(matrix, [(names[i], names[j])])
+            assert p[i, j] == table.p_value[0]
+
     def test_p_value_disagreeing_with_single_pair_is_internal_error(self, monkeypatch):
         test = stats.wilcoxon_signed_rank
 
@@ -381,7 +404,7 @@ class TestPairStatistics:
             stats.all_pairs_pvalues(matrix, matrix.comparates)
         # Fewer pairs are tested one at a time, with nothing to compare.
         few = stats.all_pairs_pvalues(matrix, matrix.comparates[:4])
-        assert len(few) == 6 < stats.MIN_BLOCK_PAIRS
+        assert few.shape == (4, 4) and math.comb(4, 2) == 6 < stats.MIN_BLOCK_PAIRS
 
 
 class TestFriedman:
@@ -497,6 +520,17 @@ class TestNemenyi:
 
 
 class TestHolm:
+    @pytest.mark.parametrize("alpha", ["0.05", None, True, 0.05 + 0j, [0.05]])
+    def test_alpha_that_is_not_a_real_number_refused(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be a real number"):
+            stats.check_alpha(alpha)
+        with pytest.raises(ValidationError, match="alpha must be a real number"):
+            holm_correction([("a", 0.01)], alpha)
+
+    def test_alpha_accepts_numpy_scalars(self):
+        assert stats.check_alpha(np.float32(0.25)) == 0.25
+        assert stats.check_alpha(np.float64(0.05)) == 0.05
+
     def test_all_significant_example(self):
         decisions = holm_correction(
             [("a", 0.01), ("b", 0.02), ("c", 0.04)], alpha=0.05
