@@ -12,7 +12,9 @@ formats, ``stats``, and ``cd --pairwise wilcoxon-holm`` (the all-pairs Holm
 path).  It also runs ``mcm --include-bayes --format json`` at the default
 100,000 samples on the table's first 20 comparates (190 posteriors), and
 ``stability enumerate --k-extra 5`` at the exhaustive limit: a core of 4
-and a pool of 43 on a second, m = 47, n = 30 table (962,598 subsets).  Each
+and a pool of 43 on a second, m = 47, n = 30 table (962,598 subsets), and
+``cd --pairwise wilcoxon-holm`` on a third, m = 1,000, n = 108 table, where
+ranking and the Holm step-down over 499,500 pairs are a large share.  Each
 command is a fresh ``python -m mcmatrix.cli`` process on the ``src``
 directory of ``--root``.  It prints a Markdown table with each
 command's wall seconds, its peak resident memory (the child's own
@@ -34,6 +36,7 @@ from pathlib import Path
 M, N = 400, 60
 BAYES_M = 20
 ENUM_M, ENUM_N = 47, 30
+LARGE_M, LARGE_N = 1000, 108
 # (label, comparates: the first m rows of the m x n table, tasks n, CLI arguments)
 COMMANDS = (
     ("mcm --format json", M, N, ["mcm", "--format", "json"]),
@@ -45,6 +48,7 @@ COMMANDS = (
      ["mcm", "--include-bayes", "--format", "json"]),
     ("stability enumerate --k-extra 5", ENUM_M, ENUM_N,
      ["stability", "enumerate", "--k-extra", "5", "--core", "c000,c001,c002,c003"]),
+    ("cd --pairwise wilcoxon-holm", LARGE_M, LARGE_N, ["cd", "--pairwise", "wilcoxon-holm"]),
 )
 
 
@@ -84,7 +88,8 @@ def main() -> int:
     print("| Command | m | n | Time | Peak RSS | Output |")
     print("| --- | --- | --- | --- | --- | --- |")
     lines = {N: table_csv().splitlines(keepends=True),
-             ENUM_N: table_csv(ENUM_M, ENUM_N).splitlines(keepends=True)}
+             ENUM_N: table_csv(ENUM_M, ENUM_N).splitlines(keepends=True),
+             LARGE_N: table_csv(LARGE_M, LARGE_N).splitlines(keepends=True)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for label, m, n, command in COMMANDS:

@@ -34,7 +34,6 @@ from .stability import (
     weakened_variant_attack,
 )
 from .stats import (
-    HolmDecision,
     PairwiseComparison,
     PMethod,
     RankTable,
@@ -60,7 +59,6 @@ __all__ = [
     "PMethod",
     "RankTable",
     "PairwiseComparison",
-    "HolmDecision",
     "compute_ranks",
     "wilcoxon_signed_rank",
     "pairwise_comparison",

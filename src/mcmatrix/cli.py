@@ -338,7 +338,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     alpha = check_alpha(args.alpha)
     table = compute_ranks(matrix)
     try:
-        stat, p = friedman_test(matrix)
+        stat, p = friedman_test(table)
         friedman = {"statistic": stat, "p_value": p}
     except (TooFewComparates, TooFewTasks) as exc:
         friedman = {"skipped": str(exc)}

@@ -450,7 +450,7 @@ def weaken_comparate(
         raise ValidationError("target and reference must differ")
     ti = matrix.index_of(target)
     ri = matrix.index_of(reference)
-    weight = float(weight)
+    weight = check_real("weight", weight)
     if not (0.0 <= weight <= 1.0) or not math.isfinite(weight):
         raise ValidationError(f"weight must lie in [0, 1], got {weight!r}")
     if not isinstance(new_name, str) or not new_name.strip():

@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..data import ResultsMatrix
 from ..errors import TooFewComparates, TooFewTasks, ValidationError
-from ..stats import (
-    compute_ranks,
-    holm_significance,
-    nemenyi_critical_difference,
-    pair_id,
-)
+from ..stats import compute_ranks, holm_significance, nemenyi_critical_difference
 from .core import SvgDoc, fnum
 from .style import CD_AXIS_WIDTH, CD_BAR_SPACING, CD_ROW_HEIGHT, FONT_SIZE, PADDING
 
@@ -116,10 +113,10 @@ def cd_layout(
             return abs(ars[j] - ars[i]) <= cd
 
     else:
-        flags = holm_significance(matrix, matrix.comparates, alpha)
+        significant = holm_significance(matrix, matrix.comparates, alpha)[np.ix_(order, order)]
 
         def non_sig(i: int, j: int) -> bool:
-            return not flags[pair_id(names[i], names[j])]
+            return not significant[i, j]
 
     bars = tuple(contiguous_nonsignificant_runs(matrix.m, non_sig))
     return CdLayout(

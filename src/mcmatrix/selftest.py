@@ -60,20 +60,23 @@ def _suite_wilcoxon() -> str:
 
 
 def _suite_holm() -> str:
-    decisions = holm_correction(
-        [("a", 0.01), ("b", 0.02), ("c", 0.04)], alpha=0.05
-    )
-    if not all(d.significant for d in decisions):
-        raise AssertionError("ascending example should be fully significant")
-    expected = [0.05 / 3, 0.05 / 2, 0.05]
-    if any(abs(d.threshold - e) > 1e-15 for d, e in zip(decisions, expected)):
-        raise AssertionError("unexpected step-down thresholds")
-
-    decisions = holm_correction(
-        [("a", 0.02), ("b", 0.03), ("c", 0.04)], alpha=0.05
-    )
-    if any(d.significant for d in decisions):
-        raise AssertionError("first failure must stop all rejections")
+    alpha = 0.05
+    examples = [
+        ([0.04, 0.01, 0.02], [True, True, True]),
+        ([0.03, 0.02, 0.04], [False, False, False]),
+        ([0.001, 0.04, 0.012, 0.5], [True, False, True, False]),
+    ]
+    for p, expected in examples:
+        # The textbook step-down: the i-th smallest of N (from 1) against
+        # alpha / (N + 1 - i), stopping at the first failure.
+        rejecting, stepped = True, {}
+        for i, x in enumerate(sorted(p), start=1):
+            rejecting = rejecting and x <= alpha / (len(p) + 1 - i)
+            stepped[x] = rejecting
+        if [stepped[x] for x in p] != expected:
+            raise AssertionError(f"worked example {p!r} is not {expected!r}")
+        if holm_correction(p, alpha).tolist() != expected:
+            raise AssertionError(f"step-down decisions for {p!r} are not {expected!r}")
     return "worked step-down examples"
 
 

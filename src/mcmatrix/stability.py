@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ResultsMatrix, check_integer, weaken_comparate
-from .errors import InternalError, ValidationError
+from .data import ResultsMatrix, check_integer, check_real, weaken_comparate
+from .errors import ValidationError
 from .stats import (
     all_pairs_pvalues,
     check_alpha,
@@ -220,11 +220,12 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
 def _holm_mask(p: np.ndarray, n_core: int, alpha: float) -> int:
     """Core pairs left non-significant by correcting the whole family, as a
     bitmask.  ``p`` is the family's p-value array with the core first:
-    every experiment decides significance here."""
-    family = [(ij, p[ij]) for ij in itertools.combinations(range(len(p)), 2)]
-    flags = {d.pair: d.significant for d in holm_correction(family, alpha)}
-    core_pairs = itertools.combinations(range(n_core), 2)
-    return sum(1 << b for b, ij in enumerate(core_pairs) if not flags[ij])
+    every experiment decides significance here.  The pairs of two core
+    members come in ``triu_indices`` order, which is ``combinations`` order:
+    the order of the bits."""
+    left, right = np.triu_indices(len(p), 1)
+    significant = holm_correction(p[left, right], alpha)[right < n_core]
+    return sum(1 << b for b in np.flatnonzero(~significant).tolist())
 
 
 def _step_down(
@@ -237,32 +238,26 @@ def _step_down(
 
     ``p`` is the p-value array of core + pool.  Returns the C(n_core, 2) + 1
     possible pattern bitmasks and a function that maps an S x k_extra array
-    of pool indices to each row's index into them.  Each row's family
-    p-values are sorted and compared with alpha / (F - i); the rejections
-    are the leading run of passes.  A pair is significant iff at least one
-    p was rejected and its p is <= the last rejected p, which is the stop
-    rule together with the equal-p unification of ``holm_correction``.
-    Core p-values do not depend on the extras, so the significant core
-    pairs are always the first t in ascending core p, and a row's mask
-    is the suffix mask of the core pairs from the t-th on.
+    of pool indices to each row's index into them.  The rows' family
+    p-values are corrected as one S x F array.  Core p-values do not depend
+    on the extras, and equal p-values share a decision, so the significant
+    core pairs are always the first t in ascending core p: a row's index is
+    its count t of significant core pairs, and its mask is the suffix mask
+    of the core pairs from the t-th on.
     """
     left, right = np.triu_indices(n_core + k_extra, 1)
-    thresholds = alpha / (len(left) - np.arange(len(left)))
-    core_p = p[np.triu_indices(n_core, 1)]  # entry b: the pair of bit b
-    order = np.argsort(core_p, kind="stable").tolist()
-    core_p = core_p[order]
+    core_pairs = right < n_core
+    # Entry b of the core p-values: the pair of bit b.
+    order = np.argsort(p[np.triu_indices(n_core, 1)], kind="stable").tolist()
     suffix_masks = [sum(1 << b for b in order[t:]) for t in range(len(order) + 1)]
     core_idx = np.arange(n_core)
 
     def masks(extras: np.ndarray) -> np.ndarray:
-        s = len(extras)
         family = np.concatenate(
-            [np.broadcast_to(core_idx, (s, n_core)), extras + n_core], axis=1
+            [np.broadcast_to(core_idx, (len(extras), n_core)), extras + n_core], axis=1
         )
-        ps = np.sort(p[family[:, left], family[:, right]], axis=1)
-        rejected = np.logical_and.accumulate(ps <= thresholds, axis=1).sum(axis=1)
-        last = np.where(rejected > 0, ps[np.arange(s), rejected - 1], -1.0)
-        return np.searchsorted(core_p, last, side="right")
+        significant = holm_correction(p[family[:, left], family[:, right]], alpha)
+        return np.count_nonzero(significant[:, core_pairs], axis=1)
 
     return suffix_masks, masks
 
@@ -286,9 +281,7 @@ def enumerate_patterns(
     the drawn ranks when sampling.  It is processed in
     chunks of at most 256 ranks, each unranked to pool indices, corrected
     and counted with numpy, so memory stays bounded by one chunk's subsets
-    x family pairs.  The first subset of each newly seen pattern is also
-    corrected by ``holm_correction``, and a mismatch raises
-    ``InternalError``.  Up to five example subsets per pattern are retained
+    x family pairs.  Up to five example subsets per pattern are retained
     by reservoir sampling keyed by (seed, subset index), so a seed always
     selects the same examples; only subsets that enter a reservoir are
     turned into names.
@@ -373,13 +366,6 @@ def enumerate_patterns(
             subset = tuple(pool[i] for i in extras[row].tolist())
             pattern = int(t[row])
             if n_seen[row] == 1:
-                family = [*range(len(core)), *(extras[row] + len(core)).tolist()]
-                expected = _holm_mask(p[np.ix_(family, family)], len(core), alpha)
-                if expected != pattern_masks[pattern]:
-                    raise InternalError(
-                        f"vectorized step-down gave pattern {pattern_masks[pattern]:#x} "
-                        f"for extras {subset!r}; holm_correction gives {expected:#x}"
-                    )
                 examples[pattern] = []
             if n_seen[row] <= _EXAMPLE_LIMIT:
                 examples[pattern].append(subset)
@@ -563,7 +549,7 @@ def weakened_variant_attack(
 
     outcomes = []
     for w in weights:
-        w = float(w)
+        w = check_real("weight", w)
         variant = _fresh_variant_name(matrix, target, w)
         augmented = weaken_comparate(matrix, target, reference, w, variant)
         members = augmented.in_matrix_order(context + (variant,))

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import Direction, ResultsMatrix, check_real, check_real_array
+from .data import Direction, ResultsMatrix, check_integer, check_real, check_real_array
 from .errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "RankTable",
     "PairwiseComparison",
     "PairTable",
-    "HolmDecision",
     "DEFAULT_EXACT_THRESHOLD",
     "compute_ranks",
     "wilcoxon_signed_rank",
@@ -39,7 +38,6 @@ __all__ = [
     "nemenyi_critical_difference",
     "check_alpha",
     "holm_correction",
-    "pair_id",
     "all_pairs_pvalues",
     "holm_significance",
 ]
@@ -82,14 +80,18 @@ class PMethod(Enum):
 
 @dataclass(frozen=True)
 class RankTable:
-    """Per-task ranks (1 = best, ties share the averaged rank) and row means."""
+    """Per-task ranks (1 = best, ties share the averaged rank), row means,
+    and each task's tie term: the sum of c^3 - c over its groups of c equal
+    scores, an integer."""
 
     ranks: np.ndarray          # m x n
     average_ranks: np.ndarray  # length m
+    tie_terms: np.ndarray      # length n, int64
 
     def __post_init__(self):
         self.ranks.flags.writeable = False
         self.average_ranks.flags.writeable = False
+        self.tie_terms.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -163,32 +165,37 @@ class PairTable(Sequence):
         return _mirror(*fields) if reverse else fields
 
 
-@dataclass(frozen=True)
-class HolmDecision:
-    """Step-down outcome for one pair, in ascending-p order."""
-
-    pair: object
-    p_value: float
-    significant: bool
-    threshold: float
-
-
 def compute_ranks(matrix: ResultsMatrix) -> RankTable:
     """Rank each comparate on each task: 1 plus the number of strictly
     better comparates plus half the number of equal ones (excluding self).
-    Average ranks are the row means."""
-    vals = matrix.scores
-    if matrix.direction is Direction.LOWER_IS_BETTER:
-        vals = -vals
-    m, n = vals.shape
-    ranks = np.empty((m, n), dtype=np.float64)
-    for j in range(n):
-        col = vals[:, j]
-        better = (col[None, :] > col[:, None]).sum(axis=1)
-        equal = (col[None, :] == col[:, None]).sum(axis=1) - 1
-        ranks[:, j] = 1.0 + better + 0.5 * equal
-    average = np.array([float(np.mean(ranks[i])) for i in range(m)])
-    return RankTable(ranks=ranks, average_ranks=average)
+    Average ranks are the row means.
+
+    Every task is sorted at once, best first.  As in the signed-rank kernel,
+    a tie group's first and last sorted positions, start and end, are found
+    at every position: its members are ranked 1 + start + (end - start) / 2,
+    and each position adds c^2 - 1 to its task's tie term, c = end - start + 1
+    the group's size, which sums to c^3 - c per group.
+    """
+    key = matrix.scores
+    if matrix.direction is Direction.HIGHER_IS_BETTER:
+        key = -key
+    m, n = key.shape
+    order = np.argsort(key, axis=0, kind="stable")
+    key = np.take_along_axis(key, order, axis=0)
+    pos = np.arange(m)[:, None]
+    first = np.empty((m, n), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    last = np.empty_like(first)
+    last[-1] = True
+    last[:-1] = first[1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    end = np.minimum.accumulate(np.where(last, pos, m - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty((m, n))
+    np.put_along_axis(ranks, order, 1.0 + start + 0.5 * (end - start), axis=0)
+    size = end - start + 1
+    return RankTable(ranks=ranks, average_ranks=ranks.mean(axis=1),
+                     tie_terms=(size * size - 1).sum(axis=0))
 
 
 def _signed_rank_rows(d: np.ndarray,
@@ -416,7 +423,7 @@ def pair_statistics(
     tested row by row by ``wilcoxon_signed_rank``, the same kernel on one
     row.  Each cell is bit-identical to evaluating its pair alone.
     """
-    tie_epsilon = float(tie_epsilon)
+    tie_epsilon = check_real("tie_epsilon", tie_epsilon)
     if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
         raise ValidationError("tie_epsilon must be a finite value >= 0")
     pairs = tuple(pairs)
@@ -445,26 +452,23 @@ def pair_statistics(
                      tuple(p_method), n)
 
 
-def friedman_test(matrix: ResultsMatrix) -> tuple[float, float]:
-    """Friedman chi-square statistic with tie correction and its p-value.
+def friedman_test(ranks: RankTable) -> tuple[float, float]:
+    """Friedman chi-square statistic with tie correction and its p-value,
+    from the ``compute_ranks`` table of a matrix.
 
     Requires m >= 3 comparates and n >= 2 tasks.  A matrix whose tasks are
     all full ties yields (0, 1).
     """
-    m, n = matrix.m, matrix.n
+    m, n = ranks.ranks.shape
     if m < 3:
         raise TooFewComparates("the Friedman test needs at least three comparates")
     if n < 2:
         raise TooFewTasks("the Friedman test needs at least two tasks")
 
-    table = compute_ranks(matrix)
-    rank_sums = table.ranks.sum(axis=1)
+    rank_sums = ranks.ranks.sum(axis=1)
     raw = 12.0 / (n * m * (m + 1)) * float((rank_sums**2).sum()) - 3.0 * n * (m + 1)
-
-    tie_term = 0.0
-    for j in range(n):
-        _, counts = np.unique(matrix.scores[:, j], return_counts=True)
-        tie_term += float((counts.astype(np.float64) ** 3 - counts).sum())
+    # An integer below 2**53, so exact as a float.
+    tie_term = float(ranks.tie_terms.sum())
     correction = 1.0 - tie_term / (n * m * (m * m - 1))
     if correction <= 0.0:
         # Every task is a full tie: no rank variation at all.
@@ -506,16 +510,16 @@ def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
     ``q * sqrt(m (m + 1) / (6 n))`` with q from the embedded
     studentized-range table (alpha in {0.05, 0.10}, 2 <= m <= 20).
     """
-    alpha = float(alpha)
+    alpha = check_alpha(alpha)
     table = _Q_CONSTANTS.get(alpha)
     if table is None:
         raise ValidationError(
             f"no critical-value table for alpha={alpha!r}; supported: 0.05, 0.10"
         )
-    m = int(m)
+    m = check_integer("m", m)
     if not 2 <= m <= 1 + len(table):
         raise ValidationError(f"m={m} outside the tabulated range 2..{1 + len(table)}")
-    n = int(n)
+    n = check_integer("n", n)
     if n < 1:
         raise ValidationError("n must be at least 1")
     return table[m - 2] * math.sqrt(m * (m + 1) / (6.0 * n))
@@ -529,41 +533,34 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def holm_correction(
-    pairs: Iterable[tuple[object, float]],
-    alpha: float,
-) -> list[HolmDecision]:
-    """Step-down familywise correction over a family of p-values.
+def holm_correction(p, alpha: float) -> np.ndarray:
+    """Holm's step-down familywise correction, over the last axis of ``p``.
 
-    P-values are sorted ascending, ties broken by pair id for determinism,
-    so the ids of tied p-values must be comparable; the i-th smallest is tested against alpha / (N + 1 - i)
-    and rejection stops at the first failure, leaving that p-value and all
-    larger ones non-significant.  Equal p-values always receive the same
-    decision.  Results are returned in the sorted order.
+    Each family's p-values are sorted ascending; the i-th smallest (from 0)
+    is tested against alpha / (F - i), F the family size, and rejection
+    stops at the first failure.  A p-value is significant iff it is at most
+    the last rejected one, so equal p-values always share a decision.
+    Returns the decisions as a boolean array shaped like ``p``, in input
+    order; leading axes are independent families.  P-values must be reals
+    in [0, 1]: anything else raises ``ValidationError``.
     """
     alpha = check_alpha(alpha)
-    items = [(pid, float(p)) for pid, p in pairs]
-    for pid, p in items:
-        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise ValidationError(f"p-value for pair {pid!r} outside [0, 1]: {p!r}")
-
-    items.sort(key=lambda item: (item[1], item[0]))
-    total = len(items)
-    decisions: list[HolmDecision] = []
-    rejecting = True
-    for i, (pid, p) in enumerate(items):
-        threshold = alpha / (total - i)
-        rejecting = rejecting and p <= threshold
-        decisions.append(HolmDecision(pid, p, rejecting, threshold))
-    # Equal p-values share a decision: thresholds grow along a run of them
-    # (division is monotone in its denominator), so the stop rule cannot
-    # split the run.
-    return decisions
-
-
-def pair_id(a: str, b: str) -> tuple[str, str]:
-    """Canonical unordered pair identifier (name-sorted)."""
-    return (a, b) if a <= b else (b, a)
+    p = check_real_array("p-values", p)
+    if p.ndim == 0:
+        raise ValidationError("p-values need an axis to hold the family")
+    outside = ~((p >= 0.0) & (p <= 1.0))  # NaN too
+    if outside.any():
+        raise ValidationError(f"p-value outside [0, 1]: {float(p[outside][0])!r}")
+    f = p.shape[-1]
+    if f == 0:
+        return np.zeros(p.shape, dtype=bool)
+    ordered = np.sort(p, axis=-1)
+    failed = ordered > alpha / (f - np.arange(f))
+    # Rejections run up to the first failure; argmax finds it faster than a
+    # logical_and.accumulate of the passes counts the run.
+    rejected = np.where(failed.any(axis=-1), failed.argmax(axis=-1), f)
+    last = np.take_along_axis(ordered, np.maximum(rejected - 1, 0)[..., None], axis=-1)
+    return p <= np.where(rejected[..., None] > 0, last, -1.0)
 
 
 def all_pairs_pvalues(
@@ -598,13 +595,16 @@ def holm_significance(
     matrix: ResultsMatrix,
     names: Sequence[str],
     alpha: float,
-) -> dict[tuple[str, str], bool]:
-    """Holm-corrected significance of every pair among ``names``."""
+) -> np.ndarray:
+    """Holm-corrected significance of every pair among ``names``, as a
+    symmetric boolean array with a false diagonal whose ``[i, j]`` is the
+    decision on the i-th and j-th."""
     alpha = check_alpha(alpha)
     members = list(names)
     if len(members) < 2:
         raise TooFewComparates("need at least two comparates for pairwise tests")
     p = all_pairs_pvalues(matrix, members)
-    items = [(pair_id(members[i], members[j]), p[i, j])
-             for i, j in itertools.combinations(range(len(members)), 2)]
-    return {d.pair: d.significant for d in holm_correction(items, alpha)}
+    upper = np.triu_indices(len(members), 1)
+    significant = np.zeros(p.shape, dtype=bool)
+    significant[upper] = holm_correction(p[upper], alpha)
+    return significant | significant.T

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import struct
@@ -13,7 +12,6 @@ import mcmatrix.stats
 from mcmatrix import Direction, ResultsMatrix
 from mcmatrix.cli import main
 from mcmatrix.data import dump_results
-from mcmatrix.stats import holm_correction
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,8 +215,3 @@ def tested_pairs(monkeypatch) -> list:
         monkeypatch.setattr(module, "pair_statistics", counting)
     return calls
 
-
-def inverted_holm(pairs, alpha):
-    """``holm_correction`` with every decision flipped: a deliberately wrong oracle."""
-    return [dataclasses.replace(d, significant=not d.significant)
-            for d in holm_correction(pairs, alpha)]

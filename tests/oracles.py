@@ -19,18 +19,27 @@ the one-pair signed-rank test and cell the package computed before its
 block kernel, kept unchanged as the bit-for-bit oracles of that kernel.
 ``contiguous_runs_loop`` is the rank-diagram bar search the package ran
 before its one-pass form: it re-tests every pair of a growing run.
+
+``holm_correction_list`` is the list step-down the package ran before its
+array kernel, one decision object per p-value in ``(p, id)`` order, and
+``holm_mask_list`` the core bitmask it gave a family.  ``compute_ranks_loop``
+ranks one task at a time with two m x m comparisons and takes the tie term
+from ``np.unique``'s counts, as the package did before it sorted every task
+at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import InternalError, ValidationError
-from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod
+from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod, check_alpha
 
 
 def friedman_tie_free(ranks: np.ndarray) -> float:
@@ -253,3 +262,78 @@ def contiguous_runs_loop(
         if j > i and not any(pi <= i and j <= pj for pi, pj in runs):
             runs.append((i, j))
     return runs
+
+
+@dataclass(frozen=True)
+class HolmDecision:
+    """Step-down outcome for one pair, in ascending-p order."""
+
+    pair: object
+    p_value: float
+    significant: bool
+    threshold: float
+
+
+def holm_correction_list(
+    pairs: Iterable[tuple[object, float]],
+    alpha: float,
+) -> list[HolmDecision]:
+    """Step-down familywise correction over a family of p-values.
+
+    P-values are sorted ascending, ties broken by pair id for determinism,
+    so the ids of tied p-values must be comparable; the i-th smallest is tested against alpha / (N + 1 - i)
+    and rejection stops at the first failure, leaving that p-value and all
+    larger ones non-significant.  Equal p-values always receive the same
+    decision.  Results are returned in the sorted order.
+    """
+    alpha = check_alpha(alpha)
+    items = [(pid, float(p)) for pid, p in pairs]
+    for pid, p in items:
+        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
+            raise ValidationError(f"p-value for pair {pid!r} outside [0, 1]: {p!r}")
+
+    items.sort(key=lambda item: (item[1], item[0]))
+    total = len(items)
+    decisions: list[HolmDecision] = []
+    rejecting = True
+    for i, (pid, p) in enumerate(items):
+        threshold = alpha / (total - i)
+        rejecting = rejecting and p <= threshold
+        decisions.append(HolmDecision(pid, p, rejecting, threshold))
+    # Equal p-values share a decision: thresholds grow along a run of them
+    # (division is monotone in its denominator), so the stop rule cannot
+    # split the run.
+    return decisions
+
+
+def holm_mask_list(p: np.ndarray, n_core: int, alpha: float) -> int:
+    """Core pairs left non-significant by ``holm_correction_list`` over the
+    family of ``p`` (core first), as a bitmask in ``combinations`` order."""
+    family = [(ij, p[ij]) for ij in itertools.combinations(range(len(p)), 2)]
+    flags = {d.pair: d.significant for d in holm_correction_list(family, alpha)}
+    core_pairs = itertools.combinations(range(n_core), 2)
+    return sum(1 << b for b, ij in enumerate(core_pairs) if not flags[ij])
+
+
+def compute_ranks_loop(
+    matrix: ResultsMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task ranks, average ranks and per-task tie terms, one task at a
+    time: 1 plus the number of strictly better comparates plus half the
+    number of equal ones, row means by ``np.mean``, and the sum of c^3 - c
+    over ``np.unique``'s counts."""
+    vals = matrix.scores
+    if matrix.direction is Direction.LOWER_IS_BETTER:
+        vals = -vals
+    m, n = vals.shape
+    ranks = np.empty((m, n), dtype=np.float64)
+    tie_terms = np.empty(n, dtype=np.int64)
+    for j in range(n):
+        col = vals[:, j]
+        better = (col[None, :] > col[:, None]).sum(axis=1)
+        equal = (col[None, :] == col[:, None]).sum(axis=1) - 1
+        ranks[:, j] = 1.0 + better + 0.5 * equal
+        _, counts = np.unique(col, return_counts=True)
+        tie_terms[j] = (counts**3 - counts).sum()
+    average = np.array([float(np.mean(ranks[i])) for i in range(m)])
+    return ranks, average, tie_terms

@@ -90,17 +90,16 @@ def test_criterion_2_wilcoxon_approximation_quality():
 def test_criterion_3_holm_worked_examples():
     with criterion(3, "step-down worked examples reproduce the "
                       "alpha/(N+1-i) decisions exactly"):
-        decisions = holm_correction(
-            [("a", 0.01), ("b", 0.02), ("c", 0.04)], alpha=0.05
-        )
-        assert [d.threshold for d in decisions] == [0.05 / 3, 0.05 / 2, 0.05]
-        assert [d.significant for d in decisions] == [True, True, True]
+        assert holm_correction([0.01, 0.02, 0.04], alpha=0.05).tolist() == [True] * 3
+        # 0.02 > 0.05 / 3 stops the chain.
+        assert holm_correction([0.02, 0.03, 0.04], alpha=0.05).tolist() == [False] * 3
 
-        decisions = holm_correction(
-            [("a", 0.02), ("b", 0.03), ("c", 0.04)], alpha=0.05
-        )
-        assert [d.significant for d in decisions] == [False, False, False]
-        assert decisions[0].threshold == 0.05 / 3  # 0.02 > 0.0167 stops the chain
+        # Each p exactly on its threshold alpha / (N + 1 - i) is rejected;
+        # one ulp above the first threshold stops every rejection.
+        thresholds = [0.05 / 3, 0.05 / 2, 0.05]
+        assert holm_correction(thresholds, alpha=0.05).tolist() == [True] * 3
+        above = [np.nextafter(thresholds[0], 1.0), *thresholds[1:]]
+        assert holm_correction(above, alpha=0.05).tolist() == [False] * 3
 
 
 def test_criterion_4_rank_invariants():
@@ -289,13 +288,13 @@ def test_criterion_10_friedman_sanity():
         identical = ResultsMatrix(
             ("a", "b", "c"), ("t1", "t2"), np.full((3, 2), 0.7), "higher"
         )
-        assert friedman_test(identical) == (0.0, 1.0)
+        assert friedman_test(compute_ranks(identical)) == (0.0, 1.0)
 
         rng = np.random.default_rng(1010)
         for _ in range(100):
             matrix = random_matrix(rng, m=int(rng.integers(3, 8)),
                                    n=int(rng.integers(2, 20)), tie_prob=0.4)
-            stat, _ = friedman_test(matrix)
+            stat, _ = friedman_test(compute_ranks(matrix))
             perm = rng.permutation(matrix.m)
             shuffled = ResultsMatrix(
                 tuple(matrix.comparates[i] for i in perm),
@@ -303,5 +302,5 @@ def test_criterion_10_friedman_sanity():
                 matrix.scores[perm],
                 matrix.direction,
             )
-            stat_perm, _ = friedman_test(shuffled)
+            stat_perm, _ = friedman_test(compute_ranks(shuffled))
             assert stat_perm == pytest.approx(stat, rel=1e-12, abs=1e-12)

@@ -94,7 +94,6 @@ PUBLIC_SURFACE = {
     "mcmatrix.PMethod": "= mcmatrix.stats.PMethod",
     "mcmatrix.RankTable": "= mcmatrix.stats.RankTable",
     "mcmatrix.PairwiseComparison": "= mcmatrix.stats.PairwiseComparison",
-    "mcmatrix.HolmDecision": "= mcmatrix.stats.HolmDecision",
     "mcmatrix.compute_ranks": "= mcmatrix.stats.compute_ranks",
     "mcmatrix.wilcoxon_signed_rank": "= mcmatrix.stats.wilcoxon_signed_rank",
     "mcmatrix.pairwise_comparison": "= mcmatrix.stats.pairwise_comparison",
@@ -321,7 +320,7 @@ PUBLIC_SURFACE = {
         "NORMAL_APPROXIMATION='normal_approximation'",
         "DEGENERATE='degenerate'",
     ),
-    "mcmatrix.stats.RankTable": ("ranks", "average_ranks"),
+    "mcmatrix.stats.RankTable": ("ranks", "average_ranks", "tie_terms"),
     "mcmatrix.stats.PairwiseComparison": (
         "row",
         "column",
@@ -343,18 +342,16 @@ PUBLIC_SURFACE = {
         "n",
         "fields(self, i, reverse=False)",
     ),
-    "mcmatrix.stats.HolmDecision": ("pair", "p_value", "significant", "threshold"),
     "mcmatrix.stats.DEFAULT_EXACT_THRESHOLD": "25",
     "mcmatrix.stats.compute_ranks": "(matrix)",
     "mcmatrix.stats.wilcoxon_signed_rank": "(diffs)",
     "mcmatrix.stats.pairwise_comparison": "(matrix, row, column, tie_epsilon=0.0)",
     "mcmatrix.stats.pair_statistics": "(matrix, pairs, tie_epsilon=0.0)",
     "mcmatrix.stats.oriented_differences": "(matrix, row, column)",
-    "mcmatrix.stats.friedman_test": "(matrix)",
+    "mcmatrix.stats.friedman_test": "(ranks)",
     "mcmatrix.stats.nemenyi_critical_difference": "(m, n, alpha=0.05)",
     "mcmatrix.stats.check_alpha": "(alpha)",
-    "mcmatrix.stats.holm_correction": "(pairs, alpha)",
-    "mcmatrix.stats.pair_id": "(a, b)",
+    "mcmatrix.stats.holm_correction": "(p, alpha)",
     "mcmatrix.stats.all_pairs_pvalues": "(matrix, names)",
     "mcmatrix.stats.holm_significance": "(matrix, names, alpha)",
 }

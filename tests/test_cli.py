@@ -19,7 +19,6 @@ from conftest import (
     GOLDEN,
     STABILITY_GOLDEN_CASES,
     golden_cli_output,
-    inverted_holm,
     stability_json,
 )
 
@@ -374,16 +373,6 @@ class TestExitCodes:
         )
         assert code == 2 and out == "" and "alpha must lie in (0, 1)" in err
         assert tested_pairs == []
-
-    def test_enumerate_step_down_mismatch_is_internal_error(self, results_csv, capsys,
-                                                            monkeypatch):
-        monkeypatch.setattr("mcmatrix.stability.holm_correction", inverted_holm)
-        code, out, err = run(
-            ["stability", "enumerate", "--input", str(results_csv), "--direction",
-             "higher", "--core", "Alpha,Bravo", "--k-extra", "1"],
-            capsys,
-        )
-        assert code == 3 and "vectorized step-down" in err and out == ""
 
     def test_mcm_cell_mismatch_is_internal_error(self, tmp_path, capsys, monkeypatch):
         # Five comparates: ten pairs, enough to be evaluated as a block.

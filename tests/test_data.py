@@ -309,6 +309,11 @@ class TestWeakenComparate:
         with pytest.raises(ValidationError, match="target and reference must differ"):
             weaken_comparate(matrix, "T", "T", 0.5, "V")
 
+    @pytest.mark.parametrize("weight", [True, "0.5", None])
+    def test_weight_that_is_not_a_real_number_refused(self, matrix, weight):
+        with pytest.raises(ValidationError, match="weight must be a real number"):
+            weaken_comparate(matrix, "T", "R", weight, "V")
+
     @given(
         weight=st.floats(min_value=0.0, max_value=1.0),
         target=st.lists(

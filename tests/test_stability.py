@@ -19,7 +19,7 @@ from mcmatrix import (
     weaken_comparate,
     weakened_variant_attack,
 )
-from mcmatrix.errors import InternalError, ValidationError
+from mcmatrix.errors import ValidationError
 from mcmatrix.stability import (
     PatternEnumeration,
     SignificancePattern,
@@ -34,12 +34,11 @@ from mcmatrix.stats import (
     compute_ranks,
     holm_significance,
     oriented_differences,
-    pair_id,
     wilcoxon_signed_rank,
 )
 
-from conftest import fixture_matrix, inverted_holm, load_fixture, random_matrix
-from oracles import reservoir_draw, sample_ranks_loop, subset_by_rank
+from conftest import fixture_matrix, load_fixture, random_matrix
+from oracles import holm_mask_list, reservoir_draw, sample_ranks_loop, subset_by_rank
 
 
 class TestSignificancePattern:
@@ -129,11 +128,13 @@ def test_holm_mask_matches_holm_significance(seed, alpha, data):
     n_family = data.draw(st.integers(2, len(names)))
     n_core = data.draw(st.integers(2, n_family))
     core, extra = tuple(names[:n_core]), tuple(names[n_core:n_family])
-    mask = _holm_mask(all_pairs_pvalues(matrix, core + extra), n_core, alpha)
+    p = all_pairs_pvalues(matrix, core + extra)
+    mask = _holm_mask(p, n_core, alpha)
     flags = holm_significance(matrix, core + extra, alpha)
     expected = sum(1 << b for b, (i, j) in enumerate(combinations(range(n_core), 2))
-                   if not flags[pair_id(core[i], core[j])])
-    assert mask == expected
+                   if not flags[i, j])
+    assert mask == expected == holm_mask_list(p, n_core, alpha)
+    assert (flags == flags.T).all() and not flags.diagonal().any()
     reordered = core + tuple(data.draw(st.permutations(extra)))
     assert _holm_mask(all_pairs_pvalues(matrix, reordered), n_core, alpha) == mask
 
@@ -298,14 +299,15 @@ def tied_matrix(rng, m, n):
 
 def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
                            example_limit, seed):
-    """The one-``holm_correction``-per-subset loop the chunked kernel replaced."""
+    """The one-correction-per-subset loop the chunked kernel replaced, with
+    the list step-down of ``oracles``."""
     p = all_pairs_pvalues(matrix, core + pool)
     index = {name: i for i, name in enumerate(core + pool)}
     counts, examples = {}, {}
     for g, rank in enumerate(ranks):
         subset = subset_by_rank(pool, k_extra, rank)
         family = [index[name] for name in core + subset]
-        mask = _holm_mask(p[np.ix_(family, family)], len(core), alpha)
+        mask = holm_mask_list(p[np.ix_(family, family)], len(core), alpha)
         n_seen = counts.get(mask, 0) + 1
         counts[mask] = n_seen
         bucket = examples.setdefault(mask, [])
@@ -331,7 +333,7 @@ class TestStepDownKernel:
         index = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
         got = [pattern_masks[t] for t in index.tolist()]
         families = [[*range(n_core), *(n_core + i for i in row)] for row in rows]
-        expected = [_holm_mask(p[np.ix_(f, f)], n_core, alpha) for f in families]
+        expected = [holm_mask_list(p[np.ix_(f, f)], n_core, alpha) for f in families]
         return got, expected
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
@@ -397,13 +399,6 @@ class TestStepDownKernel:
                 assert _reservoir_keys(seed, start, 6).tolist() == [
                     reservoir_draw(seed, start + i, 2**64) for i in range(6)
                 ]
-
-    def test_step_down_mismatch_raises_internal_error(self, monkeypatch):
-        rng = np.random.default_rng(52)
-        matrix = tied_matrix(rng, m=8, n=9)
-        monkeypatch.setattr(stability, "holm_correction", inverted_holm)
-        with pytest.raises(InternalError, match="vectorized step-down"):
-            enumerate_patterns(matrix, matrix.comparates[:3], matrix.comparates[3:], 2, 0.2)
 
     def test_sampled_space_beyond_int64_rejected(self):
         rng = np.random.default_rng(53)
@@ -620,6 +615,12 @@ class TestWeakenedVariantAttack:
                 demo_matrix, "Alpha", "Delta", [0.5], ["Bravo", "Charlie"], 0.05
             )
 
+    @pytest.mark.parametrize("weight", [True, "0.5"])
+    def test_weight_that_is_not_a_real_number_refused(self, demo_matrix, weight):
+        with pytest.raises(ValidationError, match="weight must be a real number"):
+            weakened_variant_attack(demo_matrix, "Alpha", "Delta", [weight],
+                                    demo_matrix.comparates, 0.05)
+
 
 class TestMcmImmunityAcrossManipulations:
     def test_cells_identical_under_all_manipulations(self):
@@ -644,8 +645,9 @@ def holm_significance_pattern(matrix, core, family, alpha):
     sub-matrix, which tests every pair of the study afresh."""
     members = matrix.in_matrix_order(family)
     flags = holm_significance(matrix.select_comparates(members), members, alpha)
+    at = [members.index(name) for name in core]
     return frozenset((i, j) for i, j in combinations(range(len(core)), 2)
-                     if not flags[pair_id(core[i], core[j])])
+                     if not flags[at[i], at[j]])
 
 
 class TestOnePValueTablePerExperiment:
@@ -723,4 +725,5 @@ class TestOnePValueTablePerExperiment:
                 members = matrix.in_matrix_order(members)
                 flags = holm_significance(matrix.select_comparates(members), members,
                                           alpha)
-                assert significant == flags[pair_id(*pair)]
+                assert significant == flags[members.index(pair[0]),
+                                            members.index(pair[1])]

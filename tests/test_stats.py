@@ -26,7 +26,9 @@ from mcmatrix.selftest import average_ranks, enumeration_pvalue
 
 from conftest import cell_bits, random_matrix
 from oracles import (
+    compute_ranks_loop,
     friedman_tie_free,
+    holm_correction_list,
     pairwise_comparison_scalar,
     wilcoxon_signed_rank_scalar,
 )
@@ -68,6 +70,29 @@ class TestComputeRanks:
             assert np.abs(table.ranks.sum(axis=0) - target).max() <= 1e-9
             for i in range(matrix.m):
                 assert table.average_ranks[i] == np.mean(table.ranks[i])
+
+    def test_tie_terms_count_equal_scores(self):
+        matrix = _matrix([[0.5, 0.0], [0.5, 0.2], [0.5, 0.2], [0.1, -0.0]])
+        # Task 0: one group of 3; task 1: 0.0 and -0.0 tie, and so do the 0.2s.
+        assert compute_ranks(matrix).tie_terms.tolist() == [24, 12]
+
+    @given(
+        m=st.integers(2, 7), n=st.integers(1, 9),  # a matrix has m >= 2
+        direction=st.sampled_from(list(Direction)), data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_oracle(self, m, n, direction, data):
+        # Few distinct values, both zeros among them: many ties.
+        values = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 3.5, -7.0, 1e300])
+        scores = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                    min_size=m, max_size=m))
+        matrix = _matrix(scores, direction)
+        table = compute_ranks(matrix)
+        ranks, average, tie_terms = compute_ranks_loop(matrix)
+        assert np.array_equal(table.ranks, ranks)
+        assert np.array_equal(table.average_ranks, average)
+        assert np.array_equal(table.tie_terms, tie_terms)
+        assert table.tie_terms.dtype == np.int64
 
 
 class TestWilcoxon:
@@ -319,6 +344,12 @@ class TestSignedRankKernel:
 
 
 class TestPairStatistics:
+    @pytest.mark.parametrize("eps", ["0.6", True, None])
+    def test_tie_epsilon_that_is_not_a_real_number_refused(self, eps):
+        matrix = _matrix([[0.1, 0.9], [0.5, 0.2]])
+        with pytest.raises(ValidationError, match="tie_epsilon must be a real number"):
+            stats.pair_statistics(matrix, [("c0", "c1")], tie_epsilon=eps)
+
     @pytest.mark.parametrize("slice_, counts", [
         (48, stats._COUNTS), (stats._SLICE, 48), (48, 48), (400, 400),
         (stats._SLICE, stats._COUNTS),
@@ -410,7 +441,7 @@ class TestPairStatistics:
 class TestFriedman:
     def test_identical_scores(self):
         matrix = _matrix([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        assert friedman_test(matrix) == (0.0, 1.0)
+        assert friedman_test(compute_ranks(matrix)) == (0.0, 1.0)
 
     def test_matches_textbook_formula_tie_free(self):
         # One dominant comparate on every task, m=3, n=10.
@@ -420,7 +451,7 @@ class TestFriedman:
         matrix = _matrix(base)
         table = compute_ranks(matrix)
         expected = friedman_tie_free(table.ranks)
-        statistic, p = friedman_test(matrix)
+        statistic, p = friedman_test(table)
         assert statistic == pytest.approx(expected, rel=1e-12)
         assert 0.0 <= p <= 1.0
 
@@ -433,7 +464,7 @@ class TestFriedman:
                 rng, m=int(rng.integers(3, 8)), n=int(rng.integers(3, 25)),
                 tie_prob=0.5,
             )
-            stat, p = friedman_test(matrix)
+            stat, p = friedman_test(compute_ranks(matrix))
             ref_stat, ref_p = friedmanchisquare(
                 *[matrix.scores[i] for i in range(matrix.m)]
             )
@@ -453,13 +484,13 @@ class TestFriedman:
             assert chdtrc(df, x).tobytes() == chi2.sf(x, df).tobytes()
         for _ in range(20):
             matrix = random_matrix(rng, m=int(rng.integers(3, 12)), n=8, tie_prob=0.3)
-            stat, p = friedman_test(matrix)
+            stat, p = friedman_test(compute_ranks(matrix))
             assert p == float(chi2.sf(stat, matrix.m - 1))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
         matrix = random_matrix(rng, m=5, n=12)
-        stat, _ = friedman_test(matrix)
+        stat, _ = friedman_test(compute_ranks(matrix))
         perm = rng.permutation(5)
         shuffled = ResultsMatrix(
             tuple(matrix.comparates[i] for i in perm),
@@ -467,25 +498,25 @@ class TestFriedman:
             matrix.scores[perm],
             matrix.direction,
         )
-        stat2, _ = friedman_test(shuffled)
+        stat2, _ = friedman_test(compute_ranks(shuffled))
         assert stat2 == pytest.approx(stat, rel=1e-12, abs=1e-12)
 
     def test_monotone_transform_per_task_invariance(self):
         rng = np.random.default_rng(14)
         matrix = random_matrix(rng, m=4, n=8)
-        stat, _ = friedman_test(matrix)
+        stat, _ = friedman_test(compute_ranks(matrix))
         warped = matrix.scores.copy()
         warped[:, 0] = np.exp(warped[:, 0])
         warped[:, 1] = warped[:, 1] ** 3 + 2.0
         matrix2 = _matrix(warped, names=matrix.comparates)
-        stat2, _ = friedman_test(matrix2)
+        stat2, _ = friedman_test(compute_ranks(matrix2))
         assert stat2 == pytest.approx(stat, rel=1e-12)
 
     def test_size_guards(self):
         with pytest.raises(TooFewComparates):
-            friedman_test(_matrix([[1.0, 2.0], [3.0, 4.0]]))
+            friedman_test(compute_ranks(_matrix([[1.0, 2.0], [3.0, 4.0]])))
         with pytest.raises(TooFewTasks):
-            friedman_test(_matrix([[1.0], [2.0], [3.0]]))
+            friedman_test(compute_ranks(_matrix([[1.0], [2.0], [3.0]])))
 
 
 class TestNemenyi:
@@ -510,6 +541,15 @@ class TestNemenyi:
         cd = nemenyi_critical_difference(m, 10, alpha)
         assert cd == pytest.approx(q * math.sqrt(m * (m + 1) / 60.0), rel=1e-4)
 
+    @pytest.mark.parametrize("m, n", [(3.7, 10), (3, 10.9), (True, 10), (3, "10")])
+    def test_counts_that_are_not_integers_refused(self, m, n):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            nemenyi_critical_difference(m, n, 0.05)
+
+    def test_alpha_that_is_not_a_real_number_refused(self):
+        with pytest.raises(ValidationError, match="alpha must be a real number"):
+            nemenyi_critical_difference(3, 10, "0.05")
+
     def test_guards(self):
         with pytest.raises(ValidationError, match="no critical-value table for alpha"):
             nemenyi_critical_difference(5, 10, 0.01)
@@ -525,49 +565,37 @@ class TestHolm:
         with pytest.raises(ValidationError, match="alpha must be a real number"):
             stats.check_alpha(alpha)
         with pytest.raises(ValidationError, match="alpha must be a real number"):
-            holm_correction([("a", 0.01)], alpha)
+            holm_correction([0.01], alpha)
 
     def test_alpha_accepts_numpy_scalars(self):
         assert stats.check_alpha(np.float32(0.25)) == 0.25
         assert stats.check_alpha(np.float64(0.05)) == 0.05
 
     def test_all_significant_example(self):
-        decisions = holm_correction(
-            [("a", 0.01), ("b", 0.02), ("c", 0.04)], alpha=0.05
-        )
-        assert [d.significant for d in decisions] == [True, True, True]
-        assert [d.threshold for d in decisions] == pytest.approx(
-            [0.05 / 3, 0.05 / 2, 0.05]
-        )
+        assert holm_correction([0.01, 0.02, 0.04], alpha=0.05).tolist() == [True] * 3
 
     def test_stop_at_first_failure_example(self):
-        decisions = holm_correction(
-            [("a", 0.02), ("b", 0.03), ("c", 0.04)], alpha=0.05
-        )
-        assert [d.significant for d in decisions] == [False, False, False]
+        assert holm_correction([0.02, 0.03, 0.04], alpha=0.05).tolist() == [False] * 3
 
     def test_single_p_identity(self):
-        (decision,) = holm_correction([("only", 0.049)], alpha=0.05)
-        assert decision.significant and decision.threshold == 0.05
+        assert holm_correction([0.049], alpha=0.05).tolist() == [True]
+        assert holm_correction([0.05], alpha=0.05).tolist() == [True]
+        assert holm_correction([np.nextafter(0.05, 1.0)], alpha=0.05).tolist() == [False]
 
-    def test_sorted_output_with_deterministic_ties(self):
-        decisions = holm_correction(
-            [(("b", "c"), 0.01), (("a", "b"), 0.01), (("a", "c"), 0.5)], alpha=0.05
-        )
-        assert [d.pair for d in decisions] == [("a", "b"), ("b", "c"), ("a", "c")]
-
-    def test_tied_ids_compare_as_themselves(self):
-        decisions = holm_correction([(10, 0.01), (9, 0.01), (2, 0.5)], alpha=0.05)
-        assert [d.pair for d in decisions] == [9, 10, 2]
-        with pytest.raises(TypeError):
-            holm_correction([("a", 0.01), (9, 0.01)], alpha=0.05)
+    def test_decisions_in_input_order(self):
+        assert holm_correction([0.5, 0.01, 0.011], alpha=0.05).tolist() == [
+            False, True, True]
 
     def test_equal_ps_share_decision(self):
-        decisions = holm_correction(
-            [("a", 0.03), ("b", 0.03), ("c", 0.001)], alpha=0.05
-        )
-        outcome = {d.pair: d.significant for d in decisions}
-        assert outcome["a"] == outcome["b"]
+        significant = holm_correction([0.03, 0.03, 0.001], alpha=0.05)
+        assert significant[0] == significant[1]
+
+    def test_families_on_the_last_axis(self):
+        p = np.array([[[0.01, 0.02, 0.04], [0.02, 0.03, 0.04]],
+                      [[0.04, 0.001, 0.5], [1.0, 0.0, 0.0]]])
+        expected = [[[True] * 3, [False] * 3], [[False, True, False], [False, True, True]]]
+        assert holm_correction(p, alpha=0.05).tolist() == expected
+        assert holm_correction(np.empty((3, 0)), alpha=0.05).shape == (3, 0)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
@@ -575,15 +603,54 @@ class TestHolm:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotonicity(self, ps, alpha):
-        decisions = holm_correction(list(enumerate(ps)), alpha=alpha)
-        flags = {d.pair: d.significant for d in decisions}
+        flags = holm_correction(ps, alpha=alpha).tolist()
         for i, pi in enumerate(ps):
             for j, pj in enumerate(ps):
                 if pi <= pj and flags[j]:
                     assert flags[i]
 
+    @staticmethod
+    def tied_family(data, alpha, size):
+        # Each p is a step-down threshold exactly, one ulp either side of
+        # one, or 0, 1 or a repeat of a few values: many ties and every
+        # boundary.
+        thresholds = [alpha / k for k in range(1, size + 1)]
+        near = [np.nextafter(t, side) for t in thresholds for side in (0.0, 1.0)]
+        values = st.sampled_from([0.0, 1.0, 0.002, 0.3, *thresholds, *near])
+        return data.draw(st.lists(values, min_size=size, max_size=size))
+
+    @given(alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2]), size=st.integers(1, 12),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_oracle_on_tied_p_values(self, alpha, size, data):
+        ps = self.tied_family(data, alpha, size)
+        decisions = holm_correction_list(list(enumerate(ps)), alpha)
+        expected = [d.significant for d in sorted(decisions, key=lambda d: d.pair)]
+        assert holm_correction(ps, alpha).tolist() == expected
+
+    @given(alpha=st.sampled_from([0.01, 0.05, 0.2]), rows=st.integers(1, 6),
+           size=st.integers(1, 10), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_rows_match_the_list_oracle(self, alpha, rows, size, data):
+        p = np.array([self.tied_family(data, alpha, size) for _ in range(rows)])
+        got = holm_correction(p, alpha)
+        assert got.shape == p.shape and got.dtype == bool
+        for row, flags in zip(p.tolist(), got.tolist()):
+            decisions = holm_correction_list(list(enumerate(row)), alpha)
+            assert flags == [d.significant for d in sorted(decisions, key=lambda d: d.pair)]
+
     def test_guards(self):
         with pytest.raises(ValidationError, match="alpha must lie in"):
-            holm_correction([("a", 0.5)], alpha=1.0)
-        with pytest.raises(ValidationError, match="p-value for pair 'a' outside"):
-            holm_correction([("a", 1.5)], alpha=0.05)
+            holm_correction([0.5], alpha=1.0)
+        for bad in (1.5, -0.25, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="p-value outside"):
+                holm_correction([0.01, bad], alpha=0.05)
+        with pytest.raises(ValidationError, match="p-values need an axis"):
+            holm_correction(0.01, alpha=0.05)
+
+    @pytest.mark.parametrize("p", [True, [True, False], ["0.01"], [0.01 + 0j],
+                                   [[0.01], [0.1, 0.2]]],
+                             ids=["bool", "bools", "string", "complex", "ragged"])
+    def test_p_values_that_are_not_real_numbers_refused(self, p):
+        with pytest.raises(ValidationError, match="p-values must be numbers"):
+            holm_correction(p, alpha=0.05)
