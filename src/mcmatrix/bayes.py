@@ -12,7 +12,7 @@ The pseudo-observation is fixed at 0 (Benavoli et al., "Time for a
 change", JMLR 2017).  That makes the test mirror-symmetric: negating the
 differences negates every pair sum exactly, so the left and right regions
 swap under the same Dirichlet draws and the posterior of a reversed pair
-is ``BayesPosterior.mirrored()`` bit for bit.
+is its pair's mirror (``PosteriorTable.oriented``) bit for bit.
 
 Sampling is chunked through counter-keyed Philox streams: chunk c uses the
 substream ``Philox(key=seed, counter=c << 128)``, so results are
@@ -100,41 +100,40 @@ class BayesPosterior:
     theta_right: float
     mc_samples_used: int
 
-    def mirrored(self) -> BayesPosterior:
-        """The posterior of the reversed pair, whose differences are negated.
 
-        Bit-identical to evaluating the negated differences: every pair sum
-        only changes sign, so ``theta_left`` and ``theta_right`` swap and
-        ``theta_rope`` (computed as ``1 - (l + r)``) stays.
-        """
-        return BayesPosterior(
-            theta_left=self.theta_right,
-            theta_rope=self.theta_rope,
-            theta_right=self.theta_left,
-            mc_samples_used=self.mc_samples_used,
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorTable(Sequence):
-    """Posteriors of a block of pairs, held as columns.
+    """Posteriors of a block of pairs, held as numpy columns.
 
     Item i is the ``BayesPosterior`` of row i of the block, built when it
     is read.  Every posterior of a table averages ``mc_samples_used``
     samples.
     """
 
-    theta_left: tuple[float, ...]
-    theta_rope: tuple[float, ...]
-    theta_right: tuple[float, ...]
+    theta_left: np.ndarray
+    theta_rope: np.ndarray
+    theta_right: np.ndarray
     mc_samples_used: int
 
     def __len__(self) -> int:
         return len(self.theta_left)
 
     def __getitem__(self, i: int) -> BayesPosterior:
-        return BayesPosterior(self.theta_left[i], self.theta_rope[i],
-                              self.theta_right[i], self.mc_samples_used)
+        return self.cell(range(len(self))[i] + 1)
+
+    def cell(self, slot: int) -> BayesPosterior:
+        """The posterior at ``slot``, as ``oriented`` reads it."""
+        return BayesPosterior(*(column[0] for column in self.oriented(np.array([slot]))))
+
+    def oriented(self, slots: np.ndarray) -> tuple[list, ...]:
+        """The posteriors at signed ``slots`` as lists, in ``BayesPosterior``
+        field order: slot k + 1 reads row k, and -(k + 1) the reversed pair's
+        posterior, its mirror (see above): the left and right thetas swap,
+        and ``theta_rope``, computed as ``1 - (l + r)``, stays."""
+        k, flip = np.abs(slots) - 1, slots < 0
+        left, right = self.theta_left[k], self.theta_right[k]
+        return (np.where(flip, right, left).tolist(), self.theta_rope[k].tolist(),
+                np.where(flip, left, right).tolist(), [self.mc_samples_used] * len(k))
 
 
 def _prepare(rows, config: BayesConfig) -> np.ndarray:
@@ -220,4 +219,4 @@ def bayesian_signed_rank(rows, config: BayesConfig = BayesConfig()) -> Posterior
         sums[i] += thetas.sum(axis=0)
     n = int(config.mc_samples)
     means = np.clip(sums / n, 0.0, 1.0)
-    return PosteriorTable(*(tuple(means[:, j].tolist()) for j in range(3)), n)
+    return PosteriorTable(*means.T, n)

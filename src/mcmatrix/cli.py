@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import itertools
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bayes import BayesConfig
@@ -343,8 +344,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     except (TooFewComparates, TooFewTasks) as exc:
         friedman = {"skipped": str(exc)}
 
-    pairs = list(itertools.combinations(matrix.comparates, 2))
-    cells, bayes = compare_pairs(matrix, pairs, args.tie_epsilon, bayes_config)
+    names = matrix.comparates
+    upper = np.triu(np.ones((matrix.m, matrix.m), dtype=bool), 1)
+    cells, bayes = compare_pairs(matrix, names, names, upper, args.tie_epsilon, bayes_config)
     out = {
         "metadata": _metadata(args, payload),
         "direction": matrix.direction.value,

@@ -186,12 +186,15 @@ def check_real(name: str, value) -> float:
 def check_real_array(name: str, values) -> np.ndarray:
     """``values`` as a float64 array; ``ValidationError`` naming them unless
     they are integers and floats (not strings, bools, complex values or
-    objects) in rows of one length."""
+    objects) in rows of one length.  A list that mixes bools with numbers,
+    which numpy reads as numbers, is refused too; an array of numbers is
+    not scanned for them."""
     try:
         array = np.asarray(values)
     except ValueError:  # ragged rows
         array = None
-    if array is None or array.dtype.kind not in "iuf":
+    if (array is None or array.dtype.kind not in "iuf" or array is not values
+            and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, object).flat))):
         raise ValidationError(f"{name} must be numbers, in rows of one length")
     return array.astype(np.float64, copy=False)
 

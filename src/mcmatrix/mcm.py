@@ -11,14 +11,14 @@ designed to remove, so none is offered here.
 
 from __future__ import annotations
 
-import itertools
+import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .bayes import BayesConfig, BayesPosterior, bayesian_signed_rank
+from .bayes import BayesConfig, PosteriorTable, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
 from .errors import InternalError, ValidationError
 from .stats import (
@@ -32,9 +32,9 @@ from .stats import (
     pairwise_comparison,
 )
 
-__all__ = ["MCMConfig", "MCMReport", "PairGrid", "build_mcm", "cell_records",
-           "cell_records_json", "compare_pairs", "mcm_cell_invariance_check",
-           "mcm_report_header", "mcm_report_to_dict"]
+__all__ = ["MCMConfig", "MCMReport", "PairGrid", "build_mcm", "cell_records_json",
+           "compare_pairs", "mcm_cell_invariance_check", "mcm_report_header",
+           "mcm_report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,12 @@ class MCMConfig:
 class MCMReport:
     """Ordered grid of pairwise cells plus the metadata used to build it.
 
-    ``cells`` maps (row, column) to a comparison for every off-diagonal
-    grid position, in grid order: row-major over ``row_order`` x
-    ``column_order``, diagonal skipped.  ``bayes``, when posteriors were
-    asked for, maps the same keys to them.  A cell is significant iff its
-    uncorrected ``p_value < alpha``.  ``comparison_count`` counts
-    off-diagonal grid cells in focused mode and distinct pairs in all-pairs
-    mode.
+    ``cells`` is a ``PairGrid`` over ``row_order`` x ``column_order`` with a
+    cell at every off-diagonal position, and ``bayes``, when posteriors were
+    asked for, the grid of their posteriors on the same slots.  A cell is
+    significant iff its uncorrected ``p_value < alpha``.
+    ``comparison_count`` counts off-diagonal grid cells in focused mode and
+    distinct pairs in all-pairs mode.
     """
 
     row_order: tuple[str, ...]
@@ -81,84 +80,93 @@ def _order_by_mean(names: Sequence[str], means: dict[str, float],
     return tuple(sorted(names, key=lambda c: (means[c], c)))
 
 
+@dataclass(frozen=True, eq=False)
 class PairGrid(Mapping):
-    """Read-only mapping of ordered (row, column) pairs to the values of
-    their unordered pairs, in the order the pairs were asked for.
+    """A grid of values read from a table of unordered pairs.
 
-    ``index`` maps each key to ``(i, reversed)``: ``table[i]`` is the value
-    of the pair in the orientation it was evaluated in, and a reversed key
-    reads its ``mirrored()``.  Cells keep ``table`` a ``PairTable``, whose
-    ``fields(i, reversed)`` the writers read instead of building cells;
-    posteriors keep it a ``bayes.PosteriorTable``.
+    ``slot[i, j]`` places the value of ``rows[i]`` against ``columns[j]``:
+    k + 1 reads item k of ``table`` as evaluated, -(k + 1) its mirror, and 0
+    means no value.  ``table`` is a ``PairTable`` of cells or a
+    ``bayes.PosteriorTable``.  As a read-only mapping, each (row, column)
+    key with a value reads it, in row-major grid order.
     """
 
-    __slots__ = ("table", "index")
+    rows: tuple[str, ...]
+    columns: tuple[str, ...]
+    slot: np.ndarray
+    table: PairTable | PosteriorTable
 
-    def __init__(self, table: Sequence, index: dict[tuple[str, str], tuple[int, bool]]):
-        self.table = table
-        self.index = index
+    def row(self, i: int) -> tuple[list[int], list[int], tuple[list, ...]]:
+        """Grid row i's values: column positions, items of ``table``, oriented columns."""
+        at = np.flatnonzero(self.slot[i])
+        slots = self.slot[i, at]
+        return at.tolist(), (np.abs(slots) - 1).tolist(), self.table.oriented(slots)
 
     def __getitem__(self, key):
-        i, reverse = self.index[key]
-        value = self.table[i]
-        return value.mirrored() if reverse else value
+        try:
+            row, column = key
+            slot = int(self.slot[self.rows.index(row), self.columns.index(column)])
+        except (TypeError, ValueError):  # not a pair, or a name off the grid
+            slot = 0
+        if not slot:
+            raise KeyError(key)
+        return self.table.cell(slot)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.index)
+        return ((self.rows[i], self.columns[j]) for i, j in np.argwhere(self.slot).tolist())
 
     def __len__(self) -> int:
-        return len(self.index)
+        return int(np.count_nonzero(self.slot))
 
 
 def compare_pairs(
     matrix: ResultsMatrix,
-    pairs: Sequence[tuple[str, str]],
+    rows: Sequence[str],
+    columns: Sequence[str],
+    mask,
     tie_epsilon: float = 0.0,
     bayes_config: BayesConfig | None = None,
 ) -> tuple[PairGrid, PairGrid | None]:
-    """Cells, and with a Bayes config posteriors, for ordered (row, column) pairs.
+    """Cells, and with a Bayes config posteriors, of the grid over ``rows`` x
+    ``columns`` where the boolean ``mask`` is true.
 
-    Each unordered pair is evaluated once, in the orientation that comes
-    first in ``pairs``, into one ``PairTable``; the reverse orientation,
-    when also asked for, reads the mirror of that result, bit-identical to
-    evaluating it directly.  With at least ``MIN_BLOCK_PAIRS`` unordered
-    pairs the table comes from ``pair_statistics`` in numpy blocks, and the
-    first pair is evaluated again by ``pairwise_comparison``: a
-    disagreement raises ``InternalError``.  That compares a block with a
-    one-row run of the same kernel, not with an independent
-    implementation.  Fewer pairs are evaluated one at a time by
+    Each unordered pair is evaluated once, in matrix order, into one
+    ``PairTable``; a cell whose row comes later in the matrix reads its
+    pair's mirror.  With at least ``MIN_BLOCK_PAIRS`` pairs the table comes
+    from ``pair_statistics``, and the first pair is evaluated again by
+    ``pairwise_comparison``: a disagreement raises ``InternalError``.  That
+    compares a block with a one-row run of the same kernel, not with an
+    independent implementation.  Fewer pairs are evaluated one at a time by
     ``pairwise_comparison``.  Posteriors come from one
-    ``bayesian_signed_rank`` call on the block of every unordered pair, so
-    each chunk of Dirichlet weights is drawn once per call.
+    ``bayesian_signed_rank`` call, which draws each chunk of weights once.
     """
-    index: dict[tuple[str, str], tuple[int, bool]] = {}
-    first: list[tuple[str, str]] = []
-    for r, c in pairs:
-        if (r, c) not in index:
-            seen = index.get((c, r))
-            if seen is None:
-                index[(r, c)] = (len(first), False)
-                first.append((r, c))
-            else:
-                index[(r, c)] = (seen[0], True)
-    if len(first) < MIN_BLOCK_PAIRS:
-        alone = [pairwise_comparison(matrix, *pair, tie_epsilon) for pair in first]
-        columns = (tuple(getattr(cell, name) for cell in alone) for name in
-                   ("mean_difference", "wins", "losses", "p_value", "p_method"))
-        table = PairTable(tuple(first), *columns, matrix.n)
+    rows, columns, mask = tuple(rows), tuple(columns), np.asarray(mask, dtype=bool)
+    if mask.shape != (len(rows), len(columns)):
+        raise ValidationError(f"mask of shape {mask.shape} for a {len(rows)} x {len(columns)} grid")
+    r, c = (np.array([matrix.index_of(name) for name in names], dtype=np.intp)
+            for names in (rows, columns))
+    # A cell's pair as lo * m + hi in matrix positions: sorted keys are in matrix order.
+    keys = np.minimum.outer(r, c) * matrix.m + np.maximum.outer(r, c)
+    keys, k = np.unique(keys[mask], return_inverse=True)
+    slot = np.zeros(mask.shape, dtype=np.intp)
+    slot[mask] = np.where(r[:, None] > c, -1, 1)[mask] * (k + 1)
+    pairs = np.array(matrix.comparates, dtype=object)[np.stack(np.divmod(keys, matrix.m), 1)]
+    if len(pairs) < MIN_BLOCK_PAIRS:
+        alone = [pairwise_comparison(matrix, a, b, tie_epsilon) for a, b in pairs]
+        values = [np.array([getattr(cell, name) for cell in alone]) for name in
+                  ("mean_difference", "wins", "losses", "p_value")]
+        table = PairTable(pairs, *values, tuple(cell.p_method for cell in alone), matrix.n)
     else:
-        table = pair_statistics(matrix, first, tie_epsilon)
-        alone = pairwise_comparison(matrix, *first[0], tie_epsilon)
+        table = pair_statistics(matrix, pairs, tie_epsilon)
+        alone = pairwise_comparison(matrix, *pairs[0], tie_epsilon)
         if alone != table[0]:
             raise InternalError(
                 f"batched pair statistics gave {table[0]!r}; "
                 f"pairwise_comparison gives {alone!r}"
             )
-    bayes = None
-    if bayes_config is not None:
-        bayes = PairGrid(bayesian_signed_rank(_differences(matrix, first), bayes_config),
-                         index)
-    return PairGrid(table, index), bayes
+    bayes = None if bayes_config is None else PairGrid(
+        rows, columns, slot, bayesian_signed_rank(_differences(matrix, pairs), bayes_config))
+    return PairGrid(rows, columns, slot, table), bayes
 
 
 def build_mcm(
@@ -185,22 +193,18 @@ def build_mcm(
     row_order = _order_by_mean(rows, means, matrix.direction)
     column_order = _order_by_mean(cols, means, matrix.direction)
 
-    if set(rows) == set(cols):
-        count = len(rows) * (len(rows) - 1) // 2
-    else:
-        count = len(rows) * len(cols) - len(set(rows) & set(cols))
-
-    pairs = [(r, c) for r in row_order for c in column_order if r != c]
-    if not pairs:
+    mask = np.array(row_order, dtype=object)[:, None] != np.array(column_order, dtype=object)
+    if not mask.any():
         raise ValidationError("report contains no comparisons")
-    cells, bayes = compare_pairs(matrix, pairs, config.tie_epsilon, bayes_config)
+    cells, bayes = compare_pairs(matrix, row_order, column_order, mask, config.tie_epsilon,
+                                 bayes_config)
 
     return MCMReport(
         row_order=row_order,
         column_order=column_order,
         mean_performance={c: means[c] for c in involved},
         cells=cells,
-        comparison_count=count,
+        comparison_count=len(cells.table) if set(rows) == set(cols) else len(cells),
         alpha=alpha,
         direction=matrix.direction,
         n_tasks=matrix.n,
@@ -234,38 +238,6 @@ def mcm_cell_invariance_check(
     return True
 
 
-def cell_records(
-    cells: Mapping[tuple[str, str], PairwiseComparison],
-    alpha: float,
-    bayes: Mapping[tuple[str, str], BayesPosterior] | None = None,
-) -> list[dict]:
-    """JSON records of ``cells``, in their order: each cell's fields, then
-    ``"significant"`` (``p < alpha``), then ``"bayes"`` when posteriors exist."""
-    records = []
-    for pair, cell in cells.items():
-        record = {
-            "row": cell.row,
-            "col": cell.column,
-            "mean_diff": cell.mean_difference,
-            "wins": cell.wins,
-            "ties": cell.ties,
-            "losses": cell.losses,
-            "p": cell.p_value,
-            "p_method": cell.p_method.value,
-            "significant": cell.p_value < alpha,
-        }
-        if bayes is not None:
-            post = bayes[pair]
-            record["bayes"] = {
-                "theta_left": post.theta_left,
-                "theta_rope": post.theta_rope,
-                "theta_right": post.theta_right,
-                "mc_samples": post.mc_samples_used,
-            }
-        records.append(record)
-    return records
-
-
 # One cell of ``cell_records_json``: the keys and indents ``json.dumps``
 # gives a record two levels deep, without its closing brace.  The last
 # three fields depend only on the unordered pair.
@@ -294,38 +266,36 @@ def cell_records_json(
     alpha: float,
     bayes: PairGrid | None = None,
 ) -> str:
-    """``cell_records(cells, alpha, bayes)`` as the JSON text of a
-    top-level value of an indent-2 document: ``json.dumps(records,
+    """The JSON records of the cells of ``cells`` in grid order, as the
+    text of a top-level value of an indent-2 document: ``json.dumps(records,
     indent=2)`` with every line after the first indented two more spaces.
 
-    ``cells`` is a ``PairGrid`` over a ``PairTable``, as ``compare_pairs``
-    gives it.  Each cell is one template, filled from the table's columns:
-    each name is quoted once, by the function ``json`` quotes with, and
-    each unordered pair's p-value, method and significance are written
-    once.  Floats are written by ``float.__repr__``, which is what ``json``
-    writes for a finite float; every cell value is finite.
+    A record holds the cell's fields, ``"significant"`` (``p < alpha``) and,
+    given posteriors on the same slots, ``"bayes"``.  Each cell is one
+    template filled from its grid row's oriented columns: each name is
+    quoted once, by ``json``'s quoting function, and each unordered pair's
+    p-value, method and significance once.  Floats are written by
+    ``float.__repr__``, as ``json`` writes a finite float; every value is.
     """
     if not cells:
         return "[]"
-    table = cells.table
-    names = {name for pair in table.pairs for name in pair}
-    quoted = {name: encode_basestring_ascii(name) for name in names}
+    quoted = [encode_basestring_ascii(name) for name in cells.columns]
     methods = {m: encode_basestring_ascii(m.value) for m in PMethod}
     r = float.__repr__
     tests = [_TEST_JSON % (r(p), methods[method], "true" if p < alpha else "false")
-             for p, method in zip(table.p_value, table.p_method)]
+             for p, method in zip(cells.table.p_value.tolist(), cells.table.p_method)]
     parts = ["[\n"]  # a grid row's cells are joined as it is formed
-    for _, group in itertools.groupby(cells.index.items(), lambda item: item[0][0]):
-        texts = []
-        for pair, (i, reverse) in group:
-            row, column, mean, wins, ties, losses, _, _ = table.fields(i, reverse)
-            text = _CELL_JSON % (quoted[row], quoted[column], r(mean), wins, ties, losses,
-                                 tests[i])
-            if bayes is not None:
-                post = bayes[pair]
-                text += _BAYES_JSON % (r(post.theta_left), r(post.theta_rope),
-                                       r(post.theta_right), post.mc_samples_used)
-            texts.append(text)
+    for i, name in enumerate(cells.rows):
+        at, items, (_, _, means, wins, ties, losses, _, _) = cells.row(i)
+        if not at:
+            continue
+        row = encode_basestring_ascii(name)
+        texts = [_CELL_JSON % (row, quoted[j], r(mean), w, t, l, tests[k])
+                 for j, k, mean, w, t, l in zip(at, items, means, wins, ties, losses)]
+        if bayes is not None:
+            _, _, (left, rope, right, samples) = bayes.row(i)
+            texts = [text + _BAYES_JSON % (r(a), r(b), r(c), n)
+                     for text, a, b, c, n in zip(texts, left, rope, right, samples)]
         parts += ("\n    },\n".join(texts), "\n    },\n")
     parts[-1] = "\n    }\n  ]"
     del tests  # the rows hold every cell: join them alone
@@ -352,8 +322,7 @@ def mcm_report_header(report: MCMReport) -> dict:
 
 
 def mcm_report_to_dict(report: MCMReport) -> dict:
-    """Canonical machine-readable form of a report."""
-    return {
-        **mcm_report_header(report),
-        "cells": cell_records(report.cells, report.alpha, report.bayes),
-    }
+    """Canonical machine-readable form of a report: the header, then the
+    ``"cells"`` that ``cell_records_json`` writes."""
+    cells = json.loads(cell_records_json(report.cells, report.alpha, report.bayes))
+    return {**mcm_report_header(report), "cells": cells}

@@ -44,8 +44,8 @@ def render_mcm(
     # Each unordered pair is one row of the cells' table, read in both
     # orientations.  A zero difference is white whatever the limit, so a
     # limit of 0 is never divided by.
-    pairs, index = report.cells.table, report.cells.index
-    limit = max(map(abs, pairs.mean_difference))
+    pairs = report.cells.table
+    limit = float(abs(pairs.mean_difference).max())
     places = CELL_DECIMAL_PLACES
     rows, cols = report.row_order, report.column_order
     alpha = report.alpha
@@ -107,31 +107,26 @@ def render_mcm(
         "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
     ] if fmt == "html" else None
     # A pair's p label is the same in both orientations.
-    p_labels = [fnum(p, places) for p in pairs.p_value]
+    p_labels = [fnum(p, places) for p in pairs.p_value.tolist()]
     row_html = [escape(r) for r in rows]
     col_html = [escape(c) for c in cols]
     # A grid row's cells are joined as it is formed; the page, once.
     doc.group_start("cells")
-    for i, r in enumerate(rows):
+    for i in range(len(rows)):
         y = row_y[i]
         y_mean, y_wtl, y_p = row_text_y[i]
-        cells = []
-        for j, c in enumerate(cols):
-            x = col_x[j]
-            if r == c:
-                cells.append(f'<rect x="{x}" y="{y}" {size} fill="#f2f2f2" {stroke} '
-                             'class="diagonal"/>')
-                continue
-            k, reverse = index[(r, c)]
-            _, _, mean_difference, wins, ties, losses, p_value, _ = pairs.fields(k, reverse)
+        at, items, (_, _, means, wins, ties, losses, p_values, _) = report.cells.row(i)
+        cells = [None] * len(cols)  # None is the diagonal
+        for j, k, mean_difference, w, t, l, p_value in zip(at, items, means, wins, ties,
+                                                           losses, p_values):
             significant = p_value < alpha
             mean = fnum(mean_difference, places)
-            wtl = f"{wins} / {ties} / {losses}"
+            wtl = f"{w} / {t} / {l}"
             p = p_labels[k]
             cx = col_cx[j]
             attrs = bold if significant else text
-            cells.append(
-                f'<rect x="{x}" y="{y}" {size} '
+            cells[j] = (
+                f'<rect x="{col_x[j]}" y="{y}" {size} '
                 f'fill="{diverging_color(mean_difference, limit)}" {stroke} '
                 'class="cell-bg"/>\n'
                 f'<text x="{cx}" y="{y_mean}"{attrs}>{mean}</text>\n'
@@ -144,7 +139,9 @@ def render_mcm(
                     f"<td>{wtl}</td><td>{p}</td>"
                     f"<td>{'yes' if significant else 'no'}</td></tr>"
                 )
-        doc.raw("\n".join(cells))
+        doc.raw("\n".join(
+            cell or f'<rect x="{col_x[j]}" y="{y}" {size} fill="#f2f2f2" {stroke} '
+                    'class="diagonal"/>' for j, cell in enumerate(cells)))
     doc.group_end()
 
     if table is None:

@@ -112,40 +112,21 @@ class PairwiseComparison:
     p_value: float
     p_method: PMethod
 
-    def mirrored(self) -> PairwiseComparison:
-        """The same cell from the column comparate's perspective.
 
-        Bit-identical to evaluating the reversed pair (see ``_mirror``).
-        """
-        return PairwiseComparison(*_mirror(
-            self.row, self.column, self.mean_difference, self.wins, self.ties,
-            self.losses, self.p_value, self.p_method,
-        ))
-
-
-def _mirror(row, column, mean_difference, wins, ties, losses, p_value, p_method) -> tuple:
-    """A cell's fields from the column comparate's perspective.
-
-    The differences only change sign, so the p-value is shared and wins and
-    losses swap.  ``0.0 - x`` rather than ``-x`` keeps a zero mean
-    difference at +0.0, as direct evaluation gives it.
-    """
-    return column, row, 0.0 - mean_difference, losses, ties, wins, p_value, p_method
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairTable(Sequence):
-    """Cells of ordered (row, column) pairs, held as columns.
+    """Cells of ordered (row, column) pairs, held as numpy columns: ``pairs``
+    is a (k, 2) object array of names, and ``p_method`` a tuple.
 
     Item i is the ``PairwiseComparison`` of ``pairs[i]``, built when it is
     read; its ties are ``n - wins[i] - losses[i]``.
     """
 
-    pairs: tuple[tuple[str, str], ...]
-    mean_difference: tuple[float, ...]
-    wins: tuple[int, ...]
-    losses: tuple[int, ...]
-    p_value: tuple[float, ...]
+    pairs: np.ndarray
+    mean_difference: np.ndarray
+    wins: np.ndarray
+    losses: np.ndarray
+    p_value: np.ndarray
     p_method: tuple[PMethod, ...]
     n: int
 
@@ -153,16 +134,29 @@ class PairTable(Sequence):
         return len(self.pairs)
 
     def __getitem__(self, i: int) -> PairwiseComparison:
-        return PairwiseComparison(*self.fields(i))
+        return self.cell(range(len(self))[i] + 1)
 
-    def fields(self, i: int, reverse: bool = False) -> tuple:
-        """Item i's fields in ``PairwiseComparison`` order; with ``reverse``,
-        those of ``self[i].mirrored()``."""
-        row, column = self.pairs[i]
-        wins, losses = self.wins[i], self.losses[i]
-        fields = (row, column, self.mean_difference[i], wins, self.n - wins - losses,
-                  losses, self.p_value[i], self.p_method[i])
-        return _mirror(*fields) if reverse else fields
+    def cell(self, slot: int) -> PairwiseComparison:
+        """The cell at ``slot``, as ``oriented`` reads it."""
+        return PairwiseComparison(*(column[0] for column in self.oriented(np.array([slot]))))
+
+    def oriented(self, slots: np.ndarray) -> tuple[list, ...]:
+        """The cells at signed ``slots`` as lists, in ``PairwiseComparison``
+        field order: slot k + 1 reads item k, and -(k + 1) its mirror, which
+        is bit-identical to evaluating the reversed pair.  Its differences
+        only change sign, so names, wins and losses swap, p and method stay,
+        and the mean is ``0.0 - x``, which keeps a zero at +0.0."""
+        k, flip = np.abs(slots) - 1, slots < 0
+        pair, mean, wins, losses = (self.pairs[k], self.mean_difference[k], self.wins[k],
+                                    self.losses[k])
+        return (np.where(flip, pair[:, 1], pair[:, 0]).tolist(),
+                np.where(flip, pair[:, 0], pair[:, 1]).tolist(),
+                np.where(flip, 0.0 - mean, mean).tolist(),
+                np.where(flip, losses, wins).tolist(),
+                (self.n - wins - losses).tolist(),
+                np.where(flip, wins, losses).tolist(),
+                self.p_value[k].tolist(),
+                [self.p_method[i] for i in k.tolist()])
 
 
 def compute_ranks(matrix: ResultsMatrix) -> RankTable:
@@ -355,30 +349,33 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     return p[0], method[0]
 
 
-def _differences(matrix: ResultsMatrix, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+def _differences(matrix: ResultsMatrix, pairs) -> np.ndarray:
     """Oriented differences of ordered (row, column) pairs, one row per pair.
 
-    A difference that overflows raises ``ValidationError`` naming the pair
-    and the first task where it does.
+    The names are mapped to positions in one pass.  The first pair that
+    names one comparate twice or an unknown one raises ``ValidationError``,
+    as does a difference that overflows, naming the pair and the task.
     """
+    asked = np.asarray(pairs, dtype=object)
+    if asked.ndim != 2 or asked.shape[1] != 2:
+        raise ValidationError("each pair must name a row and a column comparate")
     position = {name: i for i, name in enumerate(matrix.comparates)}
-    left, right = [], []
-    for row, column in pairs:
+    at = np.fromiter(map(position.get, asked.ravel(), itertools.repeat(-1)), np.intp,
+                     asked.size).reshape(asked.shape)
+    left, right = at[:, 0], at[:, 1]
+    bad = (left == right) | (left < 0) | (right < 0)
+    if bad.any():
+        row, column = asked[bad.argmax()]
         if row == column:
             raise ValidationError(f"cannot compare {row!r} with itself")
-        for name in (row, column):
-            if name not in position:
-                matrix.index_of(name)  # raises ValidationError
-        left.append(position[row])
-        right.append(position[column])
+        matrix.check_names((row, column), "pair")  # raises ValidationError
     with np.errstate(over="ignore"):
         d = matrix.scores[left] - matrix.scores[right]
     if matrix.direction is Direction.LOWER_IS_BETTER:
         d = -d
-    bad = np.argwhere(~np.isfinite(d))
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        row, column = pairs[i]
+    if not np.isfinite(d).all():
+        i, j = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
+        row, column = asked[i]
         raise ValidationError(
             f"the score difference of {row!r} and {column!r} overflows "
             f"on task {matrix.tasks[j]!r}"
@@ -409,11 +406,11 @@ def pairwise_comparison(
 
 def pair_statistics(
     matrix: ResultsMatrix,
-    pairs: Sequence[tuple[str, str]],
+    pairs,
     tie_epsilon: float = 0.0,
 ) -> PairTable:
     """``pairwise_comparison`` of every ordered (row, column) pair, in order,
-    as one table.
+    as one table.  ``pairs`` is a sequence of name pairs or a (k, 2) array.
 
     The pairs are cut into equal slices of at most ``_SLICE`` (2**16)
     differences, each one numpy block, so the kernel's temporaries stay
@@ -426,30 +423,28 @@ def pair_statistics(
     tie_epsilon = check_real("tie_epsilon", tie_epsilon)
     if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
         raise ValidationError("tie_epsilon must be a finite value >= 0")
-    pairs = tuple(pairs)
+    pairs = np.asarray(pairs, dtype=object)
     n, count = matrix.n, len(pairs)
     slices = -(-count // max(1, _SLICE // n))
-    means: list[float] = []
-    wins: list[int] = []
-    losses: list[int] = []
-    p_value: list[float] = []
+    means, p_value = np.empty(count), np.empty(count)
+    wins, losses = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     p_method: list[PMethod] = []
     for s in range(slices):
-        d = _differences(matrix, pairs[count * s // slices:count * (s + 1) // slices])
-        wins += np.count_nonzero(d > tie_epsilon, axis=1).tolist()
-        losses += np.count_nonzero(d < -tie_epsilon, axis=1).tolist()
+        part = slice(count * s // slices, count * (s + 1) // slices)
+        d = _differences(matrix, pairs[part])
+        wins[part] = np.count_nonzero(d > tie_epsilon, axis=1)
+        losses[part] = np.count_nonzero(d < -tie_epsilon, axis=1)
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
         # underflows to -0.0 into +0.0, the value the mirror of the reversed
         # pair gives.
-        means += (d.mean(axis=1) + 0.0).tolist()
+        means[part] = d.mean(axis=1) + 0.0
         if count < MIN_BLOCK_PAIRS:
             p, method = zip(*map(wilcoxon_signed_rank, d))
         else:
             p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
-        p_value += p
+        p_value[part] = p
         p_method += method
-    return PairTable(pairs, tuple(means), tuple(wins), tuple(losses), tuple(p_value),
-                     tuple(p_method), n)
+    return PairTable(pairs, means, wins, losses, p_value, tuple(p_method), n)
 
 
 def friedman_test(ranks: RankTable) -> tuple[float, float]:
@@ -576,7 +571,8 @@ def all_pairs_pvalues(
     That compares a block with a one-row run of the same kernel, not with
     an independent implementation.
     """
-    pairs = list(itertools.combinations(names, 2))
+    upper = np.triu_indices(len(names), 1)
+    pairs = np.array(names, dtype=object)[np.stack(upper, axis=1)]
     table = pair_statistics(matrix, pairs)
     if len(pairs) >= MIN_BLOCK_PAIRS:
         a, b = pairs[0]
@@ -587,7 +583,7 @@ def all_pairs_pvalues(
                 f"for ({a!r}, {b!r}); wilcoxon_signed_rank gives {alone!r}"
             )
     p = np.zeros((len(names), len(names)))
-    p[np.triu_indices(len(names), 1)] = table.p_value  # in the order of ``pairs``
+    p[upper] = table.p_value  # in the order of ``pairs``
     return p + p.T
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -41,10 +42,25 @@ def cell_bits(cell) -> tuple:
     )
 
 
+def swapped_cell_bits(cell) -> tuple:
+    """``cell_bits`` of the cell from the column comparate's perspective:
+    names, wins and losses swap, and the mean difference is ``0.0 - x``."""
+    return cell_bits(dataclasses.replace(
+        cell, row=cell.column, column=cell.row, mean_difference=0.0 - cell.mean_difference,
+        wins=cell.losses, losses=cell.wins))
+
+
 def posterior_bits(posterior) -> tuple:
     """A Bayesian posterior with its thetas as IEEE bytes."""
     thetas = (posterior.theta_left, posterior.theta_rope, posterior.theta_right)
     return tuple(struct.pack("<d", t) for t in thetas) + (posterior.mc_samples_used,)
+
+
+def swapped_posterior_bits(posterior) -> tuple:
+    """``posterior_bits`` of the reversed pair's posterior: the left and
+    right thetas swap."""
+    return posterior_bits(dataclasses.replace(
+        posterior, theta_left=posterior.theta_right, theta_right=posterior.theta_left))
 
 
 def load_fixture(name: str) -> dict:

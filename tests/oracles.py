@@ -26,6 +26,9 @@ array kernel, one decision object per p-value in ``(p, id)`` order, and
 ranks one task at a time with two m x m comparisons and takes the tie term
 from ``np.unique``'s counts, as the package did before it sorted every task
 at once.
+
+``cell_records`` is the dict builder the package's JSON cell writer
+replaced, kept unchanged: the writer's text is held to ``json.dumps`` of it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from mcmatrix.bayes import BayesPosterior
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod, check_alpha
@@ -337,3 +341,35 @@ def compute_ranks_loop(
         tie_terms[j] = (counts**3 - counts).sum()
     average = np.array([float(np.mean(ranks[i])) for i in range(m)])
     return ranks, average, tie_terms
+
+
+def cell_records(
+    cells: Mapping[tuple[str, str], PairwiseComparison],
+    alpha: float,
+    bayes: Mapping[tuple[str, str], BayesPosterior] | None = None,
+) -> list[dict]:
+    """JSON records of ``cells``, in their order: each cell's fields, then
+    ``"significant"`` (``p < alpha``), then ``"bayes"`` when posteriors exist."""
+    records = []
+    for pair, cell in cells.items():
+        record = {
+            "row": cell.row,
+            "col": cell.column,
+            "mean_diff": cell.mean_difference,
+            "wins": cell.wins,
+            "ties": cell.ties,
+            "losses": cell.losses,
+            "p": cell.p_value,
+            "p_method": cell.p_method.value,
+            "significant": cell.p_value < alpha,
+        }
+        if bayes is not None:
+            post = bayes[pair]
+            record["bayes"] = {
+                "theta_left": post.theta_left,
+                "theta_rope": post.theta_rope,
+                "theta_right": post.theta_right,
+                "mc_samples": post.mc_samples_used,
+            }
+        records.append(record)
+    return records

@@ -131,13 +131,14 @@ PUBLIC_SURFACE = {
         "theta_rope",
         "theta_right",
         "mc_samples_used",
-        "mirrored(self)",
     ),
     "mcmatrix.bayes.PosteriorTable": (
         "theta_left",
         "theta_rope",
         "theta_right",
         "mc_samples_used",
+        "cell(self, slot)",
+        "oriented(self, slots)",
     ),
     "mcmatrix.bayes.bayesian_signed_rank": (
         "(rows, config=BayesConfig(rope=0.01, prior_strength=1.0, mc_samples=100000, "
@@ -207,14 +208,15 @@ PUBLIC_SURFACE = {
         "tie_epsilon=0.0",
         "bayes=None",
     ),
-    "mcmatrix.mcm.PairGrid": ("class(Mapping)", "__init__(self, table, index)"),
+    "mcmatrix.mcm.PairGrid": ("rows", "columns", "slot", "table", "row(self, i)"),
     "mcmatrix.mcm.build_mcm": (
         "(matrix, config=MCMConfig(alpha=0.05, row_comparates=None, "
         "column_comparates=None, tie_epsilon=0.0), bayes_config=None)"
     ),
-    "mcmatrix.mcm.cell_records": "(cells, alpha, bayes=None)",
     "mcmatrix.mcm.cell_records_json": "(cells, alpha, bayes=None)",
-    "mcmatrix.mcm.compare_pairs": "(matrix, pairs, tie_epsilon=0.0, bayes_config=None)",
+    "mcmatrix.mcm.compare_pairs": (
+        "(matrix, rows, columns, mask, tie_epsilon=0.0, bayes_config=None)"
+    ),
     "mcmatrix.mcm.mcm_cell_invariance_check": "(matrix, pair, subsets)",
     "mcmatrix.mcm.mcm_report_header": "(report)",
     "mcmatrix.mcm.mcm_report_to_dict": "(report)",
@@ -330,7 +332,6 @@ PUBLIC_SURFACE = {
         "losses",
         "p_value",
         "p_method",
-        "mirrored(self)",
     ),
     "mcmatrix.stats.PairTable": (
         "pairs",
@@ -340,7 +341,8 @@ PUBLIC_SURFACE = {
         "p_value",
         "p_method",
         "n",
-        "fields(self, i, reverse=False)",
+        "cell(self, slot)",
+        "oriented(self, slots)",
     ),
     "mcmatrix.stats.DEFAULT_EXACT_THRESHOLD": "25",
     "mcmatrix.stats.compute_ranks": "(matrix)",

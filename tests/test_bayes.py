@@ -4,7 +4,7 @@ import pytest
 from mcmatrix import BayesConfig, bayesian_signed_rank, posterior_samples
 from mcmatrix.errors import ValidationError
 
-from conftest import posterior_bits
+from conftest import posterior_bits, swapped_posterior_bits
 from oracles import bayes_posterior_means
 
 
@@ -51,8 +51,8 @@ def test_config_accepts_numpy_scalars():
     config = BayesConfig(rope=np.float64(0.05), prior_strength=np.float32(2.0),
                          mc_samples=np.int64(300), seed=np.uint64(2**64 - 1))
     plain = BayesConfig(rope=0.05, prior_strength=2.0, mc_samples=300, seed=2**64 - 1)
-    assert bayesian_signed_rank([[0.3, -0.1]], config) == bayesian_signed_rank(
-        [[0.3, -0.1]], plain)
+    assert list(bayesian_signed_rank([[0.3, -0.1]], config)) == list(bayesian_signed_rank(
+        [[0.3, -0.1]], plain))
 
 
 def test_block_rows_must_be_one_length_of_numbers():
@@ -68,10 +68,12 @@ def test_block_rows_must_be_one_length_of_numbers():
 @pytest.mark.parametrize("rows", [
     [["0.5", "-0.25"]],
     [[True, False]],
+    [[0.5, True]],
+    [np.array([0.5, -0.25]), np.array([True, False])],
     [[0.5 + 0j, -0.25]],
     [[None, -0.25]],
     np.array([[0.5, -0.25]], dtype=object),
-], ids=["strings", "bools", "complex", "none", "object"])
+], ids=["strings", "bools", "mixed-bool", "bool-row", "complex", "none", "object"])
 def test_non_numbers_refused(rows):
     with pytest.raises(ValidationError, match="differences must be numbers"):
         bayesian_signed_rank(rows, BayesConfig(mc_samples=10))
@@ -217,8 +219,10 @@ def test_mirror_equals_negated_differences_bit_for_bit(rope):
         rng.normal(0.0, 0.2, size=108),
     ]
     for d in cases:
-        mirror = bayesian_signed_rank([d], config)[0].mirrored()
-        assert posterior_bits(mirror) == posterior_bits(bayesian_signed_rank([-d], config)[0])
+        table = bayesian_signed_rank([d], config)
+        mirror = posterior_bits(bayesian_signed_rank([-d], config)[0])
+        assert swapped_posterior_bits(table[0]) == mirror
+        assert posterior_bits(table.cell(-1)) == mirror
 
 
 def test_prior_pseudo_observation_is_not_configurable():

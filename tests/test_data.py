@@ -217,11 +217,12 @@ class TestValidation:
     @pytest.mark.parametrize("scores", [
         [["1.5"], ["2"]],
         [[True], [False]],
+        [[True], [2.0]],
         [[1.5 + 0j], [2.0]],
         [[None], [2.0]],
         np.array([[1.5], [2.0]], dtype=object),
         [[1.5, 2.0], [2.0]],
-    ], ids=["strings", "bools", "complex", "none", "object", "ragged"])
+    ], ids=["strings", "bools", "mixed-bool", "complex", "none", "object", "ragged"])
     def test_non_numbers_refused(self, scores):
         with pytest.raises(ValidationError, match="scores must be numbers"):
             ResultsMatrix(("A", "B"), ("t",), scores, "higher")

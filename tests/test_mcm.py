@@ -18,10 +18,10 @@ from mcmatrix import (
     mcm_cell_invariance_check,
     mcm_report_to_dict,
 )
-from mcmatrix.bayes import CHUNK_SIZE, BayesPosterior, bayesian_signed_rank
+from mcmatrix.bayes import CHUNK_SIZE, PosteriorTable, bayesian_signed_rank
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stability import significance_pattern
-from mcmatrix.mcm import PairGrid, cell_records, cell_records_json
+from mcmatrix.mcm import PairGrid, cell_records_json, compare_pairs
 from mcmatrix.render import render_mcm
 from mcmatrix.stats import (
     MIN_BLOCK_PAIRS,
@@ -29,10 +29,19 @@ from mcmatrix.stats import (
     PairwiseComparison,
     PMethod,
     oriented_differences,
+    pairwise_comparison,
 )
 
-from conftest import cell_bits, fixture_matrix, load_fixture, posterior_bits, random_matrix
-from oracles import pairwise_comparison_scalar
+from conftest import (
+    cell_bits,
+    fixture_matrix,
+    load_fixture,
+    posterior_bits,
+    random_matrix,
+    swapped_cell_bits,
+    swapped_posterior_bits,
+)
+from oracles import cell_records, pairwise_comparison_scalar
 
 
 def _matrix(scores, names=None, direction=Direction.HIGHER_IS_BETTER):
@@ -214,6 +223,18 @@ class TestBuildMcm:
         with pytest.raises(ValidationError, match="unknown comparate 'nope'"):
             build_mcm(matrix, MCMConfig(row_comparates=("nope",)))
 
+    def test_compare_pairs_takes_a_mask_of_the_grid_shape(self):
+        matrix = random_matrix(np.random.default_rng(8), m=3, n=4)
+        names = matrix.comparates
+        with pytest.raises(ValidationError, match=r"mask of shape \(2, 3\) for a 3 x 3 grid"):
+            compare_pairs(matrix, names, names, np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValidationError, match="unknown comparate 'nope'"):
+            compare_pairs(matrix, ("nope",), names, np.ones((1, 3), dtype=bool))
+        with pytest.raises(ValidationError, match="cannot compare 'c0' with itself"):
+            compare_pairs(matrix, names, names, np.ones((3, 3), dtype=bool))
+        cells, bayes = compare_pairs(matrix, names, names, np.zeros((3, 3), dtype=bool))
+        assert len(cells) == len(cells.table) == 0 and bayes is None
+
 
 class TestGridCells:
     def test_cells_are_a_read_only_mapping_in_grid_order(self):
@@ -231,7 +252,22 @@ class TestGridCells:
         with pytest.raises(TypeError):
             report.cells[(a, b)] = report.cells[(b, a)]
         for a, b in grid:
-            assert cell_bits(report.cells[(b, a)]) == cell_bits(report.cells[(a, b)].mirrored())
+            assert cell_bits(report.cells[(b, a)]) == swapped_cell_bits(report.cells[(a, b)])
+
+    def test_every_cell_of_a_focused_report_is_its_pair_evaluated_directly(self):
+        # Rows after columns in matrix order, overlapping: most cells read a
+        # mirror, and the shared comparates leave diagonal positions empty.
+        matrix = random_matrix(np.random.default_rng(16), m=7, n=9, tie_prob=0.4)
+        names = matrix.comparates
+        config = MCMConfig(row_comparates=names[3:], column_comparates=names[:5],
+                           tie_epsilon=0.05)
+        report = build_mcm(matrix, config)
+        grid = [(r, c) for r in report.row_order for c in report.column_order if r != c]
+        assert list(report.cells) == grid and len(report.cells) == 4 * 5 - 2
+        assert (report.cells.slot < 0).any() and (report.cells.slot > 0).any()
+        for r, c in grid:
+            direct = pairwise_comparison(matrix, r, c, tie_epsilon=0.05)
+            assert cell_bits(report.cells[(r, c)]) == cell_bits(direct)
 
     def test_grid_writers_build_no_cell_beyond_the_cross_check(self, monkeypatch):
         built = []
@@ -314,7 +350,7 @@ class TestPosteriorInvariance:
                     posterior = alone[(a, b)]
                     assert posterior_bits(report.bayes[(a, b)]) == posterior_bits(posterior)
                     assert (posterior_bits(report.bayes[(b, a)])
-                            == posterior_bits(posterior.mirrored()))
+                            == swapped_posterior_bits(posterior))
 
 
 class TestReportJson:
@@ -331,6 +367,7 @@ class TestReportJson:
             "p", "p_method", "significant",
         }
         assert obj["ordering"] == list(report.row_order)
+        assert obj["cells"] == cell_records(report.cells, report.alpha)
 
     def test_bayes_key_present_when_included(self):
         rng = np.random.default_rng(13)
@@ -356,38 +393,59 @@ _COUNT = st.integers(0, 10**6)
 
 
 @st.composite
-def _grids(draw) -> PairGrid:
-    """A ``PairGrid`` over a ``PairTable`` of up to six unordered pairs, each
-    asked for in one orientation, the other or both, in a drawn order."""
-    pairs = draw(st.lists(st.tuples(_NAMES, _NAMES).filter(lambda p: p[0] != p[1]),
-                          max_size=6, unique_by=frozenset))
+def _grids(draw) -> tuple[PairGrid, PairGrid]:
+    """Cells and posteriors on one slot matrix, read from drawn tables of
+    every pair of up to five names in matrix order: a full grid, a focused
+    one whose rows come after its columns in matrix order, or the upper
+    triangle."""
+    names = draw(st.lists(_NAMES, min_size=2, max_size=5, unique=True))
+    m = len(names)
+    pairs = list(itertools.combinations(range(m), 2))
+    kind = draw(st.sampled_from(["full", "focused", "upper"]))
+    rows = cols = range(m)
+    if kind == "focused":
+        rows, cols = range(draw(st.integers(0, m - 1)), m), range(draw(st.integers(1, m)))
+    slot = np.zeros((len(rows), len(cols)), dtype=np.intp)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if r != c and (kind != "upper" or r < c):
+                k = pairs.index((min(r, c), max(r, c))) + 1
+                slot[i, j] = k if r < c else -k
     size = len(pairs)
     n = draw(_COUNT)
     wins = draw(st.lists(st.integers(0, n), min_size=size, max_size=size))
     losses = [draw(st.integers(0, n - w)) for w in wins]
 
     def column(values):
-        return tuple(draw(st.lists(values, min_size=size, max_size=size)))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
 
-    table = PairTable(tuple(pairs), column(_FLOATS), tuple(wins), tuple(losses), column(_P),
-                      column(st.sampled_from(PMethod)), n)
-    keys = [((a, b), (i, False)) for i, (a, b) in enumerate(pairs)]
-    keys += [((b, a), (i, True)) for i, (a, b) in enumerate(pairs)]
-    chosen = draw(st.lists(st.sampled_from(range(len(keys))), unique=True)) if keys else []
-    return PairGrid(table, dict(keys[k] for k in chosen))
+    table = PairTable(np.array([(names[a], names[b]) for a, b in pairs], dtype=object),
+                      column(_FLOATS), np.array(wins), np.array(losses), column(_P),
+                      tuple(draw(st.lists(st.sampled_from(PMethod), min_size=size,
+                                          max_size=size))), n)
+    posteriors = PosteriorTable(column(_P), column(_P), column(_P), draw(_COUNT))
+    row_names, col_names = (tuple(names[i] for i in at) for at in (rows, cols))
+    return (PairGrid(row_names, col_names, slot, table),
+            PairGrid(row_names, col_names, slot, posteriors))
 
 
-_EMPTY_GRID = PairGrid(PairTable((), (), (), (), (), (), 0), {})
+_NO_SLOT = np.zeros((1, 1), dtype=np.intp)
+_EMPTY_GRIDS = (
+    PairGrid(("a",), ("a",), _NO_SLOT, PairTable(
+        np.empty((0, 2), dtype=object), np.empty(0), np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64), np.empty(0), (), 0)),
+    PairGrid(("a",), ("a",), _NO_SLOT, PosteriorTable(np.empty(0), np.empty(0), np.empty(0), 1)),
+)
 
 
 class TestCellRecordsJson:
     @settings(max_examples=300, deadline=None)
-    @given(_grids(), _P, st.none() | st.lists(
-        st.builds(BayesPosterior, _P, _P, _P, _COUNT), min_size=6, max_size=6))
-    @example(_EMPTY_GRID, 0.05, None)
-    @example(_EMPTY_GRID, 0.05, [BayesPosterior(0.0, 1.0, 0.0, 1)] * 6)
-    def test_equals_json_dumps_at_the_same_nesting(self, cells, alpha, posteriors):
-        bayes = None if posteriors is None else PairGrid(posteriors, cells.index)
+    @given(_grids(), _P, st.booleans())
+    @example(_EMPTY_GRIDS, 0.05, False)
+    @example(_EMPTY_GRIDS, 0.05, True)
+    def test_equals_json_dumps_at_the_same_nesting(self, grids, alpha, with_bayes):
+        cells, posteriors = grids
+        bayes = posteriors if with_bayes else None
         expected = json.dumps({"cells": cell_records(cells, alpha, bayes)}, indent=2)
         text = cell_records_json(cells, alpha, bayes)
         assert '{\n  "cells": ' + text + "\n}" == expected

@@ -1,11 +1,13 @@
-"""Memory bounds of the grid commands' largest transients, on an m = 100
-grid of 108 continuous tasks (4,950 pairs, every cell approximate), and of
-the Bayesian block kernel's working set.
+"""Memory bounds of the grid commands' largest transients, and of what a
+report keeps alive, on an m = 100 grid of 108 continuous tasks (4,950
+pairs, every cell approximate), and of the Bayesian block kernel's working
+set.
 
 ``tracemalloc`` sees numpy's buffers as well as Python objects, so a peak
 here is the working set of the call, whatever holds it.
 """
 
+import gc
 import itertools
 import tracemalloc
 
@@ -48,6 +50,21 @@ def test_pair_kernel_working_set_is_slice_sized(matrix):
     table, peak = _traced(lambda: pair_statistics(matrix, pairs))
     assert len(table) == 4950
     assert peak < 8e6
+
+
+def test_report_keeps_its_columns_and_slot_matrix_alive(matrix):
+    # 4,950 pairs in numpy columns and a 100 x 100 slot matrix take about
+    # 0.37 MB; a Python object per cell, or a dict keyed by ordered pair,
+    # keeps over 2 MB.
+    tracemalloc.start()
+    try:
+        report = build_mcm(matrix)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.cells) == 9900
+    assert kept < 0.5e6
 
 
 @pytest.mark.parametrize("write", [

@@ -24,7 +24,7 @@ from mcmatrix import (
 from mcmatrix.errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
 from mcmatrix.selftest import average_ranks, enumeration_pvalue
 
-from conftest import cell_bits, random_matrix
+from conftest import cell_bits, random_matrix, swapped_cell_bits
 from oracles import (
     compute_ranks_loop,
     friedman_tie_free,
@@ -110,11 +110,14 @@ class TestWilcoxon:
     @pytest.mark.parametrize("diffs", [
         ["0.5", "-0.25", "1"],
         [True, False, True],
+        [True, 0.5, 2.0],
+        [0.5, np.True_, 2.0],
         [0.5 + 0j, -0.25, 1.0],
         [None, 0.5, 1.0],
         [object(), 0.5, 1.0],
         [[0.5], [-0.25, 1.0]],
-    ], ids=["strings", "bools", "complex", "none", "object", "ragged"])
+    ], ids=["strings", "bools", "mixed-bool", "mixed-numpy-bool", "complex", "none", "object",
+            "ragged"])
     def test_non_numbers_refused(self, diffs):
         with pytest.raises(ValidationError, match="differences must be numbers"):
             wilcoxon_signed_rank(diffs)
@@ -242,14 +245,17 @@ class TestPairwiseComparison:
             assert (rev.wins, rev.losses) == (fwd.losses, fwd.wins)
             assert rev.ties == fwd.ties
             assert rev.p_value == fwd.p_value
-            assert cell_bits(rev) == cell_bits(fwd.mirrored())
-            assert cell_bits(fwd) == cell_bits(rev.mirrored())
+            assert cell_bits(rev) == swapped_cell_bits(fwd)
+            assert cell_bits(fwd) == swapped_cell_bits(rev)
+            mirror = stats.pair_statistics(matrix, [(a, b)], tie_epsilon=eps).cell(-1)
+            assert cell_bits(mirror) == cell_bits(rev)
         # A mean difference that underflows to zero is +0.0 in both directions.
         matrix = _matrix([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]])
         fwd = pairwise_comparison(matrix, "c0", "c1")
         rev = pairwise_comparison(matrix, "c1", "c0")
-        assert cell_bits(rev) == cell_bits(fwd.mirrored())
-        assert cell_bits(fwd) == cell_bits(rev.mirrored())
+        assert cell_bits(rev) == swapped_cell_bits(fwd)
+        assert cell_bits(fwd) == swapped_cell_bits(rev)
+        assert cell_bits(stats.pair_statistics(matrix, [("c0", "c1")]).cell(-1)) == cell_bits(rev)
 
     def test_tie_epsilon_widens_ties(self):
         matrix = _matrix([[0.50, 0.52], [0.49, 0.60]])
@@ -410,6 +416,21 @@ class TestPairStatistics:
             stats.pair_statistics(matrix, [("c0", "c1"), ("c1", "c1")])
         with pytest.raises(ValidationError, match="unknown comparate 'zzz'"):
             stats.pair_statistics(matrix, [("c0", "zzz")])
+        # The first bad pair is named; within a pair, a self-pair comes first,
+        # then the row, then the column.
+        for pairs, message in (
+            ([("c0", "zzz"), ("c1", "c1")], "unknown comparate 'zzz'"),
+            ([("c1", "c1"), ("c0", "zzz")], "cannot compare 'c1' with itself"),
+            ([("zzz", "zzz")], "cannot compare 'zzz' with itself"),
+            ([("yyy", "zzz")], "unknown comparate 'yyy'"),
+            ([("c0", "c1"), (None, "c0")], "unknown comparate None"),
+            (np.array([("c0", "c1"), ("c1", "xxx")]), "unknown comparate 'xxx'"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                stats.pair_statistics(matrix, pairs)
+        for pairs in (["c0c1"], [("c0", "c1", "c0")], [("c0", "c1"), ("c1",)]):
+            with pytest.raises(ValidationError, match="must name a row and a column"):
+                stats.pair_statistics(matrix, pairs)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
     def test_all_pairs_pvalues_is_one_symmetric_array(self, m):
@@ -648,9 +669,10 @@ class TestHolm:
         with pytest.raises(ValidationError, match="p-values need an axis"):
             holm_correction(0.01, alpha=0.05)
 
-    @pytest.mark.parametrize("p", [True, [True, False], ["0.01"], [0.01 + 0j],
-                                   [[0.01], [0.1, 0.2]]],
-                             ids=["bool", "bools", "string", "complex", "ragged"])
+    @pytest.mark.parametrize("p", [True, [True, False], [True, 0.01], [[0.2, 0.01], [False, 0.5]],
+                                   ["0.01"], [0.01 + 0j], [[0.01], [0.1, 0.2]]],
+                             ids=["bool", "bools", "mixed-bool", "mixed-bool-rows", "string",
+                                  "complex", "ragged"])
     def test_p_values_that_are_not_real_numbers_refused(self, p):
         with pytest.raises(ValidationError, match="p-values must be numbers"):
             holm_correction(p, alpha=0.05)
