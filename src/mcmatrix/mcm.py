@@ -12,13 +12,13 @@ designed to remove, so none is offered here.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import ItemsView, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .bayes import BayesConfig, PosteriorTable, bayesian_signed_rank
+from .bayes import BayesConfig, BayesPosterior, PosteriorTable, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
 from .errors import InternalError, ValidationError
 from .stats import (
@@ -117,6 +117,30 @@ class PairGrid(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.slot))
+
+    def items(self) -> ItemsView:
+        """The (key, value) pairs in grid order, read one grid row at a time."""
+        return _GridItems(self)
+
+    def values(self) -> ValuesView:
+        """The values in grid order, read one grid row at a time."""
+        return _GridValues(self)
+
+    def _walk(self):
+        record = BayesPosterior if isinstance(self.table, PosteriorTable) else PairwiseComparison
+        for i, name in enumerate(self.rows):
+            at, _, columns = self.row(i)
+            yield from zip([(name, self.columns[j]) for j in at], map(record, *columns))
+
+
+class _GridItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._walk()
+
+
+class _GridValues(ValuesView):
+    def __iter__(self):
+        return (value for _, value in self._mapping._walk())
 
 
 def compare_pairs(

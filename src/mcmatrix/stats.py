@@ -349,19 +349,27 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     return p[0], method[0]
 
 
-def _differences(matrix: ResultsMatrix, pairs) -> np.ndarray:
-    """Oriented differences of ordered (row, column) pairs, one row per pair.
-
-    The names are mapped to positions in one pass.  The first pair that
-    names one comparate twice or an unknown one raises ``ValidationError``,
-    as does a difference that overflows, naming the pair and the task.
-    """
-    asked = np.asarray(pairs, dtype=object)
-    if asked.ndim != 2 or asked.shape[1] != 2:
+def _positions(matrix: ResultsMatrix, pairs: np.ndarray) -> np.ndarray:
+    """The matrix positions of a (k, 2) object array of (row, column) name
+    pairs, -1 for a name the matrix lacks: one dict pass over the names."""
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("each pair must name a row and a column comparate")
     position = {name: i for i, name in enumerate(matrix.comparates)}
-    at = np.fromiter(map(position.get, asked.ravel(), itertools.repeat(-1)), np.intp,
-                     asked.size).reshape(asked.shape)
+    return np.fromiter(map(position.get, pairs.ravel(), itertools.repeat(-1)), np.intp,
+                       pairs.size).reshape(pairs.shape)
+
+
+def _differences(matrix: ResultsMatrix, pairs, at: np.ndarray | None = None) -> np.ndarray:
+    """Oriented differences of ordered (row, column) pairs, one row per pair.
+
+    ``at`` holds the pairs' ``_positions``; they are mapped here when it is
+    None.  The first pair that names one comparate twice or an unknown one
+    raises ``ValidationError``, as does a difference that overflows, naming
+    the pair and the task.
+    """
+    asked = np.asarray(pairs, dtype=object)
+    if at is None:
+        at = _positions(matrix, asked)
     left, right = at[:, 0], at[:, 1]
     bad = (left == right) | (left < 0) | (right < 0)
     if bad.any():
@@ -429,9 +437,10 @@ def pair_statistics(
     means, p_value = np.empty(count), np.empty(count)
     wins, losses = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     p_method: list[PMethod] = []
+    at = _positions(matrix, pairs) if count else None
     for s in range(slices):
         part = slice(count * s // slices, count * (s + 1) // slices)
-        d = _differences(matrix, pairs[part])
+        d = _differences(matrix, pairs[part], at[part])
         wins[part] = np.count_nonzero(d > tie_epsilon, axis=1)
         losses[part] = np.count_nonzero(d < -tie_epsilon, axis=1)
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that

@@ -29,6 +29,11 @@ at once.
 
 ``cell_records`` is the dict builder the package's JSON cell writer
 replaced, kept unchanged: the writer's text is held to ``json.dumps`` of it.
+
+``bayes_chunks_serial`` is the Monte Carlo loop the package ran before it
+split a chunk's rows over threads, kept unchanged: one thread, and each
+product over the whole chunk.  ``bayesian_signed_rank_serial`` averages it
+as ``bayesian_signed_rank`` does.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mcmatrix.bayes import BayesPosterior
+from mcmatrix.bayes import (CHUNK_SIZE, BayesConfig, BayesPosterior, _chunk_generator,
+                            _prepare)
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod, check_alpha
@@ -373,3 +379,47 @@ def cell_records(
             }
         records.append(record)
     return records
+
+
+def bayes_chunks_serial(z: np.ndarray, config: BayesConfig):
+    """``(i, thetas)``: row i's per-sample theta triples for one substream
+    chunk, shape (size, 3), chunk by chunk and row by row within a chunk.
+
+    A chunk's weights depend only on the seed, the chunk and the row
+    length, so each chunk is drawn once and shared by every row.  Only one
+    chunk's weights, one product buffer and one row's region matrices are
+    alive at a time: the regions of every row at once would be k (q+1)^2
+    floats.
+    """
+    concentration = np.ones(z.shape[1], dtype=np.float64)
+    concentration[0] = float(config.prior_strength)
+    bound = 2.0 * float(config.rope)
+    n = int(config.mc_samples) if len(z) else 0
+    for chunk_index in range(0, (n + CHUNK_SIZE - 1) // CHUNK_SIZE):
+        size = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
+        w = _chunk_generator(config.seed, chunk_index).dirichlet(concentration, size=size)
+        # Quadratic forms w' M w, normalized by the total pair mass (sum w)^2
+        # so the three regions partition exactly one unit per sample.
+        total = w.sum(axis=1) ** 2
+        buf = np.empty_like(w)
+        for i, row in enumerate(z):
+            sums = row[:, None] + row[None, :]
+            thetas = []
+            for region in (sums < -bound, sums > bound):
+                np.matmul(w, region.astype(np.float64), out=buf)
+                buf *= w
+                thetas.append(buf.sum(axis=1) / total)
+            theta_l, theta_r = thetas
+            yield i, np.stack([theta_l, 1.0 - (theta_l + theta_r), theta_r], axis=1)
+        del w, total, buf  # before the next chunk's draw
+
+
+def bayesian_signed_rank_serial(rows, config: BayesConfig) -> np.ndarray:
+    """The (k, 3) posterior means of ``bayes_chunks_serial``, summed and
+    clipped as ``bayesian_signed_rank`` does."""
+    z = _prepare(rows, config)
+    sums = np.zeros((len(z), 3), dtype=np.float64)
+    for i, thetas in bayes_chunks_serial(z, config):
+        sums[i] += thetas.sum(axis=0)
+    n = int(config.mc_samples)
+    return np.clip(sums / n, 0.0, 1.0)

@@ -208,7 +208,8 @@ PUBLIC_SURFACE = {
         "tie_epsilon=0.0",
         "bayes=None",
     ),
-    "mcmatrix.mcm.PairGrid": ("rows", "columns", "slot", "table", "row(self, i)"),
+    "mcmatrix.mcm.PairGrid": ("rows", "columns", "slot", "table", "row(self, i)",
+                              "items(self)", "values(self)"),
     "mcmatrix.mcm.build_mcm": (
         "(matrix, config=MCMConfig(alpha=0.05, row_comparates=None, "
         "column_comparates=None, tie_epsilon=0.0), bayes_config=None)"

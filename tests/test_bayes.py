@@ -1,11 +1,31 @@
+import os
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mcmatrix import BayesConfig, bayesian_signed_rank, posterior_samples
+from mcmatrix import BayesConfig, bayes, bayesian_signed_rank, posterior_samples
+from mcmatrix.bayes import CHUNK_SIZE
 from mcmatrix.errors import ValidationError
 
 from conftest import posterior_bits, swapped_posterior_bits
-from oracles import bayes_posterior_means
+from oracles import bayes_chunks_serial, bayes_posterior_means, bayesian_signed_rank_serial
+
+# The kernel splits a chunk over threads only while the BLAS runs each
+# product on one thread; forcing more workers under a threaded BLAS is
+# outside its contract.  CI runs this file with OPENBLAS_NUM_THREADS=1.
+needs_pinned_blas = pytest.mark.skipif(
+    bayes._blas_threads() != 1, reason="needs OPENBLAS_NUM_THREADS=1")
+# Every worker count the kernel takes on this machine, and a few more.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+SHARES = sorted(set(range(2, CPUS + 1)) | {3, 5, 16, 64})
+WORKERS = [1] + [pytest.param(w, marks=needs_pinned_blas)
+                 for w in sorted({2, 3, 5, max(2, CPUS)})]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def test_config_validation():
@@ -230,3 +250,170 @@ def test_prior_pseudo_observation_is_not_configurable():
     # differ from the mirror of the pair's posterior.
     with pytest.raises(TypeError):
         BayesConfig(prior_pseudo_observation=0.3)
+
+
+def _per_sample(z, config, workers):
+    """Each row's per-sample thetas from the kernel split over ``workers``."""
+    parts = [[] for _ in z]
+    bayes._chunks(z, config, lambda i, thetas: parts[i].append(thetas), workers)
+    return [np.concatenate(p).tobytes() for p in parts]
+
+
+def _serial_per_sample(z, config):
+    parts = [[] for _ in z]
+    for i, thetas in bayes_chunks_serial(z, config):
+        parts[i].append(thetas)
+    return [np.concatenate(p).tobytes() for p in parts]
+
+
+def _means_bits(table):
+    return np.stack([table.theta_left, table.theta_rope, table.theta_right], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 149), pairs=st.integers(1, max(7, CPUS)),
+       samples=st.sampled_from([1, 424, 8193, 12345]), decimals=st.integers(1, 3),
+       rope=st.sampled_from([0.0, 0.01, 0.05]), strength=st.sampled_from([0.5, 1.0, 3.0]),
+       seed=st.integers(0, 2**64 - 1))
+@example(n=108, pairs=2, samples=12345, decimals=2, rope=0.01, strength=1.0, seed=0)
+@example(n=149, pairs=7, samples=424, decimals=1, rope=0.05, strength=3.0, seed=1)
+@example(n=1, pairs=3, samples=8193, decimals=3, rope=0.0, strength=0.5, seed=2)
+# q + 1 = 193 and 230 are widths whose row slices change bits on OpenBLAS's
+# x86-64 kernels: those chunks run whole.
+@example(n=192, pairs=2, samples=8193, decimals=2, rope=0.01, strength=1.0, seed=3)
+@example(n=229, pairs=3, samples=8193, decimals=2, rope=0.01, strength=1.0, seed=4)
+def test_threaded_kernel_matches_the_serial_loop_bit_for_bit(
+        workers, n, pairs, samples, decimals, rope, strength, seed):
+    rows = np.round(np.random.default_rng(seed % 1000).normal(0.0, 0.2, size=(pairs, n)),
+                    decimals)
+    config = BayesConfig(rope=rope, prior_strength=strength, mc_samples=samples, seed=seed)
+    with mock.patch.object(bayes, "_workers", lambda: workers):
+        table = bayesian_signed_rank(rows, config)
+    assert _means_bits(table) == bayesian_signed_rank_serial(rows, config).tobytes()
+    z = bayes._prepare(rows, config)
+    assert _per_sample(z, config, workers) == _serial_per_sample(z, config)
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize("workers", [16, 64])
+def test_many_workers_match_the_serial_loop_bit_for_bit(workers):
+    rows = np.round(np.random.default_rng(workers).normal(0.0, 0.2, size=(workers, 108)), 2)
+    for samples in (424, CHUNK_SIZE + 424):
+        config = BayesConfig(rope=0.01, mc_samples=samples, seed=workers)
+        with mock.patch.object(bayes, "_workers", lambda: workers):
+            table = bayesian_signed_rank(rows, config)
+        assert _means_bits(table) == bayesian_signed_rank_serial(rows, config).tobytes()
+
+
+def _slices(size, width, share):
+    """A product buffer and slice edges as ``bayes._chunks`` makes them."""
+    rows = -(-size // share)
+    return np.empty((share * rows, width)), [size * t // share for t in range(share + 1)]
+
+
+@pytest.mark.parametrize("share", SHARES)
+def test_slice_check_passes_only_slices_that_keep_the_whole_products_bits(share):
+    # A chunk is split only where this check passes on the BLAS in use:
+    # then the product of each slice of the weights with a 0/1 region is
+    # the whole product's rows.  Widths 193 and 230 fail on OpenBLAS's
+    # x86-64 kernels, and small slices take a small-matrix kernel.
+    for width in (2, 13, 50, 109, 193, 230):
+        regions = [(np.random.default_rng(s).random((width, width)) < 0.5).astype(float)
+                   for s in range(2)]
+        for size in (3, 424, CHUNK_SIZE):
+            if share > size:
+                continue
+            w = bayes._chunk_generator(3, 0).dirichlet(np.ones(width), size=size)
+            buf, edges = _slices(size, width, share)
+            if bayes._slices_keep_bits(w, buf, edges):
+                for region in regions:
+                    whole = w @ region
+                    for lo, hi in zip(edges, edges[1:]):
+                        assert (w[lo:hi] @ region).tobytes() == whole[lo:hi].tobytes(), (
+                            width, size, share, lo, hi)
+
+
+def test_slice_check_sees_one_changed_bit(monkeypatch):
+    matmul = np.matmul
+    w = bayes._chunk_generator(3, 0).dirichlet(np.ones(109), size=424)
+    buf, edges = _slices(424, 109, 2)
+
+    def last_bit_off_in_slices(a, b, out):
+        matmul(a, b, out=out)
+        if len(a) < len(w):
+            out[len(a) // 2, 7:8].view(np.uint64)[...] ^= np.uint64(1)
+        return out
+
+    monkeypatch.setattr(np, "matmul", last_bit_off_in_slices)
+    assert not bayes._slices_keep_bits(w, buf, edges)
+
+
+def test_a_chunk_shape_that_fails_the_slice_check_runs_whole(monkeypatch):
+    monkeypatch.setattr(bayes, "_SLICES_CHECKED", {})
+    monkeypatch.setattr(bayes, "_slices_keep_bits", lambda w, buf, edges: False)
+    monkeypatch.setattr(bayes, "_workers", lambda: 3)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    rows = np.random.default_rng(9).normal(0.0, 0.2, size=(5, 108))
+    config = BayesConfig(mc_samples=CHUNK_SIZE + 424, seed=6)
+    assert _means_bits(bayesian_signed_rank(rows, config)) == (
+        bayesian_signed_rank_serial(rows, config).tobytes())
+    assert bayes._SLICES_CHECKED == {(CHUNK_SIZE, 109, 3): False, (424, 109, 3): False}
+
+
+def _no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+@pytest.mark.parametrize("env, cpus, workers", [
+    ({}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": " 1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 4),
+    ({"MKL_NUM_THREADS": "1"}, 4, 1),
+], ids=["unset", "pinned", "pinned-2-cpus", "two-blas-threads", "not-a-number",
+        "omp-after-not-a-number", "omp-after-zero", "openblas-first", "goto-before-omp",
+        "goto-pinned", "mkl-only"])
+def test_worker_count_follows_a_pinned_openblas(monkeypatch, env, cpus, workers):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(bayes, "_openblas", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    assert bayes._workers() == workers
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert bayes._workers() == workers
+    monkeypatch.setattr(bayes, "_openblas", lambda: False)
+    assert bayes._workers() == 1
+
+
+@pytest.mark.parametrize("show_config, openblas", [
+    (lambda mode: {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}}, True),
+    (lambda mode: {"Build Dependencies": {"blas": {"name": "openblas"}}}, True),
+    (lambda mode: {"Build Dependencies": {"blas": {"name": "mkl-sdl"}}}, False),
+    (lambda mode: {"Build Dependencies": {"blas": {"name": "accelerate"}}}, False),
+    (lambda mode: {"Build Dependencies": {}}, False),
+    (lambda: None, False),  # numpy < 1.26 takes no mode
+], ids=["scipy-openblas", "openblas", "mkl", "accelerate", "no-blas-entry", "no-mode"])
+def test_only_openblas_is_split(monkeypatch, show_config, openblas):
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert bayes._openblas.__wrapped__() is openblas
+
+
+def test_no_thread_starts_while_the_blas_is_unpinned(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    rows = np.random.default_rng(8).normal(0.0, 0.2, size=(5, 108))
+    config = BayesConfig(mc_samples=CHUNK_SIZE + 424, seed=2)
+    assert _means_bits(bayesian_signed_rank(rows, config)) == (
+        bayesian_signed_rank_serial(rows, config).tobytes())

@@ -438,6 +438,19 @@ _EMPTY_GRIDS = (
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+@example(_EMPTY_GRIDS)
+def test_items_and_values_read_row_by_row_equal_per_key_reads(grids):
+    for grid, bits in zip(grids, (cell_bits, posterior_bits)):
+        items, values = grid.items(), grid.values()
+        assert len(items) == len(values) == len(grid)
+        assert [(key, bits(value)) for key, value in items] == [
+            (key, bits(grid[key])) for key in grid]
+        assert [bits(value) for value in values] == [bits(grid[key]) for key in grid]
+        assert all(type(value) is type(grid[key]) for key, value in items)
+
+
 class TestCellRecordsJson:
     @settings(max_examples=300, deadline=None)
     @given(_grids(), _P, st.booleans())

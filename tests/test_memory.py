@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcmatrix import BayesConfig, build_mcm
+from mcmatrix import BayesConfig, bayes, build_mcm
 from mcmatrix.bayes import CHUNK_SIZE, bayesian_signed_rank
 from mcmatrix.mcm import cell_records_json
 from mcmatrix.render import render_mcm
@@ -80,9 +80,17 @@ def test_grid_writer_holds_its_output_about_twice(report, write):
     assert peak < 2.5 * len(out)
 
 
-def test_posterior_block_working_set_does_not_grow_with_its_rows():
+@pytest.mark.parametrize("workers", [None] + [
+    pytest.param(w, marks=pytest.mark.skipif(
+        bayes._blas_threads() != 1, reason="needs OPENBLAS_NUM_THREADS=1")) for w in (2, 4)])
+def test_posterior_block_working_set_does_not_grow_with_its_rows(monkeypatch, workers):
     # One chunk of weights, one product buffer and one row's regions are
     # alive at a time, whatever the number of rows: about 15 MB at n = 108.
+    # Split over threads, the workers share the one buffer, each region a
+    # few hundred KB, and the check of the chunk's slices runs in it too.
+    if workers is not None:
+        monkeypatch.setattr(bayes, "_workers", lambda: workers)
+    monkeypatch.setattr(bayes, "_SLICES_CHECKED", {})
     rows = np.random.default_rng(24).normal(0.0, 0.05, size=(45, 108))
     config = BayesConfig(mc_samples=2 * CHUNK_SIZE, seed=5)
     one, one_peak = _traced(lambda: bayesian_signed_rank(rows[:1], config))

@@ -432,6 +432,28 @@ class TestPairStatistics:
             with pytest.raises(ValidationError, match="must name a row and a column"):
                 stats.pair_statistics(matrix, pairs)
 
+    def test_names_are_mapped_once_per_call_and_errors_keep_their_slice_order(
+            self, monkeypatch):
+        # Slices of two pairs: the names are mapped once, and each slice's
+        # first bad pair or overflow still raises before a later slice's.
+        matrix = _matrix([[0.0, 1e308], [0.0, -1e308], [0.0, 0.0], [0.5, 0.5]])
+        pairs = [("c0", "c2"), ("c2", "c3"), ("c3", "c0"), ("c1", "c2"),
+                 ("c0", "c3"), ("c1", "c3")] * 3
+        whole = stats.pair_statistics(matrix, pairs)
+        calls = []
+        positions = stats._positions
+        monkeypatch.setattr(stats, "_positions",
+                            lambda *args: calls.append(None) or positions(*args))
+        monkeypatch.setattr(stats, "_SLICE", 2 * matrix.n)
+        sliced = stats.pair_statistics(matrix, pairs)
+        assert len(calls) == 1
+        assert list(map(cell_bits, sliced)) == list(map(cell_bits, whole))
+        overflow = [("c0", "c2"), ("c0", "c1"), ("c2", "c3"), ("c3", "zzz")]
+        with pytest.raises(ValidationError, match="difference of 'c0' and 'c1' overflows"):
+            stats.pair_statistics(matrix, overflow)
+        with pytest.raises(ValidationError, match="unknown comparate 'zzz'"):
+            stats.pair_statistics(matrix, overflow[::-1])
+
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
     def test_all_pairs_pvalues_is_one_symmetric_array(self, m):
         # Seven comparates give 21 pairs, a block; four or fewer, one pair at a time.
