@@ -12,7 +12,7 @@ The pseudo-observation is fixed at 0 (Benavoli et al., "Time for a
 change", JMLR 2017).  That makes the test mirror-symmetric: negating the
 differences negates every pair sum exactly, so the left and right regions
 swap under the same Dirichlet draws and the posterior of a reversed pair
-is its pair's mirror (``PosteriorTable.oriented``) bit for bit.
+is its pair's mirror (``PosteriorTable.oriented`` with ``flip``) bit for bit.
 
 Sampling is chunked through counter-keyed Philox streams: chunk c uses the
 substream ``Philox(key=seed, counter=c << 128)``, so results are
@@ -129,10 +129,11 @@ class BayesPosterior:
 class PosteriorTable(Sequence):
     """Posteriors of a block of pairs, held as numpy columns.
 
-    Item i is the ``BayesPosterior`` of row i of the block, built when it
-    is read.  Every posterior of a table averages ``mc_samples_used``
-    samples.
+    Item i is the ``record`` of row i of the block, built when it is read.
+    Every posterior of a table averages ``mc_samples_used`` samples.
     """
+
+    record = BayesPosterior
 
     theta_left: np.ndarray
     theta_rope: np.ndarray
@@ -143,18 +144,13 @@ class PosteriorTable(Sequence):
         return len(self.theta_left)
 
     def __getitem__(self, i: int) -> BayesPosterior:
-        return self.cell(range(len(self))[i] + 1)
+        return self.record(*(column[0] for column in
+                             self.oriented(np.array([range(len(self))[i]]), False)))
 
-    def cell(self, slot: int) -> BayesPosterior:
-        """The posterior at ``slot``, as ``oriented`` reads it."""
-        return BayesPosterior(*(column[0] for column in self.oriented(np.array([slot]))))
-
-    def oriented(self, slots: np.ndarray) -> tuple[list, ...]:
-        """The posteriors at signed ``slots`` as lists, in ``BayesPosterior``
-        field order: slot k + 1 reads row k, and -(k + 1) the reversed pair's
-        posterior, its mirror (see above): the left and right thetas swap,
-        and ``theta_rope``, computed as ``1 - (l + r)``, stays."""
-        k, flip = np.abs(slots) - 1, slots < 0
+    def oriented(self, k: np.ndarray, flip) -> tuple[list, ...]:
+        """Rows ``k`` as lists in field order, mirrored where ``flip`` is
+        true.  A mirror is the reversed pair's posterior (see above): the
+        left and right thetas swap, and ``theta_rope``, ``1 - (l + r)``, stays."""
         left, right = self.theta_left[k], self.theta_right[k]
         return (np.where(flip, right, left).tolist(), self.theta_rope[k].tolist(),
                 np.where(flip, left, right).tolist(), [self.mc_samples_used] * len(k))

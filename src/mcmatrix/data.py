@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -58,7 +59,8 @@ class ResultsMatrix:
 
     ``scores[i, j]`` is the score of comparate ``comparates[i]`` on task
     ``tasks[j]``.  Invariants: m >= 2, n >= 1, names unique and non-empty,
-    every score finite.
+    every score finite.  ``index_of`` and ``positions`` read the one map
+    from comparate names to positions, built as the names are checked.
     """
 
     comparates: tuple[str, ...]
@@ -85,7 +87,7 @@ class ResultsMatrix:
             raise ValidationError("at least two comparates are required")
         if n < 1:
             raise ValidationError("at least one task is required")
-        _check_unique("comparate", self.comparates)
+        object.__setattr__(self, "_position", _check_unique("comparate", self.comparates))
         _check_unique("task", self.tasks)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
@@ -108,9 +110,20 @@ class ResultsMatrix:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.comparates.index(name)
-        except ValueError:
+            return self._position[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown comparate {name!r}") from None
+
+    def positions(self, names) -> np.ndarray:
+        """The positions of an array of names, in its shape, -1 for a name
+        the matrix lacks."""
+        names = np.asarray(names, dtype=object)
+        try:
+            found = map(self._position.get, names.flat, itertools.repeat(-1))
+            return np.fromiter(found, np.intp, names.size).reshape(names.shape)
+        except TypeError:  # an unhashable name, which no comparate is
+            return self.positions([n if isinstance(n, str) else "" for n in names.flat]
+                                  ).reshape(names.shape)
 
     def check_names(self, names: Iterable[str], what: str) -> tuple[str, ...]:
         """The given comparates as a tuple, each known and listed once.
@@ -158,10 +171,7 @@ class ResultsMatrix:
 
     def in_matrix_order(self, names: Iterable[str]) -> tuple[str, ...]:
         """The given comparates reordered to match this matrix's row order."""
-        wanted = set(names)
-        for name in wanted:
-            self.index_of(name)
-        return tuple(c for c in self.comparates if c in wanted)
+        return tuple(self.comparates[i] for i in sorted(map(self.index_of, set(names))))
 
 
 def check_integer(name: str, value) -> int:
@@ -199,8 +209,9 @@ def check_real_array(name: str, values) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def _check_unique(kind: str, names: Sequence[str]) -> None:
-    seen: set[str] = set()
+def _check_unique(kind: str, names: Sequence[str]) -> dict[str, int]:
+    """Each name's position, once every name is checked."""
+    position: dict[str, int] = {}
     for pos, name in enumerate(names):
         if not isinstance(name, str) or not name.strip():
             raise ValidationError(f"empty {kind} name at position {pos + 1}")
@@ -211,9 +222,10 @@ def _check_unique(kind: str, names: Sequence[str]) -> None:
                 f"{kind} name {name!r} at position {pos + 1} has leading or "
                 f"trailing whitespace"
             )
-        if name in seen:
+        if name in position:
             raise ValidationError(f"duplicate {kind} name {name!r}")
-        seen.add(name)
+        position[name] = pos
+    return position
 
 
 def _as_text(source: bytes | str | IO[bytes] | IO[str]) -> str:

@@ -6,7 +6,9 @@ the two comparates' score vectors, so no cell (and no pairwise ordering)
 can change when other comparates enter or leave the study.  Significance
 flags are deliberately uncorrected per-pair thresholds; a familywise
 correction would reintroduce exactly the set-dependence this layout is
-designed to remove, so none is offered here.
+designed to remove, so none is offered here.  A grid evaluates each
+unordered pair once and places it with a signed slot, which only
+``PairGrid`` decodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .bayes import BayesConfig, BayesPosterior, PosteriorTable, bayesian_signed_rank
+from .bayes import BayesConfig, PosteriorTable, bayesian_signed_rank
 from .data import Direction, ResultsMatrix
 from .errors import InternalError, ValidationError
 from .stats import (
@@ -27,8 +29,8 @@ from .stats import (
     PairwiseComparison,
     PMethod,
     _differences,
+    _pair_table,
     check_alpha,
-    pair_statistics,
     pairwise_comparison,
 )
 
@@ -86,9 +88,10 @@ class PairGrid(Mapping):
 
     ``slot[i, j]`` places the value of ``rows[i]`` against ``columns[j]``:
     k + 1 reads item k of ``table`` as evaluated, -(k + 1) its mirror, and 0
-    means no value.  ``table`` is a ``PairTable`` of cells or a
+    means no value; only the grid decodes slots, into the items and mirror
+    flags of ``table.oriented``.  ``table`` is a ``PairTable`` or a
     ``bayes.PosteriorTable``.  As a read-only mapping, each (row, column)
-    key with a value reads it, in row-major grid order.
+    key with a value reads it as a ``table.record``, in row-major grid order.
     """
 
     rows: tuple[str, ...]
@@ -100,7 +103,8 @@ class PairGrid(Mapping):
         """Grid row i's values: column positions, items of ``table``, oriented columns."""
         at = np.flatnonzero(self.slot[i])
         slots = self.slot[i, at]
-        return at.tolist(), (np.abs(slots) - 1).tolist(), self.table.oriented(slots)
+        k = np.abs(slots) - 1
+        return at.tolist(), k.tolist(), self.table.oriented(k, slots < 0)
 
     def __getitem__(self, key):
         try:
@@ -110,7 +114,8 @@ class PairGrid(Mapping):
             slot = 0
         if not slot:
             raise KeyError(key)
-        return self.table.cell(slot)
+        columns = self.table.oriented(np.array([abs(slot) - 1]), slot < 0)
+        return self.table.record(*(column[0] for column in columns))
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return ((self.rows[i], self.columns[j]) for i, j in np.argwhere(self.slot).tolist())
@@ -127,10 +132,9 @@ class PairGrid(Mapping):
         return _GridValues(self)
 
     def _walk(self):
-        record = BayesPosterior if isinstance(self.table, PosteriorTable) else PairwiseComparison
         for i, name in enumerate(self.rows):
             at, _, columns = self.row(i)
-            yield from zip([(name, self.columns[j]) for j in at], map(record, *columns))
+            yield from zip([(name, self.columns[j]) for j in at], map(self.table.record, *columns))
 
 
 class _GridItems(ItemsView):
@@ -154,15 +158,15 @@ def compare_pairs(
     """Cells, and with a Bayes config posteriors, of the grid over ``rows`` x
     ``columns`` where the boolean ``mask`` is true.
 
-    Each unordered pair is evaluated once, in matrix order, into one
-    ``PairTable``; a cell whose row comes later in the matrix reads its
-    pair's mirror.  With at least ``MIN_BLOCK_PAIRS`` pairs the table comes
-    from ``pair_statistics``, and the first pair is evaluated again by
-    ``pairwise_comparison``: a disagreement raises ``InternalError``.  That
-    compares a block with a one-row run of the same kernel, not with an
-    independent implementation.  Fewer pairs are evaluated one at a time by
-    ``pairwise_comparison``.  Posteriors come from one
-    ``bayesian_signed_rank`` call, which draws each chunk of weights once.
+    Each name is mapped once and each unordered pair evaluated once, in
+    matrix order, into one ``PairTable``; a cell whose row comes later in
+    the matrix reads its pair's mirror.  From ``MIN_BLOCK_PAIRS`` pairs the
+    pair kernel takes their positions, and ``pairwise_comparison``
+    evaluates the first pair again: a disagreement raises ``InternalError``
+    (a one-row run of the same kernel, not an independent check).  Fewer
+    pairs are evaluated one at a time by ``pairwise_comparison``.
+    Posteriors come from one ``bayesian_signed_rank`` call on the same
+    positions, which draws each chunk of weights once.
     """
     rows, columns, mask = tuple(rows), tuple(columns), np.asarray(mask, dtype=bool)
     if mask.shape != (len(rows), len(columns)):
@@ -174,14 +178,17 @@ def compare_pairs(
     keys, k = np.unique(keys[mask], return_inverse=True)
     slot = np.zeros(mask.shape, dtype=np.intp)
     slot[mask] = np.where(r[:, None] > c, -1, 1)[mask] * (k + 1)
-    pairs = np.array(matrix.comparates, dtype=object)[np.stack(np.divmod(keys, matrix.m), 1)]
-    if len(pairs) < MIN_BLOCK_PAIRS:
+    at = np.stack(np.divmod(keys, matrix.m), 1)
+    pairs = np.array(matrix.comparates, dtype=object)[at]
+    if (same := at[:, 0] == at[:, 1]).any():
+        raise ValidationError(f"cannot compare {pairs[same.argmax(), 0]!r} with itself")
+    if len(at) < MIN_BLOCK_PAIRS:
         alone = [pairwise_comparison(matrix, a, b, tie_epsilon) for a, b in pairs]
         values = [np.array([getattr(cell, name) for cell in alone]) for name in
                   ("mean_difference", "wins", "losses", "p_value")]
         table = PairTable(pairs, *values, tuple(cell.p_method for cell in alone), matrix.n)
     else:
-        table = pair_statistics(matrix, pairs, tie_epsilon)
+        table = _pair_table(matrix, at, tie_epsilon)
         alone = pairwise_comparison(matrix, *pairs[0], tie_epsilon)
         if alone != table[0]:
             raise InternalError(
@@ -189,7 +196,7 @@ def compare_pairs(
                 f"pairwise_comparison gives {alone!r}"
             )
     bayes = None if bayes_config is None else PairGrid(
-        rows, columns, slot, bayesian_signed_rank(_differences(matrix, pairs), bayes_config))
+        rows, columns, slot, bayesian_signed_rank(_differences(matrix, at), bayes_config))
     return PairGrid(rows, columns, slot, table), bayes
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -394,21 +394,11 @@ class RankSwapReport:
     significant_b: bool
 
     def to_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "average_ranks_a": self.average_ranks_a,
-            "average_ranks_b": self.average_ranks_b,
-            "better_a": self.better_a,
-            "better_b": self.better_b,
-            "swapped": self.swapped,
-            "significant_a": self.significant_a,
-            "significant_b": self.significant_b,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"pair": list(self.pair)}
 
 
-def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
-                   pair: tuple[str, str], p: np.ndarray, index: dict[str, int],
-                   alpha: float) -> tuple[dict[str, float], str | None, bool]:
+def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...], pair: tuple[str, str],
+                   p: np.ndarray, alpha: float) -> tuple[dict[str, float], str | None, bool]:
     table = compute_ranks(matrix.select_comparates(members))
     ars = {name: float(table.average_ranks[i]) for i, name in enumerate(members)}
     x, y = pair
@@ -418,7 +408,7 @@ def _pair_standing(matrix: ResultsMatrix, members: tuple[str, ...],
         better = y
     else:
         better = None
-    family = [index[name] for name in (x, y, *(c for c in members if c not in pair))]
+    family = matrix.positions([x, y, *(c for c in members if c not in pair)])
     significant = not _holm_mask(p[np.ix_(family, family)], 2, alpha)
     return {x: ars[x], y: ars[y]}, better, significant
 
@@ -446,12 +436,12 @@ def detect_rank_swap(
 
     # Both sets are in matrix order, so a shared pair is the same tuple in both.
     families = dict.fromkeys(pq for s in (a, b) for pq in itertools.combinations(s, 2))
-    index = {name: i for i, name in enumerate(matrix.in_matrix_order(a + b))}
-    rows, columns = zip(*[(index[r], index[c]) for r, c in families])
-    p = np.zeros((len(index), len(index)))
-    p[rows, columns] = p[columns, rows] = pair_statistics(matrix, list(families)).p_value
-    ars_a, better_a, sig_a = _pair_standing(matrix, a, (x, y), p, index, alpha)
-    ars_b, better_b, sig_b = _pair_standing(matrix, b, (x, y), p, index, alpha)
+    union = matrix.select_comparates(matrix.in_matrix_order(a + b))
+    rows, columns = union.positions(list(families)).T
+    p = np.zeros((union.m, union.m))
+    p[rows, columns] = p[columns, rows] = pair_statistics(union, list(families)).p_value
+    ars_a, better_a, sig_a = _pair_standing(union, a, (x, y), p, alpha)
+    ars_b, better_b, sig_b = _pair_standing(union, b, (x, y), p, alpha)
     return RankSwapReport(
         pair=(x, y),
         average_ranks_a=ars_a,

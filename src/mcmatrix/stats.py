@@ -4,7 +4,9 @@ Per-task ranks and average ranks, the two-sided Wilcoxon signed-rank test
 (exact by dynamic programming, or a tie-corrected normal approximation),
 pairwise comparison cells for one pair or for numpy blocks of pairs, the
 Friedman test, the rank-based critical difference, and the Holm step-down
-correction.
+correction.  The kernels take matrix positions: a call checks its pairs,
+whose names only the matrix maps, before it evaluates any.  Ranks and
+signed ranks find their tie groups with one scan, ``_tie_runs``.
 
 All functions here are pure and reentrant: no shared mutable state, no
 internal randomness.
@@ -12,7 +14,6 @@ internal randomness.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -118,9 +119,11 @@ class PairTable(Sequence):
     """Cells of ordered (row, column) pairs, held as numpy columns: ``pairs``
     is a (k, 2) object array of names, and ``p_method`` a tuple.
 
-    Item i is the ``PairwiseComparison`` of ``pairs[i]``, built when it is
-    read; its ties are ``n - wins[i] - losses[i]``.
+    Item i is the ``record`` of ``pairs[i]``, built when it is read; its
+    ties are ``n - wins[i] - losses[i]``.
     """
+
+    record = PairwiseComparison
 
     pairs: np.ndarray
     mean_difference: np.ndarray
@@ -134,19 +137,14 @@ class PairTable(Sequence):
         return len(self.pairs)
 
     def __getitem__(self, i: int) -> PairwiseComparison:
-        return self.cell(range(len(self))[i] + 1)
+        return self.record(*(column[0] for column in
+                             self.oriented(np.array([range(len(self))[i]]), False)))
 
-    def cell(self, slot: int) -> PairwiseComparison:
-        """The cell at ``slot``, as ``oriented`` reads it."""
-        return PairwiseComparison(*(column[0] for column in self.oriented(np.array([slot]))))
-
-    def oriented(self, slots: np.ndarray) -> tuple[list, ...]:
-        """The cells at signed ``slots`` as lists, in ``PairwiseComparison``
-        field order: slot k + 1 reads item k, and -(k + 1) its mirror, which
-        is bit-identical to evaluating the reversed pair.  Its differences
-        only change sign, so names, wins and losses swap, p and method stay,
-        and the mean is ``0.0 - x``, which keeps a zero at +0.0."""
-        k, flip = np.abs(slots) - 1, slots < 0
+    def oriented(self, k: np.ndarray, flip) -> tuple[list, ...]:
+        """Items ``k`` as lists in field order, mirrored where ``flip`` is
+        true.  A mirror is bit-identical to evaluating the reversed pair: names,
+        wins and losses swap, p and method stay, and the mean is ``0.0 - x``,
+        which keeps a zero at +0.0."""
         pair, mean, wins, losses = (self.pairs[k], self.mean_difference[k], self.wins[k],
                                     self.losses[k])
         return (np.where(flip, pair[:, 1], pair[:, 0]).tolist(),
@@ -159,37 +157,44 @@ class PairTable(Sequence):
                 [self.p_method[i] for i in k.tolist()])
 
 
+def _tie_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last positions, start and end, of the run of equal
+    values that holds each position of ``key``, a 2-D array sorted along
+    its rows."""
+    rows, n = key.shape
+    pos = np.arange(n)
+    first = np.empty((rows, n), dtype=bool)
+    first[:, 0] = True
+    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
+    last = np.empty_like(first)
+    last[:, -1] = True
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    return start, end
+
+
 def compute_ranks(matrix: ResultsMatrix) -> RankTable:
     """Rank each comparate on each task: 1 plus the number of strictly
     better comparates plus half the number of equal ones (excluding self).
     Average ranks are the row means.
 
-    Every task is sorted at once, best first.  As in the signed-rank kernel,
-    a tie group's first and last sorted positions, start and end, are found
-    at every position: its members are ranked 1 + start + (end - start) / 2,
-    and each position adds c^2 - 1 to its task's tie term, c = end - start + 1
-    the group's size, which sums to c^3 - c per group.
+    Every task is sorted at once, best first, and ``_tie_runs`` finds each
+    sorted position's tie group, from start to end: its members are ranked
+    1 + start + (end - start) / 2, and each position adds c^2 - 1 to its
+    task's tie term, c = end - start + 1 the group's size, which sums to
+    c^3 - c per group.
     """
-    key = matrix.scores
+    key = matrix.scores.T  # a task per row
     if matrix.direction is Direction.HIGHER_IS_BETTER:
         key = -key
-    m, n = key.shape
-    order = np.argsort(key, axis=0, kind="stable")
-    key = np.take_along_axis(key, order, axis=0)
-    pos = np.arange(m)[:, None]
-    first = np.empty((m, n), dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    last = np.empty_like(first)
-    last[-1] = True
-    last[:-1] = first[1:]
-    start = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
-    end = np.minimum.accumulate(np.where(last, pos, m - 1)[::-1], axis=0)[::-1]
-    ranks = np.empty((m, n))
-    np.put_along_axis(ranks, order, 1.0 + start + 0.5 * (end - start), axis=0)
+    order = np.argsort(key, axis=1, kind="stable")
+    start, end = _tie_runs(np.take_along_axis(key, order, axis=1))
+    ranks = np.empty((matrix.m, matrix.n))
+    np.put_along_axis(ranks.T, order, 1.0 + start + 0.5 * (end - start), axis=1)
     size = end - start + 1
     return RankTable(ranks=ranks, average_ranks=ranks.mean(axis=1),
-                     tie_terms=(size * size - 1).sum(axis=0))
+                     tie_terms=(size * size - 1).sum(axis=1))
 
 
 def _signed_rank_rows(d: np.ndarray,
@@ -216,19 +221,9 @@ def _signed_rank_rows(d: np.ndarray,
     key.sort(axis=1)
     positive = (key & np.uint64(1)).astype(bool)
     key >>= np.uint64(1)
-    pos = np.arange(n)
-    # A tie group's first and last sorted positions, at every position.
-    first = np.empty((rows, n), dtype=bool)
-    first[:, 0] = True
-    np.not_equal(key[:, 1:], key[:, :-1], out=first[:, 1:])
+    start, end = _tie_runs(key)
     del key
-    last = np.empty_like(first)
-    last[:, -1] = True
-    last[:, :-1] = first[:, 1:]
-    start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
-    end = np.minimum.accumulate(np.where(last, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    del first, last
-    ranked = pos < k[:, None]
+    ranked = np.arange(n) < k[:, None]
     doubled = np.where(ranked, start + end + 2, 0)
     # Sum over ranked values of c^2 - 1, c their group size: sum of c^3 - c.
     size = end - start + 1
@@ -349,41 +344,35 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     return p[0], method[0]
 
 
-def _positions(matrix: ResultsMatrix, pairs: np.ndarray) -> np.ndarray:
-    """The matrix positions of a (k, 2) object array of (row, column) name
-    pairs, -1 for a name the matrix lacks: one dict pass over the names."""
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("each pair must name a row and a column comparate")
-    position = {name: i for i, name in enumerate(matrix.comparates)}
-    return np.fromiter(map(position.get, pairs.ravel(), itertools.repeat(-1)), np.intp,
-                       pairs.size).reshape(pairs.shape)
-
-
-def _differences(matrix: ResultsMatrix, pairs, at: np.ndarray | None = None) -> np.ndarray:
-    """Oriented differences of ordered (row, column) pairs, one row per pair.
-
-    ``at`` holds the pairs' ``_positions``; they are mapped here when it is
-    None.  The first pair that names one comparate twice or an unknown one
-    raises ``ValidationError``, as does a difference that overflows, naming
-    the pair and the task.
-    """
+def _pair_positions(matrix: ResultsMatrix, pairs) -> np.ndarray:
+    """The matrix positions of ordered (row, column) name pairs, as a (k, 2)
+    array.  The first pair that names one comparate twice or an unknown one
+    raises ``ValidationError``: a self-pair first, then the row, then the
+    column."""
     asked = np.asarray(pairs, dtype=object)
-    if at is None:
-        at = _positions(matrix, asked)
-    left, right = at[:, 0], at[:, 1]
-    bad = (left == right) | (left < 0) | (right < 0)
+    if len(asked) and (asked.ndim != 2 or asked.shape[1] != 2):
+        raise ValidationError("each pair must name a row and a column comparate")
+    at = matrix.positions(asked.reshape(-1, 2))
+    bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)
     if bad.any():
         row, column = asked[bad.argmax()]
         if row == column:
             raise ValidationError(f"cannot compare {row!r} with itself")
         matrix.check_names((row, column), "pair")  # raises ValidationError
+    return at
+
+
+def _differences(matrix: ResultsMatrix, at: np.ndarray) -> np.ndarray:
+    """Oriented differences of the pairs at matrix positions ``at``, a (k, 2)
+    array, one row per pair.  A difference that overflows raises
+    ``ValidationError``, naming the pair and the task."""
     with np.errstate(over="ignore"):
-        d = matrix.scores[left] - matrix.scores[right]
+        d = matrix.scores[at[:, 0]] - matrix.scores[at[:, 1]]
     if matrix.direction is Direction.LOWER_IS_BETTER:
         d = -d
     if not np.isfinite(d).all():
         i, j = (int(x) for x in np.argwhere(~np.isfinite(d))[0])
-        row, column = asked[i]
+        row, column = (matrix.comparates[x] for x in at[i])
         raise ValidationError(
             f"the score difference of {row!r} and {column!r} overflows "
             f"on task {matrix.tasks[j]!r}"
@@ -393,7 +382,7 @@ def _differences(matrix: ResultsMatrix, pairs, at: np.ndarray | None = None) -> 
 
 def oriented_differences(matrix: ResultsMatrix, row: str, column: str) -> np.ndarray:
     """Per-task score differences, positive when the row comparate is better."""
-    return _differences(matrix, [(row, column)])[0]
+    return _differences(matrix, _pair_positions(matrix, [(row, column)]))[0]
 
 
 def pairwise_comparison(
@@ -418,7 +407,8 @@ def pair_statistics(
     tie_epsilon: float = 0.0,
 ) -> PairTable:
     """``pairwise_comparison`` of every ordered (row, column) pair, in order,
-    as one table.  ``pairs`` is a sequence of name pairs or a (k, 2) array.
+    as one table.  ``pairs`` is a sequence of name pairs or a (k, 2) array;
+    every pair is checked before any is evaluated.
 
     The pairs are cut into equal slices of at most ``_SLICE`` (2**16)
     differences, each one numpy block, so the kernel's temporaries stay
@@ -428,19 +418,22 @@ def pair_statistics(
     tested row by row by ``wilcoxon_signed_rank``, the same kernel on one
     row.  Each cell is bit-identical to evaluating its pair alone.
     """
+    return _pair_table(matrix, _pair_positions(matrix, pairs), tie_epsilon)
+
+
+def _pair_table(matrix: ResultsMatrix, at: np.ndarray, tie_epsilon: float) -> PairTable:
+    """``pair_statistics`` of the pairs at checked matrix positions ``at``."""
     tie_epsilon = check_real("tie_epsilon", tie_epsilon)
     if tie_epsilon < 0.0 or not math.isfinite(tie_epsilon):
         raise ValidationError("tie_epsilon must be a finite value >= 0")
-    pairs = np.asarray(pairs, dtype=object)
-    n, count = matrix.n, len(pairs)
+    n, count = matrix.n, len(at)
     slices = -(-count // max(1, _SLICE // n))
     means, p_value = np.empty(count), np.empty(count)
     wins, losses = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     p_method: list[PMethod] = []
-    at = _positions(matrix, pairs) if count else None
     for s in range(slices):
         part = slice(count * s // slices, count * (s + 1) // slices)
-        d = _differences(matrix, pairs[part], at[part])
+        d = _differences(matrix, at[part])
         wins[part] = np.count_nonzero(d > tie_epsilon, axis=1)
         losses[part] = np.count_nonzero(d < -tie_epsilon, axis=1)
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
@@ -453,6 +446,7 @@ def pair_statistics(
             p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
         p_value[part] = p
         p_method += method
+    pairs = np.array(matrix.comparates, dtype=object)[at]
     return PairTable(pairs, means, wins, losses, p_value, tuple(p_method), n)
 
 

@@ -217,17 +217,16 @@ def demo_matrix() -> ResultsMatrix:
 
 @pytest.fixture
 def tested_pairs(monkeypatch) -> list:
-    """The unordered pairs handed to ``pair_statistics``, one entry per pair,
-    in every module that looks it up."""
+    """The unordered pairs handed to the pair kernel ``stats._pair_table``,
+    one entry per pair, in every module that looks it up."""
     calls = []
-    batch = mcmatrix.stats.pair_statistics
+    kernel = mcmatrix.stats._pair_table
 
-    def counting(matrix, pairs, *args, **kwargs):
-        pairs = list(pairs)
-        calls.extend(frozenset(pair) for pair in pairs)
-        return batch(matrix, pairs, *args, **kwargs)
+    def counting(matrix, at, *args, **kwargs):
+        calls.extend(frozenset(matrix.comparates[i] for i in pair) for pair in at.tolist())
+        return kernel(matrix, at, *args, **kwargs)
 
-    for module in (mcmatrix.stats, mcmatrix.mcm, mcmatrix.stability):
-        monkeypatch.setattr(module, "pair_statistics", counting)
+    for module in (mcmatrix.stats, mcmatrix.mcm):
+        monkeypatch.setattr(module, "_pair_table", counting)
     return calls
 

@@ -137,8 +137,7 @@ PUBLIC_SURFACE = {
         "theta_rope",
         "theta_right",
         "mc_samples_used",
-        "cell(self, slot)",
-        "oriented(self, slots)",
+        "oriented(self, k, flip)",
     ),
     "mcmatrix.bayes.bayesian_signed_rank": (
         "(rows, config=BayesConfig(rope=0.01, prior_strength=1.0, mc_samples=100000, "
@@ -162,6 +161,7 @@ PUBLIC_SURFACE = {
         "m: property",
         "n: property",
         "index_of(self, name)",
+        "positions(self, names)",
         "check_names(self, names, what)",
         "check_pair(self, pair)",
         "row(self, name)",
@@ -342,8 +342,7 @@ PUBLIC_SURFACE = {
         "p_value",
         "p_method",
         "n",
-        "cell(self, slot)",
-        "oriented(self, slots)",
+        "oriented(self, k, flip)",
     ),
     "mcmatrix.stats.DEFAULT_EXACT_THRESHOLD": "25",
     "mcmatrix.stats.compute_ranks": "(matrix)",

@@ -242,7 +242,8 @@ def test_mirror_equals_negated_differences_bit_for_bit(rope):
         table = bayesian_signed_rank([d], config)
         mirror = posterior_bits(bayesian_signed_rank([-d], config)[0])
         assert swapped_posterior_bits(table[0]) == mirror
-        assert posterior_bits(table.cell(-1)) == mirror
+        flipped = table.oriented(np.array([0]), flip=True)
+        assert posterior_bits(table.record(*(column[0] for column in flipped))) == mirror
 
 
 def test_prior_pseudo_observation_is_not_configurable():

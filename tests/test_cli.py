@@ -694,6 +694,17 @@ class TestOtherCommands:
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.splitlines()[-1] == "0 False"
 
+    def test_cold_import_loads_neither_scipy_nor_a_thread_pool(self):
+        # A cold ``import mcmatrix.cli`` is what every command pays first;
+        # scipy and the thread pool are loaded only by the code that uses them.
+        src = Path(mcmatrix.__file__).resolve().parent.parent
+        probe = ("import sys, mcmatrix.cli; "
+                 "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_enumerate_render_patterns(self, results_csv, tmp_path, capsys):
         outdir = tmp_path / "patterns"
         code, out, _ = run(

@@ -131,15 +131,16 @@ class TestBuildMcm:
 
     def test_each_unordered_pair_is_evaluated_once(self, monkeypatch):
         evaluate = mcmatrix.mcm.pairwise_comparison
-        batch = mcmatrix.mcm.pair_statistics
+        batch = mcmatrix.mcm._pair_table
         posterior = mcmatrix.mcm.bayesian_signed_rank
         block_calls = []
         single_calls = []
         bayes_calls = []
 
-        def counting_block(matrix, pairs, *args, **kwargs):
-            block_calls.extend(frozenset(pair) for pair in pairs)
-            return batch(matrix, pairs, *args, **kwargs)
+        def counting_block(matrix, at, *args, **kwargs):
+            block_calls.extend(frozenset(matrix.comparates[i] for i in pair)
+                               for pair in at.tolist())
+            return batch(matrix, at, *args, **kwargs)
 
         def counting_single(matrix, row, column, *args, **kwargs):
             single_calls.append(frozenset((row, column)))
@@ -149,7 +150,7 @@ class TestBuildMcm:
             bayes_calls.append(len(rows))
             return posterior(rows, *args, **kwargs)
 
-        monkeypatch.setattr(mcmatrix.mcm, "pair_statistics", counting_block)
+        monkeypatch.setattr(mcmatrix.mcm, "_pair_table", counting_block)
         monkeypatch.setattr(mcmatrix.mcm, "pairwise_comparison", counting_single)
         monkeypatch.setattr(mcmatrix.mcm, "bayesian_signed_rank", counting_bayes)
         bayes_config = BayesConfig(mc_samples=300, seed=2)

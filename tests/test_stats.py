@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata, studentized_range
 
-from mcmatrix import stats
+from mcmatrix import data, stats
 from mcmatrix import (
     Direction,
     PMethod,
@@ -247,7 +247,9 @@ class TestPairwiseComparison:
             assert rev.p_value == fwd.p_value
             assert cell_bits(rev) == swapped_cell_bits(fwd)
             assert cell_bits(fwd) == swapped_cell_bits(rev)
-            mirror = stats.pair_statistics(matrix, [(a, b)], tie_epsilon=eps).cell(-1)
+            table = stats.pair_statistics(matrix, [(a, b)], tie_epsilon=eps)
+            mirror = table.record(*(column[0] for column in
+                                    table.oriented(np.array([0]), flip=True)))
             assert cell_bits(mirror) == cell_bits(rev)
         # A mean difference that underflows to zero is +0.0 in both directions.
         matrix = _matrix([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -255,7 +257,9 @@ class TestPairwiseComparison:
         rev = pairwise_comparison(matrix, "c1", "c0")
         assert cell_bits(rev) == swapped_cell_bits(fwd)
         assert cell_bits(fwd) == swapped_cell_bits(rev)
-        assert cell_bits(stats.pair_statistics(matrix, [("c0", "c1")]).cell(-1)) == cell_bits(rev)
+        table = stats.pair_statistics(matrix, [("c0", "c1")])
+        mirror = table.record(*(column[0] for column in table.oriented(np.array([0]), flip=True)))
+        assert cell_bits(mirror) == cell_bits(rev)
 
     def test_tie_epsilon_widens_ties(self):
         matrix = _matrix([[0.50, 0.52], [0.49, 0.60]])
@@ -428,31 +432,40 @@ class TestPairStatistics:
         ):
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 stats.pair_statistics(matrix, pairs)
+        with pytest.raises(ValidationError, match=r"^unknown comparate \['c0'\]$"):
+            stats.pair_statistics(matrix, [("c0", "c1"), (["c0"], "c1")])  # unhashable
         for pairs in (["c0c1"], [("c0", "c1", "c0")], [("c0", "c1"), ("c1",)]):
             with pytest.raises(ValidationError, match="must name a row and a column"):
                 stats.pair_statistics(matrix, pairs)
 
-    def test_names_are_mapped_once_per_call_and_errors_keep_their_slice_order(
-            self, monkeypatch):
-        # Slices of two pairs: the names are mapped once, and each slice's
-        # first bad pair or overflow still raises before a later slice's.
+    def test_pairs_are_checked_before_any_slice_on_the_matrix_map(self, monkeypatch):
+        # Slices of two pairs: every pair is checked before the first slice
+        # is evaluated, so a bad name in the last slice raises before an
+        # overflow in the first, and the names are read from the one map
+        # the matrix built.
+        built = []
+        check_unique = data._check_unique
+        monkeypatch.setattr(data, "_check_unique",
+                            lambda *args: built.append(args[0]) or check_unique(*args))
         matrix = _matrix([[0.0, 1e308], [0.0, -1e308], [0.0, 0.0], [0.5, 0.5]])
+        assert built == ["comparate", "task"]
         pairs = [("c0", "c2"), ("c2", "c3"), ("c3", "c0"), ("c1", "c2"),
                  ("c0", "c3"), ("c1", "c3")] * 3
         whole = stats.pair_statistics(matrix, pairs)
-        calls = []
-        positions = stats._positions
-        monkeypatch.setattr(stats, "_positions",
-                            lambda *args: calls.append(None) or positions(*args))
+        mapped = []
+        positions = ResultsMatrix.positions
+        monkeypatch.setattr(ResultsMatrix, "positions",
+                            lambda *args: mapped.append(None) or positions(*args))
         monkeypatch.setattr(stats, "_SLICE", 2 * matrix.n)
         sliced = stats.pair_statistics(matrix, pairs)
-        assert len(calls) == 1
+        assert len(mapped) == 1
         assert list(map(cell_bits, sliced)) == list(map(cell_bits, whole))
-        overflow = [("c0", "c2"), ("c0", "c1"), ("c2", "c3"), ("c3", "zzz")]
-        with pytest.raises(ValidationError, match="difference of 'c0' and 'c1' overflows"):
-            stats.pair_statistics(matrix, overflow)
+        overflow = [("c0", "c1"), ("c0", "c2"), ("c2", "c3"), ("c3", "zzz")]
         with pytest.raises(ValidationError, match="unknown comparate 'zzz'"):
-            stats.pair_statistics(matrix, overflow[::-1])
+            stats.pair_statistics(matrix, overflow)
+        with pytest.raises(ValidationError, match="difference of 'c0' and 'c1' overflows"):
+            stats.pair_statistics(matrix, overflow[:-1])
+        assert built == ["comparate", "task"]
 
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
     def test_all_pairs_pvalues_is_one_symmetric_array(self, m):
