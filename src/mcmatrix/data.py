@@ -303,22 +303,30 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
                 cell = cell.strip()
                 if not cell.isascii() or "_" in cell:
                     raise ParseError(f"cell {cell!r} is not a number", row=r, column=c)
-        values: list[float] = []
-        for c in range(n):
-            cell = row[c + 1].strip() if c + 1 < len(row) else ""
-            if not cell:
-                raise ValidationError("missing cell", row=r, column=c + 2)
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"cell {cell!r} is not a number", row=r, column=c + 2
-                ) from None
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"non-finite score {cell!r}", row=r, column=c + 2
-                )
-            values.append(value)
+        # A whole row is parsed by one call.  A short row, or one with a cell
+        # that float() refuses or reads as non-finite, is read again cell by
+        # cell, which finds the first cell at fault.
+        try:
+            values = list(map(float, row[1:]))
+        except ValueError:
+            values = []
+        if len(values) != n or not all(map(math.isfinite, values)):
+            values = []
+            for c in range(n):
+                cell = row[c + 1].strip() if c + 1 < len(row) else ""
+                if not cell:
+                    raise ValidationError("missing cell", row=r, column=c + 2)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"cell {cell!r} is not a number", row=r, column=c + 2
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"non-finite score {cell!r}", row=r, column=c + 2
+                    )
+                values.append(value)
         comparates.append(name)
         scores.append(values)
 

@@ -7,11 +7,30 @@ number formatting, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape, quoteattr
 
 from .style import FONT_FAMILY
 
 __all__ = ["fnum", "SvgDoc", "wrap_html"]
+
+
+def _escape(data: str) -> str:
+    """XML character data: ``&``, ``>`` and ``<`` escaped, in that order,
+    as ``xml.sax.saxutils.escape`` does (which would import
+    ``urllib.request``)."""
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(data: str) -> str:
+    """A quoted XML attribute value, as ``xml.sax.saxutils.quoteattr``
+    writes it: escaped, with newline, return and tab as character
+    references; in double quotes unless it holds one and no single quote,
+    then in single quotes; holding both, in double quotes as ``&quot;``."""
+    data = _escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"%s"' % data.replace('"', "&quot;")
 
 
 def fnum(x: float, places: int = 2) -> str:
@@ -29,7 +48,7 @@ class SvgDoc:
     Every text element uses ``FONT_FAMILY``, quoted as ``family``.
     """
 
-    family = quoteattr(FONT_FAMILY)
+    family = _quoteattr(FONT_FAMILY)
 
     def __init__(self, width: float, height: float):
         self.width = width
@@ -53,7 +72,7 @@ class SvgDoc:
         self._parts.append(
             f'<text x="{fnum(x)}" y="{fnum(y)}" font-family={self.family} '
             f'font-size="{fnum(size, 1)}" text-anchor="{anchor}">'
-            f"{escape(content)}</text>"
+            f"{_escape(content)}</text>"
         )
 
     def group_start(self, cls: str) -> None:
@@ -73,7 +92,7 @@ class SvgDoc:
         lines = [head]
         if metadata is not None:
             blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-            lines.append(f"<metadata>{escape(blob)}</metadata>")
+            lines.append(f"<metadata>{_escape(blob)}</metadata>")
         return [*lines, *self._parts, "</svg>", ""]
 
     def tostring(self, metadata: dict | None = None) -> str:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from ..errors import ValidationError
 from ..mcm import MCMReport
-from .core import SvgDoc, fnum, wrap_html
+from .core import SvgDoc, _escape, fnum, wrap_html
 from .style import (
     CELL_DECIMAL_PLACES,
     CELL_HEIGHT,
@@ -15,7 +13,7 @@ from .style import (
     HEADER_HEIGHT,
     LABEL_WIDTH,
     PADDING,
-    diverging_color,
+    _diverging_fills,
 )
 
 __all__ = ["render_mcm"]
@@ -45,7 +43,8 @@ def render_mcm(
     # orientations.  A zero difference is white whatever the limit, so a
     # limit of 0 is never divided by.
     pairs = report.cells.table
-    limit = float(abs(pairs.mean_difference).max())
+    magnitude = abs(pairs.mean_difference)
+    limit = float(magnitude.max())
     places = CELL_DECIMAL_PLACES
     rows, cols = report.row_order, report.column_order
     alpha = report.alpha
@@ -86,19 +85,21 @@ def render_mcm(
 
     # Every cell of a column shares its x strings and every cell of a row
     # its y strings, so each coordinate is formatted once, from the same
-    # expression a per-cell computation would use.  Cell texts are numbers,
-    # slashes and "p = ", which need no escaping.
+    # expression a per-cell computation would use, into the markup that
+    # runs up to the cell's next value.  Cell texts are numbers, slashes
+    # and "p = ", which need no escaping.
     xs = [x0 + j * CELL_WIDTH for j in range(len(cols))]
     col_x = [fnum(x) for x in xs]
-    col_cx = [fnum(x + CELL_WIDTH / 2.0) for x in xs]
+    text_head = [f'<text x="{fnum(x + CELL_WIDTH / 2.0)}" y="' for x in xs]
     ys = [y0 + i * CELL_HEIGHT for i in range(len(rows))]
     row_y = [fnum(y) for y in ys]
     row_text_y = [
-        [fnum(y + CELL_HEIGHT / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs) for k in range(3)]
+        [f'{fnum(y + CELL_HEIGHT / 2.0 + (k - 1) * 1.25 * fs + 0.35 * fs)}"' for k in range(3)]
         for y in ys
     ]
     size = f'width="{fnum(CELL_WIDTH)}" height="{fnum(CELL_HEIGHT)}"'
     stroke = f'stroke="#bbbbbb" stroke-width="{fnum(1.0)}"'
+    fill_end = f'" {stroke} class="cell-bg"/>\n'
     text = f' font-family={SvgDoc.family} font-size="{fnum(fs, 1)}" text-anchor="middle"'
     bold = text + ' font-weight="bold"'
 
@@ -106,43 +107,54 @@ def render_mcm(
         "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
         "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
     ] if fmt == "html" else None
-    # A pair's p label is the same in both orientations.
-    p_labels = [fnum(p, places) for p in pairs.p_value.tolist()]
-    row_html = [escape(r) for r in rows]
-    col_html = [escape(c) for c in cols]
+    # A pair's p label and p line are the same in both orientations; p is
+    # never negative, so its label needs no zero rule.  So are |mean| and
+    # its fill's t: the mean label and fill of a cell are its pair's, picked
+    # by the sign of its value (a value that rounds to zero reads 0.0000).
+    p_labels = [f"{p:.{places}f}" for p in pairs.p_value.tolist()]
+    p_lines = [f"{bold if p < alpha else text}>p = {label}</text>"
+               for p, label in zip(pairs.p_value.tolist(), p_labels)]
+    digits = [f"{x:.{places}f}" for x in magnitude.tolist()]
+    zero = fnum(0.0, places)
+    negative = [d if d == zero else "-" + d for d in digits]
+    fill_positive, fill_negative = _diverging_fills(magnitude, limit)
+    row_html = [_escape(r) for r in rows]
+    col_html = [_escape(c) for c in cols]
     # A grid row's cells are joined as it is formed; the page, once.
     doc.group_start("cells")
     for i in range(len(rows)):
         y = row_y[i]
+        rect_y = f'" y="{y}" {size} fill="'
         y_mean, y_wtl, y_p = row_text_y[i]
         at, items, (_, _, means, wins, ties, losses, p_values, _) = report.cells.row(i)
         cells = [None] * len(cols)  # None is the diagonal
         for j, k, mean_difference, w, t, l, p_value in zip(at, items, means, wins, ties,
                                                            losses, p_values):
             significant = p_value < alpha
-            mean = fnum(mean_difference, places)
+            if mean_difference > 0.0:
+                mean, fill = digits[k], fill_positive[k]
+            else:
+                mean, fill = negative[k], fill_negative[k]
             wtl = f"{w} / {t} / {l}"
-            p = p_labels[k]
-            cx = col_cx[j]
+            head = text_head[j]
             attrs = bold if significant else text
             cells[j] = (
-                f'<rect x="{col_x[j]}" y="{y}" {size} '
-                f'fill="{diverging_color(mean_difference, limit)}" {stroke} '
-                'class="cell-bg"/>\n'
-                f'<text x="{cx}" y="{y_mean}"{attrs}>{mean}</text>\n'
-                f'<text x="{cx}" y="{y_wtl}"{attrs}>{wtl}</text>\n'
-                f'<text x="{cx}" y="{y_p}"{attrs}>p = {p}</text>'
+                f'<rect x="{col_x[j]}{rect_y}{fill}{fill_end}'
+                f'{head}{y_mean}{attrs}>{mean}</text>\n'
+                f'{head}{y_wtl}{attrs}>{wtl}</text>\n'
+                f'{head}{y_p}{p_lines[k]}'
             )
             if table is not None:
                 table.append(
                     f"<tr><td>{row_html[i]}</td><td>{col_html[j]}</td><td>{mean}</td>"
-                    f"<td>{wtl}</td><td>{p}</td>"
+                    f"<td>{wtl}</td><td>{p_labels[k]}</td>"
                     f"<td>{'yes' if significant else 'no'}</td></tr>"
                 )
         doc.raw("\n".join(
             cell or f'<rect x="{col_x[j]}" y="{y}" {size} fill="#f2f2f2" {stroke} '
                     'class="diagonal"/>' for j, cell in enumerate(cells)))
     doc.group_end()
+    del p_labels, p_lines, digits, negative, fill_positive, fill_negative
 
     if table is None:
         page = doc.tostring(metadata)

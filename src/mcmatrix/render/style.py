@@ -2,10 +2,14 @@
 
 The constants are documented in ``docs/style-reference.md``; changing any
 of them changes golden-file bytes, so treat them as part of the output
-contract.
+contract.  The diverging fill has one rule, ``_diverging_fills``, which
+forms the fills of a whole array of |values| at once, both signs of each;
+``diverging_color`` is that rule on one value.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["diverging_color"]
 
@@ -27,19 +31,36 @@ CD_AXIS_WIDTH = 560.0
 CD_ROW_HEIGHT = 22.0
 CD_BAR_SPACING = 10.0
 
-_POSITIVE_RGB = tuple(int(COLOR_POSITIVE[i:i + 2], 16) for i in (1, 3, 5))
-_NEGATIVE_RGB = tuple(int(COLOR_NEGATIVE[i:i + 2], 16) for i in (1, 3, 5))
+# Per endpoint, per channel: the endpoint's level minus white's, 255.
+_RGB_SPAN = np.array([[int(color[i:i + 2], 16) - 255 for i in (1, 3, 5)]
+                      for color in (COLOR_POSITIVE, COLOR_NEGATIVE)], dtype=np.float64)
+
+
+def _diverging_fills(magnitude: np.ndarray, limit: float) -> tuple[list[str], list[str]]:
+    """The fill of +x and of -x for each x in ``magnitude``, an array of
+    |value|s: two lists of ``#rrggbb``.
+
+    t = min(x / limit, 1) moves each channel from white to the endpoint as
+    255 + (c - 255) * t, rounded half to even; the IEEE operations of a
+    value taken alone, so a value and its mirror share t.  Zero is white
+    whatever the limit, and is never divided by.  A quotient past the float
+    range is inf, as in Python, and saturates; so does any nonzero x over a
+    limit of 0.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        t = np.minimum(np.divide(magnitude, limit, out=np.zeros(len(magnitude)),
+                                 where=magnitude != 0.0), 1.0)
+    level = np.rint(255 + _RGB_SPAN * t[:, None, None]).astype(np.uint8)
+    # Per side, the levels' bytes in hex with a space after every 3 bytes.
+    return tuple(["#" + fill for fill in side.tobytes().hex(" ", 3).split()]
+                 for side in level.transpose(1, 0, 2))
 
 
 def diverging_color(value: float, limit: float) -> str:
     """Interpolate white -> endpoint on the signed side of a diverging map.
 
     Zero maps exactly to white; |value| >= limit saturates at the endpoint.
+    This is ``_diverging_fills`` of the one value.
     """
-    if value == 0.0:
-        return "#ffffff"
-    r, g, b = _POSITIVE_RGB if value > 0.0 else _NEGATIVE_RGB
-    t = min(abs(value) / limit, 1.0)
-    return "#%02x%02x%02x" % (
-        round(255 + (r - 255) * t), round(255 + (g - 255) * t), round(255 + (b - 255) * t)
-    )
+    positive, negative = _diverging_fills(np.array([abs(value)], dtype=np.float64), limit)
+    return positive[0] if value > 0.0 else negative[0]

@@ -6,7 +6,8 @@ pairwise comparison cells for one pair or for numpy blocks of pairs, the
 Friedman test, the rank-based critical difference, and the Holm step-down
 correction.  The kernels take matrix positions: a call checks its pairs,
 whose names only the matrix maps, before it evaluates any.  Ranks and
-signed ranks find their tie groups with one scan, ``_tie_runs``.
+signed ranks find their tie groups with one scan, ``_tie_runs``; a row of
+differences without a tie, as continuous scores give, skips it.
 
 All functions here are pure and reentrant: no shared mutable state, no
 internal randomness.
@@ -208,7 +209,10 @@ def _signed_rank_rows(d: np.ndarray,
     equal ``key >> 1`` is a tie group, and bit 0 is the sign.  A value's
     doubled averaged rank is start + end + 2 over the 0-based sorted
     positions of its tie group, an exact integer, so 2 W+ and the tie term
-    are integer sums.  Rows with at most ``exact_threshold`` nonzero
+    are integer sums.  Most rows of continuous scores hold no tie: there a
+    value's doubled rank is 2(i + 1) at sorted position i and the tie term
+    is 0, so only the rows with a tie are scanned for their groups
+    (``_tie_runs``).  Rows with at most ``exact_threshold`` nonzero
     differences get the exact distribution (``_exact_pvalues``); the others
     get the normal approximation with tie and continuity corrections, in
     the IEEE operations of the one-row formula, with ``math.erfc`` per row.
@@ -221,20 +225,28 @@ def _signed_rank_rows(d: np.ndarray,
     key.sort(axis=1)
     positive = (key & np.uint64(1)).astype(bool)
     key >>= np.uint64(1)
-    start, end = _tie_runs(key)
-    del key
     ranked = np.arange(n) < k[:, None]
-    doubled = np.where(ranked, start + end + 2, 0)
-    # Sum over ranked values of c^2 - 1, c their group size: sum of c^3 - c.
-    size = end - start + 1
-    ties = np.where(ranked, size * size - 1, 0).sum(axis=1, dtype=np.float64)
-    del start, end, size, ranked
-    w2 = np.where(positive, doubled, 0).sum(axis=1)
+    doubled = np.arange(2, 2 * n + 2, 2) * ranked
+    ties = np.zeros(rows)
+    # Zeros are keyed +inf and equal each other, so only ranked neighbours tie.
+    tied = np.flatnonzero(((key[:, 1:] == key[:, :-1]) & ranked[:, 1:]).any(axis=1))
+    if tied.size:
+        start, end = _tie_runs(key[tied])
+        held = ranked[tied]
+        doubled[tied] = (start + end + 2) * held
+        # Sum over ranked values of c^2 - 1, c their group size: sum of c^3 - c.
+        size = end - start + 1
+        ties[tied] = ((size * size - 1) * held).sum(axis=1, dtype=np.float64)
+        del start, end, size, held
+    del key, ranked
+    w2 = (doubled * positive).sum(axis=1)
     if (doubled.sum(axis=1) != k * (k + 1)).any():
         raise InternalError("doubled ranks do not sum to k(k+1)")
 
-    method = [PMethod.DEGENERATE if kr == 0 else PMethod.EXACT if kr <= exact_threshold
-              else PMethod.NORMAL_APPROXIMATION for kr in k.tolist()]
+    # Each row's method by how many of 0 and exact_threshold its k passes.
+    passed = (k > 0).astype(np.intp) + (k > exact_threshold)
+    by_passed = (PMethod.DEGENERATE, PMethod.EXACT, PMethod.NORMAL_APPROXIMATION)
+    method = [by_passed[c] for c in passed.tolist()]
     p = np.ones(rows)
     exact = (k > 0) & (k <= exact_threshold)
     if exact.any():
@@ -438,8 +450,14 @@ def _pair_table(matrix: ResultsMatrix, at: np.ndarray, tie_epsilon: float) -> Pa
         losses[part] = np.count_nonzero(d < -tie_epsilon, axis=1)
         # A row mean sums like np.mean of the row.  "+ 0.0" turns a mean that
         # underflows to -0.0 into +0.0, the value the mirror of the reversed
-        # pair gives.
-        means[part] = d.mean(axis=1) + 0.0
+        # pair gives.  Finite differences can still sum past the float range.
+        with np.errstate(over="ignore"):
+            means[part] = d.mean(axis=1) + 0.0
+        if not np.isfinite(means[part]).all():
+            row, column = (matrix.comparates[x]
+                           for x in at[part][np.isfinite(means[part]).argmin()])
+            raise ValidationError(
+                f"the mean score difference of {row!r} and {column!r} overflows")
         if count < MIN_BLOCK_PAIRS:
             p, method = zip(*map(wilcoxon_signed_rank, d))
         else:

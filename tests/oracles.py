@@ -29,6 +29,9 @@ at once.
 
 ``cell_records`` is the dict builder the package's JSON cell writer
 replaced, kept unchanged: the writer's text is held to ``json.dumps`` of it.
+``diverging_color_scalar`` is the one-value fill the package computed per
+cell before it formed each pair's two fills at once in numpy, kept
+unchanged.
 
 ``bayes_chunks_serial`` is the Monte Carlo loop the package ran before it
 split a chunk's rows over threads, kept unchanged: one thread, and each
@@ -49,6 +52,7 @@ from mcmatrix.bayes import (CHUNK_SIZE, BayesConfig, BayesPosterior, _chunk_gene
                             _prepare)
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import InternalError, ValidationError
+from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
 from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod, check_alpha
 
 
@@ -379,6 +383,24 @@ def cell_records(
             }
         records.append(record)
     return records
+
+
+_POSITIVE_RGB = tuple(int(COLOR_POSITIVE[i:i + 2], 16) for i in (1, 3, 5))
+_NEGATIVE_RGB = tuple(int(COLOR_NEGATIVE[i:i + 2], 16) for i in (1, 3, 5))
+
+
+def diverging_color_scalar(value: float, limit: float) -> str:
+    """Interpolate white -> endpoint on the signed side of a diverging map.
+
+    Zero maps exactly to white; |value| >= limit saturates at the endpoint.
+    """
+    if value == 0.0:
+        return "#ffffff"
+    r, g, b = _POSITIVE_RGB if value > 0.0 else _NEGATIVE_RGB
+    t = min(abs(value) / limit, 1.0)
+    return "#%02x%02x%02x" % (
+        round(255 + (r - 255) * t), round(255 + (g - 255) * t), round(255 + (b - 255) * t)
+    )
 
 
 def bayes_chunks_serial(z: np.ndarray, config: BayesConfig):

@@ -696,10 +696,14 @@ class TestOtherCommands:
 
     def test_cold_import_loads_neither_scipy_nor_a_thread_pool(self):
         # A cold ``import mcmatrix.cli`` is what every command pays first;
-        # scipy and the thread pool are loaded only by the code that uses them.
+        # scipy and the thread pool are loaded only by the code that uses them,
+        # and the XML escaping needs neither ``xml.sax`` nor the
+        # ``urllib.request`` it imports.  ``urllib`` itself is not checked:
+        # the interpreter's ``site`` may load ``urllib.parse``.
         src = Path(mcmatrix.__file__).resolve().parent.parent
+        unwanted = ("scipy", "concurrent.futures", "xml.sax", "urllib.request")
         probe = ("import sys, mcmatrix.cli; "
-                 "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")
+                 f"print([m for m in {unwanted!r} if m in sys.modules])")
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                               capture_output=True, text=True, timeout=120)

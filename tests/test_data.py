@@ -58,6 +58,44 @@ class TestLoadCsv:
             load_results(data, "csv", "higher")
         assert (err.value.row, err.value.column) == (2, 2)
 
+    # Row 2 is read whole; row 3 fails the whole-row parse and is read cell
+    # by cell, which names the first cell at fault.  A non-ASCII or "_" cell
+    # is found before any other fault of its row, as float() reads both.
+    @pytest.mark.parametrize("row, error, message", [
+        ("B,0.5,,0.4", ValidationError, "missing cell (row=3, column=3)"),
+        ("B,0.5", ValidationError, "missing cell (row=3, column=3)"),
+        ("B,0.5, ,0.4", ValidationError, "missing cell (row=3, column=3)"),
+        ("B,0.5,nan,0.4", ValidationError, "non-finite score 'nan' (row=3, column=3)"),
+        ("B,inf,0.5,0.4", ValidationError, "non-finite score 'inf' (row=3, column=2)"),
+        ("B,0.5,0.6, -Infinity ", ValidationError,
+         "non-finite score '-Infinity' (row=3, column=4)"),
+        ("B,nan,,x", ValidationError, "non-finite score 'nan' (row=3, column=2)"),
+        ("B,0.5,fast,0.4", ParseError, "cell 'fast' is not a number (row=3, column=3)"),
+        ("B,0.5,1_0,0.4", ParseError, "cell '1_0' is not a number (row=3, column=3)"),
+        ("B,,1_0,0.4", ParseError, "cell '1_0' is not a number (row=3, column=3)"),
+        ("B,0.5,0.6,\u0661", ParseError, "cell '\u0661' is not a number (row=3, column=4)"),
+        ("B,0.5,0.6,0.4,0.3", ParseError, "expected 4 cells, found 5 (row=3, column=None)"),
+        ("B,0.5,0.6,nan\nC,,0.1,0.2", ValidationError,
+         "non-finite score 'nan' (row=3, column=4)"),
+    ])
+    def test_a_bad_row_after_a_good_one_names_its_first_bad_cell(self, row, error, message):
+        data = f"comparate,t1,t2,t3\nA,0.9,0.8,0.7\n{row}\nD,0.1,0.2,0.3\n"
+        with pytest.raises(error) as err:
+            load_results(data, "csv", "higher")
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("row, scores", [
+        ("B, 0.5 ,\t0.6\t,0.4 ", [0.5, 0.6, 0.4]),
+        ("B,1e-3 ,+.5, -2E2", [0.001, 0.5, -200.0]),
+        # float() keeps the information separators that str.strip() removes,
+        # so this row is read again cell by cell, to the same values.
+        ("B,\x1c0.5\x1c,0.6,0.4", [0.5, 0.6, 0.4]),
+    ])
+    def test_padded_numbers_read_as_their_stripped_text(self, row, scores):
+        data = f"comparate,t1,t2,t3\nA,0.9,0.8,0.7\n{row}\n"
+        matrix = load_results(data, "csv", "higher")
+        assert matrix.scores.tolist() == [[0.9, 0.8, 0.7], scores]
+
     def test_row_and_column_order_preserved(self):
         data = b"comparate,z,a\nZed,1,2\nAce,3,4\n"
         matrix = load_results(data, "csv", "lower")

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import re
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmatrix import (
@@ -18,11 +20,12 @@ from mcmatrix import (
 )
 from mcmatrix.errors import TooFewComparates, TooFewTasks, ValidationError
 from mcmatrix.render import contiguous_nonsignificant_runs, diverging_color
-from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
+from mcmatrix.render.core import _escape, _quoteattr, fnum
+from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE, _diverging_fills
 from mcmatrix.stability import SignificancePattern
 
 from conftest import GOLDEN, golden_matrix
-from oracles import contiguous_runs_loop
+from oracles import contiguous_runs_loop, diverging_color_scalar
 
 
 class TestDivergingColor:
@@ -37,6 +40,55 @@ class TestDivergingColor:
         positive = diverging_color(0.5, 1.0)
         negative = diverging_color(-0.5, 1.0)
         assert positive != negative
+
+    @staticmethod
+    def _assert_matches_the_scalar_oracle(values, limit):
+        # Each value's fill, from the array rule (as a pair and its mirror
+        # share it) and from the one-value call, against the scalar rule.
+        positive, negative = _diverging_fills(np.abs(np.array(values, dtype=np.float64)), limit)
+        want = [diverging_color_scalar(v, limit) for v in values]
+        assert [p if v > 0.0 else q for v, p, q in zip(values, positive, negative)] == want
+        assert [diverging_color(v, limit) for v in values] == want
+
+    # A power-of-two limit makes value / limit an exact fraction a / 2^j, so
+    # a channel's 255 + (c - 255) * t can land exactly on .5; other limits,
+    # subnormal ones included, and values past the limit, subnormal values
+    # and zeros of both signs come from the float strategies.
+    @given(
+        st.one_of(st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+                  st.floats(min_value=5e-324, max_value=1e308)),
+        st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -1e300, 5e-324]),
+            st.tuples(st.integers(-2**10, 2**10), st.integers(0, 10))
+              .map(lambda aj: math.ldexp(aj[0], -aj[1])),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(1.0, [0.5, -0.5, 1 / 16, -1 / 16, 3 / 32, 0.0, -0.0])
+    def test_array_rule_matches_the_scalar_oracle(self, limit, fractions):
+        # Drawn fractions and constants are scaled by the limit: +-1 is the
+        # limit itself, +-2 past it.
+        values = [x if abs(x) > 2.0 or x == 0.0 or x == 5e-324 else x * limit
+                  for x in fractions]
+        self._assert_matches_the_scalar_oracle(values, limit)
+
+    def test_levels_that_land_on_a_half_round_to_even(self):
+        # t = 1/2 puts the positive green and the negative blue channel on
+        # x.5 exactly, and t = 1/16 the positive red: 151.5, 217.5, 252.5.
+        halves = {255 + (int(color[i:i + 2], 16) - 255) * t
+                  for t in (0.5, 1 / 16) for color in (COLOR_POSITIVE, COLOR_NEGATIVE)
+                  for i in (1, 3, 5)}
+        assert {151.5, 217.5, 252.5} <= halves
+        self._assert_matches_the_scalar_oracle([0.5, -0.5, 1 / 16, -1 / 16], 1.0)
+        assert diverging_color(0.5, 1.0) == "#eb9893"  # 151.5 rounds to 152 (0x98)
+
+
+@given(st.text(st.sampled_from("ab&<>\"'\n\r\t \u00e9;#"), max_size=12) | st.text())
+@settings(max_examples=300, deadline=None)
+def test_escaping_follows_the_standard_library(value):
+    assert _escape(value) == escape(value)
+    assert _quoteattr(value) == quoteattr(value)
 
 
 class TestRenderMcm:
@@ -92,6 +144,28 @@ class TestRenderMcm:
         )
         svg = render_mcm(build_mcm(matrix), format="svg").decode()
         assert set(re.findall(r'fill="(#\w{6})"[^>]*class="cell-bg"', svg)) == {"#ffffff"}
+
+    # Scores whose differences fall on and around the label's half unit,
+    # 5e-5, or round to 0.0000 with either sign.
+    @given(st.integers(2, 5).flatmap(lambda m: st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(
+            st.sampled_from([0.0, 1e-5, 4.9e-5, 5e-5, 5.1e-5, 1.5e-4, 2.5e-4, 0.3, 1e-300]),
+            min_size=n, max_size=n), min_size=m, max_size=m))),
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=15, max_size=15))
+    @settings(max_examples=150, deadline=None)
+    def test_each_cell_label_and_fill_follow_its_value(self, rows, signs):
+        scores = np.array(rows) * np.resize(signs, (len(rows), 1))
+        matrix = ResultsMatrix(tuple(f"c{i}" for i in range(len(rows))),
+                               tuple(f"t{j}" for j in range(scores.shape[1])), scores,
+                               Direction.HIGHER_IS_BETTER)
+        report = build_mcm(matrix)
+        html = render_mcm(report, format="html").decode()
+        cells = list(report.cells.values())
+        limit = max(abs(cell.mean_difference) for cell in cells)
+        assert re.findall(r'fill="(#\w{6})"[^>]*class="cell-bg"', html) == [
+            diverging_color_scalar(cell.mean_difference, limit) for cell in cells]
+        assert re.findall(r"<tr><td>c\d</td><td>c\d</td><td>([^<]*)</td>", html) == [
+            fnum(cell.mean_difference, 4) for cell in cells]
 
     def test_html_embeds_identical_svg(self):
         report = build_mcm(golden_matrix())

@@ -14,6 +14,7 @@ from mcmatrix import (
     Direction,
     PMethod,
     ResultsMatrix,
+    build_mcm,
     compute_ranks,
     friedman_test,
     holm_correction,
@@ -338,6 +339,78 @@ class TestSignedRankKernel:
             assert (_result_bits(_forced(row, method))
                     == _result_bits(wilcoxon_signed_rank_scalar(row, method=method)))
 
+    def test_untied_tied_zero_and_single_rows_in_one_block_match_the_oracle(self):
+        # Scores on a grid of quarters keep differences exact, so equal |d|
+        # are true ties; the normal draws give rows without any tie.
+        rng = np.random.default_rng(31)
+        n = 30
+        base = rng.integers(0, 40, n) / 4.0
+        first = np.arange(n) < 20
+        one_tie = np.where(first, np.arange(n) + 1.0, 0.0)
+        one_tie[6] = -6.0  # |d| = 6 twice, once of each sign
+        some = np.arange(n) < 27
+        rows = [
+            base,
+            base + rng.normal(0.0, 1.0, n),  # no tie: normal
+            base + np.where(first, rng.normal(0.0, 1.0, n), 0.0),  # zeros equal: exact
+            base + np.where(some, rng.normal(0.0, 1.0, n), 0.0),  # zeros equal: normal
+            base + np.where(first, rng.choice([-0.5, -0.25, 0.25, 0.5], n), 0.0),  # exact
+            base + rng.choice([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75], n),  # ties: normal
+            base.copy(),  # all zero
+            base + np.where(np.arange(n) == 7, 0.25, 0.0),  # one nonzero
+            base + np.where(np.arange(n) == 29, -1.0, 0.0),  # one nonzero, negative
+            base + one_tie,  # one tie: exact
+        ]
+        matrix = _matrix(rows)
+        block = stats._differences(matrix, np.array([[i, 0] for i in range(1, len(rows))]))
+        # Per row: any nonzero, a tie among them, a zero, a single nonzero.
+        kinds = set()
+        for d in block:
+            nonzero = np.abs(d[d != 0.0])
+            kinds.add((len(nonzero) > 0, len(np.unique(nonzero)) < len(nonzero),
+                       0 < len(nonzero) < n, len(nonzero) == 1))
+        assert kinds == {(True, False, False, False), (True, False, True, False),
+                         (True, True, True, False), (True, True, False, False),
+                         (False, False, False, False), (True, False, True, True)}
+        want = [wilcoxon_signed_rank_scalar(d) for d in block]
+        assert {method for _, method in want} == set(PMethod)
+        assert ([_result_bits(r) for r in zip(*stats._signed_rank_rows(block, 25))]
+                == [_result_bits(r) for r in want])
+        pairs = list(itertools.permutations(matrix.comparates, 2))
+        assert len(pairs) >= stats.MIN_BLOCK_PAIRS
+        assert ([cell_bits(c) for c in stats.pair_statistics(matrix, pairs)]
+                == [cell_bits(pairwise_comparison_scalar(matrix, r, c)) for r, c in pairs])
+
+    # Around the row-by-row bound, MIN_BLOCK_PAIRS pairs, and with slices of
+    # one row to one past the whole block, cut from a _SLICE one either side
+    # of a multiple of n.  Rows repeat or change at one task, so blocks hold
+    # all-zero and single-nonzero rows next to tied and untied ones.
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_around_the_bounds_match_the_scalar_oracle(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                           st.floats(-1.0, 1.0, allow_nan=False))
+        rows: list[list[float]] = []
+        for _ in range(5):
+            if rows and data.draw(st.booleans()):
+                row = list(data.draw(st.sampled_from(rows)))
+                if data.draw(st.booleans()):
+                    row[data.draw(st.integers(0, n - 1))] = data.draw(values)
+            else:
+                row = data.draw(st.lists(values, min_size=n, max_size=n))
+            rows.append(row)
+        matrix = _matrix(rows, data.draw(st.sampled_from(list(Direction))))
+        count = data.draw(st.integers(stats.MIN_BLOCK_PAIRS - 1, stats.MIN_BLOCK_PAIRS + 3))
+        pairs = data.draw(st.lists(st.sampled_from(
+            list(itertools.permutations(matrix.comparates, 2))), min_size=count, max_size=count))
+        per_slice = data.draw(st.integers(1, count + 1))
+        budget = max(1, per_slice * n + data.draw(st.integers(-1, 1)))
+        with mock.patch.object(stats, "_SLICE", budget):
+            got = stats.pair_statistics(matrix, pairs)
+        assert ([cell_bits(c) for c in got]
+                == [cell_bits(pairwise_comparison_scalar(matrix, r, c)) for r, c in pairs])
+
     def test_exact_refused_above_62_nonzero_differences(self):
         diffs = np.arange(1.0, 64.0)
         refusals = (
@@ -413,6 +486,16 @@ class TestPairStatistics:
             pairwise_comparison(matrix, "c0", "c1")
         with pytest.raises(ValidationError, match=message):
             stats.all_pairs_pvalues(matrix, matrix.comparates)
+
+    def test_overflowing_mean_difference_names_the_pair(self):
+        # Every score, row sum and difference is finite; a pair's sum of
+        # differences is not.
+        matrix = _matrix([[8e307, 8e307], [-8e307, -8e307], [1.0, 2.0]])
+        message = r"mean score difference of 'c1' and 'c0' overflows"
+        with pytest.raises(ValidationError, match=message):
+            stats.pair_statistics(matrix, [("c1", "c2"), ("c1", "c0"), ("c0", "c2")])
+        with pytest.raises(ValidationError, match="difference of 'c0' and 'c1' overflows"):
+            build_mcm(matrix)
 
     def test_same_and_unknown_comparates(self):
         matrix = _matrix([[0.5], [0.6]])
