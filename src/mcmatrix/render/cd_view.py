@@ -2,16 +2,17 @@
 
 Comparates sit on a horizontal axis at their average ranks with the best
 (lowest) average rank at the right.  Pairs whose differences are not
-statistically significant are joined with horizontal bars: under the
-rank-based test, groups whose average-rank spread stays within the
-critical difference; under the signed-rank/Holm variant, maximal
-rank-contiguous runs in which every pair is non-significant.
+statistically significant are joined with horizontal bars: maximal
+rank-contiguous runs in which every pair is joined.  Each test decides
+the joined pairs once, as one boolean matrix in average-rank order: under
+the rank-based test a pair is joined when its average-rank gap stays
+within the critical difference, under the signed-rank/Holm variant when
+Holm leaves it non-significant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,25 +45,21 @@ class CdLayout:
     method: str
 
 
-def contiguous_nonsignificant_runs(
-    count: int, non_significant: Callable[[int, int], bool]
-) -> list[tuple[int, int]]:
-    """Maximal index runs [i, j] in which every contained pair is
-    non-significant.  Runs fully contained in a longer run are dropped.
+def contiguous_nonsignificant_runs(joined) -> list[tuple[int, int]]:
+    """Maximal index runs [i, j] in which every contained pair is joined.
+    Runs fully contained in a longer run are dropped.
 
-    ``lo[b]`` is the smallest ``a`` such that every pair ``(a', b)`` with
-    ``a <= a' < b`` is non-significant, so ``b`` extends a run that starts
-    at ``i`` iff ``lo[b] <= i``.  Each pair is tested at most once, and
-    only while walking down from ``b`` to the first significant pair.
-    The run ends never decrease with ``i``, so a run is contained in an
-    earlier one iff it ends where the last kept run ends.
+    ``joined`` is a square boolean matrix; only its strict upper triangle
+    is read.  ``lo[b]`` is the smallest ``a`` such that every pair
+    ``(a', b)`` with ``a <= a' < b`` is joined, one past the last pair of
+    column ``b`` that is not, so ``b`` extends a run that starts at ``i``
+    iff ``lo[b] <= i``.  The run ends never decrease with ``i``, so a run is
+    contained in an earlier one iff it ends where the last kept run ends.
     """
-    lo = []
-    for b in range(count):
-        a = b
-        while a > 0 and non_significant(a - 1, b):
-            a -= 1
-        lo.append(a)
+    apart = np.triu(~np.asarray(joined, dtype=bool), 1)
+    count = len(apart)
+    lo = np.max(np.where(apart, np.arange(1, count + 1)[:, None], 0), axis=0,
+                initial=0).tolist()
     runs: list[tuple[int, int]] = []
     j = last_end = 0
     for i in range(count):
@@ -98,27 +95,18 @@ def cd_layout(
         raise TooFewTasks("a rank diagram needs at least two tasks")
 
     table = compute_ranks(matrix)
-    order = sorted(
-        range(matrix.m), key=lambda i: (table.average_ranks[i], matrix.comparates[i])
-    )
-    names = tuple(matrix.comparates[i] for i in order)
-    ars = tuple(float(table.average_ranks[i]) for i in order)
+    # Names are distinct, so the sort never reaches the positions.
+    ars, names, order = zip(*sorted(zip(table.average_ranks.tolist(), matrix.comparates,
+                                        range(matrix.m))))
     positions = tuple(_unit_position(ar, matrix.m) for ar in ars)
 
     cd: float | None = None
     if method == "nemenyi":
         cd = nemenyi_critical_difference(matrix.m, matrix.n, alpha)
-
-        def non_sig(i: int, j: int) -> bool:
-            return abs(ars[j] - ars[i]) <= cd
-
+        joined = np.abs(np.subtract.outer(ars, ars)) <= cd
     else:
-        significant = holm_significance(matrix, matrix.comparates, alpha)[np.ix_(order, order)]
-
-        def non_sig(i: int, j: int) -> bool:
-            return not significant[i, j]
-
-    bars = tuple(contiguous_nonsignificant_runs(matrix.m, non_sig))
+        joined = ~holm_significance(matrix, matrix.comparates, alpha)[np.ix_(order, order)]
+    bars = tuple(contiguous_nonsignificant_runs(joined))
     return CdLayout(
         names=names,
         average_ranks=ars,

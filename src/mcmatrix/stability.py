@@ -6,7 +6,8 @@ significance patterns for a core set embedded among varying extras,
 detection of average-rank order swaps between two study contexts, and the
 weakened-variant attack that inflates a target's average rank by adding a
 blended copy of it.  Each demonstrates something a per-pair comparison
-grid is immune to by construction.
+grid is immune to by construction.  Every experiment reads its corrected
+patterns from one step-down kernel, ``_step_down``.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class SignificancePattern:
         return frozenset(ij for b, ij in enumerate(pairs) if self.bitmask >> b & 1)
 
     def pair_names(self) -> tuple[tuple[str, str], ...]:
-        pairs = itertools.combinations(self.core, 2)
-        return tuple(pq for b, pq in enumerate(pairs) if self.bitmask >> b & 1)
+        return tuple((self.core[i], self.core[j]) for i, j in sorted(self.non_significant_pairs))
 
 
 @dataclass(frozen=True)
@@ -218,14 +218,9 @@ def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
 
 
 def _holm_mask(p: np.ndarray, n_core: int, alpha: float) -> int:
-    """Core pairs left non-significant by correcting the whole family, as a
-    bitmask.  ``p`` is the family's p-value array with the core first:
-    every experiment decides significance here.  The pairs of two core
-    members come in ``triu_indices`` order, which is ``combinations`` order:
-    the order of the bits."""
-    left, right = np.triu_indices(len(p), 1)
-    significant = holm_correction(p[left, right], alpha)[right < n_core]
-    return sum(1 << b for b in np.flatnonzero(~significant).tolist())
+    """``_step_down``'s pattern of the one family of ``p``, the core first."""
+    pattern, count = _step_down(p, n_core, len(p) - n_core, alpha)
+    return pattern(int(count(np.arange(len(p) - n_core)[None])[0]))
 
 
 def _step_down(
@@ -233,33 +228,38 @@ def _step_down(
     n_core: int,
     k_extra: int,
     alpha: float,
-) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
-    """Vectorized ``_holm_mask`` over many families core + extras.
+) -> tuple[Callable[[int], int], Callable[[np.ndarray], np.ndarray]]:
+    """The one Holm step-down of the stability lab, over many families core + extras.
 
-    ``p`` is the p-value array of core + pool.  Returns the C(n_core, 2) + 1
-    possible pattern bitmasks and a function that maps an S x k_extra array
-    of pool indices to each row's index into them.  The rows' family
-    p-values are corrected as one S x F array.  Core p-values do not depend
-    on the extras, and equal p-values share a decision, so the significant
-    core pairs are always the first t in ascending core p: a row's index is
-    its count t of significant core pairs, and its mask is the suffix mask
-    of the core pairs from the t-th on.
+    ``p`` is the p-value array of core + pool.  Returns a function that maps
+    a count t of significant core pairs to its pattern bitmask, and a
+    function that maps an S x k_extra array of pool indices to each row's
+    count t.  The rows' family p-values are corrected as one S x F array.
+    Core p-values do not depend on the extras, and equal p-values share a
+    decision, so the significant core pairs are always the first t in
+    ascending core p: the pattern sets the bits of the core pairs from the
+    t-th on.  The pairs of two core members come in ``triu_indices`` order,
+    which is ``combinations`` order: the order of the bits.
     """
     left, right = np.triu_indices(n_core + k_extra, 1)
     core_pairs = right < n_core
     # Entry b of the core p-values: the pair of bit b.
-    order = np.argsort(p[np.triu_indices(n_core, 1)], kind="stable").tolist()
-    suffix_masks = [sum(1 << b for b in order[t:]) for t in range(len(order) + 1)]
+    order = np.argsort(p[np.triu_indices(n_core, 1)], kind="stable")
     core_idx = np.arange(n_core)
 
-    def masks(extras: np.ndarray) -> np.ndarray:
+    def pattern(t: int) -> int:
+        bits = np.zeros(len(order), dtype=bool)
+        bits[order[t:]] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    def count(extras: np.ndarray) -> np.ndarray:
         family = np.concatenate(
             [np.broadcast_to(core_idx, (len(extras), n_core)), extras + n_core], axis=1
         )
         significant = holm_correction(p[family[:, left], family[:, right]], alpha)
         return np.count_nonzero(significant[:, core_pairs], axis=1)
 
-    return suffix_masks, masks
+    return pattern, count
 
 
 def enumerate_patterns(
@@ -342,9 +342,10 @@ def enumerate_patterns(
 
     # One p-value per pair over core + pool covers every family.
     p = all_pairs_pvalues(matrix, core + pool)
-    pattern_masks, masks = _step_down(p, len(core), k_extra, alpha)
-    counts = np.zeros(len(pattern_masks), dtype=np.int64)
-    # Pattern index -> kept example subsets, in order of first appearance.
+    pattern, count = _step_down(p, len(core), k_extra, alpha)
+    counts = np.zeros(math.comb(len(core), 2) + 1, dtype=np.int64)
+    # Count of significant core pairs -> kept example subsets, in order of
+    # first appearance.
     examples: dict[int, list[tuple[str, ...]]] = {}
     # Ranks come one chunk at a time, so an exhaustive sweep near the limit
     # never holds a million subsets at once.
@@ -352,7 +353,7 @@ def enumerate_patterns(
         stop = min(start + _CHUNK, total)
         extras = _unrank(len(pool), k_extra,
                          np.arange(start, stop) if ranks is None else ranks[start:stop])
-        t = masks(extras)
+        t = count(extras)
         # n_seen: the row's 1-based place among all subsets of its pattern.
         order = np.argsort(t, kind="stable")
         grouped = t[order]
@@ -364,18 +365,17 @@ def enumerate_patterns(
         kept = (n_seen <= _EXAMPLE_LIMIT) | (slot < _EXAMPLE_LIMIT)
         for row in np.flatnonzero(kept).tolist():
             subset = tuple(pool[i] for i in extras[row].tolist())
-            pattern = int(t[row])
-            if n_seen[row] == 1:
-                examples[pattern] = []
+            kept_for = examples.setdefault(int(t[row]), [])
             if n_seen[row] <= _EXAMPLE_LIMIT:
-                examples[pattern].append(subset)
+                kept_for.append(subset)
             elif slot[row] < _EXAMPLE_LIMIT:
-                examples[pattern][int(slot[row])] = subset
+                kept_for[int(slot[row])] = subset
 
+    found = {pattern(t): t for t in examples}
     return PatternEnumeration(
         core=core,
-        pattern_counts={pattern_masks[p]: int(counts[p]) for p in examples},
-        examples_per_pattern={pattern_masks[p]: tuple(v) for p, v in examples.items()},
+        pattern_counts={mask: int(counts[t]) for mask, t in found.items()},
+        examples_per_pattern={mask: tuple(examples[t]) for mask, t in found.items()},
         total_subsets=total,
     )
 

@@ -22,7 +22,10 @@ before its one-pass form: it re-tests every pair of a growing run.
 
 ``holm_correction_list`` is the list step-down the package ran before its
 array kernel, one decision object per p-value in ``(p, id)`` order, and
-``holm_mask_list`` the core bitmask it gave a family.  ``compute_ranks_loop``
+``holm_mask_list`` the core bitmask it gave a family.
+``per_subset_enumeration`` runs ``holm_mask_list`` once per subset of a
+pattern enumeration, unranked by ``subset_by_rank``, and keeps examples by
+``reservoir_draw``.  ``compute_ranks_loop``
 ranks one task at a time with two m x m comparisons and takes the tie term
 from ``np.unique``'s counts, as the package did before it sorted every task
 at once.
@@ -53,7 +56,9 @@ from mcmatrix.bayes import (CHUNK_SIZE, BayesConfig, BayesPosterior, _chunk_gene
 from mcmatrix.data import Direction, ResultsMatrix
 from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE
-from mcmatrix.stats import DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod, check_alpha
+from mcmatrix.stability import PatternEnumeration
+from mcmatrix.stats import (DEFAULT_EXACT_THRESHOLD, PairwiseComparison, PMethod,
+                            all_pairs_pvalues, check_alpha)
 
 
 def friedman_tie_free(ranks: np.ndarray) -> float:
@@ -327,6 +332,35 @@ def holm_mask_list(p: np.ndarray, n_core: int, alpha: float) -> int:
     flags = {d.pair: d.significant for d in holm_correction_list(family, alpha)}
     core_pairs = itertools.combinations(range(n_core), 2)
     return sum(1 << b for b, ij in enumerate(core_pairs) if not flags[ij])
+
+
+def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
+                           example_limit, seed):
+    """Pattern counts and reservoir examples of the subsets of ``ranks``,
+    one ``holm_mask_list`` per family: the one-correction-per-subset loop
+    the package's chunked step-down replaced."""
+    p = all_pairs_pvalues(matrix, core + pool)
+    index = {name: i for i, name in enumerate(core + pool)}
+    counts, examples = {}, {}
+    for g, rank in enumerate(ranks):
+        subset = subset_by_rank(pool, k_extra, rank)
+        family = [index[name] for name in core + subset]
+        mask = holm_mask_list(p[np.ix_(family, family)], len(core), alpha)
+        n_seen = counts.get(mask, 0) + 1
+        counts[mask] = n_seen
+        bucket = examples.setdefault(mask, [])
+        if n_seen <= example_limit:
+            bucket.append(subset)
+        else:
+            slot = reservoir_draw(seed, g, n_seen)
+            if slot < example_limit:
+                bucket[slot] = subset
+    return PatternEnumeration(
+        core=core,
+        pattern_counts=counts,
+        examples_per_pattern={m: tuple(v) for m, v in examples.items()},
+        total_subsets=len(ranks),
+    )
 
 
 def compute_ranks_loop(

@@ -245,7 +245,7 @@ PUBLIC_SURFACE = {
     "mcmatrix.render.cd_view.render_cd_diagram": (
         "(matrix, alpha=0.05, pairwise_method='nemenyi', metadata=None)"
     ),
-    "mcmatrix.render.cd_view.contiguous_nonsignificant_runs": "(count, non_significant)",
+    "mcmatrix.render.cd_view.contiguous_nonsignificant_runs": "(joined)",
     "mcmatrix.render.core.fnum": "(x, places=2)",
     "mcmatrix.render.core.SvgDoc": (
         "class(object)",

@@ -405,6 +405,18 @@ class TestExitCodes:
         assert "difference of 'Alpha' and 'Bravo' overflows on task 't2'" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("fmt", ["json", "svg", "html"])
+    def test_overflowing_mean_score_names_the_comparate(self, tmp_path, capsys, fmt):
+        # Every score and pair mean is finite; A's scores sum past the float range.
+        table = tmp_path / "overflow.csv"
+        table.write_text("comparate,t1,t2\nA,1.5e308,1.5e308\nB,1e308,1e308\n")
+        code, out, err = run(
+            ["mcm", "--format", fmt, "--input", str(table), "--direction", "higher"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "the mean score of 'A' overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_enumerate_sample_above_exhaustive_limit_is_refused_at_once(self, tmp_path,
                                                                        capsys):
         # C(40, 20) subsets: drawing 2,000,000 distinct ranks would first fill

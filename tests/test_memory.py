@@ -1,7 +1,7 @@
 """Memory bounds of the grid commands' largest transients, and of what a
 report keeps alive, on an m = 100 grid of 108 continuous tasks (4,950
-pairs, every cell approximate), and of the Bayesian block kernel's working
-set.
+pairs, every cell approximate), of the Bayesian block kernel's working
+set, and of the stability lab's step-down on a large core.
 
 ``tracemalloc`` sees numpy's buffers as well as Python objects, so a peak
 here is the working set of the call, whatever holds it.
@@ -17,6 +17,7 @@ import pytest
 from mcmatrix import BayesConfig, bayes, build_mcm
 from mcmatrix.bayes import CHUNK_SIZE, bayesian_signed_rank
 from mcmatrix.mcm import cell_records_json
+from mcmatrix.stability import _step_down
 from mcmatrix.render import render_mcm
 from mcmatrix.stats import pair_statistics
 
@@ -97,3 +98,25 @@ def test_posterior_block_working_set_does_not_grow_with_its_rows(monkeypatch, wo
     block, block_peak = _traced(lambda: bayesian_signed_rank(rows, config))
     assert len(block) == 45 and block[0] == one[0]
     assert block_peak <= 1.2 * one_peak
+
+
+def test_step_down_on_a_large_core_forms_only_the_patterns_it_is_asked_for():
+    # A core of 120 has 7,140 pairs.  A list of every count's pattern holds
+    # 7,141 integers of up to 7,140 bits: about 7.5 MB, formed in 30-40 s.
+    # One family row of three is 7,381 p-values, and each pattern is formed
+    # when it is read: under 1 MB.
+    rng = np.random.default_rng(25)
+    size = 123  # the core and a pool of three, two of them in each family
+    p = np.zeros((size, size))
+    left, right = np.triu_indices(size, 1)
+    p[left, right] = p[right, left] = rng.uniform(0.0, 2e-5, len(left)) ** rng.uniform(
+        0.5, 1.0, len(left))
+    rows = np.array(list(itertools.combinations(range(3), 2)))
+
+    def kernel():
+        pattern, count = _step_down(p, 120, 2, 0.05)
+        return [pattern(t) for t in count(rows).tolist()]
+
+    masks, peak = _traced(kernel)
+    assert len(masks) == 3 and all(0 < mask < 1 << 7140 for mask in masks)
+    assert peak < 2e6

@@ -19,7 +19,7 @@ from mcmatrix import (
     render_pattern_graph,
 )
 from mcmatrix.errors import TooFewComparates, TooFewTasks, ValidationError
-from mcmatrix.render import contiguous_nonsignificant_runs, diverging_color
+from mcmatrix.render import cd_view, contiguous_nonsignificant_runs, diverging_color
 from mcmatrix.render.core import _escape, _quoteattr, fnum
 from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE, _diverging_fills
 from mcmatrix.stability import SignificancePattern
@@ -196,46 +196,54 @@ class TestRenderMcm:
 
 class TestCliqueRuns:
     def test_spec_pattern_two_overlapping_bars(self):
-        # Five comparates, only adjacent pairs (0,1) and (1,2) non-significant.
-        non_sig_pairs = {(0, 1), (1, 2)}
-
-        def non_sig(i, j):
-            return (min(i, j), max(i, j)) in non_sig_pairs
-
-        assert contiguous_nonsignificant_runs(5, non_sig) == [(0, 1), (1, 2)]
+        # Five comparates, only adjacent pairs (0,1) and (1,2) joined.
+        joined = np.zeros((5, 5), dtype=bool)
+        joined[[0, 1], [1, 2]] = True
+        assert contiguous_nonsignificant_runs(joined) == [(0, 1), (1, 2)]
 
     def test_contained_runs_dropped(self):
-        def all_non_sig(i, j):
-            return True
-
-        assert contiguous_nonsignificant_runs(4, all_non_sig) == [(0, 3)]
+        assert contiguous_nonsignificant_runs(np.ones((4, 4), dtype=bool)) == [(0, 3)]
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 16).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(0, 10),
                             st.lists(st.integers(0, 9), min_size=m * m, max_size=m * m))))
     def test_matches_loop_oracle(self, case):
-        # A pair is non-significant with probability density / 10, so dense
-        # predicates with long runs are drawn as well as sparse ones.
+        # A pair is joined with probability density / 10, so dense matrices
+        # with long runs are drawn as well as sparse ones.  The oracle reads
+        # each pair above the diagonal; the lower triangle is drawn apart.
         m, density, draws = case
+        joined = np.array(draws, dtype=np.int64).reshape(m, m) < density
+        assert contiguous_nonsignificant_runs(joined) == contiguous_runs_loop(
+            m, lambda i, j: joined[min(i, j), max(i, j)])
 
-        def non_sig(i, j):
-            return draws[min(i, j) * m + max(i, j)] < density
-
-        assert contiguous_nonsignificant_runs(m, non_sig) == contiguous_runs_loop(m, non_sig)
-
-    def test_each_pair_tested_at_most_once(self):
-        calls = []
-
-        def all_non_sig(i, j):
-            calls.append((i, j))
-            return True
-
-        contiguous_nonsignificant_runs(30, all_non_sig)
-        assert len(calls) == len(set(calls)) == 30 * 29 // 2
+    def test_only_the_upper_triangle_is_read(self):
+        # The diagonal and the lower triangle are noise: the runs follow the
+        # pairs above the diagonal alone.
+        rng = np.random.default_rng(12)
+        for m in (1, 2, 5, 30):
+            for density in (0.3, 0.8, 1.0):
+                upper = np.triu(rng.random((m, m)) < density, 1)
+                expected = contiguous_runs_loop(m, lambda i, j: upper[min(i, j), max(i, j)])
+                for _ in range(5):
+                    noise = np.tril(rng.random((m, m)) < 0.5)
+                    assert contiguous_nonsignificant_runs(upper | noise) == expected
 
 
 class TestCdDiagram:
+    def test_a_gap_equal_to_the_critical_difference_is_joined(self, monkeypatch):
+        # No tabulated critical difference equals an average-rank gap that a
+        # table can reach (searched over m 3-20 and n 2-1,000), so the
+        # boundary is pinned with the CD patched onto a gap: a, b and c
+        # rank 1.0, 2.5 and 2.5.
+        matrix = ResultsMatrix(("a", "b", "c"), ("t1", "t2"),
+                               np.array([[3.0, 3.0], [2.0, 1.0], [1.0, 2.0]]),
+                               Direction.HIGHER_IS_BETTER)
+        monkeypatch.setattr(cd_view, "nemenyi_critical_difference", lambda m, n, alpha: 1.5)
+        layout = cd_layout(matrix, 0.05, "nemenyi")
+        assert layout.average_ranks == (1.0, 2.5, 2.5)
+        assert layout.bars == ((0, 2),)
+
     def test_golden_bytes(self):
         metadata = {"fixture": "golden", "alpha": 0.05}
         assert render_cd_diagram(

@@ -21,7 +21,6 @@ from mcmatrix import (
 )
 from mcmatrix.errors import ValidationError
 from mcmatrix.stability import (
-    PatternEnumeration,
     SignificancePattern,
     _holm_mask,
     _reservoir_keys,
@@ -38,7 +37,8 @@ from mcmatrix.stats import (
 )
 
 from conftest import fixture_matrix, load_fixture, random_matrix
-from oracles import holm_mask_list, reservoir_draw, sample_ranks_loop, subset_by_rank
+from oracles import (holm_mask_list, per_subset_enumeration, reservoir_draw,
+                     sample_ranks_loop, subset_by_rank)
 
 
 class TestSignificancePattern:
@@ -129,11 +129,12 @@ def test_holm_mask_matches_holm_significance(seed, alpha, data):
     n_core = data.draw(st.integers(2, n_family))
     core, extra = tuple(names[:n_core]), tuple(names[n_core:n_family])
     p = all_pairs_pvalues(matrix, core + extra)
-    mask = _holm_mask(p, n_core, alpha)
+    pattern, count = _step_down(p, n_core, len(extra), alpha)
+    mask = pattern(int(count(np.arange(len(extra))[None])[0]))
     flags = holm_significance(matrix, core + extra, alpha)
     expected = sum(1 << b for b, (i, j) in enumerate(combinations(range(n_core), 2))
                    if not flags[i, j])
-    assert mask == expected == holm_mask_list(p, n_core, alpha)
+    assert mask == expected == holm_mask_list(p, n_core, alpha) == _holm_mask(p, n_core, alpha)
     assert (flags == flags.T).all() and not flags.diagonal().any()
     reordered = core + tuple(data.draw(st.permutations(extra)))
     assert _holm_mask(all_pairs_pvalues(matrix, reordered), n_core, alpha) == mask
@@ -297,41 +298,13 @@ def tied_matrix(rng, m, n):
     )
 
 
-def per_subset_enumeration(matrix, core, pool, k_extra, alpha, ranks,
-                           example_limit, seed):
-    """The one-correction-per-subset loop the chunked kernel replaced, with
-    the list step-down of ``oracles``."""
-    p = all_pairs_pvalues(matrix, core + pool)
-    index = {name: i for i, name in enumerate(core + pool)}
-    counts, examples = {}, {}
-    for g, rank in enumerate(ranks):
-        subset = subset_by_rank(pool, k_extra, rank)
-        family = [index[name] for name in core + subset]
-        mask = holm_mask_list(p[np.ix_(family, family)], len(core), alpha)
-        n_seen = counts.get(mask, 0) + 1
-        counts[mask] = n_seen
-        bucket = examples.setdefault(mask, [])
-        if n_seen <= example_limit:
-            bucket.append(subset)
-        else:
-            slot = reservoir_draw(seed, g, n_seen)
-            if slot < example_limit:
-                bucket[slot] = subset
-    return PatternEnumeration(
-        core=core,
-        pattern_counts=counts,
-        examples_per_pattern={m: tuple(v) for m, v in examples.items()},
-        total_subsets=len(ranks),
-    )
-
-
 class TestStepDownKernel:
     def kernel_and_oracle(self, n_core, p, k_extra, alpha):
         """``p`` holds the p-values of core + pool, the core first."""
         rows = list(combinations(range(len(p) - n_core), k_extra))
-        pattern_masks, masks = _step_down(p, n_core, k_extra, alpha)
-        index = masks(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
-        got = [pattern_masks[t] for t in index.tolist()]
+        pattern, count = _step_down(p, n_core, k_extra, alpha)
+        counts = count(np.array(rows, dtype=np.intp).reshape(len(rows), k_extra))
+        got = [pattern(t) for t in counts.tolist()]
         families = [[*range(n_core), *(n_core + i for i in row)] for row in rows]
         expected = [holm_mask_list(p[np.ix_(f, f)], n_core, alpha) for f in families]
         return got, expected
