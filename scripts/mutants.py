@@ -3,22 +3,23 @@ for it.
 
 A mutant is a file under ``src/``, an exact source string that occurs in it
 once, the string that replaces it, and the test files that must catch it.
-For each mutant the script copies ``src/`` into a temporary directory,
-applies the one replacement there, and runs
+The script first runs each distinct set of test files once against an
+unmutated copy of ``src/``; if one does not pass, it exits 1 before any
+mutant is applied, since a failing test would report every mutant as
+killed.  Then, for each mutant, it copies ``src/`` into a temporary
+directory, applies the one replacement there, and runs
 ``python -m pytest -x -q <test files>`` against the copy.  A mutant whose
 tests pass has survived.  The script exits 1 if a mutant survives, if a
 source string is not found exactly once (so the list follows the code), or
 if pytest ends other than by passing or by a failed test.
 
-The tests run with ``OPENBLAS_NUM_THREADS=1``, so that the threaded Monte
-Carlo path and the tests that force it run, and with a Hypothesis seed and
-database of their own, so that a run is repeatable and leaves the
-repository's ``.hypothesis`` alone.  The unmutated tests are not run here:
-the tier-1 suite does that.
+Every run uses ``OPENBLAS_NUM_THREADS=1``, so that the threaded Monte
+Carlo path and the tests that force it run, and a Hypothesis seed and
+database of its own, so that a run is repeatable and leaves the
+repository's ``.hypothesis`` alone.
 
 Usage, from anywhere:
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py NAME ...   # the mutants with these names
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ MUTANTS = (
            "bits[order[t:]] = True", "bits[order[t + 1:]] = True",
            ("test_end_to_end.py", "test_stability.py")),
     Mutant("run start one too low", "mcmatrix/render/cd_view.py",
-           "np.arange(1, count + 1)[:, None]", "np.arange(count)[:, None]",
+           "count - np.argmax(apart[::-1], 0)", "count - 1 - np.argmax(apart[::-1], 0)",
            ("test_end_to_end.py", "test_render.py")),
     Mutant("Nemenyi boundary open", "mcmatrix/render/cd_view.py",
            "np.subtract.outer(ars, ars)) <= cd", "np.subtract.outer(ars, ars)) < cd",
@@ -96,45 +97,53 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> str:
-    """``killed`` or ``survived``; raises ``RuntimeError`` on anything else."""
-    source = (ROOT / "src" / mutant.path).read_text()
-    if source.count(mutant.old) != 1:
-        raise RuntimeError(f"{mutant.old!r} occurs {source.count(mutant.old)} times "
-                           f"in src/{mutant.path}, not once")
+def pytest(mutant: Mutant | None, tests: tuple[str, ...]) -> int:
+    """Exit code of ``tests`` on a copy of ``src/``, with ``mutant`` applied
+    if one is given."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        (src / mutant.path).write_text(source.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            source = (src / mutant.path).read_text()
+            if source.count(mutant.old) != 1:
+                raise RuntimeError(f"{mutant.old!r} occurs {source.count(mutant.old)} times "
+                                   f"in src/{mutant.path}, not once")
+            (src / mutant.path).write_text(source.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
                "HYPOTHESIS_STORAGE_DIRECTORY": str(Path(tmp) / "hypothesis")}
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *(str(ROOT / "tests" / t) for t in mutant.tests)],
+             "--hypothesis-seed=0", *(str(ROOT / "tests" / t) for t in tests)],
             cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    if done.returncode in (0, 1):
-        return ("survived", "killed")[done.returncode]
-    raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}")
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}")
+    if done.returncode and mutant is None:
+        raise RuntimeError(f"the unmutated code fails:\n{done.stdout[-2000:]}")
+    return done.returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in chosen}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    bad = 0
-    for mutant in chosen:
+def main() -> int:
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
         start = time.perf_counter()
         try:
-            verdict = run(mutant)
+            pytest(None, tests)
+        except RuntimeError as exc:
+            print(f"baseline error on {' '.join(tests)}: {exc}", file=sys.stderr)
+            return 1
+        print(f"  passed  {time.perf_counter() - start:5.1f} s  baseline {' '.join(tests)}",
+              flush=True)
+    bad = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        try:
+            verdict = ("survived", "killed")[pytest(mutant, mutant.tests)]
         except RuntimeError as exc:
             verdict = f"error: {exc}"
         bad += verdict != "killed"
         print(f"{verdict:>8}  {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

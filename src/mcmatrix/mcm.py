@@ -210,8 +210,8 @@ def build_mcm(
     When a ``bayes_config`` is given, each cell also gets a Bayesian
     signed-rank posterior computed with it.  Each unordered pair is
     evaluated once (see ``compare_pairs``).  A grid without an
-    off-diagonal cell, and a comparate whose finite scores have a mean past
-    the float range, raise ``ValidationError``.
+    off-diagonal cell, and a comparate whose finite scores sum past the
+    float range, raise ``ValidationError``.
     """
     alpha = check_alpha(config.alpha)
     rows = cols = matrix.comparates
@@ -224,7 +224,7 @@ def build_mcm(
     with np.errstate(over="ignore"):
         means = {c: float(np.mean(matrix.row(c))) for c in involved}
     if overflow := [c for c in involved if not np.isfinite(means[c])]:
-        raise ValidationError(f"the mean score of {overflow[0]!r} overflows")
+        raise ValidationError(f"the scores of {overflow[0]!r} sum past the float range")
     row_order = _order_by_mean(rows, means, matrix.direction)
     column_order = _order_by_mean(cols, means, matrix.direction)
 

@@ -58,8 +58,9 @@ def contiguous_nonsignificant_runs(joined) -> list[tuple[int, int]]:
     """
     apart = np.triu(~np.asarray(joined, dtype=bool), 1)
     count = len(apart)
-    lo = np.max(np.where(apart, np.arange(1, count + 1)[:, None], 0), axis=0,
-                initial=0).tolist()
+    if not count:
+        return []
+    lo = np.where(apart.any(0), count - np.argmax(apart[::-1], 0), 0).tolist()
     runs: list[tuple[int, int]] = []
     j = last_end = 0
     for i in range(count):

@@ -414,7 +414,7 @@ class TestExitCodes:
             ["mcm", "--format", fmt, "--input", str(table), "--direction", "higher"], capsys
         )
         assert code == 2 and out == ""
-        assert "the mean score of 'A' overflows" in err
+        assert "the scores of 'A' sum past the float range" in err
         assert "Traceback" not in err and "Warning" not in err
 
     def test_enumerate_sample_above_exhaustive_limit_is_refused_at_once(self, tmp_path,
