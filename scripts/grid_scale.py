@@ -13,8 +13,10 @@ path).  It also runs ``mcm --include-bayes --format json`` at the default
 100,000 samples on the table's first 20 comparates (190 posteriors), and
 ``stability enumerate --k-extra 5`` at the exhaustive limit: a core of 4
 and a pool of 43 on a second, m = 47, n = 30 table (962,598 subsets), and
-``cd --pairwise wilcoxon-holm`` on a third, m = 1,000, n = 108 table, where
-ranking and the Holm step-down over 499,500 pairs are a large share.  Each
+``cd --pairwise wilcoxon-holm``, ``mcm --format json`` and ``stats`` on a
+third, m = 1,000, n = 108 table: 499,500 pairs, where ranking and the Holm
+step-down are a large share of ``cd``, and the JSON writers' output is
+over 100 MB.  Each
 command is a fresh ``python -m mcmatrix.cli`` process on the ``src``
 directory of ``--root``.  It prints a Markdown table with each
 command's wall seconds, its peak resident memory (the child's own
@@ -49,6 +51,8 @@ COMMANDS = (
     ("stability enumerate --k-extra 5", ENUM_M, ENUM_N,
      ["stability", "enumerate", "--k-extra", "5", "--core", "c000,c001,c002,c003"]),
     ("cd --pairwise wilcoxon-holm", LARGE_M, LARGE_N, ["cd", "--pairwise", "wilcoxon-holm"]),
+    ("mcm --format json", LARGE_M, LARGE_N, ["mcm", "--format", "json"]),
+    ("stats", LARGE_M, LARGE_N, ["stats"]),
 )
 
 

@@ -94,6 +94,13 @@ MUTANTS = (
     Mutant("Nemenyi boundary open", "mcmatrix/render/cd_view.py",
            "np.subtract.outer(ars, ars)) <= cd", "np.subtract.outer(ars, ars)) < cd",
            ("test_render.py",)),
+    Mutant("exact counts' top never refreshed", "mcmatrix/stats.py",
+           "top = max(top, peak)", "top = top",
+           ("test_end_to_end.py", "test_stats.py")),
+    Mutant("enumeration chunk ignores the family size", "mcmatrix/stability.py",
+           "chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // math.comb(len(core) + k_extra, 2)))",
+           "chunk = _CHUNK",
+           ("test_memory.py",)),
 )
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
+import io
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,8 @@ from .data import Direction, load_results
 from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
 from .mcm import (
     MCMConfig,
+    _cell_record_rows,
     build_mcm,
-    cell_records_json,
     compare_pairs,
     mcm_report_header,
 )
@@ -126,29 +128,38 @@ def _metadata(args: argparse.Namespace, payload: bytes, **extra) -> dict:
 
 
 def _json_bytes(obj: dict) -> bytes:
-    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8, in one join.
+    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8, written value
+    by value into one buffer whose value is returned.
 
     Each top-level value is dumped on its own and indented one level,
     which gives the same text, since every newline ``json.dumps`` writes
-    is an indent.  A ``bytes`` value, which ``json`` cannot dump, is that
-    text already written, and goes in as it is.
+    is an indent.  An iterator value is that text already written, in
+    ``str`` chunks such as ``_cell_record_rows``' grid rows, and each chunk
+    is encoded into the buffer as it comes.
     """
-    parts = [b"{\n"]
+    out = io.BytesIO()
+    separator = b"{\n"
     for key, value in obj.items():
-        if not isinstance(value, bytes):
-            value = json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8")
-        parts += (f"  {json.dumps(key)}: ".encode("utf-8"), value, b",\n")
-    parts[-1] = b"\n}\n"
-    return b"".join(parts)
+        out.write(separator)
+        out.write(f"  {json.dumps(key)}: ".encode("utf-8"))
+        if isinstance(value, Iterator):
+            for chunk in value:
+                out.write(chunk.encode("utf-8"))
+        else:
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8"))
+        separator = b",\n"
+    out.write(b"\n}\n")
+    return out.getvalue()
 
 
-def _float_rows(rows: list[list[float]]) -> bytes:
+def _float_rows(rows: list[list[float]]) -> Iterator[str]:
     """JSON text of a non-empty list of non-empty lists of finite floats,
-    indented as the value of a top-level key, one ``join`` per row."""
-    return ("[\n    " + ",\n    ".join(
-        "[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
-        for row in rows
-    ) + "\n  ]").encode("utf-8")
+    indented as the value of a top-level key, one chunk per row."""
+    separator = "[\n    "
+    for row in rows:
+        yield separator + "[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
+        separator = ",\n    "
+    yield "\n  ]"
 
 
 def _bayes_config(args: argparse.Namespace) -> BayesConfig | None:
@@ -314,8 +325,7 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
         out = {
             "metadata": meta,
             **mcm_report_header(report),
-            "cells": cell_records_json(report.cells, report.alpha,
-                                       report.bayes).encode("utf-8"),
+            "cells": _cell_record_rows(report.cells, report.alpha, report.bayes),
         }
         _write_output(args.output, _json_bytes(out))
     else:
@@ -355,7 +365,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "ranks": _float_rows(table.ranks.tolist()),
         "average_ranks": dict(zip(matrix.comparates, table.average_ranks.tolist())),
         "friedman": friedman,
-        "pairwise": cell_records_json(cells, alpha, bayes).encode("utf-8"),
+        "pairwise": _cell_record_rows(cells, alpha, bayes),
     }
     _write_output(args.output, _json_bytes(out))
     return 0

@@ -306,20 +306,36 @@ def cell_records_json(
     indent=2)`` with every line after the first indented two more spaces.
 
     A record holds the cell's fields, ``"significant"`` (``p < alpha``) and,
-    given posteriors on the same slots, ``"bayes"``.  Each cell is one
-    template filled from its grid row's oriented columns: each name is
-    quoted once, by ``json``'s quoting function, and each unordered pair's
-    p-value, method and significance once.  Floats are written by
-    ``float.__repr__``, as ``json`` writes a finite float; every value is.
+    given posteriors on the same slots, ``"bayes"``.  The text is the join
+    of ``_cell_record_rows``, which the CLI writes a grid row at a time.
+    """
+    return "".join(_cell_record_rows(cells, alpha, bayes))
+
+
+def _cell_record_rows(
+    cells: PairGrid,
+    alpha: float,
+    bayes: PairGrid | None = None,
+) -> Iterator[str]:
+    """``cell_records_json``'s text in chunks: the opening bracket, then
+    each grid row that holds a cell as it is formed, then the closing one.
+
+    Each cell is one template filled from its grid row's oriented columns:
+    each name is quoted once, by ``json``'s quoting function, and each
+    unordered pair's p-value, method and significance once.  Floats are
+    written by ``float.__repr__``, as ``json`` writes a finite float; every
+    value is.
     """
     if not cells:
-        return "[]"
+        yield "[]"
+        return
     quoted = [encode_basestring_ascii(name) for name in cells.columns]
     methods = {m: encode_basestring_ascii(m.value) for m in PMethod}
     r = float.__repr__
     tests = [_TEST_JSON % (r(p), methods[method], "true" if p < alpha else "false")
              for p, method in zip(cells.table.p_value.tolist(), cells.table.p_method)]
-    parts = ["[\n"]  # a grid row's cells are joined as it is formed
+    yield "[\n"
+    after = ""  # what closes the previous row's last record
     for i, name in enumerate(cells.rows):
         at, items, (_, _, means, wins, ties, losses, _, _) = cells.row(i)
         if not at:
@@ -331,10 +347,9 @@ def cell_records_json(
             _, _, (left, rope, right, samples) = bayes.row(i)
             texts = [text + _BAYES_JSON % (r(a), r(b), r(c), n)
                      for text, a, b, c, n in zip(texts, left, rope, right, samples)]
-        parts += ("\n    },\n".join(texts), "\n    },\n")
-    parts[-1] = "\n    }\n  ]"
-    del tests  # the rows hold every cell: join them alone
-    return "".join(parts)
+        yield after + "\n    },\n".join(texts)
+        after = "\n    },\n"
+    yield "\n    }\n  ]"
 
 
 def mcm_report_header(report: MCMReport) -> dict:

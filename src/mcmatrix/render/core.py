@@ -10,7 +10,7 @@ import json
 
 from .style import FONT_FAMILY
 
-__all__ = ["fnum", "SvgDoc", "wrap_html"]
+__all__ = ["fnum", "SvgDoc"]
 
 
 def _escape(data: str) -> str:
@@ -82,7 +82,8 @@ class SvgDoc:
         self._parts.append("</g>")
 
     def lines(self, metadata: dict | None = None) -> list[str]:
-        """The document's lines: ``tostring`` joins them with newlines."""
+        """The document's lines up to its closing tag: ``tostring`` joins
+        them and ``</svg>`` with newlines."""
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -93,27 +94,7 @@ class SvgDoc:
         if metadata is not None:
             blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
             lines.append(f"<metadata>{_escape(blob)}</metadata>")
-        return [*lines, *self._parts, "</svg>", ""]
+        return [*lines, *self._parts]
 
     def tostring(self, metadata: dict | None = None) -> str:
-        return "\n".join(self.lines(metadata))
-
-
-def wrap_html(svg_lines: list[str], table_lines: list[str],
-              metadata: dict | None = None) -> str:
-    """HTML page embedding an SVG unchanged plus an accessible data table,
-    joined once from the SVG's lines (``SvgDoc.lines``) and the table's."""
-    title = "Pairwise comparison matrix"
-    meta_lines = []
-    if metadata is not None:
-        blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-        meta_lines.append(f'<script type="application/json" id="run-metadata">{blob}</script>')
-    return "\n".join([
-        "<!DOCTYPE html>", '<html lang="en">', "<head>", '<meta charset="utf-8"/>',
-        f"<title>{title}</title>",
-        "<style>body{font-family:Helvetica,Arial,sans-serif;margin:1em;}"
-        "table{border-collapse:collapse;margin-top:1em;}"
-        "td,th{border:1px solid #999;padding:4px 8px;font-size:12px;}</style>",
-        "</head>", "<body>", *meta_lines, f"<h1>{title}</h1>", '<div class="figure">',
-        *svg_lines[:-1], "</div>", *table_lines, "</body>", "</html>", "",
-    ])
+        return "\n".join([*self.lines(metadata), "</svg>", ""])

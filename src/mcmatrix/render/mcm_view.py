@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 from ..errors import ValidationError
 from ..mcm import MCMReport
-from .core import SvgDoc, _escape, fnum, wrap_html
+from .core import SvgDoc, _escape, fnum
 from .style import (
     CELL_DECIMAL_PLACES,
     CELL_HEIGHT,
@@ -17,6 +20,17 @@ from .style import (
 )
 
 __all__ = ["render_mcm"]
+
+_TITLE = "Pairwise comparison matrix"
+# The HTML page up to its metadata, which the figure and the table follow.
+_HTML_HEAD = (
+    '<!DOCTYPE html>\n<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
+    f"<title>{_TITLE}</title>\n"
+    "<style>body{font-family:Helvetica,Arial,sans-serif;margin:1em;}"
+    "table{border-collapse:collapse;margin-top:1em;}"
+    "td,th{border:1px solid #999;padding:4px 8px;font-size:12px;}</style>\n"
+    "</head>\n<body>\n"
+)
 
 
 def render_mcm(
@@ -32,6 +46,11 @@ def render_mcm(
     exactly when p < alpha.  Mean performance is printed next to each
     comparate label.  HTML adds a table row per cell with the same labels.
     Output bytes are a pure function of (report, format, metadata).
+
+    Each grid row is joined and encoded as it is formed, into the one
+    buffer whose value is returned, so the writer never holds the page as
+    text; the HTML table's rows go into a second buffer, appended after the
+    figure.
     """
     fmt = str(format).strip().lower()
     if fmt not in ("svg", "html"):
@@ -103,31 +122,39 @@ def render_mcm(
     text = f' font-family={SvgDoc.family} font-size="{fnum(fs, 1)}" text-anchor="middle"'
     bold = text + ' font-weight="bold"'
 
-    table = [
-        "<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
-        "<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>"
-    ] if fmt == "html" else None
-    # A pair's p label and p line are the same in both orientations; p is
-    # never negative, so its label needs no zero rule.  So are |mean| and
+    # A pair's p label is the same in both orientations; p is never
+    # negative, so its label needs no zero rule.  So are |mean| and
     # its fill's t: the mean label and fill of a cell are its pair's, picked
     # by the sign of its value (a value that rounds to zero reads 0.0000).
     p_labels = [f"{p:.{places}f}" for p in pairs.p_value.tolist()]
-    p_lines = [f"{bold if p < alpha else text}>p = {label}</text>"
-               for p, label in zip(pairs.p_value.tolist(), p_labels)]
     digits = [f"{x:.{places}f}" for x in magnitude.tolist()]
     zero = fnum(0.0, places)
     negative = [d if d == zero else "-" + d for d in digits]
     fill_positive, fill_negative = _diverging_fills(magnitude, limit)
     row_html = [_escape(r) for r in rows]
     col_html = [_escape(c) for c in cols]
-    # A grid row's cells are joined as it is formed; the page, once.
+    out = io.BytesIO()
+    table = io.BytesIO() if fmt == "html" else None
+    if table is not None:
+        out.write(_HTML_HEAD.encode("utf-8"))
+        if metadata is not None:
+            blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
+            out.write(f'<script type="application/json" id="run-metadata">{blob}</script>\n'
+                      .encode("utf-8"))
+        out.write(f'<h1>{_TITLE}</h1>\n<div class="figure">\n'.encode("utf-8"))
+        table.write(b"<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
+                    b"<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>\n")
     doc.group_start("cells")
+    out.write("\n".join([*doc.lines(metadata), ""]).encode("utf-8"))
+    # A grid row is joined and encoded as it is formed: each cell, diagonal
+    # and table row ends its own line.
     for i in range(len(rows)):
         y = row_y[i]
         rect_y = f'" y="{y}" {size} fill="'
         y_mean, y_wtl, y_p = row_text_y[i]
         at, items, (_, _, means, wins, ties, losses, p_values, _) = report.cells.row(i)
         cells = [None] * len(cols)  # None is the diagonal
+        html = []
         for j, k, mean_difference, w, t, l, p_value in zip(at, items, means, wins, ties,
                                                            losses, p_values):
             significant = p_value < alpha
@@ -142,24 +169,22 @@ def render_mcm(
                 f'<rect x="{col_x[j]}{rect_y}{fill}{fill_end}'
                 f'{head}{y_mean}{attrs}>{mean}</text>\n'
                 f'{head}{y_wtl}{attrs}>{wtl}</text>\n'
-                f'{head}{y_p}{p_lines[k]}'
+                f'{head}{y_p}{attrs}>p = {p_labels[k]}</text>\n'
             )
             if table is not None:
-                table.append(
+                html.append(
                     f"<tr><td>{row_html[i]}</td><td>{col_html[j]}</td><td>{mean}</td>"
                     f"<td>{wtl}</td><td>{p_labels[k]}</td>"
-                    f"<td>{'yes' if significant else 'no'}</td></tr>"
+                    f"<td>{'yes' if significant else 'no'}</td></tr>\n"
                 )
-        doc.raw("\n".join(
+        out.write("".join(
             cell or f'<rect x="{col_x[j]}" y="{y}" {size} fill="#f2f2f2" {stroke} '
-                    'class="diagonal"/>' for j, cell in enumerate(cells)))
-    doc.group_end()
-    del p_labels, p_lines, digits, negative, fill_positive, fill_negative
-
-    if table is None:
-        page = doc.tostring(metadata)
-    else:
-        table.append("</table>")
-        page = wrap_html(doc.lines(metadata), table, metadata)
-    del doc, table  # the page holds every line: encode it alone
-    return page.encode("utf-8")
+                    'class="diagonal"/>\n' for j, cell in enumerate(cells)).encode("utf-8"))
+        if table is not None:
+            table.write("".join(html).encode("utf-8"))
+    out.write(b"</g>\n</svg>\n")
+    if table is not None:
+        out.write(b"</div>\n")
+        out.write(table.getvalue())
+        out.write(b"</table>\n</body>\n</html>\n")
+    return out.getvalue()

@@ -55,8 +55,10 @@ SAMPLED_SPACE_LIMIT = 1 << 63
 # Example subsets kept per pattern, by reservoir sampling.
 _EXAMPLE_LIMIT = 5
 
-# Subsets per vectorized step-down: bounds the subsets x family-pairs block.
-_CHUNK = 256
+# Subsets per vectorized step-down, at most, and subset x family-pair
+# entries per step-down, at most, unless one family alone has more: the
+# block stays bounded whatever the family size.
+_CHUNK, _CHUNK_ENTRIES = 256, 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -278,13 +280,14 @@ def enumerate_patterns(
     two comparates involved, so each subset evaluation reduces to one
     step-down correction over cached values.  A sweep is an ascending array
     of subset ranks in lexicographic order over the pool: every rank, or
-    the drawn ranks when sampling.  It is processed in
-    chunks of at most 256 ranks, each unranked to pool indices, corrected
-    and counted with numpy, so memory stays bounded by one chunk's subsets
-    x family pairs.  Up to five example subsets per pattern are retained
-    by reservoir sampling keyed by (seed, subset index), so a seed always
-    selects the same examples; only subsets that enter a reservoir are
-    turned into names.
+    the drawn ranks when sampling.  It is processed in chunks of at most
+    256 ranks and at most 2**16 subset x family-pair entries (one rank when
+    a family alone has more pairs), each unranked to pool indices, corrected
+    and counted with numpy, so memory stays bounded by one chunk's block
+    whatever the size of the core.  Up to five example subsets per pattern
+    are retained by reservoir sampling keyed by (seed, subset index), so a
+    seed always selects the same examples; only subsets that enter a
+    reservoir are turned into names.
     The one ``seed`` draws the sample and keys the reservoirs; it must lie
     in 0 .. 2**64 - 1.
 
@@ -348,9 +351,10 @@ def enumerate_patterns(
     # first appearance.
     examples: dict[int, list[tuple[str, ...]]] = {}
     # Ranks come one chunk at a time, so an exhaustive sweep near the limit
-    # never holds a million subsets at once.
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    # never holds a million subsets at once, nor a large core many families.
+    chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // math.comb(len(core) + k_extra, 2)))
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
         extras = _unrank(len(pool), k_extra,
                          np.arange(start, stop) if ranks is None else ranks[start:stop])
         t = count(extras)

@@ -321,10 +321,11 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.nda
                     top += t
                 else:
                     sel = np.flatnonzero(held[:, t] >= nth)
-                    hi = min(int(reach[sel].max()) + t, cap)
+                    peak = int(reach[sel].max()) + t  # the selected rows' new reach
+                    hi = min(peak, cap)
                     counts[sel, t:hi + 1] += counts[sel, :hi + 1 - t]
                     reach[sel] += t
-                    top = max(top, int(reach[sel].max()))
+                    top = max(top, peak)
         np.cumsum(counts, axis=1, out=counts)
         at = np.arange(rows)
         hb = half[lo:lo + step]

@@ -258,7 +258,6 @@ PUBLIC_SURFACE = {
         "lines(self, metadata=None)",
         "tostring(self, metadata=None)",
     ),
-    "mcmatrix.render.core.wrap_html": "(svg_lines, table_lines, metadata=None)",
     "mcmatrix.render.mcm_view.render_mcm": "(report, format='svg', metadata=None)",
     "mcmatrix.render.pattern_view.render_pattern_graph": "(pattern, metadata=None)",
     "mcmatrix.render.style.diverging_color": "(value, limit)",

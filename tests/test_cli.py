@@ -783,5 +783,6 @@ class TestJsonWriter:
         spliced = {**obj, "rows": _float_rows(rows)}
         assert _json_bytes(spliced) == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
-    def test_text_value_goes_in_as_it_is(self):
-        assert _json_bytes({"a": b"[1, 2]"}) == b'{\n  "a": [1, 2]\n}\n'
+    def test_text_chunks_go_in_as_they_are(self):
+        assert _json_bytes({"a": iter(["[1", ", 2]"]), "b": 3}) == (
+            b'{\n  "a": [1, 2],\n  "b": 3\n}\n')

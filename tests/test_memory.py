@@ -1,7 +1,7 @@
 """Memory bounds of the grid commands' largest transients, and of what a
 report keeps alive, on an m = 100 grid of 108 continuous tasks (4,950
 pairs, every cell approximate), of the Bayesian block kernel's working
-set, and of the stability lab's step-down on a large core.
+set, and of the stability lab's step-down and enumeration on a large core.
 
 ``tracemalloc`` sees numpy's buffers as well as Python objects, so a peak
 here is the working set of the call, whatever holds it.
@@ -16,8 +16,10 @@ import pytest
 
 from mcmatrix import BayesConfig, bayes, build_mcm
 from mcmatrix.bayes import CHUNK_SIZE, bayesian_signed_rank
+from mcmatrix.cli import main
+from mcmatrix.data import dump_results
 from mcmatrix.mcm import cell_records_json
-from mcmatrix.stability import _step_down
+from mcmatrix.stability import _step_down, enumerate_patterns
 from mcmatrix.render import render_mcm
 from mcmatrix.stats import pair_statistics
 
@@ -68,17 +70,35 @@ def test_report_keeps_its_columns_and_slot_matrix_alive(matrix):
     assert kept < 0.5e6
 
 
-@pytest.mark.parametrize("write", [
-    lambda report: render_mcm(report, "html", {"tool": "mcmatrix"}),
-    lambda report: render_mcm(report, "svg", {"tool": "mcmatrix"}),
-    lambda report: cell_records_json(report.cells, report.alpha),
+@pytest.mark.parametrize("write, bound", [
+    (lambda report: render_mcm(report, "html", {"tool": "mcmatrix"}), 1.75),
+    (lambda report: render_mcm(report, "svg", {"tool": "mcmatrix"}), 1.75),
+    (lambda report: cell_records_json(report.cells, report.alpha), 2.5),
 ], ids=["html", "svg", "cells-json"])
-def test_grid_writer_holds_its_output_about_twice(report, write):
-    # The row strings and the joined output, then the output and its
-    # encoding: never the three at once.
+def test_grid_writer_holds_its_output_once_and_a_part(report, write, bound):
+    # SVG and HTML: each grid row goes into the output's buffer as it is
+    # formed, and the HTML table's rows into a second one, appended at the
+    # end; about 1.6x the output at the peak, and over 2x when the page was
+    # joined as text and then encoded.  The cells' JSON text is the join of
+    # its rows: the rows and the text, never a third copy.
     out, peak = _traced(lambda: write(report))
     assert len(out) > 2e6
-    assert peak < 2.5 * len(out)
+    assert peak < bound * len(out)
+
+
+def test_json_command_holds_its_output_about_once(matrix, tmp_path):
+    # `mcm --format json` through main: each grid row of the cells is
+    # encoded into the document's one buffer as it is formed.  About 1.75x
+    # the output at the peak, the report and its per-pair texts included;
+    # 2.3x when the cells were joined, encoded and joined again.
+    table = tmp_path / "table.csv"
+    table.write_bytes(dump_results(matrix))
+    out = tmp_path / "mcm.json"
+    argv = ["mcm", "--format", "json", "--input", str(table), "--direction", "higher",
+            "--output", str(out)]
+    code, peak = _traced(lambda: main(argv))
+    assert code == 0 and out.stat().st_size > 2e6
+    assert peak < 2.0 * out.stat().st_size
 
 
 @pytest.mark.parametrize("workers", [None] + [
@@ -120,3 +140,15 @@ def test_step_down_on_a_large_core_forms_only_the_patterns_it_is_asked_for():
     masks, peak = _traced(kernel)
     assert len(masks) == 3 and all(0 < mask < 1 << 7140 for mask in masks)
     assert peak < 2e6
+
+
+def test_enumeration_chunk_is_bounded_by_its_family_pairs():
+    # A core of 150 and two extras: families of 11,476 pairs.  Chunks of 256
+    # subsets held about 71.5 MB of p-values and decisions; chunks of at
+    # most about 2^16 subset x pair entries (5 subsets here) hold about 8 MB,
+    # most of it the p-value precompute over 175 comparates.
+    matrix = random_matrix(np.random.default_rng(26), m=175, n=20)
+    core, pool = matrix.comparates[:150], matrix.comparates[150:]
+    enumeration, peak = _traced(lambda: enumerate_patterns(matrix, core, pool, 2, 0.05))
+    assert enumeration.total_subsets == 300
+    assert peak < 12e6

@@ -361,10 +361,19 @@ class TestStepDownKernel:
         matrix = tied_matrix(rng, m=15, n=9)
         core, pool = matrix.comparates[:3], matrix.comparates[3:]
         results = []
-        for chunk in (1, 8, 256, 792, 4096):  # 792 = C(12, 5), 8 divides it
+        # 792 = C(12, 5), 8 divides it; a family of 8 has 28 pairs, so an
+        # entry budget of 28 x 7 cuts chunks of 7 subsets, and one below 28
+        # chunks of one.
+        for chunk, entries in ((1, 1 << 16), (8, 1 << 16), (256, 1 << 16), (792, 1 << 16),
+                               (4096, 1 << 16), (256, 28 * 7), (256, 27), (4096, 1 << 30)):
             monkeypatch.setattr(stability, "_CHUNK", chunk)
-            results.append(enumerate_patterns(matrix, core, pool, 5, 0.2))
-        assert all(r == results[0] for r in results)
+            monkeypatch.setattr(stability, "_CHUNK_ENTRIES", entries)
+            for sample in (None, 300):
+                results.append((sample, enumerate_patterns(matrix, core, pool, 5, 0.2,
+                                                           sample=sample, seed=3)))
+        for sample in (None, 300):
+            runs = [r for s, r in results if s == sample]
+            assert all(r == runs[0] for r in runs)
 
     def test_reservoir_keys_match_python_integer_route(self):
         for seed in (0, 7, 2**63 + 5, 2**64 - 1):
