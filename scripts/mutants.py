@@ -69,7 +69,8 @@ MUTANTS = (
            "alpha / (f - np.arange(f))", "alpha / (f - np.arange(f) - 1)",
            ("test_end_to_end.py", "test_stability.py")),
     Mutant("exact threshold exclusive", "mcmatrix/stats.py",
-           "exact = (k > 0) & (k <= exact_threshold)", "exact = (k > 0) & (k < exact_threshold)",
+           "exact = (k > 0) & (k <= DEFAULT_EXACT_THRESHOLD)",
+           "exact = (k > 0) & (k < DEFAULT_EXACT_THRESHOLD)",
            ("test_end_to_end.py", "test_stats.py")),
     Mutant("continuity correction sign", "mcmatrix/stats.py",
            "mean) - 0.5, 0.0)", "mean) + 0.5, 0.0)",
@@ -101,6 +102,12 @@ MUTANTS = (
            "chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // math.comb(len(core) + k_extra, 2)))",
            "chunk = _CHUNK",
            ("test_memory.py",)),
+    Mutant("metadata keeps a raw <", "mcmatrix/render/core.py",
+           'blob.replace("<", "\\\\u003c").', "blob.",
+           ("test_cli.py",)),
+    Mutant("output file gets only its first chunk", "mcmatrix/cli.py",
+           "out.writelines(chunks)", "out.writelines(list(chunks)[:1])",
+           ("test_cli.py",)),
 )
 
 

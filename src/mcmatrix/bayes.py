@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_integer, check_real, check_real_array
+from .data import check_integer, check_real, check_real_array, check_seed
 from .errors import ValidationError
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
 #: Monte Carlo samples drawn per RNG substream.  Fixed: changing it would
 #: change which substream produces which sample and break reproducibility.
 CHUNK_SIZE = 8192
-
-_UINT64_MAX = (1 << 64) - 1
 
 #: The variables OpenBLAS reads its thread count from, in its order.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -105,8 +103,7 @@ class BayesConfig:
             )
         if check_integer("mc_samples", self.mc_samples) < 1:
             raise ValidationError("mc_samples must be at least 1")
-        if not 0 <= check_integer("seed", self.seed) <= _UINT64_MAX:
-            raise ValidationError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

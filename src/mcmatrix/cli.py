@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import io
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +91,18 @@ def _check_output(path: str | None) -> None:
         raise _UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _write_output(path: str | None, payload: bytes) -> None:
+def _write_output(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write an output's ``bytes`` chunks as they come: to stdout, then
+    flushed, when ``path`` is None or ``-``, else to the file at ``path``.
+    A command calls this once its work is done and the chunks only format
+    it, so a refused input leaves no file; a failed write may leave part."""
     if path is None or path == "-":
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
         return
     try:
-        Path(path).write_bytes(payload)
+        with open(path, "wb") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
@@ -127,29 +131,24 @@ def _metadata(args: argparse.Namespace, payload: bytes, **extra) -> dict:
     }
 
 
-def _json_bytes(obj: dict) -> bytes:
-    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8, written value
-    by value into one buffer whose value is returned.
+def _json_chunks(obj: dict) -> Iterator[bytes]:
+    """``json.dumps(obj, indent=2)`` and a newline, as UTF-8, in chunks.
 
     Each top-level value is dumped on its own and indented one level,
     which gives the same text, since every newline ``json.dumps`` writes
     is an indent.  An iterator value is that text already written, in
-    ``str`` chunks such as ``_cell_record_rows``' grid rows, and each chunk
-    is encoded into the buffer as it comes.
+    ``str`` chunks such as ``_cell_record_rows``' grid rows; each chunk is
+    encoded and yielded as it comes, so the document is never held whole.
     """
-    out = io.BytesIO()
     separator = b"{\n"
     for key, value in obj.items():
-        out.write(separator)
-        out.write(f"  {json.dumps(key)}: ".encode("utf-8"))
+        yield separator + f"  {json.dumps(key)}: ".encode("utf-8")
         if isinstance(value, Iterator):
-            for chunk in value:
-                out.write(chunk.encode("utf-8"))
+            yield from map(str.encode, value)
         else:
-            out.write(json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8"))
+            yield json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8")
         separator = b",\n"
-    out.write(b"\n}\n")
-    return out.getvalue()
+    yield b"\n}\n"
 
 
 def _float_rows(rows: list[list[float]]) -> Iterator[str]:
@@ -327,19 +326,17 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
             **mcm_report_header(report),
             "cells": _cell_record_rows(report.cells, report.alpha, report.bayes),
         }
-        _write_output(args.output, _json_bytes(out))
+        _write_output(args.output, _json_chunks(out))
     else:
-        _write_output(args.output, render_mcm(report, format=args.format, metadata=meta))
+        _write_output(args.output, [render_mcm(report, format=args.format, metadata=meta)])
     return 0
 
 
 def _cmd_cd(args: argparse.Namespace) -> int:
     matrix, payload = _load(args)
     meta = _metadata(args, payload)
-    _write_output(
-        args.output,
-        render_cd_diagram(matrix, args.alpha, args.pairwise, metadata=meta),
-    )
+    figure = render_cd_diagram(matrix, args.alpha, args.pairwise, metadata=meta)
+    _write_output(args.output, [figure])
     return 0
 
 
@@ -367,7 +364,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "friedman": friedman,
         "pairwise": _cell_record_rows(cells, alpha, bayes),
     }
-    _write_output(args.output, _json_bytes(out))
+    _write_output(args.output, _json_chunks(out))
     return 0
 
 
@@ -392,10 +389,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.render_patterns:
         for mask in sorted(enumeration.pattern_counts):
             pattern = SignificancePattern(core, mask)
-            svg = render_pattern_graph(pattern, metadata=meta)
-            _write_output(str(directory / f"pattern-{mask:#06x}.svg"), svg)
+            _write_output(str(directory / f"pattern-{mask:#06x}.svg"),
+                          [render_pattern_graph(pattern, metadata=meta)])
     out = dict(metadata=meta, **enumeration.to_dict())
-    _write_output(args.output, _json_bytes(out))
+    _write_output(args.output, _json_chunks(out))
     return 0
 
 
@@ -407,7 +404,7 @@ def _cmd_rank_swap(args: argparse.Namespace) -> int:
         matrix, (args.pair[0], args.pair[1]), args.set_a, args.set_b, args.alpha
     )
     out = {"metadata": _metadata(args, payload), **report.to_dict()}
-    _write_output(args.output, _json_bytes(out))
+    _write_output(args.output, _json_chunks(out))
     return 0
 
 
@@ -423,7 +420,7 @@ def _cmd_weaken(args: argparse.Namespace) -> int:
         matrix, args.target, args.reference, weights, args.context, args.alpha
     )
     out = {"metadata": _metadata(args, payload), **report.to_dict()}
-    _write_output(args.output, _json_bytes(out))
+    _write_output(args.output, _json_chunks(out))
     return 0
 
 

@@ -182,6 +182,12 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(value) -> None:
+    """``ValidationError`` unless ``value`` is an integer in 0 .. 2**64 - 1."""
+    if not 0 <= check_integer("seed", value) < 1 << 64:
+        raise ValidationError("seed must be a 64-bit unsigned integer")
+
+
 def check_real(name: str, value) -> float:
     """``value`` as a float; ``ValidationError`` naming it unless it is a
     real number (a ``bool`` is not).  An int past the float range is inf."""

@@ -274,8 +274,7 @@ def mcm_cell_invariance_check(
 
 
 # One cell of ``cell_records_json``: the keys and indents ``json.dumps``
-# gives a record two levels deep, without its closing brace.  The last
-# three fields depend only on the unordered pair.
+# gives a record two levels deep, without its closing brace.
 _CELL_JSON = """    {
       "row": %s,
       "col": %s,
@@ -283,8 +282,7 @@ _CELL_JSON = """    {
       "wins": %d,
       "ties": %d,
       "losses": %d,
-%s"""
-_TEST_JSON = """      "p": %s,
+      "p": %s,
       "p_method": %s,
       "significant": %s"""
 _BAYES_JSON = """,
@@ -307,7 +305,8 @@ def cell_records_json(
 
     A record holds the cell's fields, ``"significant"`` (``p < alpha``) and,
     given posteriors on the same slots, ``"bayes"``.  The text is the join
-    of ``_cell_record_rows``, which the CLI writes a grid row at a time.
+    of ``_cell_record_rows``, whose chunks the CLI writes to its output
+    one grid row at a time.
     """
     return "".join(_cell_record_rows(cells, alpha, bayes))
 
@@ -320,11 +319,11 @@ def _cell_record_rows(
     """``cell_records_json``'s text in chunks: the opening bracket, then
     each grid row that holds a cell as it is formed, then the closing one.
 
-    Each cell is one template filled from its grid row's oriented columns:
-    each name is quoted once, by ``json``'s quoting function, and each
-    unordered pair's p-value, method and significance once.  Floats are
-    written by ``float.__repr__``, as ``json`` writes a finite float; every
-    value is.
+    Each cell is one template filled from its grid row's oriented columns,
+    its p-value, method and significance included, so no text outlives
+    its row; each name is quoted once, by ``json``'s quoting function.
+    Floats are written by ``float.__repr__``, as ``json`` writes a finite
+    float; every value is.
     """
     if not cells:
         yield "[]"
@@ -332,17 +331,17 @@ def _cell_record_rows(
     quoted = [encode_basestring_ascii(name) for name in cells.columns]
     methods = {m: encode_basestring_ascii(m.value) for m in PMethod}
     r = float.__repr__
-    tests = [_TEST_JSON % (r(p), methods[method], "true" if p < alpha else "false")
-             for p, method in zip(cells.table.p_value.tolist(), cells.table.p_method)]
     yield "[\n"
     after = ""  # what closes the previous row's last record
     for i, name in enumerate(cells.rows):
-        at, items, (_, _, means, wins, ties, losses, _, _) = cells.row(i)
+        at, _, (_, _, means, wins, ties, losses, p_values, p_methods) = cells.row(i)
         if not at:
             continue
         row = encode_basestring_ascii(name)
-        texts = [_CELL_JSON % (row, quoted[j], r(mean), w, t, l, tests[k])
-                 for j, k, mean, w, t, l in zip(at, items, means, wins, ties, losses)]
+        texts = [_CELL_JSON % (row, quoted[j], r(mean), w, t, l, r(p), methods[method],
+                               "true" if p < alpha else "false")
+                 for j, mean, w, t, l, p, method in zip(at, means, wins, ties, losses,
+                                                        p_values, p_methods)]
         if bayes is not None:
             _, _, (left, rope, right, samples) = bayes.row(i)
             texts = [text + _BAYES_JSON % (r(a), r(b), r(c), n)

@@ -33,6 +33,14 @@ def _quoteattr(data: str) -> str:
     return '"%s"' % data.replace('"', "&quot;")
 
 
+def _metadata_json(metadata: dict) -> str:
+    """Run metadata as compact JSON with sorted keys and ``<``, ``>`` and
+    ``&`` as JSON escapes: a script element decodes no entities, so this
+    text parses back to the metadata and no name in it closes the element."""
+    blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
+    return blob.replace("<", "\\u003c").replace(">", "\\u003e").replace("&", "\\u0026")
+
+
 def fnum(x: float, places: int = 2) -> str:
     """Fixed-point coordinates and value labels; negative zero is normalized."""
     s = f"{float(x):.{places}f}"
@@ -92,8 +100,7 @@ class SvgDoc:
         )
         lines = [head]
         if metadata is not None:
-            blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-            lines.append(f"<metadata>{_escape(blob)}</metadata>")
+            lines.append(f"<metadata>{_escape(_metadata_json(metadata))}</metadata>")
         return [*lines, *self._parts]
 
     def tostring(self, metadata: dict | None = None) -> str:

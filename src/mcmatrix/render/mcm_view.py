@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import io
-import json
 
 from ..errors import ValidationError
 from ..mcm import MCMReport
-from .core import SvgDoc, _escape, fnum
+from .core import SvgDoc, _escape, _metadata_json, fnum
 from .style import (
     CELL_DECIMAL_PLACES,
     CELL_HEIGHT,
@@ -138,9 +137,8 @@ def render_mcm(
     if table is not None:
         out.write(_HTML_HEAD.encode("utf-8"))
         if metadata is not None:
-            blob = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-            out.write(f'<script type="application/json" id="run-metadata">{blob}</script>\n'
-                      .encode("utf-8"))
+            out.write(f'<script type="application/json" id="run-metadata">'
+                      f'{_metadata_json(metadata)}</script>\n'.encode("utf-8"))
         out.write(f'<h1>{_TITLE}</h1>\n<div class="figure">\n'.encode("utf-8"))
         table.write(b"<table>\n<tr><th>row</th><th>column</th><th>mean difference</th>"
                     b"<th>wins / ties / losses</th><th>p</th><th>significant</th></tr>\n")

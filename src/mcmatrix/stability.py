@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ResultsMatrix, check_integer, check_real, weaken_comparate
+from .data import ResultsMatrix, check_integer, check_real, check_seed, weaken_comparate
 from .errors import ValidationError
 from .stats import (
     all_pairs_pvalues,
@@ -59,8 +59,6 @@ _EXAMPLE_LIMIT = 5
 # entries per step-down, at most, unless one family alone has more: the
 # block stays bounded whatever the family size.
 _CHUNK, _CHUNK_ENTRIES = 256, 1 << 16
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -298,8 +296,7 @@ def enumerate_patterns(
     exhaustive sweep.
     """
     alpha = check_alpha(alpha)
-    if not 0 <= check_integer("seed", seed) <= _MASK64:
-        raise ValidationError("seed must be a 64-bit unsigned integer")
+    check_seed(seed)
     core = matrix.check_names(core, "core")
     pool = matrix.check_names(pool, "pool")
     overlap = set(core) & set(pool)

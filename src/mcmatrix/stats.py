@@ -49,9 +49,6 @@ __all__ = [
 #: and continuity corrections is used.
 DEFAULT_EXACT_THRESHOLD = 25
 
-#: Most nonzero differences whose 2^k sign assignments int64 can count.
-_MAX_EXACT = 62
-
 #: Fewest nonzero differences whose k(k+1)(2k+1) the normal approximation
 #: computes with Python ints: int64 overflows from about 1.65 million.
 _INT64_TAIL = 1 << 20
@@ -198,8 +195,7 @@ def compute_ranks(matrix: ResultsMatrix) -> RankTable:
                      tie_terms=(size * size - 1).sum(axis=1))
 
 
-def _signed_rank_rows(d: np.ndarray,
-                      exact_threshold: int) -> tuple[list[float], list[PMethod]]:
+def _signed_rank_rows(d: np.ndarray) -> tuple[list[float], list[PMethod]]:
     """Two-sided signed-rank p and method of each row of ``d``, as two lists.
 
     ``d`` is a rows x n array of finite differences; each row gets what
@@ -212,7 +208,7 @@ def _signed_rank_rows(d: np.ndarray,
     are integer sums.  Most rows of continuous scores hold no tie: there a
     value's doubled rank is 2(i + 1) at sorted position i and the tie term
     is 0, so only the rows with a tie are scanned for their groups
-    (``_tie_runs``).  Rows with at most ``exact_threshold`` nonzero
+    (``_tie_runs``).  Rows with at most ``DEFAULT_EXACT_THRESHOLD`` nonzero
     differences get the exact distribution (``_exact_pvalues``); the others
     get the normal approximation with tie and continuity corrections, in
     the IEEE operations of the one-row formula, with ``math.erfc`` per row.
@@ -243,21 +239,15 @@ def _signed_rank_rows(d: np.ndarray,
     if (doubled.sum(axis=1) != k * (k + 1)).any():
         raise InternalError("doubled ranks do not sum to k(k+1)")
 
-    # Each row's method by how many of 0 and exact_threshold its k passes.
-    passed = (k > 0).astype(np.intp) + (k > exact_threshold)
+    # Each row's method by how many of 0 and the exact threshold its k passes.
+    passed = (k > 0).astype(np.intp) + (k > DEFAULT_EXACT_THRESHOLD)
     by_passed = (PMethod.DEGENERATE, PMethod.EXACT, PMethod.NORMAL_APPROXIMATION)
     method = [by_passed[c] for c in passed.tolist()]
     p = np.ones(rows)
-    exact = (k > 0) & (k <= exact_threshold)
+    exact = (k > 0) & (k <= DEFAULT_EXACT_THRESHOLD)
     if exact.any():
-        too_many = k[exact] > _MAX_EXACT
-        if too_many.any():  # 2^k assignments must stay countable in int64
-            raise ValidationError(
-                f"exact distribution infeasible for {k[exact][too_many][0]} "
-                "nonzero differences"
-            )
         p[exact] = _exact_pvalues(doubled[exact], w2[exact], k[exact])
-    normal = k > exact_threshold
+    normal = k > DEFAULT_EXACT_THRESHOLD
     if normal.any():
         kn = k[normal]
         if kn.max() >= _INT64_TAIL:  # k(k+1)(2k+1) would overflow int64
@@ -285,15 +275,15 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.nda
     to min(w, k(k+1) - w), over 2^k.  The counts of the sums up to h come
     from subset-sum counting, on one array of ``h_max + 1`` counts per row
     and at most about ``_COUNTS`` counts in all.  The largest, the count up
-    to h, is about 2^(k-1), so they are int32 while k_max <= 31 and int64
-    above.  Each doubled-rank value t is added as many times as a row holds
-    it, by shifting the rows that hold it with contiguous slices.  By the
-    symmetry, the counts up to h and up to h - 1 add up to 2^k.
+    to h, is about 2^(k-1): ``DEFAULT_EXACT_THRESHOLD`` keeps every count
+    below 2^25, so they fit in int32.  Each doubled-rank value t is added
+    as many times as a row holds it, by shifting the rows that hold it with
+    contiguous slices.  By the symmetry, the counts up to h and up to
+    h - 1 add up to 2^k.
     """
     k_max = int(k.max(initial=0))
     cap = k_max * (k_max + 1) // 2
     step = max(1, _COUNTS // (cap + 1))
-    dtype = np.int32 if k_max <= 31 else np.int64
     half = k * (k + 1) // 2
     low = np.minimum(w2, 2 * half - w2)
     out = np.empty(len(k))
@@ -306,7 +296,7 @@ def _exact_pvalues(doubled: np.ndarray, w2: np.ndarray, k: np.ndarray) -> np.nda
             minlength=rows * (2 * k_max + 1),
         ).reshape(rows, 2 * k_max + 1)
         held[:, 0] = 0  # the zero padding
-        counts = np.zeros((rows, cap + 1), dtype=dtype)
+        counts = np.zeros((rows, cap + 1), dtype=np.int32)
         counts[:, 0] = 1
         reach = np.zeros(rows, dtype=np.int64)  # largest sum with a nonzero count
         top = 0  # reach.max()
@@ -353,7 +343,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
         raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
+    p, method = _signed_rank_rows(d)
     return p[0], method[0]
 
 
@@ -462,7 +452,7 @@ def _pair_table(matrix: ResultsMatrix, at: np.ndarray, tie_epsilon: float) -> Pa
         if count < MIN_BLOCK_PAIRS:
             p, method = zip(*map(wilcoxon_signed_rank, d))
         else:
-            p, method = _signed_rank_rows(d, DEFAULT_EXACT_THRESHOLD)
+            p, method = _signed_rank_rows(d)
         p_value[part] = p
         p_method += method
     pairs = np.array(matrix.comparates, dtype=object)[at]

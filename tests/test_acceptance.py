@@ -11,6 +11,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,8 +80,9 @@ def test_criterion_2_wilcoxon_approximation_quality():
             k = int(rng.integers(20, 26))
             diffs = rng.normal(rng.uniform(-0.5, 0.5), 1.0, size=k)
             assert np.unique(np.abs(diffs)).size == k  # tie-free draw
-            (exact,), _ = _signed_rank_rows(diffs.reshape(1, -1), k)
-            (approx,), _ = _signed_rank_rows(diffs.reshape(1, -1), 0)
+            (exact,), _ = _signed_rank_rows(diffs.reshape(1, -1))
+            with mock.patch("mcmatrix.stats.DEFAULT_EXACT_THRESHOLD", 0):  # approximate
+                (approx,), _ = _signed_rank_rows(diffs.reshape(1, -1))
             worst = max(worst, abs(exact - approx))
         elapsed = time.monotonic() - start
         assert worst <= 0.01, f"worst gap {worst:.4f}"

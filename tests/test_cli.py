@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmatrix
-from mcmatrix.cli import _float_rows, _json_bytes, main
+from mcmatrix.cli import _float_rows, _json_chunks, main
 
 from conftest import (
     CLI_GOLDEN_CASES,
@@ -493,6 +494,27 @@ class TestMcmCommand:
         assert out.startswith("<!DOCTYPE html>")
         assert "run-metadata" in out
 
+    def test_comparate_name_stays_inside_the_metadata_script(self, tmp_path, capsysbinary):
+        # A script element decodes no entities, so the metadata writes "<",
+        # ">" and "&" as JSON \\u escapes: a raw "</script>" in a name would
+        # end the element and put the name's markup in the page, and a raw
+        # "<" alone can start an end tag or a comment.  The SVG's metadata
+        # element holds the same JSON for its own format.
+        name = "</script><b>x</b>&"
+        table = tmp_path / "results.csv"
+        table.write_text(CSV + f"{name},0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6,0.6\n")
+        argv = ["mcm", "--input", str(table), "--direction", "higher", "--rows", f"Alpha,{name}"]
+        assert main([*argv, "--format", "html"]) == 0
+        page = capsysbinary.readouterr().out.decode()
+        _, _, rest = page.partition('<script type="application/json" id="run-metadata">')
+        blob, _, _ = rest.partition("</script>")
+        assert json.loads(blob)["config"]["rows"] == ["Alpha", name]
+        assert not set("<>&") & set(blob) and "<b>" not in page
+        assert main([*argv, "--format", "svg"]) == 0
+        svg = ET.fromstring(capsysbinary.readouterr().out)
+        metadata = svg.find("{http://www.w3.org/2000/svg}metadata").text
+        assert metadata == blob.replace('"format":"html"', '"format":"svg"')
+
     def test_byte_identical_reruns(self, results_csv, tmp_path, capsys):
         paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
         for path in paths:
@@ -770,6 +792,10 @@ _JSON = st.recursive(
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _json_bytes(obj: dict) -> bytes:
+    return b"".join(_json_chunks(obj))
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(st.text(max_size=4), _JSON, min_size=1, max_size=4))
@@ -786,3 +812,24 @@ class TestJsonWriter:
     def test_text_chunks_go_in_as_they_are(self):
         assert _json_bytes({"a": iter(["[1", ", 2]"]), "b": 3}) == (
             b'{\n  "a": [1, 2],\n  "b": 3\n}\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["mcm", "--format", "json", "--include-bayes", "--mc-samples", "1000"],
+        ["stats", "--include-bayes", "--mc-samples", "1000"],
+        ["stability", "enumerate", "--core", "A&B,Bravo", "--k-extra", "1"],
+        ["stability", "rank-swap", "--pair", "A&B,Bravo", "--set-a", "A&B,Bravo,Charlie",
+         "--set-b", "A&B,Bravo,<Delta>"],
+        ["stability", "weaken", "--target", "A&B", "--reference", "<Delta>",
+         "--weights", "0.5,1.0", "--context", "A&B,Bravo,Charlie"],
+    ], ids=["mcm", "stats", "enumerate", "rank-swap", "weaken"])
+    def test_stdout_and_output_file_get_the_same_bytes(self, tmp_path, capsysbinary, argv):
+        table = tmp_path / "results.csv"
+        table.write_text(CSV.replace("Alpha", "A&B").replace("Delta", "<Delta>"))
+        argv = [*argv, "--input", str(table), "--direction", "higher"]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        path = tmp_path / "out.json"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert path.read_bytes() == stdout
+        assert json.loads(stdout)["metadata"]["tool"] == "mcmatrix"

@@ -304,38 +304,46 @@ def _result_bits(result) -> tuple:
     return struct.pack("<d", p), method
 
 
+def _rows_at(d, threshold: int) -> tuple[list[float], list[PMethod]]:
+    """The block kernel with its exact threshold patched to ``threshold``;
+    the package runs it only at ``DEFAULT_EXACT_THRESHOLD``.  Its exact
+    counts are int32, so past 31 nonzero differences they lose mass."""
+    with mock.patch.object(stats, "DEFAULT_EXACT_THRESHOLD", threshold):
+        return stats._signed_rank_rows(d)
+
+
 def _forced(diffs, method: str) -> tuple[float, PMethod]:
     """The kernel on one vector, with the branch forced as
     ``wilcoxon_signed_rank_scalar(diffs, method=method)`` forces it."""
     d = np.asarray(diffs, dtype=np.float64).reshape(1, -1)
     threshold = {"auto": stats.DEFAULT_EXACT_THRESHOLD, "exact": d.size, "approx": 0}[method]
-    (p,), (method,) = stats._signed_rank_rows(d, threshold)
+    (p,), (method,) = _rows_at(d, threshold)
     return p, method
 
 
 class TestSignedRankKernel:
-    @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 40, 62]), st.booleans())
+    @given(_difference_blocks(), st.sampled_from([0, 1, 5, 12, 25, 31]), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_block_matches_scalar_oracle_bit_for_bit(self, block, threshold, python_ints):
         # The normal tail's Python-int branch, which rows of a million
         # nonzero differences take, forced on every row.
         tail = 0 if python_ints else stats._INT64_TAIL
         with mock.patch.object(stats, "_INT64_TAIL", tail):
-            got = zip(*stats._signed_rank_rows(block, threshold))
+            got = zip(*_rows_at(block, threshold))
         want = [wilcoxon_signed_rank_scalar(row, threshold) for row in block]
         assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
 
     @given(_difference_blocks(), st.sampled_from(["auto", "exact", "approx"]))
     @settings(max_examples=150, deadline=None)
-    # 30, 31 and 32 nonzero differences: the exact distribution counts in
-    # int32 up to 31 and in int64 from 32.  The all-positive rows have the
-    # p-values 2^-29, 2^-30 and 2^-31.
-    @example(np.array([[*range(1, 31), 0, 0],
-                       [(1 + i // 3) * (-1) ** (i // 2) for i in range(31)] + [0],
-                       [*range(1, 32), 0],
-                       [*range(1, 33)]], dtype=np.float64), "exact")
+    # 30 and 31 nonzero differences, the most the int32 exact counts hold.
+    # The all-positive rows have the p-values 2^-29 and 2^-30.
+    @example(np.array([[*range(1, 31), 0],
+                       [(1 + i // 3) * (-1) ** (i // 2) for i in range(31)],
+                       [*range(1, 32)]], dtype=np.float64), "exact")
     def test_forced_method_matches_scalar_oracle_bit_for_bit(self, block, method):
         for row in block:
+            if method == "exact" and np.count_nonzero(row) > 31:
+                continue  # past int32: test_exact_counts_past_int32_lose_mass
             assert (_result_bits(_forced(row, method))
                     == _result_bits(wilcoxon_signed_rank_scalar(row, method=method)))
 
@@ -374,7 +382,7 @@ class TestSignedRankKernel:
                          (False, False, False, False), (True, False, True, True)}
         want = [wilcoxon_signed_rank_scalar(d) for d in block]
         assert {method for _, method in want} == set(PMethod)
-        assert ([_result_bits(r) for r in zip(*stats._signed_rank_rows(block, 25))]
+        assert ([_result_bits(r) for r in zip(*stats._signed_rank_rows(block))]
                 == [_result_bits(r) for r in want])
         pairs = list(itertools.permutations(matrix.comparates, 2))
         assert len(pairs) >= stats.MIN_BLOCK_PAIRS
@@ -411,19 +419,15 @@ class TestSignedRankKernel:
         assert ([cell_bits(c) for c in got]
                 == [cell_bits(pairwise_comparison_scalar(matrix, r, c)) for r, c in pairs])
 
-    def test_exact_refused_above_62_nonzero_differences(self):
-        diffs = np.arange(1.0, 64.0)
-        refusals = (
-            lambda: _forced(diffs, "exact"),
-            lambda: wilcoxon_signed_rank_scalar(diffs, method="exact"),
-            lambda: stats._signed_rank_rows(diffs.reshape(1, -1), 70),
-            lambda: wilcoxon_signed_rank_scalar(diffs, exact_threshold=70),
-        )
-        for refusal in refusals:
-            with pytest.raises(ValidationError, match="infeasible for 63 nonzero"):
-                refusal()
-        assert (_result_bits(_forced(diffs[:62], "exact"))
-                == _result_bits(wilcoxon_signed_rank_scalar(diffs[:62], method="exact")))
+    def test_exact_counts_past_int32_lose_mass(self):
+        # The package counts exactly up to 25 nonzero differences.  Forced
+        # past 31, the int32 counts wrap, and the lost-mass check refuses
+        # the p-value rather than return a wrong one.
+        diffs = np.arange(1.0, 33.0)
+        with pytest.raises(InternalError, match="lost mass"):
+            _forced(diffs, "exact")
+        assert (_result_bits(_forced(diffs[:31], "exact"))
+                == _result_bits(wilcoxon_signed_rank_scalar(diffs[:31], method="exact")))
 
 
 class TestPairStatistics:
