@@ -106,7 +106,16 @@ MUTANTS = (
            'blob.replace("<", "\\\\u003c").', "blob.",
            ("test_cli.py",)),
     Mutant("output file gets only its first chunk", "mcmatrix/cli.py",
-           "out.writelines(chunks)", "out.writelines(list(chunks)[:1])",
+           "for chunk in chunks:", "for chunk in list(chunks)[:1]:",
+           ("test_cli.py",)),
+    Mutant("a short write's rest is dropped", "mcmatrix/cli.py",
+           "view = view[out.write(view):]", "view = view[:0] if out.write(view) else view",
+           ("test_cli.py",)),
+    Mutant("failed stdout left for the flush at exit", "mcmatrix/cli.py",
+           "os.dup2(null.fileno(), sys.stdout.fileno())", "pass",
+           ("test_cli.py",)),
+    Mutant("closed standard stream read as present", "mcmatrix/cli.py",
+           "if stream is None:", "if False:",
            ("test_cli.py",)),
 )
 

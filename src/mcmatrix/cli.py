@@ -14,8 +14,10 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import sys
@@ -71,19 +73,31 @@ def _names(text: str) -> list[str]:
     return names
 
 
+def _open(path: str, mode: str) -> contextlib.AbstractContextManager:
+    """``open(path, mode)``, or for ``-`` stdin's (``"rb"``) or stdout's
+    (``"wb"``) binary buffer, which the ``with`` leaves open.  A closed
+    standard stream raises ``EBADF``, as a closed file would."""
+    if path != "-":
+        return open(path, mode)
+    stream = sys.stdin if mode == "rb" else sys.stdout
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return contextlib.nullcontext(stream.buffer)
+
+
 def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
+    """The bytes at ``path`` (``-`` is stdin); an ``OSError`` is a usage error."""
     try:
-        return Path(path).read_bytes()
+        with _open(path, "rb") as source:
+            return source.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
-def _check_output(path: str | None) -> None:
+def _check_output(path: str) -> None:
     """Refuse an output path whose directory is missing before any work is
     done; ``_write_output`` still reports a write that fails later."""
-    if path is None or path == "-":
+    if path == "-":
         return
     parent = Path(path).parent
     if not parent.is_dir():
@@ -91,19 +105,22 @@ def _check_output(path: str | None) -> None:
         raise _UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _write_output(path: str | None, chunks: Iterable[bytes]) -> None:
-    """Write an output's ``bytes`` chunks as they come: to stdout, then
-    flushed, when ``path`` is None or ``-``, else to the file at ``path``.
-    A command calls this once its work is done and the chunks only format
-    it, so a refused input leaves no file; a failed write may leave part."""
-    if path is None or path == "-":
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
-        return
+def _write_output(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``bytes`` chunks as they come to ``path`` (``-`` is stdout), and
+    flush.  The chunks only format finished work, so a refused input leaves
+    no file.  An ``OSError`` is a usage error; a failed stdout is then
+    pointed at ``os.devnull``, so that the flush at exit cannot fail again."""
     try:
-        with open(path, "wb") as out:
-            out.writelines(chunks)
+        with _open(path, "wb") as out:
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:  # an unbuffered stdout (python -u) may take a part
+                    view = view[out.write(view):]
+            out.flush()
     except OSError as exc:
+        if path == "-":  # sys.stdout may be None, or a capture with no descriptor
+            with contextlib.suppress(AttributeError, OSError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
@@ -173,24 +190,30 @@ def _bayes_config(args: argparse.Namespace) -> BayesConfig | None:
     return config if args.include_bayes else None
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+def _add_data_flags(parser: argparse.ArgumentParser,
+                    alpha_help: str = "significance level") -> None:
+    """The flags every data command takes."""
     parser.add_argument("--input", required=True,
                         help="results table path, or '-' for stdin")
     parser.add_argument("--input-format", choices=("csv", "json"), default=None,
                         help="input format (default: by file extension, csv otherwise)")
     parser.add_argument("--direction", required=True, choices=("higher", "lower"),
                         help="whether higher or lower scores are better (required)")
+    parser.add_argument("--alpha", type=float, default=0.05,
+                        help=alpha_help + " (default: %(default)s)")
+    parser.add_argument("--output", default="-",
+                        help="output path, or '-' for stdout (the default)")
 
 
 def _add_bayes_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--include-bayes", action="store_true",
                         help="attach Bayesian signed-rank posteriors")
     parser.add_argument("--rope", type=float, default=0.01,
-                        help="region of practical equivalence half-width")
+                        help="region of practical equivalence half-width (default: %(default)s)")
     parser.add_argument("--mc-samples", type=int, default=100_000,
-                        help="Monte Carlo samples for the Bayesian test")
+                        help="Monte Carlo samples for the Bayesian test (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed (echoed into output metadata)")
+                        help="RNG seed, echoed into output metadata (default: %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -207,82 +230,65 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"mcmatrix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p_mcm = sub.add_parser("mcm", formatter_class=fmt,
-                           help="build and render the comparison grid")
-    _add_input_flags(p_mcm)
-    p_mcm.add_argument("--alpha", type=float, default=0.05,
-                       help="per-cell significance level (uncorrected by design)")
+    p_mcm = sub.add_parser("mcm", help="build and render the comparison grid")
+    _add_data_flags(p_mcm, "per-cell significance level (uncorrected by design)")
     p_mcm.add_argument("--rows", type=_names, default=None,
                        help="comma-separated row comparates (default: all)")
     p_mcm.add_argument("--cols", type=_names, default=None,
                        help="comma-separated column comparates (default: all)")
     p_mcm.add_argument("--tie-epsilon", type=float, default=0.0,
-                       help="absolute difference treated as a tie")
+                       help="absolute difference treated as a tie (default: %(default)s)")
     p_mcm.add_argument("--format", choices=("svg", "html", "json"), default="html",
-                       help="output format")
-    p_mcm.add_argument("--output", default=None, help="output path (default: stdout)")
+                       help="output format (default: %(default)s)")
     _add_bayes_flags(p_mcm)
     p_mcm.set_defaults(func=_cmd_mcm)
 
-    p_cd = sub.add_parser("cd", formatter_class=fmt,
-                          help="render the critical-difference diagram (SVG)")
-    _add_input_flags(p_cd)
-    p_cd.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_cd.add_argument("--pairwise", choices=("nemenyi", "wilcoxon-holm"),
-                      default="nemenyi", help="pairwise test joining the groups")
-    p_cd.add_argument("--output", default=None, help="output path (default: stdout)")
+    p_cd = sub.add_parser("cd", help="render the critical-difference diagram (SVG)")
+    _add_data_flags(p_cd)
+    p_cd.add_argument("--pairwise", choices=("nemenyi", "wilcoxon-holm"), default="nemenyi",
+                      help="pairwise test joining the groups (default: %(default)s)")
     p_cd.set_defaults(func=_cmd_cd)
 
-    p_stats = sub.add_parser("stats", formatter_class=fmt,
+    p_stats = sub.add_parser("stats",
                              help="dump ranks, groupwise test, and all pairwise cells as JSON")
-    _add_input_flags(p_stats)
-    p_stats.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    _add_data_flags(p_stats)
     p_stats.add_argument("--tie-epsilon", type=float, default=0.0,
-                         help="absolute difference treated as a tie")
-    p_stats.add_argument("--output", default=None, help="output path (default: stdout)")
+                         help="absolute difference treated as a tie (default: %(default)s)")
     _add_bayes_flags(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
     p_stab = sub.add_parser("stability", help="comparate-set manipulation experiments")
     stab_sub = p_stab.add_subparsers(dest="experiment", required=True)
 
-    p_enum = stab_sub.add_parser("enumerate", formatter_class=fmt,
-                                 help="enumerate corrected significance patterns")
-    _add_input_flags(p_enum)
+    p_enum = stab_sub.add_parser("enumerate", help="enumerate corrected significance patterns")
+    _add_data_flags(p_enum)
     p_enum.add_argument("--core", type=_names, required=True,
                         help="comma-separated core comparates")
     p_enum.add_argument("--pool", type=_names, default=None,
                         help="extras pool (default: all non-core comparates)")
     p_enum.add_argument("--k-extra", type=int, required=True,
                         help="extras added per study")
-    p_enum.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p_enum.add_argument("--sample", type=int, default=None,
                         help="sample this many subsets instead of exhausting")
     p_enum.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling and example selection")
+                        help="seed for sampling and example selection (default: %(default)s)")
     p_enum.add_argument("--render-patterns", default=None, metavar="DIR",
                         help="also write one pattern graph SVG per pattern")
-    p_enum.add_argument("--output", default=None, help="output path (default: stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
-    p_swap = stab_sub.add_parser("rank-swap", formatter_class=fmt,
-                                 help="compare a pair's rank order between two sets")
-    _add_input_flags(p_swap)
+    p_swap = stab_sub.add_parser("rank-swap", help="compare a pair's rank order between two sets")
+    _add_data_flags(p_swap)
     p_swap.add_argument("--pair", type=_names, required=True,
                         help="the two comparates under study, comma-separated")
     p_swap.add_argument("--set-a", type=_names, required=True,
                         help="first comparate set")
     p_swap.add_argument("--set-b", type=_names, required=True,
                         help="second comparate set")
-    p_swap.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_swap.add_argument("--output", default=None, help="output path (default: stdout)")
     p_swap.set_defaults(func=_cmd_rank_swap)
 
-    p_weak = stab_sub.add_parser("weaken", formatter_class=fmt,
-                                 help="weakened-variant attack on average ranks")
-    _add_input_flags(p_weak)
+    p_weak = stab_sub.add_parser("weaken", help="weakened-variant attack on average ranks")
+    _add_data_flags(p_weak)
     p_weak.add_argument("--target", required=True, help="comparate to boost")
     p_weak.add_argument("--reference", required=True,
                         help="weaker comparate blended into the variant")
@@ -290,13 +296,10 @@ def build_parser() -> _Parser:
                         help="comma-separated blend weights in [0, 1]")
     p_weak.add_argument("--context", type=_names, required=True,
                         help="study comparates (must include the target)")
-    p_weak.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_weak.add_argument("--output", default=None, help="output path (default: stdout)")
     p_weak.set_defaults(func=_cmd_weaken)
 
-    p_self = sub.add_parser("selftest", formatter_class=fmt,
-                            help="run the embedded oracle suites")
-    p_self.set_defaults(func=_cmd_selftest)
+    p_self = sub.add_parser("selftest", help="run the embedded oracle suites")
+    p_self.set_defaults(func=_cmd_selftest, output="-")
 
     return parser
 
@@ -309,7 +312,7 @@ def _load(args: argparse.Namespace) -> tuple:
     return matrix, payload
 
 
-def _cmd_mcm(args: argparse.Namespace) -> int:
+def _cmd_mcm(args: argparse.Namespace) -> Iterable[bytes]:
     bayes = _bayes_config(args)
     matrix, payload = _load(args)
     config = MCMConfig(
@@ -326,21 +329,17 @@ def _cmd_mcm(args: argparse.Namespace) -> int:
             **mcm_report_header(report),
             "cells": _cell_record_rows(report.cells, report.alpha, report.bayes),
         }
-        _write_output(args.output, _json_chunks(out))
-    else:
-        _write_output(args.output, [render_mcm(report, format=args.format, metadata=meta)])
-    return 0
+        return _json_chunks(out)
+    return [render_mcm(report, format=args.format, metadata=meta)]
 
 
-def _cmd_cd(args: argparse.Namespace) -> int:
+def _cmd_cd(args: argparse.Namespace) -> Iterable[bytes]:
     matrix, payload = _load(args)
     meta = _metadata(args, payload)
-    figure = render_cd_diagram(matrix, args.alpha, args.pairwise, metadata=meta)
-    _write_output(args.output, [figure])
-    return 0
+    return [render_cd_diagram(matrix, args.alpha, args.pairwise, metadata=meta)]
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> Iterable[bytes]:
     bayes_config = _bayes_config(args)
     matrix, payload = _load(args)
     alpha = check_alpha(args.alpha)
@@ -364,11 +363,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "friedman": friedman,
         "pairwise": _cell_record_rows(cells, alpha, bayes),
     }
-    _write_output(args.output, _json_chunks(out))
-    return 0
+    return _json_chunks(out)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Iterable[bytes]:
     matrix, payload = _load(args)
     core = tuple(args.core)
     pool = tuple(args.pool) if args.pool else tuple(
@@ -391,24 +389,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             pattern = SignificancePattern(core, mask)
             _write_output(str(directory / f"pattern-{mask:#06x}.svg"),
                           [render_pattern_graph(pattern, metadata=meta)])
-    out = dict(metadata=meta, **enumeration.to_dict())
-    _write_output(args.output, _json_chunks(out))
-    return 0
+    return _json_chunks(dict(metadata=meta, **enumeration.to_dict()))
 
 
-def _cmd_rank_swap(args: argparse.Namespace) -> int:
+def _cmd_rank_swap(args: argparse.Namespace) -> Iterable[bytes]:
     matrix, payload = _load(args)
     if len(args.pair) != 2:
         raise _UsageError("--pair needs exactly two names")
     report = detect_rank_swap(
         matrix, (args.pair[0], args.pair[1]), args.set_a, args.set_b, args.alpha
     )
-    out = {"metadata": _metadata(args, payload), **report.to_dict()}
-    _write_output(args.output, _json_chunks(out))
-    return 0
+    return _json_chunks({"metadata": _metadata(args, payload), **report.to_dict()})
 
 
-def _cmd_weaken(args: argparse.Namespace) -> int:
+def _cmd_weaken(args: argparse.Namespace) -> Iterable[bytes]:
     matrix, payload = _load(args)
     try:
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
@@ -419,32 +413,36 @@ def _cmd_weaken(args: argparse.Namespace) -> int:
     report = weakened_variant_attack(
         matrix, args.target, args.reference, weights, args.context, args.alpha
     )
-    out = {"metadata": _metadata(args, payload), **report.to_dict()}
-    _write_output(args.output, _json_chunks(out))
-    return 0
+    return _json_chunks({"metadata": _metadata(args, payload), **report.to_dict()})
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    return 0 if run_selftest() else 3
+def _cmd_selftest(args: argparse.Namespace) -> Iterator[bytes]:
+    """The suites' PASS/FAIL report; a failed suite is a bug (exit 3)."""
+    with contextlib.redirect_stdout(io.StringIO()) as report:
+        passed = run_selftest()
+    yield report.getvalue().encode("utf-8")
+    if not passed:
+        raise InternalError("a selftest suite failed")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, write the ``bytes`` chunks it returns to its
+    ``--output`` (or stdout) through ``_write_output``, and return the exit
+    code; an error the contract names ends in one line on stderr."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _write_output(args.output, args.func(args))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InternalError as exc:
+    except (InternalError, AssertionError) as exc:  # invariant violations are bugs
         print(f"internal error (bug): {exc}", file=sys.stderr)
         return 3
     except McmatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:  # invariant violations are always bugs
-        print(f"internal error (bug): {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

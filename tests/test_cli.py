@@ -8,18 +8,21 @@ import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcmatrix
 from mcmatrix.cli import _float_rows, _json_chunks, main
+from mcmatrix.data import dump_results
 
 from conftest import (
     CLI_GOLDEN_CASES,
     GOLDEN,
     STABILITY_GOLDEN_CASES,
     golden_cli_output,
+    random_matrix,
     stability_json,
 )
 
@@ -833,3 +836,102 @@ class TestJsonWriter:
         assert capsysbinary.readouterr().out == b""
         assert path.read_bytes() == stdout
         assert json.loads(stdout)["metadata"]["tool"] == "mcmatrix"
+
+
+# Runs the rest of its argv as a Python command line with one descriptor
+# closed, as a shell's ``>&-`` or ``<&-`` would.
+_CLOSE_FD_THEN_EXEC = ("import os, sys; os.close(int(sys.argv[1])); "
+                       "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])")
+
+
+class TestStandardStreams:
+    """A read or write that fails on ``-`` ends like one on a file: exit 1
+    and one ``usage error: cannot ...`` line, with no traceback and no
+    second error from the flush at exit.  These run in a child, since a
+    broken pipe needs a real pipe."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        # stats writes about 190 KB and the html page about 1 MB, well past
+        # a pipe's buffer, so the writer is still writing when the reader goes.
+        path = tmp_path / "t40.csv"
+        path.write_bytes(dump_results(random_matrix(np.random.default_rng(40), m=40, n=20)))
+        return path
+
+    @staticmethod
+    def _env(unbuffered=False):
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmatrix.__file__).resolve().parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+    @staticmethod
+    def _assert_one_line(code, err):
+        assert code == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: cannot"), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [["stats"], ["mcm", "--format", "html"]],
+                             ids=["stats", "mcm-html"])
+    def test_reader_that_closes_early(self, table, command, unbuffered):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "mcmatrix.cli", *command, "--input", str(table),
+             "--direction", "higher"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env(unbuffered))
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        self._assert_one_line(child.wait(timeout=120), err)
+        assert err == "usage error: cannot write '-': Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [["stats", "--direction", "higher"], ["selftest"]],
+                             ids=["stats", "selftest"])
+    def test_full_disk_on_stdout(self, table, command):
+        if command[0] == "stats":
+            command = [*command, "--input", str(table)]
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "mcmatrix.cli", *command],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=self._env(), timeout=120)
+        self._assert_one_line(done.returncode, done.stderr)
+        assert "No space left on device" in done.stderr
+
+    @pytest.mark.parametrize("fd, input_flag, verb", [
+        (1, None, "write"),
+        (0, "-", "read"),
+    ], ids=["stdout", "stdin"])
+    def test_closed_descriptor(self, table, fd, input_flag, verb):
+        done = subprocess.run(
+            [sys.executable, "-c", _CLOSE_FD_THEN_EXEC, str(fd), "-m", "mcmatrix.cli",
+             "stats", "--input", input_flag or str(table), "--direction", "higher"],
+            stdout=subprocess.DEVNULL if fd == 0 else None, stderr=subprocess.PIPE,
+            text=True, env=self._env(), timeout=120)
+        self._assert_one_line(done.returncode, done.stderr)
+        assert done.stderr == f"usage error: cannot {verb} '-': Bad file descriptor\n"
+
+    def test_failed_selftest_suite_reports_and_exits_3(self, capsys, monkeypatch):
+        def failing_suite():
+            raise AssertionError("worked example off")
+
+        monkeypatch.setattr("mcmatrix.selftest._suite_holm", failing_suite)
+        code, out, err = run(["selftest"], capsys)
+        assert code == 3
+        assert "FAIL holm-examples: worked example off\n" in out and out.count("PASS") == 2
+        assert err == "internal error (bug): a selftest suite failed\n"
+
+
+@pytest.mark.parametrize("command", [
+    [], ["mcm"], ["cd"], ["stats"], ["stability"], ["stability", "enumerate"],
+    ["stability", "rank-swap"], ["stability", "weaken"], ["selftest"],
+], ids=lambda command: "-".join(command) or "top")
+def test_help_shows_no_none_default_and_each_default_once(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "--help" in out
+    for line in out.splitlines():
+        assert "default: None" not in line and line.count("default") <= 1, line
