@@ -95,6 +95,20 @@ MUTANTS = (
     Mutant("Nemenyi boundary open", "mcmatrix/render/cd_view.py",
            "np.subtract.outer(ars, ars)) <= cd", "np.subtract.outer(ars, ars)) < cd",
            ("test_render.py",)),
+    Mutant("critical value not rounded to six decimals", "mcmatrix/stats.py",
+           "constant = round(_range_quantile(m, alpha) / math.sqrt(2.0), 6)",
+           "constant = _range_quantile(m, alpha) / math.sqrt(2.0)",
+           ("test_stats.py",)),
+    Mutant("range tail raised to m, not m - 1", "mcmatrix/stats.py",
+           "np.expm1((m - 1) * np.log1p(", "np.expm1(m * np.log1p(",
+           ("test_stats.py",)),
+    Mutant("range tail as one minus a power", "mcmatrix/stats.py",
+           "-np.expm1((m - 1) * np.log1p(-upper(q - z) / below))",
+           "1 - (1 - upper(q - z) / below) ** (m - 1)",
+           ("test_stats.py",)),
+    Mutant("Nemenyi alpha above one half accepted", "mcmatrix/stats.py",
+           "if alpha > 0.5:", "if False:",
+           ("test_stats.py",)),
     Mutant("exact counts' top never refreshed", "mcmatrix/stats.py",
            "top = max(top, peak)", "top = top",
            ("test_end_to_end.py", "test_stats.py")),

@@ -127,7 +127,7 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 def _guess_format(path: str, explicit: str | None) -> str:
     if explicit:
         return explicit
-    if path.endswith(".json"):
+    if path.lower().endswith(".json"):
         return "json"
     return "csv"
 
@@ -222,10 +222,6 @@ def build_parser() -> _Parser:
         description=(
             "Pairwise benchmark comparison matrices, critical-difference "
             "diagrams, and significance-stability experiments."
-        ),
-        epilog=(
-            "Defaults: alpha 0.05, rope 0.01, mc-samples 100000, seed 0, "
-            f"tie-epsilon 0, exact-threshold {DEFAULT_EXACT_THRESHOLD}."
         ),
     )
     parser.add_argument("--version", action="version", version=f"mcmatrix {__version__}")
@@ -372,19 +368,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> Iterable[bytes]:
     pool = tuple(args.pool) if args.pool else tuple(
         c for c in matrix.comparates if c not in set(core)
     )
-    if args.render_patterns:
-        directory = Path(args.render_patterns)
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _UsageError(
-                f"cannot create directory {args.render_patterns!r}: {exc.strerror}"
-            ) from None
+    # A file in the way is refused before the work; the directory is made after it.
+    directory = Path(args.render_patterns or ".")
+    if not next(p for p in (directory, *directory.parents) if p.exists()).is_dir():
+        raise _UsageError(f"cannot create directory {args.render_patterns!r}: "
+                          f"{os.strerror(errno.ENOTDIR)}")
     enumeration = enumerate_patterns(
         matrix, core, pool, args.k_extra, args.alpha, sample=args.sample, seed=args.seed
     )
     meta = _metadata(args, payload, pool=list(pool), workers=1)
     if args.render_patterns:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot create directory {args.render_patterns!r}: "
+                              f"{exc.strerror}") from None
         for mask in sorted(enumeration.pattern_counts):
             pattern = SignificancePattern(core, mask)
             _write_output(str(directory / f"pattern-{mask:#06x}.svg"),

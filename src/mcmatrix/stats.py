@@ -489,47 +489,49 @@ def friedman_test(ranks: RankTable) -> tuple[float, float]:
     return statistic, p
 
 
-# Critical-value constants for the rank-based critical difference at the
-# two supported significance levels: the 1-alpha quantile of the
-# studentized range distribution with infinite degrees of freedom, divided
-# by sqrt(2), for group counts m = 2..20.  Rounded to six decimals from
-# scipy.stats.studentized_range.ppf(1 - alpha, m, inf); see
-# docs/style-reference.md for the full table and tests for the cross-check.
-_Q_CONSTANTS: dict[float, tuple[float, ...]] = {
-    0.05: (
-        1.959964, 2.343701, 2.569032, 2.727774, 2.849705,
-        2.948320, 3.030878, 3.101730, 3.163684, 3.218654,
-        3.268004, 3.312739, 3.353618, 3.391230, 3.426041,
-        3.458425, 3.488685, 3.517073, 3.543799,
-    ),
-    0.10: (
-        1.644854, 2.052293, 2.291341, 2.459516, 2.588521,
-        2.692732, 2.779884, 2.854606, 2.919889, 2.977768,
-        3.029694, 3.076733, 3.119693, 3.159199, 3.195743,
-        3.229723, 3.261461, 3.291224, 3.319233,
-    ),
-}
+def _range_quantile(m: int, alpha: float) -> float:
+    """The ``1 - alpha`` quantile of the range of ``m`` standard normals, for
+    alpha <= 0.5; ``docs/style-reference.md`` gives the rule and its accuracy."""
+    upper = np.vectorize(lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)), otypes=[float])
+
+    def tail(q: float) -> float:  # P(range > q), by the trapezoid rule on the grid
+        with np.errstate(divide="ignore"):  # 1 - r rounds to 0 far out in z
+            f = weight * -np.expm1((m - 1) * np.log1p(-upper(q - z) / below))
+        return (f.sum() - (f[0] + f[-1]) / 2) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(10):  # hi = 64 holds q for any alpha a double can hold
+        z = np.linspace(-9.0, 9.0 + hi, 241)
+        below = upper(-z)  # Phi(z), positive on the grid
+        weight = m * np.exp((m - 1) * np.log(below) - z * z / 2)
+        if tail(hi) <= alpha:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise InternalError(f"no bracket for the range quantile at m={m}, alpha={alpha!r}")
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if tail(mid) > alpha else (lo, mid)
+        if hi - lo <= 1e-12 * hi:
+            return (lo + hi) / 2
+    raise InternalError(f"the range quantile did not converge at m={m}, alpha={alpha!r}")
 
 
 def nemenyi_critical_difference(m: int, n: int, alpha: float = 0.05) -> float:
-    """Minimal average-rank gap deemed significant at level alpha.
-
-    ``q * sqrt(m (m + 1) / (6 n))`` with q from the embedded
-    studentized-range table (alpha in {0.05, 0.10}, 2 <= m <= 20).
-    """
+    """Minimal average-rank gap deemed significant at level alpha in (0, 0.5]:
+    ``round(q / sqrt(2), 6) * sqrt(m (m + 1) / (6 n))``, with q the ``1 - alpha``
+    quantile of the range of m >= 2 standard normals."""
     alpha = check_alpha(alpha)
-    table = _Q_CONSTANTS.get(alpha)
-    if table is None:
-        raise ValidationError(
-            f"no critical-value table for alpha={alpha!r}; supported: 0.05, 0.10"
-        )
+    if alpha > 0.5:
+        raise ValidationError(f"alpha must lie in (0, 0.5] for the Nemenyi test, got {alpha!r}")
     m = check_integer("m", m)
-    if not 2 <= m <= 1 + len(table):
-        raise ValidationError(f"m={m} outside the tabulated range 2..{1 + len(table)}")
+    if m < 2:
+        raise ValidationError("m must be at least 2")
     n = check_integer("n", n)
     if n < 1:
         raise ValidationError("n must be at least 1")
-    return table[m - 2] * math.sqrt(m * (m + 1) / (6.0 * n))
+    constant = round(_range_quantile(m, alpha) / math.sqrt(2.0), 6)
+    return constant * math.sqrt(m * (m + 1) / (6.0 * n))
 
 
 def check_alpha(alpha: float) -> float:

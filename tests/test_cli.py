@@ -195,6 +195,17 @@ class TestExitCodes:
         assert code == 1 and str(results_csv) in err and "Traceback" not in err
         assert out == ""
 
+    def test_refused_enumeration_makes_no_pattern_directory(self, results_csv, capsys):
+        outdir = results_csv.parent / "patterns" / "nested"
+        code, out, err = run(
+            ["stability", "enumerate", "--input", str(results_csv),
+             "--direction", "higher", "--core", "Alpha,Bravo", "--k-extra", "5",
+             "--render-patterns", str(outdir)],
+            capsys,
+        )
+        assert code == 2 and out == "" and "k_extra=5 exceeds pool size 2" in err
+        assert not (results_csv.parent / "patterns").exists()
+
     @pytest.mark.parametrize("fmt", ["svg", "html", "json"])
     def test_grid_without_off_diagonal_cell_is_data_error(self, results_csv, capsys, fmt):
         code, out, err = run(
@@ -336,6 +347,8 @@ class TestExitCodes:
           "--output", "/nonexistent/x.json"), "enumerate_patterns"),
         (("stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1",
           "--render-patterns", "{csv}"), "enumerate_patterns"),
+        (("stability", "enumerate", "--core", "Alpha,Bravo", "--k-extra", "1",
+          "--render-patterns", "{csv}/patterns"), "enumerate_patterns"),
         (("cd", "--output", "{csv}/x"), "_read_input"),
     ])
     def test_bad_output_path_fails_before_the_work(self, results_csv, capsys,
@@ -761,22 +774,29 @@ class TestOtherCommands:
         assert len(svgs) == len(json.loads(out)["patterns"])
         assert svgs[0].read_bytes().startswith(b"<?xml")
 
-    def test_cd_unsupported_alpha_is_data_error(self, results_csv, capsys):
-        code, _, err = run(
-            ["cd", "--input", str(results_csv), "--direction", "higher",
-             "--alpha", "0.01"],
-            capsys,
+    def test_cd_any_m_and_alpha_up_to_a_half(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_bytes(dump_results(random_matrix(np.random.default_rng(25), m=25, n=12)))
+        code, out, err = run(
+            ["cd", "--input", str(path), "--direction", "higher", "--alpha", "0.01"], capsys
         )
-        assert code == 2 and "alpha" in err
+        assert code == 0 and err == ""
+        assert ">alpha = 0.01, critical difference = " in out
+        code, out, err = run(
+            ["cd", "--input", str(path), "--direction", "higher", "--alpha", "0.6"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must lie in (0, 0.5] for the Nemenyi test, got 0.6\n"
 
-    def test_json_input_format(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["results.json", "results.JSON"])
+    def test_json_input_format(self, tmp_path, capsys, name):
         doc = {
             "direction": "higher",
             "comparates": ["A", "B"],
             "tasks": ["t1", "t2", "t3"],
             "scores": [[0.9, 0.8, 0.7], [0.5, 0.6, 0.4]],
         }
-        path = tmp_path / "results.json"
+        path = tmp_path / name
         path.write_text(json.dumps(doc))
         code, out, _ = run(
             ["stats", "--input", str(path), "--direction", "higher"], capsys

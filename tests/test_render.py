@@ -232,9 +232,9 @@ class TestCliqueRuns:
 
 class TestCdDiagram:
     def test_a_gap_equal_to_the_critical_difference_is_joined(self, monkeypatch):
-        # No tabulated critical difference equals an average-rank gap that a
-        # table can reach (searched over m 3-20 and n 2-1,000), so the
-        # boundary is pinned with the CD patched onto a gap: a, b and c
+        # No critical difference at alpha 0.05 or 0.10 equals an average-rank
+        # gap that a table can reach (searched over m 3-20 and n 2-1,000), so
+        # the boundary is pinned with the CD patched onto a gap: a, b and c
         # rank 1.0, 2.5 and 2.5.
         matrix = ResultsMatrix(("a", "b", "c"), ("t1", "t2"),
                                np.array([[3.0, 3.0], [2.0, 1.0], [1.0, 2.0]]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcinv
 from scipy.stats import rankdata, studentized_range
 
 from mcmatrix import data, stats
@@ -662,6 +663,36 @@ class TestFriedman:
             friedman_test(compute_ranks(_matrix([[1.0], [2.0], [3.0]])))
 
 
+# q / sqrt(2), rounded to six decimals, for m = 2..20: the table the package
+# held until it computed q, taken from
+# scipy.stats.studentized_range.ppf(1 - alpha, m, inf).
+_TABLE_Q = {
+    0.05: (1.959964, 2.343701, 2.569032, 2.727774, 2.849705, 2.948320, 3.030878,
+           3.101730, 3.163684, 3.218654, 3.268004, 3.312739, 3.353618, 3.391230,
+           3.426041, 3.458425, 3.488685, 3.517073, 3.543799),
+    0.10: (1.644854, 2.052293, 2.291341, 2.459516, 2.588521, 2.692732, 2.779884,
+           2.854606, 2.919889, 2.977768, 3.029694, 3.076733, 3.119693, 3.159199,
+           3.195743, 3.229723, 3.261461, 3.291224, 3.319233),
+}
+
+# (m, alpha, q) with P(range of m standard normals > q) = alpha, solved at 40
+# digits with mpmath, which the tests do not depend on:
+#
+#     from mpmath import mp
+#     mp.dps = 40
+#     def tail(m, q):
+#         rest = lambda z: (mp.ncdf(q - z) - mp.ncdf(-z)) / mp.ncdf(z)
+#         f = lambda z: m * mp.npdf(z) * mp.ncdf(z) ** (m - 1) * (1 - rest(z) ** (m - 1))
+#         return mp.quad(f, [-mp.inf, -5, 0, q / 2, q, q + 5, mp.inf])
+#     mp.findroot(lambda q: mp.log(tail(m, q) / mp.mpf(alpha)), guess)
+_MPMATH_Q = [
+    (3, 1e-10, 9.3776845374316584),
+    (50, 1e-6, 8.6829029614923288),
+    (1000, 1e-6, 9.9431631908159636),
+    (3, 1e-20, 13.366739354389674),
+]
+
+
 class TestNemenyi:
     def test_spec_example(self):
         cd = nemenyi_critical_difference(5, 108, 0.05)
@@ -677,12 +708,40 @@ class TestNemenyi:
         cd = nemenyi_critical_difference(2, 50, 0.05)
         assert cd == pytest.approx(1.959964 * math.sqrt(1 / 50), rel=1e-6)
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.10])
-    @pytest.mark.parametrize("m", [2, 3, 7, 12, 20])
-    def test_table_against_studentized_range(self, alpha, m):
-        q = studentized_range.ppf(1.0 - alpha, m, 1e8) / math.sqrt(2.0)
-        cd = nemenyi_critical_difference(m, 10, alpha)
-        assert cd == pytest.approx(q * math.sqrt(m * (m + 1) / 60.0), rel=1e-4)
+    @pytest.mark.parametrize("alpha", sorted(_TABLE_Q))
+    def test_former_table_bit_for_bit(self, alpha):
+        for m, q in enumerate(_TABLE_Q[alpha], start=2):
+            for n in (1, 2, 10, 108, 1000):
+                cd = nemenyi_critical_difference(m, n, alpha)
+                assert cd == q * math.sqrt(m * (m + 1) / (6.0 * n)), (m, n)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-20, 0.01, 0.05, 0.5])
+    def test_two_groups_closed_form(self, alpha):
+        # The range of two standard normals is sqrt(2) |Z|.
+        assert abs(stats._range_quantile(2, alpha) - 2.0 * erfcinv(alpha)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+    @pytest.mark.parametrize("m", [3, 21, 50, 100])
+    def test_against_studentized_range(self, alpha, m):
+        # scipy's ppf is itself off by 1e-7 at alpha = 1e-10, so it is an
+        # oracle only for alpha of 1e-4 and above.
+        expected = studentized_range.ppf(1.0 - alpha, m, np.inf)
+        assert abs(stats._range_quantile(m, alpha) - expected) <= 1e-9
+
+    @pytest.mark.parametrize("m, alpha, expected", _MPMATH_Q)
+    def test_against_forty_digits(self, m, alpha, expected):
+        assert abs(stats._range_quantile(m, alpha) - expected) <= 1e-9
+
+    def test_every_m_and_alpha_up_to_a_half(self):
+        # Warnings are errors here: an overflow, a divide-by-zero or an
+        # invalid value anywhere in the kernel fails the test.
+        ms = sorted({*range(2, 40), *np.geomspace(40, 10_000, 25).astype(int).tolist()})
+        alphas = [5e-324, 1e-300, 1e-100, 1e-6, 0.01, 0.05, 0.3, 0.5]
+        qs = np.array([[stats._range_quantile(m, alpha) for alpha in alphas] for m in ms])
+        assert np.isfinite(qs).all()
+        # q grows with m and falls with alpha.
+        assert (np.diff(qs, axis=0) > 0).all() and (np.diff(qs, axis=1) < 0).all()
+        assert math.isfinite(nemenyi_critical_difference(10_000, 3, 0.5))
 
     @pytest.mark.parametrize("m, n", [(3.7, 10), (3, 10.9), (True, 10), (3, "10")])
     def test_counts_that_are_not_integers_refused(self, m, n):
@@ -694,11 +753,10 @@ class TestNemenyi:
             nemenyi_critical_difference(3, 10, "0.05")
 
     def test_guards(self):
-        with pytest.raises(ValidationError, match="no critical-value table for alpha"):
-            nemenyi_critical_difference(5, 10, 0.01)
-        with pytest.raises(ValidationError, match="outside the tabulated range"):
-            nemenyi_critical_difference(21, 10, 0.05)
-        with pytest.raises(ValidationError, match="outside the tabulated range"):
+        # Above one half, the upper-tail rule cannot resolve q.
+        with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 0.5\]"):
+            nemenyi_critical_difference(5, 10, 0.6)
+        with pytest.raises(ValidationError, match="m must be at least 2"):
             nemenyi_critical_difference(1, 10, 0.05)
 
 
