@@ -131,6 +131,24 @@ MUTANTS = (
     Mutant("closed standard stream read as present", "mcmatrix/cli.py",
            "if stream is None:", "if False:",
            ("test_cli.py",)),
+    Mutant("Friedman refusal not caught in stats", "mcmatrix/cli.py",
+           "except ValidationError as exc:", "except InternalError as exc:",
+           ("test_end_to_end.py",)),
+    Mutant("signed-rank block read as one row", "mcmatrix/stats.py",
+           "if d.ndim != 1:", "if False:",
+           ("test_stats.py",)),
+    Mutant("merge keeps a conflicting score", "mcmatrix/data.py",
+           "if old != value:", "if False:",
+           ("test_data.py",)),
+    Mutant("input format read in any case", "mcmatrix/data.py",
+           "    text = _as_text(source)\n",
+           "    text, format = _as_text(source), str(format).strip().lower()\n",
+           ("test_data.py",)),
+    Mutant("pairwise method read in any spelling", "mcmatrix/render/cd_view.py",
+           '    if pairwise_method not in ("nemenyi", "wilcoxon-holm"):',
+           '    pairwise_method = pairwise_method.lower().replace("_", "-")\n'
+           '    if pairwise_method not in ("nemenyi", "wilcoxon-holm"):',
+           ("test_render.py",)),
 )
 
 

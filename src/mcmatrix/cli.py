@@ -30,7 +30,7 @@ from . import __version__
 from .bayes import BayesConfig
 from .bayes import bayesian_signed_rank  # noqa: F401 -- perfbench/spans.py times it here
 from .data import Direction, load_results
-from .errors import InternalError, McmatrixError, TooFewComparates, TooFewTasks
+from .errors import InternalError, McmatrixError, ValidationError
 from .mcm import (
     MCMConfig,
     _cell_record_rows,
@@ -343,7 +343,7 @@ def _cmd_stats(args: argparse.Namespace) -> Iterable[bytes]:
     try:
         stat, p = friedman_test(table)
         friedman = {"statistic": stat, "p_value": p}
-    except (TooFewComparates, TooFewTasks) as exc:
+    except ValidationError as exc:
         friedman = {"skipped": str(exc)}
 
     names = matrix.comparates

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Direction",
@@ -246,7 +246,7 @@ def _as_text(source: bytes | str | IO[bytes] | IO[str]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+        raise ValidationError(f"input is not valid UTF-8: {exc}") from None
 
 
 def load_results(
@@ -260,19 +260,17 @@ def load_results(
     names; each following row is a comparate name followed by n scores,
     each an ASCII decimal (sign, digits, point, exponent).  JSON format: an
     object with keys ``direction``, ``comparates``, ``tasks`` and row-major
-    ``scores``.
+    ``scores``.  ``format`` is ``"csv"`` or ``"json"``, spelled so.
 
-    Raises :class:`ParseError` for malformed syntax and
-    :class:`ValidationError` for invariant violations (duplicates, missing
-    cells, non-finite values); both carry 1-based file coordinates where a
-    specific cell is at fault.
+    Raises :class:`ValidationError` for malformed syntax and for invariant
+    violations (duplicates, missing cells, non-finite values), with 1-based
+    file coordinates where a specific cell is at fault.
     """
     direction = Direction.parse(direction)
-    fmt = str(format).strip().lower()
     text = _as_text(source)
-    if fmt == "csv":
+    if format == "csv":
         return _load_csv(text, direction)
-    if fmt == "json":
+    if format == "json":
         return _load_json(text, direction)
     raise ValidationError(f"unknown input format {format!r}; expected 'csv' or 'json'")
 
@@ -282,13 +280,13 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise ParseError(f"invalid CSV: {exc}", row=reader.line_num) from None
+        raise ValidationError(f"invalid CSV: {exc}", row=reader.line_num) from None
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
-        raise ParseError("empty CSV input")
+        raise ValidationError("empty CSV input")
     header = rows[0]
     if len(header) < 2:
-        raise ParseError("CSV header must list at least one task", row=1)
+        raise ValidationError("CSV header must list at least one task", row=1)
     tasks = [cell.strip() for cell in header[1:]]
     n = len(tasks)
 
@@ -296,7 +294,7 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
     scores: list[list[float]] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) > n + 1:
-            raise ParseError(f"expected {n + 1} cells, found {len(row)}", row=r)
+            raise ValidationError(f"expected {n + 1} cells, found {len(row)}", row=r)
         name = row[0].strip()
         if not name:
             raise ValidationError("empty comparate name", row=r, column=1)
@@ -308,7 +306,7 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
             for c, cell in enumerate(row[1:], start=2):
                 cell = cell.strip()
                 if not cell.isascii() or "_" in cell:
-                    raise ParseError(f"cell {cell!r} is not a number", row=r, column=c)
+                    raise ValidationError(f"cell {cell!r} is not a number", row=r, column=c)
         # A whole row is parsed by one call.  A short row, or one with a cell
         # that float() refuses or reads as non-finite, is read again cell by
         # cell, which finds the first cell at fault.
@@ -325,7 +323,7 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(
+                    raise ValidationError(
                         f"cell {cell!r} is not a number", row=r, column=c + 2
                     ) from None
                 if not math.isfinite(value):
@@ -337,7 +335,7 @@ def _load_csv(text: str, direction: Direction) -> ResultsMatrix:
         scores.append(values)
 
     if not scores:
-        raise ParseError("CSV input has a header but no data rows")
+        raise ValidationError("CSV input has a header but no data rows")
     return ResultsMatrix(tuple(comparates), tuple(tasks), np.array(scores), direction)
 
 
@@ -347,9 +345,9 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
         # becomes inf, which the non-finite check below refuses.
         obj = json.loads(text, parse_int=float)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise ValidationError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ParseError("JSON input must be an object")
+        raise ValidationError("JSON input must be an object")
     for key in ("comparates", "tasks", "scores"):
         if key not in obj:
             raise ValidationError(f"JSON input is missing {key!r}")
@@ -388,7 +386,7 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
         values = []
         for j, cell in enumerate(row):
             if type(cell) is not float:
-                raise ParseError("cell is not a number", row=i + 1, column=j + 1)
+                raise ValidationError("cell is not a number", row=i + 1, column=j + 1)
             if not math.isfinite(cell):
                 raise ValidationError("non-finite score", row=i + 1, column=j + 1)
             values.append(cell)
@@ -397,16 +395,16 @@ def _load_json(text: str, direction: Direction) -> ResultsMatrix:
 
 
 def dump_results(matrix: ResultsMatrix, format: str = "csv") -> bytes:
-    """Serialize a matrix; ``load_results`` on the output is an identity."""
-    fmt = str(format).strip().lower()
-    if fmt == "csv":
+    """Serialize a matrix as ``"csv"`` or ``"json"``; ``load_results`` on
+    the output is an identity."""
+    if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["comparate", *matrix.tasks])
         for name, row in zip(matrix.comparates, matrix.scores):
             writer.writerow([name, *(repr(float(x)) for x in row)])
         return buf.getvalue().encode("utf-8")
-    if fmt == "json":
+    if format == "json":
         obj = {
             "direction": matrix.direction.value,
             "comparates": list(matrix.comparates),
@@ -422,7 +420,8 @@ def restrict_to_complete_tasks(matrices: Sequence[ResultsMatrix]) -> ResultsMatr
 
     The result spans every comparate appearing in any fragment and exactly
     those tasks for which each of them has a score; task order follows
-    first appearance.  Conflicting duplicate scores are rejected.
+    first appearance.  Conflicting duplicate scores are rejected.  Time and
+    memory are linear in the number of fragment cells.
     """
     fragments = list(matrices)
     if not fragments:
@@ -432,33 +431,30 @@ def restrict_to_complete_tasks(matrices: Sequence[ResultsMatrix]) -> ResultsMatr
         if frag.direction is not direction:
             raise ValidationError("fragments disagree on score direction")
 
-    comparates: list[str] = []
-    task_order: list[str] = []
-    cell: dict[tuple[str, str], float] = {}
+    # Each comparate's scores by task, both in order of first appearance.
+    # An equal later score replaces the earlier one (0.0 equals -0.0).
+    cells: dict[str, dict[str, float]] = {}
     for frag in fragments:
-        for t in frag.tasks:
-            if t not in task_order:
-                task_order.append(t)
-        for i, c in enumerate(frag.comparates):
-            if c not in comparates:
-                comparates.append(c)
-            for j, t in enumerate(frag.tasks):
-                value = float(frag.scores[i, j])
-                old = cell.get((c, t))
-                if old is not None and old != value:
+        for c, row in zip(frag.comparates, frag.scores.tolist()):
+            known = cells.setdefault(c, {})
+            for t, value in zip(frag.tasks, row):
+                old = known.get(t, value)
+                if old != value:
                     raise ValidationError(
                         f"conflicting scores for comparate {c!r} on task {t!r}: "
                         f"{old!r} vs {value!r}"
                     )
-                cell[(c, t)] = value
+            known.update(zip(frag.tasks, row))
 
-    complete = [t for t in task_order if all((c, t) in cell for c in comparates)]
+    tasks = dict.fromkeys(t for frag in fragments for t in frag.tasks)
+    covered = set.intersection(*map(set, cells.values()))
+    complete = [t for t in tasks if t in covered]
     if not complete:
         raise ValidationError(
             "no task has a score for every comparate in the requested set"
         )
-    grid = np.array([[cell[(c, t)] for t in complete] for c in comparates])
-    return ResultsMatrix(tuple(comparates), tuple(complete), grid, direction)
+    grid = np.array([[known[t] for t in complete] for known in cells.values()])
+    return ResultsMatrix(tuple(cells), tuple(complete), grid, direction)
 
 
 def weaken_comparate(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import ResultsMatrix
-from ..errors import TooFewComparates, TooFewTasks, ValidationError
+from ..errors import ValidationError
 from ..stats import compute_ranks, holm_significance, nemenyi_critical_difference
 from .core import SvgDoc, fnum
 from .style import CD_AXIS_WIDTH, CD_BAR_SPACING, CD_ROW_HEIGHT, FONT_SIZE, PADDING
@@ -83,17 +83,17 @@ def cd_layout(
     alpha: float = 0.05,
     pairwise_method: str = "nemenyi",
 ) -> CdLayout:
-    """Compute everything the diagram needs, independent of page geometry."""
-    method = str(pairwise_method).strip().lower().replace("_", "-")
-    if method not in ("nemenyi", "wilcoxon-holm"):
+    """Compute everything the diagram needs, independent of page geometry.
+    ``pairwise_method`` is ``"nemenyi"`` or ``"wilcoxon-holm"``, spelled so."""
+    if pairwise_method not in ("nemenyi", "wilcoxon-holm"):
         raise ValidationError(
             f"unknown pairwise method {pairwise_method!r}; "
             "expected 'nemenyi' or 'wilcoxon-holm'"
         )
     if matrix.m < 3:
-        raise TooFewComparates("a rank diagram needs at least three comparates")
+        raise ValidationError("a rank diagram needs at least three comparates")
     if matrix.n < 2:
-        raise TooFewTasks("a rank diagram needs at least two tasks")
+        raise ValidationError("a rank diagram needs at least two tasks")
 
     table = compute_ranks(matrix)
     # Names are distinct, so the sort never reaches the positions.
@@ -102,7 +102,7 @@ def cd_layout(
     positions = tuple(_unit_position(ar, matrix.m) for ar in ars)
 
     cd: float | None = None
-    if method == "nemenyi":
+    if pairwise_method == "nemenyi":
         cd = nemenyi_critical_difference(matrix.m, matrix.n, alpha)
         joined = np.abs(np.subtract.outer(ars, ars)) <= cd
     else:
@@ -115,7 +115,7 @@ def cd_layout(
         bars=bars,
         critical_difference=cd,
         alpha=float(alpha),
-        method=method,
+        method=pairwise_method,
     )
 
 

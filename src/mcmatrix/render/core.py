@@ -20,19 +20,6 @@ def _escape(data: str) -> str:
     return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _quoteattr(data: str) -> str:
-    """A quoted XML attribute value, as ``xml.sax.saxutils.quoteattr``
-    writes it: escaped, with newline, return and tab as character
-    references; in double quotes unless it holds one and no single quote,
-    then in single quotes; holding both, in double quotes as ``&quot;``."""
-    data = _escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in data:
-        return f'"{data}"'
-    if "'" not in data:
-        return f"'{data}'"
-    return '"%s"' % data.replace('"', "&quot;")
-
-
 def _metadata_json(metadata: dict) -> str:
     """Run metadata as compact JSON with sorted keys and ``<``, ``>`` and
     ``&`` as JSON escapes: a script element decodes no entities, so this
@@ -56,7 +43,7 @@ class SvgDoc:
     Every text element uses ``FONT_FAMILY``, quoted as ``family``.
     """
 
-    family = _quoteattr(FONT_FAMILY)
+    family = f'"{FONT_FAMILY}"'
 
     def __init__(self, width: float, height: float):
         self.width = width

@@ -37,7 +37,8 @@ def render_mcm(
     format: str = "svg",
     metadata: dict | None = None,
 ) -> bytes:
-    """Render a report as SVG, or as HTML embedding the identical SVG.
+    """Render a report as SVG, or as HTML embedding the identical SVG;
+    ``format`` is ``"svg"`` or ``"html"``, spelled so.
 
     Cell fill encodes the mean difference on a diverging scale (white at
     zero) that saturates at the largest |mean difference|.  Text shows the
@@ -51,8 +52,7 @@ def render_mcm(
     text; the HTML table's rows go into a second buffer, appended after the
     figure.
     """
-    fmt = str(format).strip().lower()
-    if fmt not in ("svg", "html"):
+    if format not in ("svg", "html"):
         raise ValidationError(f"unknown render format {format!r}")
     if not report.cells:
         raise ValidationError("report contains no comparisons")
@@ -133,7 +133,7 @@ def render_mcm(
     row_html = [_escape(r) for r in rows]
     col_html = [_escape(c) for c in cols]
     out = io.BytesIO()
-    table = io.BytesIO() if fmt == "html" else None
+    table = io.BytesIO() if format == "html" else None
     if table is not None:
         out.write(_HTML_HEAD.encode("utf-8"))
         if metadata is not None:

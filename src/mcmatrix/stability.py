@@ -12,7 +12,6 @@ patterns from one step-down kernel, ``_step_down``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -162,34 +161,33 @@ def _reservoir_keys(seed: int, start: int, count: int) -> np.ndarray:
     return _splitmix64(np.uint64(seed) ^ _splitmix64(index))
 
 
-@functools.lru_cache(maxsize=16)
-def _binomial_columns(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Column j - 1 (1 <= j <= k) holds C(j - 1 + i, j) for i in 0 .. n - k,
-    the only binomials slot j of an unranking over C(n, k) can subtract.
-    Each is at most C(n - 1, k) < C(n, k), so int64 holds them."""
-    return tuple(
-        np.array([math.comb(j - 1 + i, j) for i in range(n - k + 1)], dtype=np.int64)
-        for j in range(1, k + 1)
-    )
-
-
-def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """Combination unranking in lexicographic order: maps S ranks in
-    [0, C(n, k)) to the S x k array of their ascending indices in range(n).
+def _unranker(n: int, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Combination unranking in lexicographic order: the returned function
+    maps S ranks in [0, C(n, k)) to the S x k array of their ascending
+    indices in range(n).
 
     x = C(n, k) - 1 - rank is written greedily in the combinatorial number
     system, x = C(c_k, k) + ... + C(c_1, 1) with c_k > ... > c_1, one
     ``searchsorted`` per slot, and the subset is n - 1 - c_k, ..., n - 1 - c_1.
-    C(n, k) must not exceed 2**63, so x is exact in int64.
+    Column j - 1 (1 <= j <= k) of the table, built once here, holds
+    C(j - 1 + i, j) for i in 0 .. n - k, the only binomials slot j can
+    subtract.  C(n, k) must not exceed 2**63, so x and the table, whose
+    entries are at most C(n - 1, k), are exact in int64.
     """
-    columns = _binomial_columns(n, k)
-    x = np.int64(math.comb(n, k) - 1) - np.asarray(ranks, dtype=np.int64)
-    out = np.empty((len(x), k), dtype=np.intp)
-    for j in range(k, 0, -1):
-        i = np.searchsorted(columns[j - 1], x, side="right") - 1
-        x = x - columns[j - 1][i]
-        out[:, k - j] = n - j - i
-    return out
+    columns = [np.array([math.comb(j - 1 + i, j) for i in range(n - k + 1)], dtype=np.int64)
+               for j in range(1, k + 1)]
+    top = np.int64(math.comb(n, k) - 1)
+
+    def unrank(ranks: np.ndarray) -> np.ndarray:
+        x = top - np.asarray(ranks, dtype=np.int64)
+        out = np.empty((len(x), k), dtype=np.intp)
+        for j in range(k, 0, -1):
+            i = np.searchsorted(columns[j - 1], x, side="right") - 1
+            x = x - columns[j - 1][i]
+            out[:, k - j] = n - j - i
+        return out
+
+    return unrank
 
 
 def _sample_ranks(total_space: int, count: int, seed: int) -> np.ndarray:
@@ -350,10 +348,10 @@ def enumerate_patterns(
     # Ranks come one chunk at a time, so an exhaustive sweep near the limit
     # never holds a million subsets at once, nor a large core many families.
     chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // math.comb(len(core) + k_extra, 2)))
+    unrank = _unranker(len(pool), k_extra)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        extras = _unrank(len(pool), k_extra,
-                         np.arange(start, stop) if ranks is None else ranks[start:stop])
+        extras = unrank(np.arange(start, stop) if ranks is None else ranks[start:stop])
         t = count(extras)
         # n_seen: the row's 1-based place among all subsets of its pattern.
         order = np.argsort(t, kind="stable")

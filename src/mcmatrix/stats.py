@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Direction, ResultsMatrix, check_integer, check_real, check_real_array
-from .errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
+from .errors import InternalError, ValidationError
 
 __all__ = [
     "PMethod",
@@ -335,15 +335,18 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> tuple[float, PMethod]:
     the exact distribution over all sign assignments; beyond that a normal
     approximation with tie and continuity corrections is used.
 
-    Returns ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.
-    This is one row of the block kernel ``pair_statistics`` uses.
+    ``diffs`` is one row (1-D); a scalar or a block is refused.  Returns
+    ``(p, method)``; all-zero input yields ``(1.0, DEGENERATE)``.  This is
+    one row of the block kernel ``pair_statistics`` uses.
     """
-    d = check_real_array("differences", diffs).reshape(1, -1)
+    d = check_real_array("differences", diffs)
+    if d.ndim != 1:
+        raise ValidationError(f"need one row of differences, got {d.ndim} dimension(s)")
     if d.size == 0:
         raise ValidationError("need at least one difference")
     if not np.isfinite(d).all():
         raise ValidationError("differences must be finite")
-    p, method = _signed_rank_rows(d)
+    p, method = _signed_rank_rows(d[None])
     return p[0], method[0]
 
 
@@ -468,9 +471,9 @@ def friedman_test(ranks: RankTable) -> tuple[float, float]:
     """
     m, n = ranks.ranks.shape
     if m < 3:
-        raise TooFewComparates("the Friedman test needs at least three comparates")
+        raise ValidationError("the Friedman test needs at least three comparates")
     if n < 2:
-        raise TooFewTasks("the Friedman test needs at least two tasks")
+        raise ValidationError("the Friedman test needs at least two tasks")
 
     rank_sums = ranks.ranks.sum(axis=1)
     raw = 12.0 / (n * m * (m + 1)) * float((rank_sums**2).sum()) - 3.0 * n * (m + 1)
@@ -612,7 +615,7 @@ def holm_significance(
     alpha = check_alpha(alpha)
     members = list(names)
     if len(members) < 2:
-        raise TooFewComparates("need at least two comparates for pairwise tests")
+        raise ValidationError("need at least two comparates for pairwise tests")
     p = all_pairs_pvalues(matrix, members)
     upper = np.triu_indices(len(members), 1)
     significant = np.zeros(p.shape, dtype=bool)

@@ -28,7 +28,9 @@ pattern enumeration, unranked by ``subset_by_rank``, and keeps examples by
 ``reservoir_draw``.  ``compute_ranks_loop``
 ranks one task at a time with two m x m comparisons and takes the tie term
 from ``np.unique``'s counts, as the package did before it sorted every task
-at once.
+at once.  ``restrict_to_complete_tasks_loop`` is the fragment merge the
+package ran before it kept each comparate's scores in a dict by task: it
+finds first appearances by list membership, kept unchanged.
 
 ``cell_records`` is the dict builder the package's JSON cell writer
 replaced, kept unchanged: the writer's text is held to ``json.dumps`` of it.
@@ -385,6 +387,45 @@ def compute_ranks_loop(
         tie_terms[j] = (counts**3 - counts).sum()
     average = np.array([float(np.mean(ranks[i])) for i in range(m)])
     return ranks, average, tie_terms
+
+
+def restrict_to_complete_tasks_loop(matrices: Sequence[ResultsMatrix]) -> ResultsMatrix:
+    """Merge per-source fragments, keeping only fully covered tasks."""
+    fragments = list(matrices)
+    if not fragments:
+        raise ValidationError("at least one fragment is required")
+    direction = fragments[0].direction
+    for frag in fragments[1:]:
+        if frag.direction is not direction:
+            raise ValidationError("fragments disagree on score direction")
+
+    comparates: list[str] = []
+    task_order: list[str] = []
+    cell: dict[tuple[str, str], float] = {}
+    for frag in fragments:
+        for t in frag.tasks:
+            if t not in task_order:
+                task_order.append(t)
+        for i, c in enumerate(frag.comparates):
+            if c not in comparates:
+                comparates.append(c)
+            for j, t in enumerate(frag.tasks):
+                value = float(frag.scores[i, j])
+                old = cell.get((c, t))
+                if old is not None and old != value:
+                    raise ValidationError(
+                        f"conflicting scores for comparate {c!r} on task {t!r}: "
+                        f"{old!r} vs {value!r}"
+                    )
+                cell[(c, t)] = value
+
+    complete = [t for t in task_order if all((c, t) in cell for c in comparates)]
+    if not complete:
+        raise ValidationError(
+            "no task has a score for every comparate in the requested set"
+        )
+    grid = np.array([[cell[(c, t)] for t in complete] for c in comparates])
+    return ResultsMatrix(tuple(comparates), tuple(complete), grid, direction)
 
 
 def cell_records(

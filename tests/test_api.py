@@ -173,20 +173,8 @@ PUBLIC_SURFACE = {
     "mcmatrix.data.restrict_to_complete_tasks": "(matrices)",
     "mcmatrix.data.weaken_comparate": "(matrix, target, reference, weight, new_name)",
     "mcmatrix.errors.McmatrixError": ("class(Exception)",),
-    "mcmatrix.errors.ParseError": (
-        "class(_Located)",
-        "__init__(self, message, row=None, column=None)",
-    ),
     "mcmatrix.errors.ValidationError": (
-        "class(_Located)",
-        "__init__(self, message, row=None, column=None)",
-    ),
-    "mcmatrix.errors.TooFewComparates": (
-        "class(ValidationError)",
-        "__init__(self, message, row=None, column=None)",
-    ),
-    "mcmatrix.errors.TooFewTasks": (
-        "class(ValidationError)",
+        "class(McmatrixError)",
         "__init__(self, message, row=None, column=None)",
     ),
     "mcmatrix.errors.InternalError": ("class(McmatrixError)",),

@@ -30,6 +30,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, friedmanchisquare, studentized_range
@@ -179,6 +180,19 @@ def test_stats_numbers_match_the_oracles(study):
         assert math.isclose(doc["friedman"]["p_value"], p, rel_tol=1e-12)
     keys = [(a, b) for i, a in enumerate(matrix.comparates) for b in matrix.comparates[i + 1:]]
     _check_cells(matrix, flags, doc["pairwise"], keys)
+
+
+@pytest.mark.parametrize("m, n, refusal", [
+    (2, 4, "the Friedman test needs at least three comparates"),
+    (3, 1, "the Friedman test needs at least two tasks"),
+])
+def test_stats_records_a_refused_friedman_test_as_skipped(m, n, refusal):
+    matrix = ResultsMatrix(tuple(f"c{i}" for i in range(m)), tuple(f"t{j}" for j in range(n)),
+                           np.arange(m * n, dtype=float).reshape(m, n), "higher")
+    flags = {"--alpha": 0.05, "--tie-epsilon": 0.0}
+    doc = _run(matrix, ["stats"], flags)
+    assert doc["friedman"] == {"skipped": refusal}
+    _check_cells(matrix, flags, doc["pairwise"], list(combinations(matrix.comparates, 2)))
 
 
 @settings(max_examples=60, deadline=None)

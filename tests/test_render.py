@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import re
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -18,9 +18,9 @@ from mcmatrix import (
     render_mcm,
     render_pattern_graph,
 )
-from mcmatrix.errors import TooFewComparates, TooFewTasks, ValidationError
+from mcmatrix.errors import ValidationError
 from mcmatrix.render import cd_view, contiguous_nonsignificant_runs, diverging_color
-from mcmatrix.render.core import _escape, _quoteattr, fnum
+from mcmatrix.render.core import _escape, fnum
 from mcmatrix.render.style import COLOR_NEGATIVE, COLOR_POSITIVE, _diverging_fills
 from mcmatrix.stability import SignificancePattern
 
@@ -88,7 +88,6 @@ class TestDivergingColor:
 @settings(max_examples=300, deadline=None)
 def test_escaping_follows_the_standard_library(value):
     assert _escape(value) == escape(value)
-    assert _quoteattr(value) == quoteattr(value)
 
 
 class TestRenderMcm:
@@ -193,6 +192,11 @@ class TestRenderMcm:
         with pytest.raises(ValidationError, match="report contains no comparisons"):
             render_mcm(dataclasses.replace(full, cells={}))
 
+    @pytest.mark.parametrize("fmt", ["pdf", "SVG", "html ", "Html"])
+    def test_each_format_has_one_spelling(self, fmt):
+        with pytest.raises(ValidationError, match=f"unknown render format {fmt!r}"):
+            render_mcm(build_mcm(golden_matrix()), format=fmt)
+
 
 class TestCliqueRuns:
     def test_spec_pattern_two_overlapping_bars(self):
@@ -294,17 +298,20 @@ class TestCdDiagram:
         two = ResultsMatrix(
             ("a", "b"), ("t1", "t2"), np.array([[1.0, 2.0], [3.0, 4.0]]), "higher"
         )
-        with pytest.raises(TooFewComparates):
+        with pytest.raises(ValidationError, match="needs at least three comparates"):
             render_cd_diagram(two, 0.05, "nemenyi")
         one_task = ResultsMatrix(
             ("a", "b", "c"), ("t1",), np.array([[1.0], [2.0], [3.0]]), "higher"
         )
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(ValidationError, match="needs at least two tasks"):
             render_cd_diagram(one_task, 0.05, "nemenyi")
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            render_cd_diagram(golden_matrix(), 0.05, "bonferroni")
+    # Each method has one spelling, the one the CLI passes.
+    @pytest.mark.parametrize("method", ["bonferroni", "Nemenyi", " nemenyi", "wilcoxon_holm",
+                                        "WILCOXON-HOLM"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValidationError, match=f"unknown pairwise method {method!r}"):
+            render_cd_diagram(golden_matrix(), 0.05, method)
 
 
 def test_pattern_graph_renders_edges():

@@ -26,7 +26,7 @@ from mcmatrix.stability import (
     _reservoir_keys,
     _sample_ranks,
     _step_down,
-    _unrank,
+    _unranker,
 )
 from mcmatrix.stats import (
     all_pairs_pvalues,
@@ -251,7 +251,7 @@ class TestEnumeratePatterns:
             expected = list(combinations(pool, k))
             got = [subset_by_rank(pool, k, r) for r in range(math.comb(8, k))]
             assert got == expected
-            rows = _unrank(8, k, np.arange(math.comb(8, k)))
+            rows = _unranker(8, k)(np.arange(math.comb(8, k)))
             assert [tuple(pool[i] for i in row) for row in rows.tolist()] == expected
 
     def test_sampled_count_covering_space_degrades_to_exhaustive(self):
@@ -413,7 +413,7 @@ class TestUnranking:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_oracle(self, batch):
         n, k, ranks = batch
-        rows = _unrank(n, k, np.array(ranks, dtype=np.int64))
+        rows = _unranker(n, k)(np.array(ranks, dtype=np.int64))
         assert rows.shape == (len(ranks), k)
         assert [tuple(row) for row in rows.tolist()] == [
             subset_by_rank(range(n), k, r) for r in ranks
@@ -424,7 +424,7 @@ class TestUnranking:
     def test_edges_of_the_space(self, n, k):
         top = math.comb(n, k) - 1
         ranks = sorted({r for r in (0, 1, top // 3, top // 2, top - 1, top) if 0 <= r <= top})
-        rows = _unrank(n, k, np.array(ranks, dtype=np.int64))
+        rows = _unranker(n, k)(np.array(ranks, dtype=np.int64))
         assert [tuple(row) for row in rows.tolist()] == [
             subset_by_rank(range(n), k, r) for r in ranks
         ]

@@ -23,7 +23,7 @@ from mcmatrix import (
     pairwise_comparison,
     wilcoxon_signed_rank,
 )
-from mcmatrix.errors import InternalError, TooFewComparates, TooFewTasks, ValidationError
+from mcmatrix.errors import InternalError, ValidationError
 from mcmatrix.selftest import average_ranks, enumeration_pvalue
 
 from conftest import cell_bits, random_matrix, swapped_cell_bits
@@ -108,6 +108,17 @@ class TestWilcoxon:
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="need at least one difference"):
             wilcoxon_signed_rank([])
+
+    @pytest.mark.parametrize("diffs, ndim", [
+        (5.0, 0),
+        ([[1.0, 2.0], [3.0, -4.0]], 2),
+        ([[1.0, 2.0, 3.0]], 2),
+        (np.ones((2, 2, 2)), 3),
+    ], ids=["scalar", "block", "one-row-block", "three-d"])
+    def test_only_one_row_is_read(self, diffs, ndim):
+        with pytest.raises(ValidationError,
+                           match=rf"need one row of differences, got {ndim} dimension\(s\)"):
+            wilcoxon_signed_rank(diffs)
 
     @pytest.mark.parametrize("diffs", [
         ["0.5", "-0.25", "1"],
@@ -657,9 +668,9 @@ class TestFriedman:
         assert stat2 == pytest.approx(stat, rel=1e-12)
 
     def test_size_guards(self):
-        with pytest.raises(TooFewComparates):
+        with pytest.raises(ValidationError, match="needs at least three comparates"):
             friedman_test(compute_ranks(_matrix([[1.0, 2.0], [3.0, 4.0]])))
-        with pytest.raises(TooFewTasks):
+        with pytest.raises(ValidationError, match="needs at least two tasks"):
             friedman_test(compute_ranks(_matrix([[1.0], [2.0], [3.0]])))
 
 
